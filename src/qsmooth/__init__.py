@@ -2,123 +2,4 @@
 gradient estimates, plus the M/G/1 feedback-network benchmark used to
 validate it."""
 
-from .bench import (
-    CellResult,
-    ConfigError,
-    ExperimentConfig,
-    config_from_dict,
-    emit_csv,
-    emit_table,
-    load_config,
-    run_experiment,
-    run_replication,
-)
-from .optimizer import (
-    BoxConstraint,
-    DivergenceError,
-    QuadraticCostSimulator,
-    RunResult,
-    SimulationError,
-    SimulatorHandle,
-    StepSchedule,
-    TwoTimescaleState,
-    project,
-    run_gqsf1,
-    run_gqsf2,
-)
-from .qgaussian import (
-    MomentDoesNotExistError,
-    MomentSpec,
-    Perturbation,
-    QGaussianDomainError,
-    QKernel,
-    analytic_moment,
-    density,
-    moment_exists,
-    normalizing_constant,
-    rho,
-    sample,
-    sample_standard,
-    sample_standard_many,
-    support_contains,
-)
-from .queueing import (
-    QueueNetworkConfig,
-    QueueSimulator,
-    QueueState,
-    advance_one_observation,
-    make_simulator,
-    preset,
-    preset_names,
-    service_time,
-)
-from .rng import RngStream, derive_stream_id
-from .smoothing import (
-    GradientSampleOne,
-    GradientSampleTwo,
-    InvalidRhoError,
-    sf_term_one,
-    sf_term_one_batch,
-    sf_term_two,
-    sf_term_two_batch,
-    smoothed_gradient_mc,
-    smoothed_value,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BoxConstraint",
-    "CellResult",
-    "ConfigError",
-    "DivergenceError",
-    "ExperimentConfig",
-    "GradientSampleOne",
-    "GradientSampleTwo",
-    "InvalidRhoError",
-    "MomentDoesNotExistError",
-    "MomentSpec",
-    "Perturbation",
-    "QGaussianDomainError",
-    "QKernel",
-    "QuadraticCostSimulator",
-    "QueueNetworkConfig",
-    "QueueSimulator",
-    "QueueState",
-    "RngStream",
-    "RunResult",
-    "SimulationError",
-    "SimulatorHandle",
-    "StepSchedule",
-    "TwoTimescaleState",
-    "advance_one_observation",
-    "analytic_moment",
-    "config_from_dict",
-    "density",
-    "derive_stream_id",
-    "emit_csv",
-    "emit_table",
-    "load_config",
-    "make_simulator",
-    "moment_exists",
-    "normalizing_constant",
-    "preset",
-    "preset_names",
-    "project",
-    "rho",
-    "run_experiment",
-    "run_gqsf1",
-    "run_gqsf2",
-    "run_replication",
-    "sample",
-    "sample_standard",
-    "sample_standard_many",
-    "service_time",
-    "sf_term_one",
-    "sf_term_one_batch",
-    "sf_term_two",
-    "sf_term_two_batch",
-    "smoothed_gradient_mc",
-    "smoothed_value",
-    "support_contains",
-]

@@ -23,6 +23,7 @@ from .optimizer import (
     BoxConstraint,
     DivergenceError,
     RunResult,
+    SimulationError,
     StepSchedule,
     run_gqsf1,
     run_gqsf2,
@@ -30,6 +31,7 @@ from .optimizer import (
 from .qgaussian import QKernel
 from .queueing import QueueNetworkConfig, make_simulator, preset, preset_names
 from .rng import RngStream, derive_stream_id
+from .smoothing import InvalidRhoError
 
 ALGORITHMS = ("gqsf1", "gqsf2")
 
@@ -87,15 +89,15 @@ class ExperimentConfig:
             raise ConfigError("box and theta0 must match the system dimension")
         if not self.box.contains(theta0):
             raise ConfigError("theta0 must lie inside the box")
-        if any(b <= 0 for b in self.beta_grid):
-            raise ConfigError("beta values must be > 0")
-        if not 0.5 < self.gamma < 1.0:
-            raise ConfigError("gamma must lie strictly in (0.5, 1)")
         if self.M < 1 or self.L < 1 or self.replications < 1:
             raise ConfigError("M, L and replications must be >= 1")
-        for q in self.q_grid:
-            if not q < 1.0 + 2.0 / dim:
-                raise ConfigError(f"q={q} is not admissible for dimension {dim}")
+        # the schedule and the kernel own the gamma, beta and q domains
+        try:
+            StepSchedule(self.gamma)
+            for q, beta in self.cells():
+                QKernel(q, beta, dim)
+        except ValueError as err:
+            raise ConfigError(str(err)) from None
 
     def cells(self) -> list[tuple[float, float]]:
         """Grid order: q outer, beta inner."""
@@ -127,6 +129,13 @@ def _as_vector(value, dim: int, name: str) -> np.ndarray:
     if arr.shape != (dim,):
         raise ConfigError(f"{name} must be a scalar or a length-{dim} list")
     return arr
+
+
+def _json_int(data: dict, key: str, default=None) -> int:
+    value = data.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return value
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
@@ -203,20 +212,23 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         box = BoxConstraint(lower, upper)
     except ValueError as err:
         raise ConfigError(str(err)) from None
+    crn = data.get("common_random_numbers", False)
+    if not isinstance(crn, bool):
+        raise ConfigError(f"common_random_numbers must be true or false, got {crn!r}")
     try:
         return ExperimentConfig(
             algorithm=str(data["algorithm"]),
             q_grid=tuple(data["q_grid"]),
             beta_grid=tuple(data["beta_grid"]),
             gamma=float(data.get("gamma", 0.75)),
-            M=int(data["M"]),
-            L=int(data.get("L", 100)),
-            replications=int(data.get("replications", 20)),
-            base_seed=int(data["base_seed"]),
+            M=_json_int(data, "M"),
+            L=_json_int(data, "L", 100),
+            replications=_json_int(data, "replications", 20),
+            base_seed=_json_int(data, "base_seed"),
             system=network,
             box=box,
             theta0=theta0,
-            common_random_numbers=bool(data.get("common_random_numbers", False)),
+            common_random_numbers=crn,
         )
     except (TypeError, ValueError) as err:
         if isinstance(err, ConfigError):
@@ -238,9 +250,16 @@ def load_config(path: str) -> ExperimentConfig:
 # -- replication execution ---------------------------------------------------
 
 def run_replication(
-    config: ExperimentConfig, cell_index: int, q: float, beta: float, rep: int
+    config: ExperimentConfig,
+    cell_index: int,
+    q: float,
+    beta: float,
+    rep: int,
+    *,
+    record_every: int = 0,
 ) -> RunResult:
-    """One seeded optimization run of the configured system."""
+    """One seeded optimization run of the configured system; ``record_every``
+    > 0 records the trajectory every that many outer iterations."""
     kernel = QKernel(q=q, beta=beta, dim=config.system.total_dim)
     schedule = StepSchedule(config.gamma)
     seed = config.base_seed
@@ -262,6 +281,7 @@ def run_replication(
             config.theta0,
             pert_stream,
             target=target,
+            record_every=record_every,
         )
     minus_tag = "sim+" if config.common_random_numbers else "sim-"
     sim_minus = make_simulator(
@@ -279,6 +299,7 @@ def run_replication(
         config.theta0,
         pert_stream,
         target=target,
+        record_every=record_every,
     )
 
 
@@ -287,7 +308,7 @@ def _replication_task(args):
     try:
         result = run_replication(config, cell_index, q, beta, rep)
         return cell_index, rep, result.distance, result.wall_time, None
-    except DivergenceError as err:
+    except (DivergenceError, SimulationError, InvalidRhoError) as err:
         return cell_index, rep, None, 0.0, str(err)
 
 
@@ -322,9 +343,9 @@ def run_experiment(
 ) -> list[CellResult]:
     """Run every (q, beta) cell; returns results in grid order.
 
-    Replications are independent tasks spread over a process pool; a
-    diverged run is recorded in its cell's failure count and does not abort
-    the grid.
+    Replications are independent tasks spread over a process pool; a run
+    that diverges, whose simulator fails or that meets rho <= 0 is recorded
+    in its cell's failure count and does not abort the grid.
     """
     cells = config.cells()
     tasks = [
@@ -392,22 +413,6 @@ def emit_csv(results: list[CellResult], include_timing: bool = True) -> str:
             row.append(_fmt(r.seconds))
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
-
-
-def parse_csv(text: str) -> list[dict]:
-    """Inverse of :func:`emit_csv` at printed precision."""
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    header = lines[0].split(",")
-    out = []
-    for ln in lines[1:]:
-        rec = dict(zip(header, ln.split(",")))
-        for key in ("q", "beta", "gamma", "mean_distance", "std_distance", "seconds"):
-            if key in rec:
-                rec[key] = float(rec[key])
-        for key in ("M", "L", "replications", "failures"):
-            rec[key] = int(rec[key])
-        out.append(rec)
-    return out
 
 
 def _q_label(q: float) -> str:

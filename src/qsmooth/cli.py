@@ -19,22 +19,15 @@ import sys
 import numpy as np
 
 from . import bench
-from .optimizer import (
-    BoxConstraint,
-    DivergenceError,
-    StepSchedule,
-    run_gqsf1,
-    run_gqsf2,
-)
+from .optimizer import BoxConstraint, DivergenceError
 from .qgaussian import (
     MomentDoesNotExistError,
     MomentSpec,
     QGaussianDomainError,
-    QKernel,
     analytic_moment,
     sample_standard_many,
 )
-from .queueing import make_simulator, preset, preset_names
+from .queueing import preset, preset_names
 from .rng import RngStream, derive_stream_id
 
 
@@ -67,10 +60,9 @@ def _cmd_single(args) -> int:
     network = loaded.network
     dim = network.total_dim
     try:
-        q = bench.resolve_q(args.q, dim)
         config = bench.ExperimentConfig(
             algorithm=args.algo,
-            q_grid=(q,),
+            q_grid=(args.q,),
             beta_grid=(args.beta,),
             gamma=args.gamma,
             M=args.M,
@@ -84,27 +76,11 @@ def _cmd_single(args) -> int:
     except bench.ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-
-    kernel = QKernel(q=q, beta=args.beta, dim=dim)
-    schedule = StepSchedule(args.gamma)
-    seed = args.seed
-    pert = RngStream(seed, derive_stream_id(seed, 0, 0, "perturbation"))
-    sim_plus = make_simulator(network, RngStream(seed, derive_stream_id(seed, 0, 0, "sim+")))
-    kwargs = dict(target=network.theta_target, record_every=args.record_every)
+    q, beta = config.cells()[0]
     try:
-        if args.algo == "gqsf1":
-            result = run_gqsf1(
-                sim_plus, kernel, config.box, schedule, args.M, args.L,
-                config.theta0, pert, **kwargs,
-            )
-        else:
-            sim_minus = make_simulator(
-                network, RngStream(seed, derive_stream_id(seed, 0, 0, "sim-"))
-            )
-            result = run_gqsf2(
-                sim_plus, sim_minus, kernel, config.box, schedule, args.M, args.L,
-                config.theta0, pert, **kwargs,
-            )
+        result = bench.run_replication(
+            config, 0, q, beta, 0, record_every=args.record_every
+        )
     except DivergenceError as err:
         print(f"run diverged: {err}", file=sys.stderr)
         return 3

@@ -20,7 +20,7 @@ import numpy as np
 
 from .qgaussian import QKernel, sample_standard
 from .rng import RngStream
-from .smoothing import InvalidRhoError
+from .smoothing import _term_weight
 
 Z_DIVERGENCE_LIMIT = 1e12
 
@@ -113,16 +113,6 @@ class StepSchedule:
         return 1.0 / n, float(n) ** (-self.gamma)
 
 
-@dataclass
-class TwoTimescaleState:
-    """Snapshot of the coupled recursion."""
-
-    theta: np.ndarray
-    z: np.ndarray
-    outer_index: int = 0
-    inner_index: int = 0
-
-
 @dataclass(frozen=True)
 class TrajectoryPoint:
     n: int
@@ -134,7 +124,7 @@ class TrajectoryPoint:
 class RunResult:
     theta_final: np.ndarray
     distance: float | None
-    state: TwoTimescaleState
+    z: np.ndarray  # the fast iterate after the last outer iteration
     trajectory: list[TrajectoryPoint] | None
     wall_time: float
     seed_info: dict = field(default_factory=dict)
@@ -187,11 +177,10 @@ def _run_loop(
     theta = _check_run_args(kernel, box, theta0, M, L)
     n_dim = kernel.dim
     q, beta = kernel.q, kernel.beta
-    coeff_scale = kernel.tail_coefficient
     lower, upper = box.lower, box.upper
     two_sided = len(sims) == 2
-    # per-sample term coefficient: 2 eta / (beta c rho) one-sided,
-    # eta / (beta c rho) two-sided
+    # the term's signal is 2h one-sided and h+ - h- two-sided; the costs
+    # enter through s below, the factor 2 or 1 through the coefficient
     numer = 1.0 if two_sided else 2.0
     seed_info = {"seed": stream.seed, "stream_id": stream.stream_id}
     z = np.zeros(n_dim)
@@ -199,18 +188,15 @@ def _run_loop(
     if trajectory is not None:
         trajectory.append(TrajectoryPoint(0, theta.copy(), _distance(theta, target)))
     t_start = time.perf_counter()
-    gamma = schedule.gamma
     for n in range(M):
         # the listing starts at n = 0 but 1/n is undefined there; the
         # schedule is evaluated at n+1
-        a_n = 1.0 / (n + 1)
-        b_n = float(n + 1) ** (-gamma)
+        a_n, b_n = schedule.step_sizes(n + 1)
         one_minus_b = 1.0 - b_n
 
         pert = sample_standard(q, n_dim, stream)
-        eta, rho_val = pert.eta, pert.rho
-        if rho_val <= 0.0:
-            raise InvalidRhoError(f"sampler produced rho={rho_val} at iteration {n}")
+        eta = pert.eta
+        coeff = _term_weight(kernel, pert.rho, numer) * eta
 
         # The costs enter Z linearly with a fixed per-iteration coefficient
         # vector, so the L inner updates collapse to one scalar recursion:
@@ -237,7 +223,6 @@ def _run_loop(
                     raise SimulationError(n, m, seed_info) from err
                 s = one_minus_b * s + b_n * h
 
-        coeff = (numer / (beta * coeff_scale * rho_val)) * eta
         z_entering = z
         z = (one_minus_b**L) * z_entering + s * coeff
         if not np.all(np.abs(z) <= Z_DIVERGENCE_LIMIT):
@@ -250,11 +235,10 @@ def _run_loop(
                 TrajectoryPoint(n + 1, theta.copy(), _distance(theta, target))
             )
     wall = time.perf_counter() - t_start
-    state = TwoTimescaleState(theta=theta, z=z, outer_index=M, inner_index=M * L)
     return RunResult(
         theta_final=theta,
         distance=_distance(theta, target),
-        state=state,
+        z=z,
         trajectory=trajectory,
         wall_time=wall,
         seed_info=seed_info,

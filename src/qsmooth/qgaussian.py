@@ -63,10 +63,6 @@ class QKernel:
         _check_q_domain(self.q, self.dim)
 
     @property
-    def is_gaussian(self) -> bool:
-        return self.q == 1.0
-
-    @property
     def tail_coefficient(self) -> float:
         return tail_coefficient(self.q, self.dim)
 
@@ -197,6 +193,8 @@ def sample_standard(q: float, dim: int, stream: RngStream) -> Perturbation:
     return Perturbation(eta=y, rho=rho(y, q, dim))
 
 
+# Not merged with sample_standard: np.dot and the row-wise einsum norms differ
+# in the last bit on many rows, so one form would change the other's numbers.
 def sample_standard_many(
     q: float, dim: int, count: int, stream: RngStream
 ) -> tuple[np.ndarray, np.ndarray]:

@@ -87,23 +87,6 @@ class QueueNetworkConfig:
         return [(int(bounds[i]), int(bounds[i + 1])) for i in range(self.n_nodes)]
 
 
-def service_time(
-    node_index: int, theta_i: np.ndarray, config: QueueNetworkConfig, stream: RngStream
-) -> float:
-    """One service duration at the given node under parameter block theta_i.
-
-    Strictly positive: the uniform deviate never hits 0.
-    """
-    lo, hi = config.block_slices()[node_index]
-    target = config.theta_target[lo:hi]
-    d = np.asarray(theta_i, dtype=float) - target
-    if d.shape != target.shape:
-        raise ValueError(f"theta_i must have length {hi - lo}")
-    return stream.uniform01() * (
-        1.0 / config.service_constants[node_index] + float(np.dot(d, d))
-    )
-
-
 class QueueState:
     """Live state of one network: event clock, per-node FIFO queues of
     system-entry timestamps, in-service entries with absolute completion
@@ -158,90 +141,6 @@ def _service_factors(state, control, config):
     return fac
 
 
-def advance_one_observation(
-    state: QueueState,
-    control_theta: np.ndarray,
-    config: QueueNetworkConfig,
-    stream: RngStream,
-) -> float:
-    """Run the event loop until the next service completion and return the
-    waiting-time cost observed there.  The state persists for the next call.
-
-    Random-draw order per event is fixed: an arrival draws its next
-    interarrival time, then (if the server was idle) a service time; a
-    completion draws a routing uniform only at nodes with p_leave > 0, then
-    service times for the destination (if it starts service) and for the
-    completing node's next customer (if any), in that order.
-    """
-    fac = _service_factors(state, control_theta, config)
-    queues = state.queues
-    serving = state.serving_entry
-    comp = state.completion_time
-    nxt = state.next_arrival
-    rates = config.arrival_rates
-    p_leave = config.p_leave
-    k = config.n_nodes
-    u01 = stream.uniform01
-    inf = math.inf
-    n_present = state.n_present
-    entry_sum = state.entry_sum
-
-    while True:
-        t_min = inf
-        node = -1
-        is_completion = False
-        for i in range(k):
-            t = nxt[i]
-            if t < t_min:
-                t_min = t
-                node = i
-                is_completion = False
-            t = comp[i]
-            if t < t_min:
-                t_min = t
-                node = i
-                is_completion = True
-        clock = t_min
-
-        if not is_completion:
-            nxt[node] = clock - math.log(u01()) / rates[node]
-            n_present += 1
-            entry_sum += clock
-            state.arrivals_seen += 1
-            if comp[node] == inf:
-                serving[node] = clock
-                comp[node] = clock + u01() * fac[node]
-            else:
-                queues[node].append(clock)
-            continue
-
-        # service completion: the observation epoch
-        state.clock = clock
-        cost = n_present * clock - entry_sum
-        entry = serving[node]
-        p = p_leave[node]
-        if p > 0.0 and u01() < p:
-            n_present -= 1
-            entry_sum -= entry
-            state.departures_seen += 1
-        else:
-            dest = node + 1 if node + 1 < k else 0
-            if dest == node or comp[dest] != inf:
-                queues[dest].append(entry)
-            else:
-                serving[dest] = entry
-                comp[dest] = clock + u01() * fac[dest]
-        q = queues[node]
-        if q:
-            serving[node] = q.popleft()
-            comp[node] = clock + u01() * fac[node]
-        else:
-            comp[node] = inf
-        state.n_present = n_present
-        state.entry_sum = entry_sum
-        return cost
-
-
 class QueueSimulator:
     """SimulatorHandle over one network instance: ``step`` advances to the
     next completion and returns its cost."""
@@ -252,7 +151,85 @@ class QueueSimulator:
         self.state = QueueState(config, stream)
 
     def step(self, control: np.ndarray) -> float:
-        return advance_one_observation(self.state, control, self.config, self.stream)
+        """Run the event loop until the next service completion and return
+        the waiting-time cost observed there.  The state persists for the
+        next call.
+
+        Random-draw order per event is fixed: an arrival draws its next
+        interarrival time, then (if the server was idle) a service time; a
+        completion draws a routing uniform only at nodes with p_leave > 0,
+        then service times for the destination (if it starts service) and
+        for the completing node's next customer (if any), in that order.
+        """
+        state = self.state
+        config = self.config
+        fac = _service_factors(state, control, config)
+        queues = state.queues
+        serving = state.serving_entry
+        comp = state.completion_time
+        nxt = state.next_arrival
+        rates = config.arrival_rates
+        p_leave = config.p_leave
+        k = config.n_nodes
+        u01 = self.stream.uniform01
+        inf = math.inf
+        n_present = state.n_present
+        entry_sum = state.entry_sum
+
+        while True:
+            t_min = inf
+            node = -1
+            is_completion = False
+            for i in range(k):
+                t = nxt[i]
+                if t < t_min:
+                    t_min = t
+                    node = i
+                    is_completion = False
+                t = comp[i]
+                if t < t_min:
+                    t_min = t
+                    node = i
+                    is_completion = True
+            clock = t_min
+
+            if not is_completion:
+                nxt[node] = clock - math.log(u01()) / rates[node]
+                n_present += 1
+                entry_sum += clock
+                state.arrivals_seen += 1
+                if comp[node] == inf:
+                    serving[node] = clock
+                    comp[node] = clock + u01() * fac[node]
+                else:
+                    queues[node].append(clock)
+                continue
+
+            # service completion: the observation epoch
+            state.clock = clock
+            cost = n_present * clock - entry_sum
+            entry = serving[node]
+            p = p_leave[node]
+            if p > 0.0 and u01() < p:
+                n_present -= 1
+                entry_sum -= entry
+                state.departures_seen += 1
+            else:
+                dest = node + 1 if node + 1 < k else 0
+                if dest == node or comp[dest] != inf:
+                    queues[dest].append(entry)
+                else:
+                    serving[dest] = entry
+                    comp[dest] = clock + u01() * fac[dest]
+            q = queues[node]
+            if q:
+                serving[node] = q.popleft()
+                comp[node] = clock + u01() * fac[node]
+            else:
+                comp[node] = inf
+            state.n_present = n_present
+            state.entry_sum = entry_sum
+            return cost
 
 
 def make_simulator(config: QueueNetworkConfig, stream: RngStream) -> QueueSimulator:

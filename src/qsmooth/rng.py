@@ -85,10 +85,6 @@ class RngStream:
         self._pos = 0
         self._spare_normal: float | None = None
 
-    def substream(self, *parts: int | str) -> "RngStream":
-        """Derive an independent child stream; see :func:`derive_stream_id`."""
-        return RngStream(self.seed, derive_stream_id(self.stream_id, *parts))
-
     # -- uniforms ----------------------------------------------------------
 
     def _refill(self) -> None:
@@ -179,6 +175,8 @@ class RngStream:
             if math.log(u) < 0.5 * x * x + d - d * v + d * math.log(v):
                 return boost * d * v
 
+    # Not merged with _gamma_unit_scale: the scalar form skips the uniform
+    # when t <= 0, so the two forms consume the stream differently.
     def _gamma_unit_scale_array(self, shape: float, size: int):
         boost = None
         if shape < 1.0:

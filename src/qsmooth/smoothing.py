@@ -57,23 +57,29 @@ class GradientSampleTwo:
         object.__setattr__(self, "cost_minus", _check_cost(self.cost_minus))
 
 
-def _term(eta: np.ndarray, rho: float, signal: float, kernel: QKernel) -> np.ndarray:
-    if rho <= 0.0:
+def _term_weight(kernel: QKernel, rho, signal):
+    """signal / (beta * (N+2-Nq) * rho): the weight of eta in a Gq-SF term,
+    with signal 2h (Gq-SF1) or h+ - h- (Gq-SF2).  ``rho`` and ``signal`` may
+    be floats or equal-length arrays."""
+    if isinstance(rho, np.ndarray):
+        if np.any(rho <= 0.0):
+            raise InvalidRhoError("batch contains rho <= 0")
+    elif rho <= 0.0:
         raise InvalidRhoError(f"rho={rho} <= 0; perturbation outside the support")
-    return eta * (signal / (kernel.beta * kernel.tail_coefficient * rho))
+    return signal / (kernel.beta * kernel.tail_coefficient * rho)
 
 
 def sf_term_one(sample: GradientSampleOne, kernel: QKernel) -> np.ndarray:
     """Single-sample integrand of the one-simulation gradient estimate:
     2 * eta * cost / (beta * (N+2-Nq) * rho(eta))."""
-    return _term(sample.eta.eta, sample.eta.rho, 2.0 * sample.cost, kernel)
+    return sample.eta.eta * _term_weight(kernel, sample.eta.rho, 2.0 * sample.cost)
 
 
 def sf_term_two(sample: GradientSampleTwo, kernel: QKernel) -> np.ndarray:
     """Single-sample integrand of the two-simulation (antithetic) estimate:
     eta * (cost_plus - cost_minus) / (beta * (N+2-Nq) * rho(eta))."""
-    return _term(
-        sample.eta.eta, sample.eta.rho, sample.cost_plus - sample.cost_minus, kernel
+    return sample.eta.eta * _term_weight(
+        kernel, sample.eta.rho, sample.cost_plus - sample.cost_minus
     )
 
 
@@ -81,11 +87,7 @@ def sf_term_one_batch(
     etas: np.ndarray, rhos: np.ndarray, costs: np.ndarray, kernel: QKernel
 ) -> np.ndarray:
     """Vectorized one-simulation terms: (n, dim) array, one row per draw."""
-    if np.any(rhos <= 0.0):
-        raise InvalidRhoError("batch contains rho <= 0")
-    w = 2.0 * np.asarray(costs, dtype=float) / (
-        kernel.beta * kernel.tail_coefficient * rhos
-    )
+    w = _term_weight(kernel, rhos, 2.0 * np.asarray(costs, dtype=float))
     return etas * w[:, None]
 
 
@@ -97,12 +99,8 @@ def sf_term_two_batch(
     kernel: QKernel,
 ) -> np.ndarray:
     """Vectorized two-simulation terms."""
-    if np.any(rhos <= 0.0):
-        raise InvalidRhoError("batch contains rho <= 0")
-    w = (np.asarray(costs_plus, float) - np.asarray(costs_minus, float)) / (
-        kernel.beta * kernel.tail_coefficient * rhos
-    )
-    return etas * w[:, None]
+    signal = np.asarray(costs_plus, float) - np.asarray(costs_minus, float)
+    return etas * _term_weight(kernel, rhos, signal)[:, None]
 
 
 def smoothed_value(

@@ -1,3 +1,6 @@
+import csv
+import dataclasses
+import io
 import json
 
 import numpy as np
@@ -11,14 +14,18 @@ from qsmooth.bench import (
     emit_csv,
     emit_table,
     load_config,
-    parse_csv,
     resolve_q,
     run_experiment,
     run_replication,
 )
 from qsmooth.cli import main
-from qsmooth.optimizer import DivergenceError
+from qsmooth.optimizer import DivergenceError, SimulationError
 from qsmooth.rng import derive_stream_id
+from qsmooth.smoothing import InvalidRhoError
+
+
+def parse_csv(text):
+    return list(csv.DictReader(io.StringIO(text)))
 
 
 def small_config_dict(**overrides):
@@ -92,6 +99,15 @@ def test_config_inline_system():
         {"system": "no-such-preset"},
         {"theta0": [0.9, 0.9, 0.9, 0.9]},
         {"bogus_field": 1},
+        {"q_grid": [1.5 - 1e-10]},  # within 1e-9 of 1 + 2/4
+        {"beta_grid": [float("nan")]},
+        {"common_random_numbers": "false"},
+        {"common_random_numbers": 0},
+        {"M": 10.7},
+        {"M": True},
+        {"L": "100"},
+        {"replications": 2.0},
+        {"base_seed": "7"},
     ],
 )
 def test_config_rejects_bad_values(mutation):
@@ -167,6 +183,30 @@ def test_failures_counted_not_fatal(monkeypatch):
     assert np.isfinite(cell.mean_distance)
 
 
+@pytest.mark.parametrize(
+    "error", [SimulationError(3, 2, {"seed": 7}), InvalidRhoError("rho=-0.5 <= 0")]
+)
+def test_replication_error_isolated_to_its_replication(error, monkeypatch, tmp_path):
+    spec = small_config_dict(M=30, replications=2)
+    cfg = config_from_dict(spec)
+    clean = run_experiment(cfg, workers=1)
+    real = run_replication
+
+    def fails_once(config, cell_index, q, beta, rep):
+        if (cell_index, rep) == (1, 0):
+            raise error
+        return real(config, cell_index, q, beta, rep)
+
+    monkeypatch.setattr(bench, "run_replication", fails_once)
+    hit = run_experiment(cfg, workers=1)
+    assert [c.failures for c in hit] == [0, 1]
+    assert hit[0] == dataclasses.replace(clean[0], seconds=hit[0].seconds)
+    assert hit[1].distances == (None, clean[1].distances[1])
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(spec))
+    assert main(["run", str(cfg_path), "--workers", "1", "--no-timing"]) == 3
+
+
 def test_seed_derivation_no_shared_streams():
     ids = {
         derive_stream_id(7, cell, rep, tag)
@@ -213,9 +253,9 @@ def test_emit_csv_roundtrip():
     assert len(rows) == 2
     for row, cell in zip(rows, cells):
         assert row["algorithm"] == cell.algorithm
-        assert row["q"] == pytest.approx(cell.q, rel=1e-5)
-        assert row["mean_distance"] == pytest.approx(cell.mean_distance, rel=1e-5)
-        assert row["failures"] == cell.failures
+        assert float(row["q"]) == pytest.approx(cell.q, rel=1e-5)
+        assert float(row["mean_distance"]) == pytest.approx(cell.mean_distance, rel=1e-5)
+        assert int(row["failures"]) == cell.failures
     without_timing = parse_csv(emit_csv(cells, include_timing=False))
     assert "seconds" not in without_timing[0]
 

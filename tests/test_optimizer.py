@@ -141,7 +141,7 @@ def test_gqsf1_matches_reference_listing(q):
         40, 7, TARGET4, RngStream(5, 2),
     )
     np.testing.assert_allclose(res.theta_final, ref_theta, rtol=1e-10, atol=1e-12)
-    np.testing.assert_allclose(res.state.z, ref_z, rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(res.z, ref_z, rtol=1e-9, atol=1e-12)
 
 
 def test_gqsf2_matches_reference_listing():
@@ -157,7 +157,7 @@ def test_gqsf2_matches_reference_listing():
         kernel, BOX4, sched, 30, 5, TARGET4, RngStream(6, 3),
     )
     np.testing.assert_allclose(res.theta_final, ref_theta, rtol=1e-10, atol=1e-12)
-    np.testing.assert_allclose(res.state.z, ref_z, rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(res.z, ref_z, rtol=1e-9, atol=1e-12)
 
 
 def test_gaussian_sf_equivalence():
@@ -247,7 +247,7 @@ def test_gqsf2_identical_sims_keep_theta_fixed():
         kernel, BOX4, StepSchedule(0.75), 200, 5, TARGET4, RngStream(1, 1),
     )
     np.testing.assert_array_equal(res.theta_final, TARGET4)
-    np.testing.assert_array_equal(res.state.z, np.zeros(4))
+    np.testing.assert_array_equal(res.z, np.zeros(4))
 
 
 def test_feasibility_under_extreme_beta():

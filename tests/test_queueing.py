@@ -6,10 +6,10 @@ from scipy import stats
 
 from qsmooth.queueing import (
     QueueNetworkConfig,
+    _service_factors,
     make_simulator,
     preset,
     preset_names,
-    service_time,
 )
 from qsmooth.rng import RngStream
 
@@ -111,29 +111,19 @@ SINGLE_NODE = QueueNetworkConfig(
 
 # -- service times ------------------------------------------------------------
 
-def test_service_time_at_target():
+def test_service_factors_match_formula():
+    # a service time at node i is U(0,1) * (1/R_i + ||theta_i - target_i||^2);
+    # mg1-4d has R = (10, 20) and target 0.3 everywhere
     cfg = preset("mg1-4d").network
-    stream = RngStream(50, 0)
-    draws = np.array(
-        [service_time(0, np.array([0.3, 0.3]), cfg, stream) for _ in range(1_000_000)]
-    )
-    assert np.all(draws > 0.0) and np.all(draws < 0.1)
-    assert abs(draws.mean() - 0.05) < 0.001
-
-
-def test_service_time_with_offset():
-    cfg = preset("mg1-4d").network
-    stream = RngStream(51, 0)
-    theta1 = np.array([0.5, 0.5])  # node 1: R=20, offset (0.2, 0.2) -> factor 0.13
-    draws = np.array([service_time(1, theta1, cfg, stream) for _ in range(20_000)])
-    assert np.all(draws > 0.0) and np.all(draws < 0.13)
-    assert abs(draws.mean() - 0.065) < 0.002
-
-
-def test_service_time_rejects_wrong_block_length():
-    cfg = preset("mg1-4d").network
-    with pytest.raises(ValueError):
-        service_time(0, np.array([0.3, 0.3, 0.3]), cfg, RngStream(0, 0))
+    sim = make_simulator(cfg, RngStream(50, 0))
+    cases = [
+        (np.full(4, 0.3), [0.1, 0.05]),
+        (np.array([0.3, 0.3, 0.5, 0.5]), [0.1, 0.05 + 0.08]),
+        (np.array([0.1, 0.6, 0.2, 0.45]), [0.1 + 0.13, 0.05 + 0.0325]),
+    ]
+    for theta, want in cases:
+        sim.step(theta)  # the factors the simulator used for this control
+        assert _service_factors(sim.state, theta, cfg) == pytest.approx(want, rel=1e-12)
 
 
 # -- event mechanics vs the ledger reference ----------------------------------
