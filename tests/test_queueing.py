@@ -111,19 +111,31 @@ SINGLE_NODE = QueueNetworkConfig(
 
 # -- service times ------------------------------------------------------------
 
-def test_service_factors_match_formula():
-    # a service time at node i is U(0,1) * (1/R_i + ||theta_i - target_i||^2);
-    # mg1-4d has R = (10, 20) and target 0.3 everywhere
+# A service time at node i is U(0,1) * (1/R_i + ||theta_i - target_i||^2);
+# mg1-4d has R = (10, 20) and target 0.3 everywhere.
+
+def _check_service_factors(theta, want, seed):
     cfg = preset("mg1-4d").network
-    sim = make_simulator(cfg, RngStream(50, 0))
-    cases = [
-        (np.full(4, 0.3), [0.1, 0.05]),
-        (np.array([0.3, 0.3, 0.5, 0.5]), [0.1, 0.05 + 0.08]),
-        (np.array([0.1, 0.6, 0.2, 0.45]), [0.1 + 0.13, 0.05 + 0.0325]),
-    ]
-    for theta, want in cases:
-        sim.step(theta)  # the factors the simulator used for this control
+    sim = make_simulator(cfg, RngStream(seed, 0))
+    for _ in range(2_000):
+        sim.step(theta)
+        # the factors the simulator used for this control
         assert _service_factors(sim.state, theta, cfg) == pytest.approx(want, rel=1e-12)
+        # a service in progress ends within one full service time of now
+        for comp, fac in zip(sim.state.completion_time, want):
+            assert comp == np.inf or 0.0 <= comp - sim.state.clock <= fac
+
+
+def test_service_time_at_target():
+    _check_service_factors(np.full(4, 0.3), [0.1, 0.05], seed=50)
+
+
+def test_service_time_with_offset():
+    # node 1 at (0.5, 0.5): offset (0.2, 0.2) -> factor 0.05 + 0.08 = 0.13
+    _check_service_factors(np.array([0.3, 0.3, 0.5, 0.5]), [0.1, 0.13], seed=51)
+    _check_service_factors(
+        np.array([0.1, 0.6, 0.2, 0.45]), [0.1 + 0.13, 0.05 + 0.0325], seed=52
+    )
 
 
 # -- event mechanics vs the ledger reference ----------------------------------
