@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import itertools
 import json
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -35,9 +36,19 @@ from .smoothing import InvalidRhoError
 
 ALGORITHMS = ("gqsf1", "gqsf2")
 
+# what a replication may raise without aborting its grid
+REPLICATION_ERRORS = (DivergenceError, SimulationError, InvalidRhoError)
+
 
 class ConfigError(ValueError):
     """The experiment description is malformed or inconsistent."""
+
+
+def _real(value, name: str) -> float:
+    """A JSON number as a float; booleans and strings are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 def resolve_q(value: float | str, dim: int) -> float:
@@ -55,11 +66,14 @@ def resolve_q(value: float | str, dim: int) -> float:
             raise ConfigError(
                 f"unknown q alias {value!r} (use 'gaussian' or 'cauchy')"
             ) from None
-    return float(value)
+    return _real(value, "q")
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A grid of seeded replications.  Fields arrive as JSON values; every
+    check on a value and every default lives here."""
+
     algorithm: str
     q_grid: tuple
     beta_grid: tuple
@@ -76,21 +90,30 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"algorithm must be one of {ALGORITHMS}")
-        if not self.q_grid or not self.beta_grid:
-            raise ConfigError("q_grid and beta_grid must be non-empty")
-        dim = self.system.total_dim
-        object.__setattr__(
-            self, "q_grid", tuple(resolve_q(q, dim) for q in self.q_grid)
-        )
-        object.__setattr__(self, "beta_grid", tuple(float(b) for b in self.beta_grid))
-        theta0 = np.asarray(self.theta0, dtype=float)
-        object.__setattr__(self, "theta0", theta0)
-        if self.box.dim != dim or theta0.shape != (dim,):
-            raise ConfigError("box and theta0 must match the system dimension")
-        if not self.box.contains(theta0):
-            raise ConfigError("theta0 must lie inside the box")
-        if self.M < 1 or self.L < 1 or self.replications < 1:
+        for name in ("M", "L", "replications", "base_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if min(self.M, self.L, self.replications) < 1:
             raise ConfigError("M, L and replications must be >= 1")
+        if not isinstance(self.common_random_numbers, bool):
+            raise ConfigError("common_random_numbers must be true or false")
+        grids = (self.q_grid, self.beta_grid)
+        if not all(isinstance(g, (list, tuple)) and g for g in grids):
+            raise ConfigError("q_grid and beta_grid must be non-empty lists")
+        dim = self.system.total_dim
+        resolved = {
+            "gamma": _real(self.gamma, "gamma"),
+            "q_grid": tuple(resolve_q(q, dim) for q in self.q_grid),
+            "beta_grid": tuple(_real(b, "beta") for b in self.beta_grid),
+            "theta0": np.asarray(self.theta0, dtype=float),
+        }
+        for name, value in resolved.items():
+            object.__setattr__(self, name, value)
+        if self.box.dim != dim or self.theta0.shape != (dim,):
+            raise ConfigError("box and theta0 must match the system dimension")
+        if not self.box.contains(self.theta0):
+            raise ConfigError("theta0 must lie inside the box")
         # the schedule and the kernel own the gamma, beta and q domains
         try:
             StepSchedule(self.gamma)
@@ -118,69 +141,44 @@ class CellResult:
     distances: tuple
     failures: int
     seconds: float
+    errors: tuple = ()  # one reason per failed replication, in order
 
 
 # -- config ingestion --------------------------------------------------------
 
 def _as_vector(value, dim: int, name: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
+    bad = ConfigError(f"{name} must be a scalar or a length-{dim} list")
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise bad from None
     if arr.ndim == 0:
         arr = np.full(dim, float(arr))
     if arr.shape != (dim,):
-        raise ConfigError(f"{name} must be a scalar or a length-{dim} list")
+        raise bad
     return arr
 
 
-def _json_int(data: dict, key: str, default=None) -> int:
-    value = data.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return value
-
-
-def config_from_dict(data: dict) -> ExperimentConfig:
-    """Build a validated config from a plain dict (the JSON file schema)."""
-    if not isinstance(data, dict):
-        raise ConfigError("experiment config must be a JSON object")
-    known = {
-        "algorithm",
-        "q_grid",
-        "beta_grid",
-        "gamma",
-        "M",
-        "L",
-        "replications",
-        "base_seed",
-        "system",
-        "box",
-        "theta0",
-        "common_random_numbers",
-    }
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-    missing = {"algorithm", "q_grid", "beta_grid", "M", "base_seed", "system"} - set(data)
-    if missing:
-        raise ConfigError(f"missing config fields: {sorted(missing)}")
-
-    system_spec = data["system"]
-    box_lower = box_upper = theta0 = None
-    if isinstance(system_spec, str):
+def _system_fields(data: dict) -> dict:
+    """The ``system``, ``box`` and ``theta0`` objects a config names; a
+    preset supplies its own box and theta0 unless the config gives them."""
+    spec = data["system"]
+    if isinstance(spec, str):
         try:
-            loaded = preset(system_spec)
+            loaded = preset(spec)
         except KeyError as err:
             raise ConfigError(str(err)) from None
         network = loaded.network
-        box_lower, box_upper = loaded.box_lower, loaded.box_upper
-        theta0 = loaded.theta0
-    elif isinstance(system_spec, dict):
+        box = {"lower": loaded.box_lower, "upper": loaded.box_upper}
+        data = {"box": box, "theta0": loaded.theta0, **data}
+    elif isinstance(spec, dict):
         try:
-            dims = tuple(int(d) for d in system_spec["dims"])
-            target = _as_vector(system_spec["theta_target"], sum(dims), "theta_target")
+            dims = tuple(int(d) for d in spec["dims"])
+            target = _as_vector(spec["theta_target"], sum(dims), "theta_target")
             network = QueueNetworkConfig(
-                arrival_rates=tuple(system_spec["arrival_rates"]),
-                p_leave=tuple(system_spec["p_leave"]),
-                service_constants=tuple(system_spec["service_constants"]),
+                arrival_rates=tuple(spec["arrival_rates"]),
+                p_leave=tuple(spec["p_leave"]),
+                service_constants=tuple(spec["service_constants"]),
                 dims=dims,
                 theta_target=target,
             )
@@ -192,48 +190,40 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         )
 
     dim = network.total_dim
-    if "box" in data:
-        box_spec = data["box"]
+    objects = {"system": network}
+    box_spec = data.get("box")
+    if box_spec is not None:
         if not isinstance(box_spec, dict) or set(box_spec) != {"lower", "upper"}:
             raise ConfigError("box must be an object with 'lower' and 'upper'")
-        lower = _as_vector(box_spec["lower"], dim, "box.lower")
-        upper = _as_vector(box_spec["upper"], dim, "box.upper")
-    elif box_lower is not None:
-        lower = np.full(dim, box_lower)
-        upper = np.full(dim, box_upper)
-    else:
-        raise ConfigError("box is required for inline systems")
-    if "theta0" in data:
-        theta0 = _as_vector(data["theta0"], dim, "theta0")
-    elif theta0 is None:
-        raise ConfigError("theta0 is required for inline systems")
+        try:
+            objects["box"] = BoxConstraint(
+                _as_vector(box_spec["lower"], dim, "box.lower"),
+                _as_vector(box_spec["upper"], dim, "box.upper"),
+            )
+        except ValueError as err:
+            raise ConfigError(str(err)) from None
+    theta0 = data.get("theta0")
+    if theta0 is not None:
+        objects["theta0"] = _as_vector(theta0, dim, "theta0")
+    return objects
 
-    try:
-        box = BoxConstraint(lower, upper)
-    except ValueError as err:
-        raise ConfigError(str(err)) from None
-    crn = data.get("common_random_numbers", False)
-    if not isinstance(crn, bool):
-        raise ConfigError(f"common_random_numbers must be true or false, got {crn!r}")
-    try:
-        return ExperimentConfig(
-            algorithm=str(data["algorithm"]),
-            q_grid=tuple(data["q_grid"]),
-            beta_grid=tuple(data["beta_grid"]),
-            gamma=float(data.get("gamma", 0.75)),
-            M=_json_int(data, "M"),
-            L=_json_int(data, "L", 100),
-            replications=_json_int(data, "replications", 20),
-            base_seed=_json_int(data, "base_seed"),
-            system=network,
-            box=box,
-            theta0=theta0,
-            common_random_numbers=crn,
-        )
-    except (TypeError, ValueError) as err:
-        if isinstance(err, ConfigError):
-            raise
-        raise ConfigError(str(err)) from None
+
+def config_from_dict(data: dict) -> ExperimentConfig:
+    """Map the JSON file schema onto :class:`ExperimentConfig`, which
+    validates every value and holds every default."""
+    if not isinstance(data, dict):
+        raise ConfigError("experiment config must be a JSON object")
+    known = fields(ExperimentConfig)
+    unknown = set(data) - {f.name for f in known}
+    if unknown:
+        raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+    kwargs = {k: v for k, v in data.items() if k not in ("system", "box", "theta0")}
+    if "system" in data:
+        kwargs.update(_system_fields(data))
+    missing = {f.name for f in known if f.default is MISSING} - set(kwargs)
+    if missing:
+        raise ConfigError(f"missing config fields: {sorted(missing)}")
+    return ExperimentConfig(**kwargs)
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -260,68 +250,52 @@ def run_replication(
 ) -> RunResult:
     """One seeded optimization run of the configured system; ``record_every``
     > 0 records the trajectory every that many outer iterations."""
-    kernel = QKernel(q=q, beta=beta, dim=config.system.total_dim)
-    schedule = StepSchedule(config.gamma)
     seed = config.base_seed
-    pert_stream = RngStream(
-        seed, derive_stream_id(seed, cell_index, rep, "perturbation")
-    )
-    sim_plus = make_simulator(
-        config.system, RngStream(seed, derive_stream_id(seed, cell_index, rep, "sim+"))
-    )
-    target = config.system.theta_target
+
+    def stream(tag: str) -> RngStream:
+        return RngStream(seed, derive_stream_id(seed, cell_index, rep, tag))
+
+    sims = [make_simulator(config.system, stream("sim+"))]
     if config.algorithm == "gqsf1":
-        return run_gqsf1(
-            sim_plus,
-            kernel,
-            config.box,
-            schedule,
-            config.M,
-            config.L,
-            config.theta0,
-            pert_stream,
-            target=target,
-            record_every=record_every,
-        )
-    minus_tag = "sim+" if config.common_random_numbers else "sim-"
-    sim_minus = make_simulator(
-        config.system,
-        RngStream(seed, derive_stream_id(seed, cell_index, rep, minus_tag)),
-    )
-    return run_gqsf2(
-        sim_plus,
-        sim_minus,
-        kernel,
+        run = run_gqsf1
+    else:
+        run = run_gqsf2
+        minus_tag = "sim+" if config.common_random_numbers else "sim-"
+        sims.append(make_simulator(config.system, stream(minus_tag)))
+    return run(
+        *sims,
+        QKernel(q=q, beta=beta, dim=config.system.total_dim),
         config.box,
-        schedule,
+        StepSchedule(config.gamma),
         config.M,
         config.L,
         config.theta0,
-        pert_stream,
-        target=target,
+        stream("perturbation"),
+        target=config.system.theta_target,
         record_every=record_every,
     )
 
 
 def _replication_task(args):
+    """(distance, wall time, None) for a finished replication, or
+    (None, 0.0, reason) for a failed one."""
     config, cell_index, q, beta, rep = args
     try:
         result = run_replication(config, cell_index, q, beta, rep)
-        return cell_index, rep, result.distance, result.wall_time, None
-    except (DivergenceError, SimulationError, InvalidRhoError) as err:
-        return cell_index, rep, None, 0.0, str(err)
+    except REPLICATION_ERRORS as err:
+        return None, 0.0, str(err)
+    return result.distance, result.wall_time, None
 
 
-def _aggregate(config, cell_index, q, beta, outcomes) -> CellResult:
-    distances = [outcomes[(cell_index, r)][0] for r in range(config.replications)]
-    seconds = sum(outcomes[(cell_index, r)][1] for r in range(config.replications))
+def _aggregate(config, q, beta, outcomes) -> CellResult:
+    distances, walls, reasons = zip(*outcomes)
     ok = [d for d in distances if d is not None]
-    failures = config.replications - len(ok)
     if not ok:
         mean = std = float("nan")
     else:
         mean = float(np.mean(ok))
         std = float(np.std(ok, ddof=1)) if len(ok) > 1 else 0.0
+    errors = tuple(e for e in reasons if e is not None)
     return CellResult(
         algorithm=config.algorithm,
         q=q,
@@ -332,9 +306,10 @@ def _aggregate(config, cell_index, q, beta, outcomes) -> CellResult:
         replications=config.replications,
         mean_distance=mean,
         std_distance=std,
-        distances=tuple(distances),
-        failures=failures,
-        seconds=seconds,
+        distances=distances,
+        failures=len(errors),
+        seconds=sum(walls),
+        errors=errors,
     )
 
 
@@ -344,8 +319,8 @@ def run_experiment(
     """Run every (q, beta) cell; returns results in grid order.
 
     Replications are independent tasks spread over a process pool; a run
-    that diverges, whose simulator fails or that meets rho <= 0 is recorded
-    in its cell's failure count and does not abort the grid.
+    that raises one of ``REPLICATION_ERRORS`` is recorded in its cell's
+    failures and errors and does not abort the grid.
     """
     cells = config.cells()
     tasks = [
@@ -355,17 +330,15 @@ def run_experiment(
     ]
     if workers is None:
         workers = os.cpu_count() or 1
-    outcomes = {}
     if workers <= 1 or len(tasks) == 1:
-        for task in tasks:
-            cell_index, rep, dist, wall, err = _replication_task(task)
-            outcomes[(cell_index, rep)] = (dist, wall, err)
+        outcomes = list(map(_replication_task, tasks))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for cell_index, rep, dist, wall, err in pool.map(_replication_task, tasks):
-                outcomes[(cell_index, rep)] = (dist, wall, err)
+            outcomes = list(pool.map(_replication_task, tasks))
+    n = config.replications
     return [
-        _aggregate(config, i, q, beta, outcomes) for i, (q, beta) in enumerate(cells)
+        _aggregate(config, q, beta, outcomes[i * n : (i + 1) * n])
+        for i, (q, beta) in enumerate(cells)
     ]
 
 

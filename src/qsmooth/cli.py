@@ -6,8 +6,8 @@ Subcommands:
   sample   dump perturbation-sampler output for external statistical tests
   moments  print the analytic-moment verification grid for one (q, dim)
 
-Exit codes: 0 success, 2 configuration error, 3 grid completed but at least
-one replication diverged.
+Exit codes: 0 success, 2 configuration error, 3 a replication failed (for
+``run``, after the rest of the grid completed).
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import sys
 import numpy as np
 
 from . import bench
-from .optimizer import BoxConstraint, DivergenceError
 from .qgaussian import (
     MomentDoesNotExistError,
     MomentSpec,
@@ -27,7 +26,7 @@ from .qgaussian import (
     analytic_moment,
     sample_standard_many,
 )
-from .queueing import preset, preset_names
+from .queueing import preset_names
 from .rng import RngStream, derive_stream_id
 
 
@@ -38,6 +37,10 @@ def _cmd_run(args) -> int:
         print(f"config error: {err}", file=sys.stderr)
         return 2
     results = bench.run_experiment(config, workers=args.workers)
+    for i, cell in enumerate(results):
+        failed = [r for r, d in enumerate(cell.distances) if d is None]
+        for rep, reason in zip(failed, cell.errors):
+            print(f"cell {i} rep {rep}: {reason}", file=sys.stderr)
     csv_text = bench.emit_csv(results, include_timing=not args.no_timing)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -52,40 +55,31 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_single(args) -> int:
+    data = {
+        "algorithm": args.algo,
+        "q_grid": [args.q],
+        "beta_grid": [args.beta],
+        "M": args.M,
+        "replications": 1,
+        "base_seed": args.seed,
+        "system": args.preset,
+    }
+    data.update((k, v) for k, v in vars(args).items() if k in ("gamma", "L"))
     try:
-        loaded = preset(args.preset)
-    except KeyError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
-    network = loaded.network
-    dim = network.total_dim
-    try:
-        config = bench.ExperimentConfig(
-            algorithm=args.algo,
-            q_grid=(args.q,),
-            beta_grid=(args.beta,),
-            gamma=args.gamma,
-            M=args.M,
-            L=args.L,
-            replications=1,
-            base_seed=args.seed,
-            system=network,
-            box=BoxConstraint.cube(loaded.box_lower, loaded.box_upper, dim),
-            theta0=loaded.theta0,
-        )
+        config = bench.config_from_dict(data)
     except bench.ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    q, beta = config.cells()[0]
+    (q, beta), = config.cells()
     try:
         result = bench.run_replication(
             config, 0, q, beta, 0, record_every=args.record_every
         )
-    except DivergenceError as err:
-        print(f"run diverged: {err}", file=sys.stderr)
+    except bench.REPLICATION_ERRORS as err:
+        print(f"run failed: {err}", file=sys.stderr)
         return 3
     print(f"# final distance: {result.distance:.6g}  wall: {result.wall_time:.3f}s")
-    print("n," + ",".join(f"theta{i}" for i in range(dim)) + ",distance")
+    print("n," + ",".join(f"theta{i}" for i in range(len(config.theta0))) + ",distance")
     for point in result.trajectory or []:
         coords = ",".join(f"{v:.6g}" for v in point.theta)
         print(f"{point.n},{coords},{point.distance:.6g}")
@@ -174,10 +168,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_single.add_argument("--algo", choices=bench.ALGORITHMS, default="gqsf2")
     p_single.add_argument("--q", default="0.8")
     p_single.add_argument("--beta", type=float, default=0.005)
-    p_single.add_argument("--gamma", type=float, default=0.75)
+    # left unset, --gamma and --L take the config defaults
+    p_single.add_argument("--gamma", type=float, default=argparse.SUPPRESS)
     p_single.add_argument("--preset", default="mg1-4d", help=f"one of {preset_names()}")
     p_single.add_argument("--M", type=int, default=10000)
-    p_single.add_argument("--L", type=int, default=100)
+    p_single.add_argument("--L", type=int, default=argparse.SUPPRESS)
     p_single.add_argument("--seed", type=int, default=0)
     p_single.add_argument("--record-every", type=int, default=100)
     p_single.set_defaults(func=_cmd_single)

@@ -101,7 +101,7 @@ class StepSchedule:
     n^(gamma-1) -> 0, which is what separates the two timescales.
     """
 
-    gamma: float = 0.75
+    gamma: float
 
     def __post_init__(self):
         if not 0.5 < self.gamma < 1.0:

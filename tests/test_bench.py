@@ -108,6 +108,11 @@ def test_config_inline_system():
         {"L": "100"},
         {"replications": 2.0},
         {"base_seed": "7"},
+        {"beta_grid": [True]},
+        {"q_grid": [True]},
+        {"gamma": "0.7"},
+        {"beta_grid": ["0.01"]},
+        {"theta0": "abc"},
     ],
 )
 def test_config_rejects_bad_values(mutation):
@@ -170,23 +175,27 @@ def test_single_replication_cell_has_zero_std():
 def test_failures_counted_not_fatal(monkeypatch):
     cfg = config_from_dict(small_config_dict(q_grid=[0.5], replications=3))
     real = run_replication
+    error = DivergenceError(5, np.array([np.inf]), {"seed": 0})
 
     def sometimes_diverges(config, cell_index, q, beta, rep):
         if rep == 1:
-            raise DivergenceError(5, np.array([np.inf]), {"seed": 0})
+            raise error
         return real(config, cell_index, q, beta, rep)
 
     monkeypatch.setattr(bench, "run_replication", sometimes_diverges)
     (cell,) = run_experiment(cfg, workers=1)
     assert cell.failures == 1
     assert cell.distances[1] is None
+    assert cell.errors == (str(error),)
     assert np.isfinite(cell.mean_distance)
 
 
 @pytest.mark.parametrize(
     "error", [SimulationError(3, 2, {"seed": 7}), InvalidRhoError("rho=-0.5 <= 0")]
 )
-def test_replication_error_isolated_to_its_replication(error, monkeypatch, tmp_path):
+def test_replication_error_isolated_to_its_replication(
+    error, monkeypatch, tmp_path, capsys
+):
     spec = small_config_dict(M=30, replications=2)
     cfg = config_from_dict(spec)
     clean = run_experiment(cfg, workers=1)
@@ -204,7 +213,9 @@ def test_replication_error_isolated_to_its_replication(error, monkeypatch, tmp_p
     assert hit[1].distances == (None, clean[1].distances[1])
     cfg_path = tmp_path / "exp.json"
     cfg_path.write_text(json.dumps(spec))
+    capsys.readouterr()
     assert main(["run", str(cfg_path), "--workers", "1", "--no-timing"]) == 3
+    assert capsys.readouterr().err == f"cell 1 rep 0: {error}\n"
 
 
 def test_seed_derivation_no_shared_streams():
@@ -309,6 +320,33 @@ def test_cli_single(capsys):
     out = capsys.readouterr().out
     assert "final distance" in out
     assert out.count("\n") >= 4  # summary + header + trajectory rows
+
+
+@pytest.mark.parametrize(
+    "flags, code",
+    [(["--preset", "nope"], 2), (["--M", "0"], 2), (["--q", "gaussian", "--M", "5"], 0)],
+)
+def test_cli_single_checks_its_config_like_run(flags, code, capsys):
+    assert main(["single", *flags]) == code
+    if code == 2:
+        assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        DivergenceError(5, np.array([np.inf]), {"seed": 0}),
+        SimulationError(3, 2, {"seed": 7}),
+        InvalidRhoError("rho=-0.5 <= 0"),
+    ],
+)
+def test_cli_single_replication_failure_exits_3(error, monkeypatch, capsys):
+    def fails(config, cell_index, q, beta, rep, record_every=0):
+        raise error
+
+    monkeypatch.setattr(bench, "run_replication", fails)
+    assert main(["single", "--M", "5", "--L", "2"]) == 3
+    assert capsys.readouterr().err == f"run failed: {error}\n"
 
 
 def test_cli_sample(capsys):
