@@ -51,6 +51,13 @@ def _real(value, name: str) -> float:
     return float(value)
 
 
+def _integer(value, name: str) -> int:
+    """A JSON integer; booleans, floats and strings are not integers."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def resolve_q(value: float | str, dim: int) -> float:
     """Resolve a grid entry to a shape value; 'gaussian' -> 1 and
     'cauchy' -> 1 + 2/(N+1)."""
@@ -91,9 +98,7 @@ class ExperimentConfig:
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"algorithm must be one of {ALGORITHMS}")
         for name in ("M", "L", "replications", "base_seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            _integer(getattr(self, name), name)
         if min(self.M, self.L, self.replications) < 1:
             raise ConfigError("M, L and replications must be >= 1")
         if not isinstance(self.common_random_numbers, bool):
@@ -172,13 +177,19 @@ def _system_fields(data: dict) -> dict:
         box = {"lower": loaded.box_lower, "upper": loaded.box_upper}
         data = {"box": box, "theta0": loaded.theta0, **data}
     elif isinstance(spec, dict):
+        def entries(key, check):
+            values = spec[key]
+            if not isinstance(values, (list, tuple)):
+                raise ConfigError(f"system.{key} must be a list, got {values!r}")
+            return tuple(check(v, f"system.{key} entry") for v in values)
+
         try:
-            dims = tuple(int(d) for d in spec["dims"])
+            dims = entries("dims", _integer)
             target = _as_vector(spec["theta_target"], sum(dims), "theta_target")
             network = QueueNetworkConfig(
-                arrival_rates=tuple(spec["arrival_rates"]),
-                p_leave=tuple(spec["p_leave"]),
-                service_constants=tuple(spec["service_constants"]),
+                arrival_rates=entries("arrival_rates", _real),
+                p_leave=entries("p_leave", _real),
+                service_constants=entries("service_constants", _real),
                 dims=dims,
                 theta_target=target,
             )
@@ -411,11 +422,11 @@ def emit_table(results: list[CellResult]) -> str:
             if cell is None:
                 row.append("-")
             elif cell.failures == cell.replications:
-                row.append("diverged")
+                row.append("failed")
             else:
                 text = f"{cell.mean_distance:.5f}±{cell.std_distance:.5f}"
                 if cell.failures:
-                    text += f" [{cell.failures} diverged]"
+                    text += f" [{cell.failures} failed]"
                 row.append(text)
         rows.append(row)
 

@@ -73,6 +73,17 @@ class QueueNetworkConfig:
                 f"theta_target must have length {sum(self.dims)}, "
                 f"got {self.theta_target.shape}"
             )
+        # per node: its block of the parameter vector and 1/R_i, for
+        # _service_factors (not a field: equality and repr ignore it)
+        bounds = np.cumsum((0,) + self.dims)
+        object.__setattr__(
+            self,
+            "_node_blocks",
+            tuple(
+                (slice(int(bounds[i]), int(bounds[i + 1])), 1.0 / r)
+                for i, r in enumerate(self.service_constants)
+            ),
+        )
 
     @property
     def n_nodes(self) -> int:
@@ -81,10 +92,6 @@ class QueueNetworkConfig:
     @property
     def total_dim(self) -> int:
         return sum(self.dims)
-
-    def block_slices(self) -> list[tuple[int, int]]:
-        bounds = np.cumsum((0,) + self.dims)
-        return [(int(bounds[i]), int(bounds[i + 1])) for i in range(self.n_nodes)]
 
 
 class QueueState:
@@ -133,9 +140,9 @@ def _service_factors(state, control, config):
         return state._service_factors
     diff = np.asarray(control, dtype=float) - config.theta_target
     fac = []
-    for (lo, hi), r in zip(config.block_slices(), config.service_constants):
-        block = diff[lo:hi]
-        fac.append(1.0 / r + float(np.dot(block, block)))
+    for block_slice, inv_r in config._node_blocks:
+        block = diff[block_slice]
+        fac.append(inv_r + float(np.dot(block, block)))
     state._service_factors = fac
     state._control_ref = control
     return fac
@@ -148,7 +155,19 @@ class QueueSimulator:
     def __init__(self, config: QueueNetworkConfig, stream: RngStream):
         self.config = config
         self.stream = stream
-        self.state = QueueState(config, stream)
+        self.state = state = QueueState(config, stream)
+        # everything step reads, bound once; the lists are mutated in place
+        self._bound = (
+            state,
+            state.queues,
+            state.serving_entry,
+            state.completion_time,
+            state.next_arrival,
+            config.arrival_rates,
+            config.p_leave,
+            config.n_nodes,
+            stream.uniform01,
+        )
 
     def step(self, control: np.ndarray) -> float:
         """Run the event loop until the next service completion and return
@@ -161,20 +180,16 @@ class QueueSimulator:
         then service times for the destination (if it starts service) and
         for the completing node's next customer (if any), in that order.
         """
-        state = self.state
-        config = self.config
-        fac = _service_factors(state, control, config)
-        queues = state.queues
-        serving = state.serving_entry
-        comp = state.completion_time
-        nxt = state.next_arrival
-        rates = config.arrival_rates
-        p_leave = config.p_leave
-        k = config.n_nodes
-        u01 = self.stream.uniform01
+        state, queues, serving, comp, nxt, rates, p_leave, k, u01 = self._bound
+        if control is state._control_ref:
+            fac = state._service_factors
+        else:
+            fac = _service_factors(state, control, self.config)
+        log = math.log
         inf = math.inf
         n_present = state.n_present
         entry_sum = state.entry_sum
+        arrivals = state.arrivals_seen
 
         while True:
             t_min = inf
@@ -194,10 +209,10 @@ class QueueSimulator:
             clock = t_min
 
             if not is_completion:
-                nxt[node] = clock - math.log(u01()) / rates[node]
+                nxt[node] = clock - log(u01()) / rates[node]
                 n_present += 1
                 entry_sum += clock
-                state.arrivals_seen += 1
+                arrivals += 1
                 if comp[node] == inf:
                     serving[node] = clock
                     comp[node] = clock + u01() * fac[node]
@@ -229,6 +244,7 @@ class QueueSimulator:
                 comp[node] = inf
             state.n_present = n_present
             state.entry_sum = entry_sum
+            state.arrivals_seen = arrivals
             return cost
 
 

@@ -74,7 +74,7 @@ class RngStream:
     in vectorized waves.
     """
 
-    __slots__ = ("seed", "stream_id", "_bitgen", "_buf", "_pos", "_spare_normal")
+    __slots__ = ("seed", "stream_id", "_bitgen", "_buf", "_values", "_pos", "_spare_normal")
 
     def __init__(self, seed: int, stream_id: int = 0):
         self.seed = seed & _U64
@@ -82,6 +82,9 @@ class RngStream:
         key = np.array([self.seed, self.stream_id], dtype=np.uint64)
         self._bitgen = np.random.Philox(key=key)
         self._buf = np.empty(0)
+        # the buffer as Python floats, built by the first scalar draw after
+        # a refill: indexing a list is cheaper than float(self._buf[i])
+        self._values: list[float] | None = None
         self._pos = 0
         self._spare_normal: float | None = None
 
@@ -90,16 +93,21 @@ class RngStream:
     def _refill(self) -> None:
         raw = self._bitgen.random_raw(_BUFFER_SIZE)
         self._buf = ((raw >> np.uint64(11)) + 0.5) * _TO_UNIT
+        self._values = None
         self._pos = 0
 
     def uniform01(self, size: int | None = None):
         """Uniform draw(s) on the open interval (0, 1)."""
         if size is None:
-            if self._pos >= len(self._buf):
-                self._refill()
-            v = self._buf[self._pos]
-            self._pos += 1
-            return float(v)
+            pos = self._pos
+            values = self._values
+            if values is None or pos >= len(values):
+                if pos >= len(self._buf):
+                    self._refill()
+                    pos = 0
+                values = self._values = self._buf.tolist()
+            self._pos = pos + 1
+            return values[pos]
         out = np.empty(size)
         filled = 0
         while filled < size:

@@ -44,6 +44,20 @@ def small_config_dict(**overrides):
     return d
 
 
+def _inline_system(**bad):
+    """Config fields for a valid two-node inline system, with ``bad``
+    replacing some of its entries."""
+    system = {
+        "arrival_rates": [0.2, 0.1],
+        "p_leave": [0.0, 0.4],
+        "service_constants": [10.0, 20.0],
+        "dims": [2, 2],
+        "theta_target": 0.3,
+    }
+    system.update(bad)
+    return {"system": system, "box": {"lower": 0.1, "upper": 0.6}, "theta0": 0.2}
+
+
 # -- configuration -------------------------------------------------------------
 
 def test_config_defaults_and_aliases():
@@ -84,6 +98,8 @@ def test_config_inline_system():
     )
     assert cfg.system.total_dim == 2
     assert cfg.box.dim == 2
+    # the base of the inline-system cases of test_config_rejects_bad_values
+    assert config_from_dict(small_config_dict(**_inline_system())).system.dims == (2, 2)
 
 
 @pytest.mark.parametrize(
@@ -113,6 +129,15 @@ def test_config_inline_system():
         {"gamma": "0.7"},
         {"beta_grid": ["0.01"]},
         {"theta0": "abc"},
+        _inline_system(dims=[2.7, 2]),
+        _inline_system(dims=[True, 3]),
+        _inline_system(dims="22"),
+        _inline_system(arrival_rates=[True, 0.1]),
+        _inline_system(arrival_rates=["0.5", 0.1]),
+        _inline_system(p_leave=[0.0, "0.4"]),
+        _inline_system(p_leave=[0.0, True]),
+        _inline_system(service_constants=[True, 20.0]),
+        _inline_system(service_constants=["10", 20.0]),
     ],
 )
 def test_config_rejects_bad_values(mutation):
@@ -284,7 +309,7 @@ def test_emit_table_layout():
     assert len(lines) == 5  # title, header, rule, two q rows
     assert "Gaussian" in table
     assert "0.01235±0.00012" in table
-    assert "diverged" in table
+    assert "failed" in table and "diverged" not in table
     assert emit_table([]) == "(empty grid)\n"
 
 

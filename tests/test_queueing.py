@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -172,13 +173,48 @@ def test_reference_equivalence_with_parameter_changes():
 
 
 def test_conservation_counters():
-    sim = make_simulator(preset("mg1-4d").network, RngStream(62, 0))
-    theta = np.full(4, 0.3)
-    for _ in range(20_000):
-        sim.step(theta)
-    st = sim.state
-    assert st.arrivals_seen - st.departures_seen == st.n_present
-    assert st.n_present >= 0
+    for name in ("mg1-4d", "mg1-20d"):
+        loaded = preset(name)
+        sim = make_simulator(loaded.network, RngStream(62, 0))
+        theta = loaded.network.theta_target.copy()
+        st = sim.state
+        for i in range(20_000):
+            sim.step(theta)
+            assert st.arrivals_seen - st.departures_seen == st.n_present, (name, i)
+            assert st.n_present >= 0
+        assert st.departures_seen > 0
+
+
+# Exact costs, compared with ==: the ledger tests above allow 1e-9, so only
+# these catch a last-bit change or a reordered draw.
+@pytest.mark.parametrize(
+    "name,head,digest",
+    [
+        (
+            "mg1-4d",
+            [0.10494302426896995, 0.18521983054365654, 0.11243917503981127,
+             0.1567681617557044],
+            "e2c63a07a322540bdf9716cb59ca26617908f20a17d8474fe052a48f9e2f6a0d",
+        ),
+        (
+            "mg1-20d",
+            [0.1083386256734098, 0.45190277162838743, 0.1411024123872444,
+             0.3682866201417525],
+            "70ebff50d698c2c2b7b42d4966538a6cefcd17efe4c0670aca5da5149f64a9ca",
+        ),
+    ],
+)
+def test_pinned_cost_sequence(name, head, digest):
+    loaded = preset(name)
+    sim = make_simulator(loaded.network, RngStream(66, 2))
+    start, target = loaded.theta0, loaded.network.theta_target
+    costs = []
+    for j in range(20):  # a fresh control every 100 steps, start to target
+        theta = start + (target - start) * (j / 19)
+        costs.extend(sim.step(theta) for _ in range(100))
+    costs = np.array(costs, dtype="<f8")
+    assert costs[:4].tolist() == head
+    assert hashlib.sha256(costs.tobytes()).hexdigest() == digest
 
 
 def test_statefulness_two_calls_equal_one_sequence():

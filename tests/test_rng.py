@@ -29,6 +29,46 @@ def test_uniform01_scalar_array_same_sequence():
     np.testing.assert_array_equal(singles, s2.uniform01(4100))
 
 
+def test_interleaved_uniform_draws_match_one_array_draw():
+    # Scalar draws read a list copy of the current buffer; a refill made by
+    # an array or normal draw must replace that copy, not leave it stale.
+    stream = RngStream(31, 4)
+    positions, values = [], []
+    used = 0
+
+    def scalars(n):
+        nonlocal used
+        for _ in range(n):
+            positions.append(used)
+            values.append(stream.uniform01())
+            used += 1
+
+    def array(n):
+        nonlocal used
+        positions.extend(range(used, used + n))
+        values.extend(stream.uniform01(n).tolist())
+        used += n
+
+    def normals(n):  # an even count with no spare normal takes n uniforms
+        nonlocal used
+        stream.standard_normal(n)
+        used += n
+
+    scalars(10)
+    array(4086)  # ends the first buffer exactly
+    scalars(6)  # refills on the scalar path
+    normals(4090)  # ends the second buffer exactly
+    scalars(3)
+    for k in range(40):
+        scalars(k * 7 % 13 + 1)
+        array(k * 997 % 1500 + 1)
+        normals(2 * (k * 389 % 400 + 1))
+    assert used > 3 * 4096
+
+    twin = RngStream(31, 4).uniform01(used)
+    assert values == twin[positions].tolist()
+
+
 def test_standard_normal_moments():
     z = RngStream(11, 3).standard_normal(1_000_000)
     assert abs(z.mean()) < 0.003
