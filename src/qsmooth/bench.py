@@ -119,6 +119,16 @@ class ExperimentConfig:
             raise ConfigError("box and theta0 must match the system dimension")
         if not self.box.contains(self.theta0):
             raise ConfigError("theta0 must lie inside the box")
+        # an unstable network's queues grow until the run fails mid-grid
+        try:
+            load = self.system.worst_utilisation(self.box.lower, self.box.upper)
+        except ValueError as err:
+            raise ConfigError(f"unrunnable network: {err}") from None
+        if not np.all(load < 1.0):
+            raise ConfigError(
+                f"unstable network: worst-case utilisation {load.max():.3g} >= 1 "
+                "at a corner of the box"
+            )
         # the schedule and the kernel own the gamma, beta and q domains
         try:
             StepSchedule(self.gamma)

@@ -26,7 +26,7 @@ from .qgaussian import (
     analytic_moment,
     sample_standard_many,
 )
-from .queueing import preset_names
+from .queueing import kernel_name, preset_names
 from .rng import RngStream, derive_stream_id
 
 
@@ -78,7 +78,10 @@ def _cmd_single(args) -> int:
     except bench.REPLICATION_ERRORS as err:
         print(f"run failed: {err}", file=sys.stderr)
         return 3
-    print(f"# final distance: {result.distance:.6g}  wall: {result.wall_time:.3f}s")
+    print(
+        f"# kernel: {kernel_name()}  final distance: {result.distance:.6g}  "
+        f"wall: {result.wall_time:.3f}s"
+    )
     print("n," + ",".join(f"theta{i}" for i in range(len(config.theta0))) + ",distance")
     for point in result.trajectory or []:
         coords = ",".join(f"{v:.6g}" for v in point.theta)

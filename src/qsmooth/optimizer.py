@@ -12,6 +12,7 @@ raw perturbation.
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass, field
 from typing import Protocol
@@ -39,7 +40,10 @@ class DivergenceError(RuntimeError):
 
 
 class SimulationError(RuntimeError):
-    """A simulator raised mid-run; carries the (outer, inner) position."""
+    """A simulator raised mid-run; carries the (outer, inner) position.
+    ``inner`` counts the costs the failing simulator returned in that outer
+    iteration before the fault: the steps taken by one that defines only
+    ``step``, and 0 for one whose ``observe`` raised."""
 
     def __init__(self, outer_index: int, inner_index: int, seed_info: dict):
         self.outer_index = outer_index
@@ -52,10 +56,31 @@ class SimulationError(RuntimeError):
 
 
 class SimulatorHandle(Protocol):
-    """Anything optimizable: advance one observation under a control
-    parameter, return a nonnegative cost.  State persists across calls."""
+    """Anything optimizable: ``step`` advances one observation under a
+    control parameter and returns a nonnegative cost; state persists across
+    calls.  A simulator may also define ``observe(control, L)``, returning
+    the costs of its next L observations under one control, as
+    ``QueueSimulator`` does; the optimizers call it once per outer
+    iteration, and call ``step`` L times for a simulator without it."""
 
     def step(self, control: np.ndarray) -> float: ...
+
+
+class _StepObserver:
+    """``observe`` for a simulator that defines only ``step``.  ``costs``
+    holds the current call's costs so far, so a fault can name its inner
+    index."""
+
+    def __init__(self, sim):
+        self.step = sim.step
+        self.costs = []
+
+    def observe(self, control, L):
+        self.costs = costs = []
+        step = self.step
+        for _ in range(L):
+            costs.append(step(control))
+        return costs
 
 
 @dataclass(frozen=True)
@@ -178,10 +203,10 @@ def _run_loop(
     n_dim = kernel.dim
     q, beta = kernel.q, kernel.beta
     lower, upper = box.lower, box.upper
-    two_sided = len(sims) == 2
+    observers = [sim if hasattr(sim, "observe") else _StepObserver(sim) for sim in sims]
     # the term's signal is 2h one-sided and h+ - h- two-sided; the costs
     # enter through s below, the factor 2 or 1 through the coefficient
-    numer = 1.0 if two_sided else 2.0
+    numer = 2.0 if len(sims) == 1 else 1.0
     seed_info = {"seed": stream.seed, "stream_id": stream.stream_id}
     z = np.zeros(n_dim)
     trajectory: list[TrajectoryPoint] | None = [] if record_every > 0 else None
@@ -198,30 +223,23 @@ def _run_loop(
         eta = pert.eta
         coeff = _term_weight(kernel, pert.rho, numer) * eta
 
+        # one call per simulator: the (+) one at theta + beta*eta, the (-)
+        # one at theta - beta*eta, both projected onto the box
+        shift = beta * eta
+        costs = []
+        for observer, control in zip(observers, (theta + shift, theta - shift)):
+            try:
+                costs.append(observer.observe(np.clip(control, lower, upper), L))
+            except Exception as err:
+                inner = len(observer.costs) if isinstance(observer, _StepObserver) else 0
+                raise SimulationError(n, inner, seed_info) from err
+
         # The costs enter Z linearly with a fixed per-iteration coefficient
         # vector, so the L inner updates collapse to one scalar recursion:
         #   Z <- (1-b)^L Z + coeff * s,   s = sum_m b (1-b)^(L-1-m) h_m
         s = 0.0
-        if two_sided:
-            control_plus = np.clip(theta + beta * eta, lower, upper)
-            control_minus = np.clip(theta - beta * eta, lower, upper)
-            step_plus = sims[0].step
-            step_minus = sims[1].step
-            for m in range(L):
-                try:
-                    h_diff = step_plus(control_plus) - step_minus(control_minus)
-                except Exception as err:
-                    raise SimulationError(n, m, seed_info) from err
-                s = one_minus_b * s + b_n * h_diff
-        else:
-            control = np.clip(theta + beta * eta, lower, upper)
-            step = sims[0].step
-            for m in range(L):
-                try:
-                    h = step(control)
-                except Exception as err:
-                    raise SimulationError(n, m, seed_info) from err
-                s = one_minus_b * s + b_n * h
+        for h in costs[0] if len(costs) == 1 else map(operator.sub, *costs):
+            s = one_minus_b * s + b_n * h
 
         z_entering = z
         z = (one_minus_b**L) * z_entering + s * coeff

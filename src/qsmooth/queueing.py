@@ -26,10 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _native
 from .rng import RngStream
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QueueNetworkConfig:
     """Static description of the network.
 
@@ -85,6 +86,19 @@ class QueueNetworkConfig:
             ),
         )
 
+    def __eq__(self, other):
+        # written out: the generated __eq__ would compare the target
+        # arrays with ==, whose truth value is ambiguous
+        if not isinstance(other, QueueNetworkConfig):
+            return NotImplemented
+        return (
+            self.arrival_rates == other.arrival_rates
+            and self.p_leave == other.p_leave
+            and self.service_constants == other.service_constants
+            and self.dims == other.dims
+            and np.array_equal(self.theta_target, other.theta_target)
+        )
+
     @property
     def n_nodes(self) -> int:
         return len(self.arrival_rates)
@@ -93,11 +107,39 @@ class QueueNetworkConfig:
     def total_dim(self) -> int:
         return sum(self.dims)
 
+    def worst_utilisation(self, lower, upper) -> np.ndarray:
+        """Per node, the utilisation lambda_i * E[S_i] with every control in
+        the box [lower, upper] at the corner farthest from the target.
+
+        lambda solves the traffic equations
+        lambda_i = a_i + (1 - p_{i-1}) lambda_{i-1} (node 0 is fed by node
+        K-1), and E[S_i] = (1/R_i + sum_j max((lo_j - t_j)^2,
+        (hi_j - t_j)^2)) / 2 over node i's block.  A node at 1 or above
+        grows its queue without bound.  Raises ValueError when the traffic
+        equations have no nonnegative solution, as when every p_leave is 0
+        and no customer ever leaves.
+        """
+        k = self.n_nodes
+        fed = np.eye(k)
+        for i in range(k):
+            fed[i, i - 1] -= 1.0 - self.p_leave[i - 1]
+        try:
+            rates = np.linalg.solve(fed, np.array(self.arrival_rates))
+        except np.linalg.LinAlgError:
+            rates = None
+        if rates is None or not np.all(rates >= 0.0):
+            raise ValueError("the traffic equations have no solution: no customer leaves")
+        t = self.theta_target
+        worst = np.maximum((lower - t) ** 2, (upper - t) ** 2)
+        service = [0.5 * (inv_r + worst[block].sum()) for block, inv_r in self._node_blocks]
+        return rates * np.array(service)
+
 
 class QueueState:
-    """Live state of one network: event clock, per-node FIFO queues of
-    system-entry timestamps, in-service entries with absolute completion
-    times, and the pending external-arrival time per node."""
+    """Live state of one network under the Python kernel: event clock,
+    per-node FIFO queues of system-entry timestamps, in-service entries with
+    absolute completion times, and the pending external-arrival time per
+    node."""
 
     __slots__ = (
         "clock",
@@ -109,54 +151,40 @@ class QueueState:
         "entry_sum",
         "arrivals_seen",
         "departures_seen",
-        "_control_ref",
-        "_service_factors",
     )
 
-    def __init__(self, config: QueueNetworkConfig, stream: RngStream):
+    def __init__(self, config: QueueNetworkConfig, next_arrival: list[float]):
         k = config.n_nodes
         self.clock = 0.0
         self.queues = [deque() for _ in range(k)]
         self.serving_entry = [0.0] * k
         self.completion_time = [math.inf] * k
-        # the first external arrival of each node is drawn at construction,
-        # in node order
-        self.next_arrival = [
-            (-math.log(stream.uniform01()) / lam) if lam > 0.0 else math.inf
-            for lam in config.arrival_rates
-        ]
+        self.next_arrival = next_arrival
         self.n_present = 0
         self.entry_sum = 0.0
         self.arrivals_seen = 0
         self.departures_seen = 0
-        self._control_ref = None
-        self._service_factors = None
 
 
-def _service_factors(state, control, config):
-    # Cached per control array; pass a fresh array to change parameters
-    # (in-place mutation of a previously seen array is not supported).
-    if control is state._control_ref:
-        return state._service_factors
+def _service_factors(control, config: QueueNetworkConfig) -> list[float]:
+    """Per node, 1/R_i + ||theta_i - target_i||^2: a service time there is
+    U(0,1) times this."""
     diff = np.asarray(control, dtype=float) - config.theta_target
     fac = []
     for block_slice, inv_r in config._node_blocks:
         block = diff[block_slice]
         fac.append(inv_r + float(np.dot(block, block)))
-    state._service_factors = fac
-    state._control_ref = control
     return fac
 
 
-class QueueSimulator:
-    """SimulatorHandle over one network instance: ``step`` advances to the
-    next completion and returns its cost."""
+class PythonKernel:
+    """The event loop in Python: the reference the compiled kernel in
+    ``_mg1.c`` must match bit for bit, and the fallback where it cannot be
+    built."""
 
-    def __init__(self, config: QueueNetworkConfig, stream: RngStream):
-        self.config = config
-        self.stream = stream
-        self.state = state = QueueState(config, stream)
-        # everything step reads, bound once; the lists are mutated in place
+    def __init__(self, config: QueueNetworkConfig, stream: RngStream, next_arrival):
+        self.state = state = QueueState(config, next_arrival)
+        # everything run reads, bound once; the lists are mutated in place
         self._bound = (
             state,
             state.queues,
@@ -169,10 +197,9 @@ class QueueSimulator:
             stream.uniform01,
         )
 
-    def step(self, control: np.ndarray) -> float:
-        """Run the event loop until the next service completion and return
-        the waiting-time cost observed there.  The state persists for the
-        next call.
+    def run(self, fac: list[float], L: int) -> list[float]:
+        """Run the event loop through the next ``L`` service completions
+        under service factors ``fac`` and return the cost observed at each.
 
         Random-draw order per event is fixed: an arrival draws its next
         interarrival time, then (if the server was idle) a service time; a
@@ -181,54 +208,52 @@ class QueueSimulator:
         for the completing node's next customer (if any), in that order.
         """
         state, queues, serving, comp, nxt, rates, p_leave, k, u01 = self._bound
-        if control is state._control_ref:
-            fac = state._service_factors
-        else:
-            fac = _service_factors(state, control, self.config)
         log = math.log
         inf = math.inf
         n_present = state.n_present
         entry_sum = state.entry_sum
         arrivals = state.arrivals_seen
+        departures = state.departures_seen
+        clock = state.clock
+        costs = []
 
-        while True:
-            t_min = inf
-            node = -1
-            is_completion = False
-            for i in range(k):
-                t = nxt[i]
-                if t < t_min:
-                    t_min = t
-                    node = i
-                    is_completion = False
-                t = comp[i]
-                if t < t_min:
-                    t_min = t
-                    node = i
-                    is_completion = True
-            clock = t_min
-
-            if not is_completion:
-                nxt[node] = clock - log(u01()) / rates[node]
+        for _ in range(L):
+            while True:  # arrivals, up to the next service completion
+                t_min = inf
+                node = -1
+                is_completion = False
+                for i in range(k):
+                    t = nxt[i]
+                    if t < t_min:
+                        t_min = t
+                        node = i
+                        is_completion = False
+                    t = comp[i]
+                    if t < t_min:
+                        t_min = t
+                        node = i
+                        is_completion = True
+                if is_completion:
+                    break
+                nxt[node] = t_min - log(u01()) / rates[node]
                 n_present += 1
-                entry_sum += clock
+                entry_sum += t_min
                 arrivals += 1
                 if comp[node] == inf:
-                    serving[node] = clock
-                    comp[node] = clock + u01() * fac[node]
+                    serving[node] = t_min
+                    comp[node] = t_min + u01() * fac[node]
                 else:
-                    queues[node].append(clock)
-                continue
+                    queues[node].append(t_min)
 
             # service completion: the observation epoch
-            state.clock = clock
-            cost = n_present * clock - entry_sum
+            clock = t_min
+            costs.append(n_present * clock - entry_sum)
             entry = serving[node]
             p = p_leave[node]
             if p > 0.0 and u01() < p:
                 n_present -= 1
                 entry_sum -= entry
-                state.departures_seen += 1
+                departures += 1
             else:
                 dest = node + 1 if node + 1 < k else 0
                 if dest == node or comp[dest] != inf:
@@ -242,10 +267,55 @@ class QueueSimulator:
                 comp[node] = clock + u01() * fac[node]
             else:
                 comp[node] = inf
-            state.n_present = n_present
-            state.entry_sum = entry_sum
-            state.arrivals_seen = arrivals
-            return cost
+        state.clock = clock
+        state.n_present = n_present
+        state.entry_sum = entry_sum
+        state.arrivals_seen = arrivals
+        state.departures_seen = departures
+        return costs
+
+
+class QueueSimulator:
+    """SimulatorHandle over one network instance.  ``observe(control, L)``
+    runs through the next L service completions and returns their costs;
+    ``step(control)`` is ``observe(control, 1)[0]``.  ``kernel`` names the
+    event loop in use: ``"c"``, compiled from ``_mg1.c`` on first use, or
+    ``"python"`` where that cannot be built.  Both draw the same uniforms
+    and return the same costs, bit for bit."""
+
+    def __init__(self, config: QueueNetworkConfig, stream: RngStream):
+        self.config = config
+        self.stream = stream
+        # the first external arrival of each node is drawn at construction,
+        # in node order
+        next_arrival = [
+            (-math.log(stream.uniform01()) / lam) if lam > 0.0 else math.inf
+            for lam in config.arrival_rates
+        ]
+        observe = _native.load()
+        if observe is None:
+            self.kernel = "python"
+            self._kernel = PythonKernel(config, stream, next_arrival)
+        else:
+            self.kernel = "c"
+            self._kernel = _native.NativeKernel(observe, config, stream, next_arrival)
+        self.state = self._kernel.state
+
+    def observe(self, control: np.ndarray, L: int) -> list[float]:
+        """The costs of the next ``L`` observations under one control.  The
+        service factors are computed from ``control`` on every call, so an
+        array changed in place takes effect."""
+        return self._kernel.run(_service_factors(control, self.config), L)
+
+    def step(self, control: np.ndarray) -> float:
+        """The cost of the next observation."""
+        return self.observe(control, 1)[0]
+
+
+def kernel_name() -> str:
+    """The event loop the simulators of this process run: ``"c"`` or
+    ``"python"``.  The first call compiles the C kernel if need be."""
+    return "python" if _native.load() is None else "c"
 
 
 def make_simulator(config: QueueNetworkConfig, stream: RngStream) -> QueueSimulator:

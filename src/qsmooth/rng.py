@@ -90,11 +90,32 @@ class RngStream:
 
     # -- uniforms ----------------------------------------------------------
 
+    def _fresh(self, count: int) -> np.ndarray:
+        raw = self._bitgen.random_raw(count)
+        return ((raw >> np.uint64(11)) + 0.5) * _TO_UNIT
+
     def _refill(self) -> None:
-        raw = self._bitgen.random_raw(_BUFFER_SIZE)
-        self._buf = ((raw >> np.uint64(11)) + 0.5) * _TO_UNIT
+        self._buf = self._fresh(_BUFFER_SIZE)
         self._values = None
         self._pos = 0
+
+    def reserve(self, n: int):
+        """The buffer and read position, with at least ``n`` unread uniforms
+        from there on, for a caller that reads them in place and then calls
+        :meth:`advance`.  A refill keeps the unread tail at the front of the
+        new buffer, so the values keep their order."""
+        pos = self._pos
+        tail = self._buf.size - pos
+        if tail < n:
+            fresh = self._fresh(max(_BUFFER_SIZE, n - tail))
+            self._buf = np.concatenate((self._buf[pos:], fresh))
+            self._values = None
+            self._pos = pos = 0
+        return self._buf, pos
+
+    def advance(self, n: int) -> None:
+        """Mark ``n`` uniforms read in place after :meth:`reserve` as drawn."""
+        self._pos += n
 
     def uniform01(self, size: int | None = None):
         """Uniform draw(s) on the open interval (0, 1)."""

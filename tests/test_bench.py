@@ -20,6 +20,7 @@ from qsmooth.bench import (
 )
 from qsmooth.cli import main
 from qsmooth.optimizer import DivergenceError, SimulationError
+from qsmooth.queueing import kernel_name
 from qsmooth.rng import derive_stream_id
 from qsmooth.smoothing import InvalidRhoError
 
@@ -138,6 +139,9 @@ def test_config_inline_system():
         _inline_system(p_leave=[0.0, True]),
         _inline_system(service_constants=[True, 20.0]),
         _inline_system(service_constants=["10", 20.0]),
+        _inline_system(p_leave=[0.0, 0.0]),  # no customer ever leaves
+        _inline_system(arrival_rates=[5.0, 0.1]),  # node 0 overloaded
+        _inline_system(arrival_rates=[3.0, 0.1]),  # overloaded at a box corner only
     ],
 )
 def test_config_rejects_bad_values(mutation):
@@ -344,6 +348,7 @@ def test_cli_single(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "final distance" in out
+    assert out.startswith(f"# kernel: {kernel_name()}  ")
     assert out.count("\n") >= 4  # summary + header + trajectory rows
 
 

@@ -1,10 +1,13 @@
 import hashlib
 import math
+import shutil
+from unittest import mock
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from qsmooth import _native
 from qsmooth.queueing import (
     QueueNetworkConfig,
     _service_factors,
@@ -13,6 +16,20 @@ from qsmooth.queueing import (
     preset_names,
 )
 from qsmooth.rng import RngStream
+
+# the event loops a simulator can run here: the compiled one needs gcc
+KERNELS = ("c", "python") if shutil.which("gcc") else ("python",)
+
+
+def kernel_simulator(kernel, config, stream):
+    """A simulator on the named event loop."""
+    if kernel == "python":
+        with mock.patch.object(_native, "load", return_value=None):
+            sim = make_simulator(config, stream)
+    else:
+        sim = make_simulator(config, stream)
+    assert sim.kernel == kernel
+    return sim
 
 
 class LedgerReferenceNetwork:
@@ -121,7 +138,7 @@ def _check_service_factors(theta, want, seed):
     for _ in range(2_000):
         sim.step(theta)
         # the factors the simulator used for this control
-        assert _service_factors(sim.state, theta, cfg) == pytest.approx(want, rel=1e-12)
+        assert _service_factors(theta, cfg) == pytest.approx(want, rel=1e-12)
         # a service in progress ends within one full service time of now
         for comp, fac in zip(sim.state.completion_time, want):
             assert comp == np.inf or 0.0 <= comp - sim.state.clock <= fac
@@ -173,16 +190,17 @@ def test_reference_equivalence_with_parameter_changes():
 
 
 def test_conservation_counters():
-    for name in ("mg1-4d", "mg1-20d"):
-        loaded = preset(name)
-        sim = make_simulator(loaded.network, RngStream(62, 0))
-        theta = loaded.network.theta_target.copy()
-        st = sim.state
-        for i in range(20_000):
-            sim.step(theta)
-            assert st.arrivals_seen - st.departures_seen == st.n_present, (name, i)
-            assert st.n_present >= 0
-        assert st.departures_seen > 0
+    for kernel in KERNELS:
+        for name in ("mg1-4d", "mg1-20d"):
+            loaded = preset(name)
+            sim = kernel_simulator(kernel, loaded.network, RngStream(62, 0))
+            theta = loaded.network.theta_target.copy()
+            st = sim.state
+            for i in range(20_000):
+                sim.step(theta)
+                assert st.arrivals_seen - st.departures_seen == st.n_present, (kernel, name, i)
+                assert st.n_present >= 0
+            assert st.departures_seen > 0
 
 
 # Exact costs, compared with ==: the ledger tests above allow 1e-9, so only
@@ -206,15 +224,43 @@ def test_conservation_counters():
 )
 def test_pinned_cost_sequence(name, head, digest):
     loaded = preset(name)
-    sim = make_simulator(loaded.network, RngStream(66, 2))
     start, target = loaded.theta0, loaded.network.theta_target
-    costs = []
-    for j in range(20):  # a fresh control every 100 steps, start to target
-        theta = start + (target - start) * (j / 19)
-        costs.extend(sim.step(theta) for _ in range(100))
-    costs = np.array(costs, dtype="<f8")
-    assert costs[:4].tolist() == head
-    assert hashlib.sha256(costs.tobytes()).hexdigest() == digest
+    for kernel in KERNELS:
+        sim = kernel_simulator(kernel, loaded.network, RngStream(66, 2))
+        costs = []
+        for j in range(20):  # a fresh control every 100 steps, start to target
+            theta = start + (target - start) * (j / 19)
+            costs.extend(sim.step(theta) for _ in range(100))
+        costs = np.array(costs, dtype="<f8")
+        assert costs[:4].tolist() == head, kernel
+        assert hashlib.sha256(costs.tobytes()).hexdigest() == digest, kernel
+
+
+def test_control_changed_in_place_takes_effect():
+    # the service factors follow the control's values, not its identity
+    cfg = preset("mg1-4d").network
+    for kernel in KERNELS:
+        a = kernel_simulator(kernel, cfg, RngStream(1, 1))
+        b = kernel_simulator(kernel, cfg, RngStream(1, 1))
+        control = np.full(4, 0.3)
+        assert [a.step(control) for _ in range(100)] == [
+            b.step(np.full(4, 0.3)) for _ in range(100)
+        ]
+        control[:] = 0.6
+        assert [a.step(control) for _ in range(500)] == [
+            b.step(np.full(4, 0.6)) for _ in range(500)
+        ], kernel
+
+
+def test_observe_is_a_batch_of_steps():
+    cfg = preset("mg1-20d").network
+    theta = np.full(20, 0.45)
+    for kernel in KERNELS:
+        a = kernel_simulator(kernel, cfg, RngStream(67, 1))
+        b = kernel_simulator(kernel, cfg, RngStream(67, 1))
+        batched = a.observe(theta, 700) + a.observe(theta, 1) + a.observe(theta, 99)
+        assert batched == [b.step(theta) for _ in range(800)], kernel
+        assert a.state.arrivals_seen == b.state.arrivals_seen
 
 
 def test_statefulness_two_calls_equal_one_sequence():
@@ -256,7 +302,7 @@ def test_average_cost_minimized_at_target():
         for off in offsets:
             sim = make_simulator(cfg, RngStream(800 + seed, 0))
             theta = target + off
-            means.append(np.mean([sim.step(theta) for _ in range(100_000)]))
+            means.append(np.mean(sim.observe(theta, 100_000)))
         assert means[0] < means[1] and means[0] < means[2], (seed, means)
 
 
@@ -304,3 +350,26 @@ def test_config_validation():
         QueueNetworkConfig((0.2,), (0.4,), (10.0,), (2,), np.array([0.3, 0.3, 0.3]))
     with pytest.raises(ValueError):
         QueueNetworkConfig((0.0,), (0.4,), (10.0,), (2,), np.array([0.3, 0.3]))
+
+
+def test_network_configs_compare_by_value():
+    assert preset("mg1-4d").network == preset("mg1-4d").network
+    assert preset("mg1-4d").network != preset("mg1-20d").network
+    net = preset("mg1-4d").network
+    moved = QueueNetworkConfig(
+        net.arrival_rates, net.p_leave, net.service_constants, net.dims, np.full(4, 0.4)
+    )
+    assert net != moved
+
+
+def test_worst_utilisation():
+    # mg1-4d: lambda = (0.65, 0.75) from the traffic equations; the corner
+    # 0.6 is 0.3 from the target in each coordinate
+    net = preset("mg1-4d").network
+    np.testing.assert_allclose(
+        net.worst_utilisation(0.1, 0.6), [0.65 * 0.5 * 0.28, 0.75 * 0.5 * 0.23]
+    )
+    np.testing.assert_allclose(preset("mg1-20d").network.worst_utilisation(0.1, 0.6), 0.275)
+    closed = QueueNetworkConfig((0.2, 0.1), (0.0, 0.0), (10.0, 20.0), (2, 2), np.full(4, 0.3))
+    with pytest.raises(ValueError):
+        closed.worst_utilisation(0.1, 0.6)

@@ -31,7 +31,8 @@ def test_uniform01_scalar_array_same_sequence():
 
 def test_interleaved_uniform_draws_match_one_array_draw():
     # Scalar draws read a list copy of the current buffer; a refill made by
-    # an array or normal draw must replace that copy, not leave it stale.
+    # an array, normal or reserve call must replace that copy, not leave it
+    # stale, and a reserve must keep the unread tail in order.
     stream = RngStream(31, 4)
     positions, values = [], []
     used = 0
@@ -54,14 +55,31 @@ def test_interleaved_uniform_draws_match_one_array_draw():
         stream.standard_normal(n)
         used += n
 
+    def in_place(n, at_least=3):
+        # read as the compiled simulator does: reserve, read, advance
+        nonlocal used
+        while n:
+            buf, pos = stream.reserve(at_least)
+            assert buf.size - pos >= at_least
+            take = min(n, buf.size - pos)
+            positions.extend(range(used, used + take))
+            values.extend(buf[pos : pos + take].tolist())
+            stream.advance(take)
+            used += take
+            n -= take
+
     scalars(10)
     array(4086)  # ends the first buffer exactly
     scalars(6)  # refills on the scalar path
     normals(4090)  # ends the second buffer exactly
     scalars(3)
+    in_place(4091)  # leaves two in the third buffer
+    in_place(5)  # the reserve carries those two to the front of a refill
+    in_place(1, at_least=5000)  # a reserve larger than a buffer
     for k in range(40):
         scalars(k * 7 % 13 + 1)
         array(k * 997 % 1500 + 1)
+        in_place(k * 613 % 2000 + 1)
         normals(2 * (k * 389 % 400 + 1))
     assert used > 3 * 4096
 
