@@ -8,7 +8,14 @@
  * The kernel stops at an event boundary, before touching any state, when
  * fewer than 3 uniforms (the most one event draws) remain in the buffer or
  * when the ring that the next event may push onto is full; the caller
- * refills or grows, and calls again with the count of costs done so far.
+ * refills or grows, and calls again, and the record keeps the count of
+ * costs done so far.
+ *
+ * mg1_fold folds the costs the kernels left in their buffers into the fast
+ * iterate's scalar recursion, as qsmooth.optimizer does in Python.
+ *
+ * Every argument travels in a record the caller binds once, so a call
+ * from Python passes one pointer.
  */
 #include <math.h>
 #include <stdint.h>
@@ -22,6 +29,8 @@ typedef struct {
     int64_t k;              /* nodes */
     int64_t cap;            /* slots per ring */
     int64_t full;           /* the node whose full ring stopped the loop, or -1 */
+    int64_t done;           /* costs written so far in this call */
+    int64_t want;           /* costs the call asks for */
     int64_t u_pos;          /* next unread uniform */
     int64_t u_len;
     const double *u;        /* the stream's buffer of uniforms */
@@ -51,10 +60,13 @@ static double pop(mg1_state *s, int64_t node)
     return entry;
 }
 
-/* Runs until `L` costs are written to s->costs or the loop must stop;
- * returns the number of costs written so far, counting the `done` given. */
-int64_t mg1_observe(mg1_state *s, int64_t done, int64_t L)
+/* Runs until s->want costs are written to s->costs or the loop must stop;
+ * returns the number of costs written so far, s->done included, and
+ * stores it in s->done. */
+int64_t mg1_observe(mg1_state *s)
 {
+    const int64_t L = s->want;
+    int64_t done = s->done;
     const int64_t k = s->k;
     const double *u = s->u, *fac = s->fac;
     double *serving = s->serving, *comp = s->comp, *nxt = s->nxt;
@@ -128,5 +140,31 @@ int64_t mg1_observe(mg1_state *s, int64_t done, int64_t L)
     s->u_pos = pos;
     s->n_present = n_present;
     s->entry_sum = entry_sum;
+    s->done = done;
     return done;
+}
+
+typedef struct {
+    const double *plus;     /* costs of the (+) simulation */
+    const double *minus;    /* costs of the (-) simulation; NULL with one */
+    int64_t L;
+    double one_minus_b;
+    double b;
+} mg1_fold_args;
+
+/* s = (1-b) s + b (h+[m] - h-[m]) over m = 0..L-1 from s = 0, or b h[m]
+ * with one simulation: the order and roundings of the Python fold. */
+double mg1_fold(const mg1_fold_args *f)
+{
+    const double one_minus_b = f->one_minus_b, b = f->b;
+    const double *plus = f->plus, *minus = f->minus;
+    double s = 0.0;
+    if (minus) {
+        for (int64_t m = 0; m < f->L; m++)
+            s = one_minus_b * s + b * (plus[m] - minus[m]);
+    } else {
+        for (int64_t m = 0; m < f->L; m++)
+            s = one_minus_b * s + b * plus[m];
+    }
+    return s;
 }

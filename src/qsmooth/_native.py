@@ -76,6 +76,8 @@ class NativeState(ctypes.Structure):
         ("k", ctypes.c_int64),
         ("cap", ctypes.c_int64),
         ("full", ctypes.c_int64),
+        ("done", ctypes.c_int64),
+        ("want", ctypes.c_int64),
         ("u_pos", ctypes.c_int64),
         ("u_len", ctypes.c_int64),
         ("u", ctypes.c_void_p),
@@ -131,23 +133,33 @@ class NativeState(ctypes.Structure):
 
 class NativeKernel:
     """Runs the compiled event loop over one :class:`NativeState`, reading
-    uniforms straight from the stream's buffer."""
+    uniforms straight from the stream's buffer.  A call reads its service
+    factors from ``fac`` and leaves its costs at the front of ``costs``."""
 
-    def __init__(self, observe, config, stream, next_arrival):
+    def __init__(self, lib, config, stream, next_arrival):
         self.state = NativeState(config, next_arrival)
-        self._observe = observe
-        self._state_ref = ctypes.pointer(self.state)
+        self.fac = self.state.arrays["fac"]
+        self.costs = self.state.arrays["costs"]
+        self._observe = lib.mg1_observe
+        self._state_ref = ctypes.byref(self.state)
         self._stream = stream
         self._buf = None
 
-    def run(self, fac: list[float], L: int) -> list[float]:
+    def cost_buffer(self, L: int) -> np.ndarray:
+        """``costs``, grown to hold ``L`` costs if need be."""
+        if L > self.costs.size:
+            self.costs = np.empty(L)
+            self.state.bind("costs", self.costs)
+        return self.costs
+
+    def fill(self, L: int) -> None:
+        """Run through the next ``L`` service completions; their costs are
+        ``costs[:L]`` until the next call."""
+        self.cost_buffer(L)
         state = self.state
-        arrays = state.arrays
-        arrays["fac"][:] = fac
-        if L > arrays["costs"].size:
-            state.bind("costs", np.empty(L))
+        state.done = 0
+        state.want = L
         stream = self._stream
-        done = 0
         while True:
             buf, pos = stream.reserve(3)
             if buf is not self._buf:
@@ -155,23 +167,72 @@ class NativeKernel:
                 state.u = buf.ctypes.data
                 state.u_len = buf.size
             state.u_pos = pos
-            done = self._observe(self._state_ref, done, L)
+            done = self._observe(self._state_ref)
             stream.advance(state.u_pos - pos)
             if done >= L:
-                return arrays["costs"][:done].tolist()
+                return
             if state.full >= 0:
                 state.grow_rings()
+
+    def run(self, L: int) -> list[float]:
+        self.fill(L)
+        return self.costs[:L].tolist()
+
+
+class FoldArgs(ctypes.Structure):
+    """The compiled fold's argument record (``mg1_fold_args`` in
+    ``_mg1.c``, field for field)."""
+
+    _fields_ = [
+        ("plus", ctypes.c_void_p),
+        ("minus", ctypes.c_void_p),
+        ("L", ctypes.c_int64),
+        ("one_minus_b", ctypes.c_double),
+        ("b", ctypes.c_double),
+    ]
+
+
+class Fold:
+    """The compiled fold (``mg1_fold`` in ``_mg1.c``) over the cost buffers
+    of one or two simulations, bound once: ``fold(one_minus_b, b)`` returns
+    s = (1-b) s + b h_m folded over m = 0..L-1 from s = 0, with h_m the
+    (+) cost minus the (-) cost, or the one simulation's cost."""
+
+    def __init__(self, lib, buffers, L: int):
+        plus, *minus = buffers
+        self._args = FoldArgs(
+            plus=plus.ctypes.data, minus=minus[0].ctypes.data if minus else None, L=L
+        )
+        self._buffers = buffers  # keeps the addressed arrays alive
+        self._fold = lib.mg1_fold
+        self._ref = ctypes.byref(self._args)
+
+    def __call__(self, one_minus_b: float, b: float) -> float:
+        args = self._args
+        args.one_minus_b = one_minus_b
+        args.b = b
+        return self._fold(self._ref)
+
+
+def compiled_fold(sims, L: int) -> Fold | None:
+    """A :class:`Fold` over ``sims`` when each one keeps its costs in a
+    compiled kernel's buffer (``sim.cost_buffer(L)`` is not None, and
+    ``sim.observe_in_place`` fills it); None otherwise."""
+    buffers = [sim.cost_buffer(L) if hasattr(sim, "cost_buffer") else None for sim in sims]
+    lib = load() if all(buf is not None for buf in buffers) else None
+    return None if lib is None else Fold(lib, buffers, L)
 
 
 @functools.cache
 def load():
-    """The compiled ``mg1_observe``, built on first use; None when it cannot
-    be built or loaded here."""
+    """The compiled library (``mg1_observe`` and ``mg1_fold``), built on
+    first use; None when it cannot be built or loaded here."""
     try:
         lib = ctypes.CDLL(str(_build(_cache_dir())))
     except (OSError, subprocess.SubprocessError):
         return None
-    observe = lib.mg1_observe
-    observe.argtypes = (ctypes.POINTER(NativeState), ctypes.c_int64, ctypes.c_int64)
-    observe.restype = ctypes.c_int64
-    return observe
+    lib.mg1_observe.argtypes = (ctypes.POINTER(NativeState),)
+    lib.mg1_observe.restype = ctypes.c_int64
+    lib.mg1_fold.argtypes = (ctypes.POINTER(FoldArgs),)
+    lib.mg1_fold.restype = ctypes.c_double
+    return lib

@@ -76,7 +76,7 @@ def resolve_q(value: float | str, dim: int) -> float:
     return _real(value, "q")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExperimentConfig:
     """A grid of seeded replications.  Fields arrive as JSON values; every
     check on a value and every default lives here."""
@@ -136,6 +136,18 @@ class ExperimentConfig:
                 QKernel(q, beta, dim)
         except ValueError as err:
             raise ConfigError(str(err)) from None
+
+    def __eq__(self, other):
+        # written out: the generated __eq__ would compare theta0 with ==,
+        # whose truth value is ambiguous
+        if not isinstance(other, ExperimentConfig):
+            return NotImplemented
+        return all(
+            np.array_equal(mine, theirs) if isinstance(mine, np.ndarray) else mine == theirs
+            for mine, theirs in (
+                (getattr(self, f.name), getattr(other, f.name)) for f in fields(self)
+            )
+        )
 
     def cells(self) -> list[tuple[float, float]]:
         """Grid order: q outer, beta inner."""

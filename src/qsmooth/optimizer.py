@@ -19,6 +19,7 @@ from typing import Protocol
 
 import numpy as np
 
+from . import _native
 from .qgaussian import QKernel, sample_standard
 from .rng import RngStream
 from .smoothing import _term_weight
@@ -61,7 +62,11 @@ class SimulatorHandle(Protocol):
     calls.  A simulator may also define ``observe(control, L)``, returning
     the costs of its next L observations under one control, as
     ``QueueSimulator`` does; the optimizers call it once per outer
-    iteration, and call ``step`` L times for a simulator without it."""
+    iteration, and call ``step`` L times for a simulator without it.  When
+    every simulator of a run offers ``cost_buffer(L)`` (not None) and
+    ``observe_in_place(control, L)``, as ``QueueSimulator`` does on the
+    compiled kernel, the optimizers call the latter instead and fold the
+    costs in C."""
 
     def step(self, control: np.ndarray) -> float: ...
 
@@ -83,7 +88,7 @@ class _StepObserver:
         return costs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoxConstraint:
     """Feasible box C = prod [lower_i, upper_i], compact and convex."""
 
@@ -99,6 +104,15 @@ class BoxConstraint:
             raise ValueError("need lower < upper component-wise")
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
+
+    def __eq__(self, other):
+        # written out: the generated __eq__ would compare the bound arrays
+        # with ==, whose truth value is ambiguous
+        if not isinstance(other, BoxConstraint):
+            return NotImplemented
+        return np.array_equal(self.lower, other.lower) and np.array_equal(
+            self.upper, other.upper
+        )
 
     @property
     def dim(self) -> int:
@@ -187,6 +201,17 @@ def _distance(theta, target):
     return float(np.linalg.norm(theta - np.asarray(target, dtype=float)))
 
 
+def _fold(costs, one_minus_b: float, b: float) -> float:
+    """s = (1-b) s + b h_m from s = 0 over m = 0..L-1, where h_m is the
+    m-th cost of one simulation, or the (+) one's minus the (-) one's: the
+    reference for the compiled fold, and the fold of simulators without
+    one."""
+    s = 0.0
+    for h in costs[0] if len(costs) == 1 else map(operator.sub, *costs):
+        s = one_minus_b * s + b * h
+    return s
+
+
 def _run_loop(
     sims: tuple,
     kernel: QKernel,
@@ -201,9 +226,22 @@ def _run_loop(
 ) -> RunResult:
     theta = _check_run_args(kernel, box, theta0, M, L)
     n_dim = kernel.dim
-    q, beta = kernel.q, kernel.beta
+    q = kernel.q
+    # a 0-d array: numpy multiplies by it faster than by a float, with the
+    # same bits
+    beta = np.array(kernel.beta)
     lower, upper = box.lower, box.upper
-    observers = [sim if hasattr(sim, "observe") else _StepObserver(sim) for sim in sims]
+    maximum, minimum = np.maximum, np.minimum
+    # Simulators on the compiled queue kernel leave their costs in its
+    # buffers, and the compiled fold reads them there; any other simulator
+    # returns its costs, and Python folds them.
+    compiled_fold = _native.compiled_fold(sims, L)
+    if compiled_fold is None:
+        observes = [
+            (sim if hasattr(sim, "observe") else _StepObserver(sim)).observe for sim in sims
+        ]
+    else:
+        observes = [sim.observe_in_place for sim in sims]
     # the term's signal is 2h one-sided and h+ - h- two-sided; the costs
     # enter through s below, the factor 2 or 1 through the coefficient
     numer = 2.0 if len(sims) == 1 else 1.0
@@ -224,29 +262,36 @@ def _run_loop(
         coeff = _term_weight(kernel, pert.rho, numer) * eta
 
         # one call per simulator: the (+) one at theta + beta*eta, the (-)
-        # one at theta - beta*eta, both projected onto the box
+        # one at theta - beta*eta, both projected onto the box (np.clip
+        # gives the same bits, at a higher cost per call)
         shift = beta * eta
+        controls = [minimum(maximum(theta + shift, lower), upper)]
+        if len(observes) == 2:
+            controls.append(minimum(maximum(theta - shift, lower), upper))
         costs = []
-        for observer, control in zip(observers, (theta + shift, theta - shift)):
+        for observe, control in zip(observes, controls):
             try:
-                costs.append(observer.observe(np.clip(control, lower, upper), L))
+                costs.append(observe(control, L))
             except Exception as err:
+                observer = getattr(observe, "__self__", None)
                 inner = len(observer.costs) if isinstance(observer, _StepObserver) else 0
                 raise SimulationError(n, inner, seed_info) from err
 
         # The costs enter Z linearly with a fixed per-iteration coefficient
         # vector, so the L inner updates collapse to one scalar recursion:
         #   Z <- (1-b)^L Z + coeff * s,   s = sum_m b (1-b)^(L-1-m) h_m
-        s = 0.0
-        for h in costs[0] if len(costs) == 1 else map(operator.sub, *costs):
-            s = one_minus_b * s + b_n * h
+        if compiled_fold is None:
+            s = _fold(costs, one_minus_b, b_n)
+        else:
+            s = compiled_fold(one_minus_b, b_n)
 
         z_entering = z
         z = (one_minus_b**L) * z_entering + s * coeff
-        if not np.all(np.abs(z) <= Z_DIVERGENCE_LIMIT):
+        # NaN fails the comparison too
+        if not abs(z).max() <= Z_DIVERGENCE_LIMIT:
             raise DivergenceError(n, z, seed_info)
         # theta steps with the Z value that entered this outer iteration
-        theta = np.clip(theta - a_n * z_entering, lower, upper)
+        theta = minimum(maximum(theta - a_n * z_entering, lower), upper)
 
         if trajectory is not None and ((n + 1) % record_every == 0 or n + 1 == M):
             trajectory.append(

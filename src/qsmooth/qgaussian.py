@@ -12,6 +12,7 @@ naive Gamma quotients overflow long before q reaches 1.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -172,6 +173,19 @@ def _chi2_df(q: float, dim: int) -> float:
     return tail_coefficient(q, dim) / (q - 1.0)
 
 
+@functools.lru_cache(maxsize=64)
+def _transform_constants(q: float, dim: int):
+    """The per-(q, dim) constants of :func:`sample_standard`, checked and
+    computed once: the mixing chi-squared's df, the scale of Z and the rho
+    coefficient (1-q)/(N+2-Nq); None at q = 1."""
+    _check_q_domain(q, dim)
+    if q == 1.0:
+        return None
+    c = tail_coefficient(q, dim)
+    scale = math.sqrt(c / (1.0 - q)) if q < 1.0 else math.sqrt(c / (q - 1.0))
+    return _chi2_df(q, dim), scale, (1.0 - q) / c
+
+
 def sample_standard(q: float, dim: int, stream: RngStream) -> Perturbation:
     """One draw of the standard q-Gaussian (unit q-variance per coordinate).
 
@@ -180,17 +194,16 @@ def sample_standard(q: float, dim: int, stream: RngStream) -> Perturbation:
     chi-squared factor for q > 1; q = 1 returns Z itself (no chi-squared
     variate is consumed).
     """
-    _check_q_domain(q, dim)
+    constants = _transform_constants(q, dim)
     z = stream.standard_normal(dim)
-    if q == 1.0:
+    if constants is None:
         return Perturbation(eta=z, rho=1.0)
-    c = tail_coefficient(q, dim)
-    a = stream.chi_squared(_chi2_df(q, dim))
+    df, scale, rho_coeff = constants
+    a = stream.chi_squared(df)
     if q < 1.0:
-        y = math.sqrt(c / (1.0 - q)) * z / math.sqrt(a + float(np.dot(z, z)))
-    else:
-        y = math.sqrt(c / (q - 1.0)) * z / math.sqrt(a)
-    return Perturbation(eta=y, rho=rho(y, q, dim))
+        a += float(np.dot(z, z))
+    y = scale * z / math.sqrt(a)
+    return Perturbation(eta=y, rho=1.0 - rho_coeff * float(np.dot(y, y)))
 
 
 # Not merged with sample_standard: np.dot and the row-wise einsum norms differ

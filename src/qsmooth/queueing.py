@@ -74,8 +74,8 @@ class QueueNetworkConfig:
                 f"theta_target must have length {sum(self.dims)}, "
                 f"got {self.theta_target.shape}"
             )
-        # per node: its block of the parameter vector and 1/R_i, for
-        # _service_factors (not a field: equality and repr ignore it)
+        # per node: its block of the parameter vector and 1/R_i, for the
+        # service factors (not a field: equality and repr ignore it)
         bounds = np.cumsum((0,) + self.dims)
         object.__setattr__(
             self,
@@ -166,24 +166,14 @@ class QueueState:
         self.departures_seen = 0
 
 
-def _service_factors(control, config: QueueNetworkConfig) -> list[float]:
-    """Per node, 1/R_i + ||theta_i - target_i||^2: a service time there is
-    U(0,1) times this."""
-    diff = np.asarray(control, dtype=float) - config.theta_target
-    fac = []
-    for block_slice, inv_r in config._node_blocks:
-        block = diff[block_slice]
-        fac.append(inv_r + float(np.dot(block, block)))
-    return fac
-
-
 class PythonKernel:
     """The event loop in Python: the reference the compiled kernel in
     ``_mg1.c`` must match bit for bit, and the fallback where it cannot be
-    built."""
+    built.  A call reads its service factors from ``fac``."""
 
     def __init__(self, config: QueueNetworkConfig, stream: RngStream, next_arrival):
         self.state = state = QueueState(config, next_arrival)
+        self.fac = [0.0] * config.n_nodes
         # everything run reads, bound once; the lists are mutated in place
         self._bound = (
             state,
@@ -195,11 +185,13 @@ class PythonKernel:
             config.p_leave,
             config.n_nodes,
             stream.uniform01,
+            self.fac,
         )
 
-    def run(self, fac: list[float], L: int) -> list[float]:
+    def run(self, L: int) -> list[float]:
         """Run the event loop through the next ``L`` service completions
-        under service factors ``fac`` and return the cost observed at each.
+        under the service factors ``fac`` and return the cost observed at
+        each.
 
         Random-draw order per event is fixed: an arrival draws its next
         interarrival time, then (if the server was idle) a service time; a
@@ -207,7 +199,7 @@ class PythonKernel:
         then service times for the destination (if it starts service) and
         for the completing node's next customer (if any), in that order.
         """
-        state, queues, serving, comp, nxt, rates, p_leave, k, u01 = self._bound
+        state, queues, serving, comp, nxt, rates, p_leave, k, u01, fac = self._bound
         log = math.log
         inf = math.inf
         n_present = state.n_present
@@ -292,20 +284,45 @@ class QueueSimulator:
             (-math.log(stream.uniform01()) / lam) if lam > 0.0 else math.inf
             for lam in config.arrival_rates
         ]
-        observe = _native.load()
-        if observe is None:
+        lib = _native.load()
+        if lib is None:
             self.kernel = "python"
             self._kernel = PythonKernel(config, stream, next_arrival)
         else:
             self.kernel = "c"
-            self._kernel = _native.NativeKernel(observe, config, stream, next_arrival)
+            self._kernel = _native.NativeKernel(lib, config, stream, next_arrival)
         self.state = self._kernel.state
+        # control - target, and each node's block of it as a view
+        self._diff = np.empty(config.total_dim)
+        self._blocks = [(self._diff[block], inv_r) for block, inv_r in config._node_blocks]
+
+    def _set_service_factors(self, control) -> None:
+        """Per node i, 1/R_i + ||theta_i - target_i||^2 into the kernel's
+        ``fac[i]``: a service time there is U(0,1) times this."""
+        fac = self._kernel.fac
+        np.subtract(control, self.config.theta_target, out=self._diff)
+        for i, (block, inv_r) in enumerate(self._blocks):
+            fac[i] = inv_r + float(np.dot(block, block))
 
     def observe(self, control: np.ndarray, L: int) -> list[float]:
         """The costs of the next ``L`` observations under one control.  The
         service factors are computed from ``control`` on every call, so an
         array changed in place takes effect."""
-        return self._kernel.run(_service_factors(control, self.config), L)
+        self._set_service_factors(control)
+        return self._kernel.run(L)
+
+    def cost_buffer(self, L: int) -> np.ndarray | None:
+        """Under the compiled kernel, the array at whose front
+        :meth:`observe_in_place` leaves its ``L`` costs (grown to hold them,
+        and the same array on every call with that ``L`` or less); None
+        under the Python kernel."""
+        return self._kernel.cost_buffer(L) if self.kernel == "c" else None
+
+    def observe_in_place(self, control: np.ndarray, L: int) -> None:
+        """:meth:`observe` under the compiled kernel, with the costs left at
+        the front of :meth:`cost_buffer` instead of returned."""
+        self._set_service_factors(control)
+        self._kernel.fill(L)
 
     def step(self, control: np.ndarray) -> float:
         """The cost of the next observation."""
@@ -327,7 +344,7 @@ def make_simulator(config: QueueNetworkConfig, stream: RngStream) -> QueueSimula
 # shipped experiment presets
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BenchmarkPreset:
     """A network plus the box, start and target used in the experiments."""
 
@@ -335,6 +352,17 @@ class BenchmarkPreset:
     box_lower: float
     box_upper: float
     theta0: np.ndarray
+
+    def __eq__(self, other):
+        # written out, as for QueueNetworkConfig: theta0 is an array
+        if not isinstance(other, BenchmarkPreset):
+            return NotImplemented
+        return (
+            self.network == other.network
+            and self.box_lower == other.box_lower
+            and self.box_upper == other.box_upper
+            and np.array_equal(self.theta0, other.theta0)
+        )
 
 
 def _preset_4d() -> BenchmarkPreset:

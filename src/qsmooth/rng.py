@@ -26,6 +26,10 @@ _BUFFER_SIZE = 4096
 # 2**-53; raw >> 11 keeps 53 bits, +0.5 centers in the cell so the open
 # interval (0, 1) is hit by construction (never exactly 0 or 1).
 _TO_UNIT = 2.0 ** -53
+# Box-Muller's constants as 0-d arrays: numpy multiplies an array by one
+# faster than by a float, with the same bits
+_MINUS_TWO = np.array(-2.0)
+_TWO_PI = np.array(2.0 * np.pi)
 
 
 def _splitmix64(x: int) -> int:
@@ -160,24 +164,32 @@ class RngStream:
             self._spare_normal = r * math.sin(2.0 * math.pi * u2)
             return r * math.cos(2.0 * math.pi * u2)
 
+        spare = self._spare_normal if size > 0 else None
+        need = size if spare is None else size - 1
+        n_u = 2 * ((need + 1) // 2)
+        if n_u <= _BUFFER_SIZE:
+            # read in place, as numpy's elementwise results do not depend on
+            # the stride or offset of their operands; a large draw is copied
+            # out a buffer at a time instead, so no refill grows with it
+            buf, pos = self.reserve(n_u)
+            self._pos = pos + n_u
+            u = buf[pos : pos + n_u]
+        else:
+            u = self.uniform01(n_u)
+        r = np.sqrt(_MINUS_TWO * np.log(u[0::2]))
+        ang = _TWO_PI * u[1::2]
+        z = np.empty(n_u)
+        np.multiply(r, np.cos(ang), out=z[0::2])
+        np.multiply(r, np.sin(ang), out=z[1::2])
+        if spare is None and need % 2 == 0:
+            return z
         out = np.empty(size)
-        start = 0
-        if self._spare_normal is not None and size > 0:
-            out[0] = self._spare_normal
+        if spare is not None:
+            out[0] = spare
             self._spare_normal = None
-            start = 1
-        need = size - start
-        if need > 0:
-            npairs = (need + 1) // 2
-            u = self.uniform01(2 * npairs)
-            r = np.sqrt(-2.0 * np.log(u[0::2]))
-            ang = 2.0 * np.pi * u[1::2]
-            z = np.empty(2 * npairs)
-            z[0::2] = r * np.cos(ang)
-            z[1::2] = r * np.sin(ang)
-            out[start:] = z[:need]
-            if need % 2 == 1:
-                self._spare_normal = float(z[need])
+        out[size - need :] = z[:need]
+        if need % 2 == 1:
+            self._spare_normal = float(z[need])
         return out
 
     # -- gamma / chi-squared -------------------------------------------------

@@ -7,6 +7,7 @@ import shutil
 import stat
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,15 @@ from hypothesis import strategies as st
 
 import qsmooth
 from qsmooth import _native
+from qsmooth.optimizer import (
+    BoxConstraint,
+    QuadraticCostSimulator,
+    StepSchedule,
+    _fold,
+    run_gqsf1,
+    run_gqsf2,
+)
+from qsmooth.qgaussian import QKernel
 from qsmooth.queueing import QueueNetworkConfig, make_simulator, preset
 from qsmooth.rng import RngStream
 
@@ -83,6 +93,45 @@ def test_kernels_agree_bit_for_bit(network, data):
         assert _next_uniforms(streams[0]) == _next_uniforms(streams[1])
 
 
+# costs of every magnitude and sign, and the zeros and subnormals between
+costs_of = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@needs_gcc
+@DETERMINISTIC
+@given(data=st.data())
+def test_compiled_fold_matches_the_python_fold(data):
+    n_sims = data.draw(st.sampled_from([1, 2]), label="simulations")
+    L = data.draw(st.integers(1, 300), label="L")
+    costs = [
+        np.array(data.draw(st.lists(costs_of, min_size=L, max_size=L), label="costs"))
+        for _ in range(n_sims)
+    ]
+    # buffers longer than L, as a kernel's are: the fold reads only L costs
+    buffers = [np.concatenate((c, np.full(7, np.nan))) for c in costs]
+    fold = _native.Fold(_native.load(), buffers, L)
+    for b in data.draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4), label="b"):
+        want = _fold([c.tolist() for c in costs], 1.0 - b, b)
+        assert np.float64(fold(1.0 - b, b)).tobytes() == np.float64(want).tobytes()
+
+
+@needs_gcc
+def test_compiled_fold_is_freed_with_its_run():
+    # no reference cycle keeps a fold, and the cost buffers it holds, alive
+    network = preset("mg1-4d").network
+    sims = [make_simulator(network, RngStream(0, i)) for i in range(2)]
+    fold = weakref.ref(_native.compiled_fold(sims, 100))
+    assert fold() is None
+
+
+def test_compiled_fold_needs_every_simulator_on_the_c_kernel():
+    network = preset("mg1-4d").network
+    queue = make_simulator(network, RngStream(0, 0))
+    quadratic = QuadraticCostSimulator(network.theta_target)
+    assert _native.compiled_fold((queue, quadratic), 10) is None
+    assert (_native.compiled_fold((queue,), 10) is None) == (queue.kernel == "python")
+
+
 @needs_gcc
 def test_c_kernel_builds_where_gcc_is_installed():
     assert _native.load() is not None
@@ -109,6 +158,27 @@ def _costs(network):
     return sim, sim.observe(np.full(network.total_dim, 0.45), 2000)
 
 
+def _runs():
+    """Gq-SF1 and Gq-SF2 on mg1-4d, each run's theta_final, z and
+    trajectory as bytes, and whether the compiled fold served them."""
+    loaded = preset("mg1-4d")
+    box = BoxConstraint.cube(loaded.box_lower, loaded.box_upper, 4)
+    kernel = QKernel(0.8, 0.005, 4)
+    out, folds = [], []
+    for run, n_sims in ((run_gqsf1, 1), (run_gqsf2, 2)):
+        sims = [make_simulator(loaded.network, RngStream(66, 3 + i)) for i in range(n_sims)]
+        folds.append(_native.compiled_fold(sims, 100) is not None)
+        result = run(
+            *sims, kernel, box, StepSchedule(0.75), 300, 100, loaded.theta0,
+            RngStream(66, 9), record_every=40,
+        )
+        out.append(
+            (result.theta_final.tobytes(), result.z.tobytes(),
+             [(point.n, point.theta.tobytes()) for point in result.trajectory])
+        )
+    return out, folds
+
+
 # argv ends "-o <path> -": write the start of a library there, then fail
 _PARTIAL_WRITE = (
     "import sys; open(sys.argv[sys.argv.index('-o') + 1], 'wb').write(b'\\x7fELF'); sys.exit(1)"
@@ -123,11 +193,15 @@ _PARTIAL_WRITE = (
 def test_falls_back_to_python_when_the_build_fails(compiler, use_cache, monkeypatch):
     network = preset("mg1-4d").network
     _, want = _costs(network)
+    want_runs, folds = _runs()
+    assert folds == [shutil.which("gcc") is not None] * 2
     monkeypatch.setattr(_native, "_CC", compiler)
     cache = use_cache()
     sim, got = _costs(network)
     assert sim.kernel == "python"
     assert got == want  # the same numbers as the kernel built before
+    # and the same runs, from the Python kernel and the Python fold
+    assert _runs() == (want_runs, [False, False])
     assert list(cache.iterdir()) == []  # no partial library left behind
 
 

@@ -1,6 +1,10 @@
+import contextlib
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from qsmooth import _native
 from qsmooth.optimizer import (
     BoxConstraint,
     DivergenceError,
@@ -12,8 +16,10 @@ from qsmooth.optimizer import (
     run_gqsf2,
 )
 from qsmooth.qgaussian import QKernel, sample_standard
-from qsmooth.queueing import make_simulator, preset
+from qsmooth.queueing import QueueSimulator, make_simulator, preset
 from qsmooth.rng import RngStream
+
+from test_queueing import KERNELS
 
 
 BOX4 = BoxConstraint.cube(0.1, 0.6, 4)
@@ -290,6 +296,72 @@ def test_divergence_guard():
         )
     assert exc.value.outer_index == 0
     assert exc.value.seed_info["seed"] == 3
+
+
+class NanAfterSimulator:
+    """Cost 1.0 for its first ``finite`` steps, NaN from then on."""
+
+    def __init__(self, finite):
+        self.finite = finite
+        self.calls = 0
+
+    def step(self, control):
+        self.calls += 1
+        return 1.0 if self.calls <= self.finite else float("nan")
+
+
+class NanQueueSimulator(QueueSimulator):
+    """A queue simulator whose ``nan_call``-th observation batch holds a NaN
+    cost, on whichever path the optimizer reads its costs."""
+
+    def __init__(self, network, stream, nan_call):
+        super().__init__(network, stream)
+        self.nan_call = nan_call
+        self.calls = 0
+
+    def observe(self, control, L):
+        costs = super().observe(control, L)
+        self.calls += 1
+        if self.calls == self.nan_call:
+            costs[L // 2] = float("nan")
+        return costs
+
+    def observe_in_place(self, control, L):
+        super().observe_in_place(control, L)
+        self.calls += 1
+        if self.calls == self.nan_call:
+            self.cost_buffer(L)[L // 2] = float("nan")
+
+
+def _nan_queue_sims(kernel_name, nan_calls):
+    network = preset("mg1-4d").network
+    on_python = mock.patch.object(_native, "load", return_value=None)
+    with on_python if kernel_name == "python" else contextlib.nullcontext():
+        sims = [NanQueueSimulator(network, RngStream(4, i), c) for i, c in enumerate(nan_calls)]
+    assert all(sim.kernel == kernel_name for sim in sims)
+    return tuple(sims)
+
+
+@pytest.mark.parametrize("kernel_name", KERNELS)
+@pytest.mark.parametrize("algorithm", ["gqsf1", "gqsf2"])
+def test_divergence_guard_catches_nan(algorithm, kernel_name):
+    # A NaN cost makes Z NaN, which passes no comparison with the limit.
+    # With L = 5, steps 11-15 of a simulator fall in outer iteration 2.
+    kernel = QKernel(q=0.5, beta=0.005, dim=4)
+    if algorithm == "gqsf1":
+        run, want = run_gqsf1, 2
+        cases = [(NanAfterSimulator(finite=12),), _nan_queue_sims(kernel_name, [3])]
+    else:
+        run, want = run_gqsf2, 3
+        cases = [
+            (ConstantCostSimulator(1.0), NanAfterSimulator(finite=17)),
+            _nan_queue_sims(kernel_name, [0, 4]),
+        ]
+    for sims in cases:
+        with pytest.raises(DivergenceError) as exc:
+            run(*sims, kernel, BOX4, StepSchedule(0.75), 10, 5, TARGET4, RngStream(3, 0))
+        assert exc.value.outer_index == want
+        assert np.isnan(exc.value.z).all()
 
 
 def test_simulator_failure_carries_context():

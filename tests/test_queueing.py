@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import shutil
@@ -8,9 +9,10 @@ import pytest
 from scipy import stats
 
 from qsmooth import _native
+from qsmooth.bench import config_from_dict
+from qsmooth.optimizer import BoxConstraint
 from qsmooth.queueing import (
     QueueNetworkConfig,
-    _service_factors,
     make_simulator,
     preset,
     preset_names,
@@ -138,7 +140,7 @@ def _check_service_factors(theta, want, seed):
     for _ in range(2_000):
         sim.step(theta)
         # the factors the simulator used for this control
-        assert _service_factors(theta, cfg) == pytest.approx(want, rel=1e-12)
+        assert list(sim._kernel.fac) == pytest.approx(want, rel=1e-12)
         # a service in progress ends within one full service time of now
         for comp, fac in zip(sim.state.completion_time, want):
             assert comp == np.inf or 0.0 <= comp - sim.state.clock <= fac
@@ -360,6 +362,19 @@ def test_network_configs_compare_by_value():
         net.arrival_rates, net.p_leave, net.service_constants, net.dims, np.full(4, 0.4)
     )
     assert net != moved
+    # and so do the records that hold a network or an array beside it
+    assert preset("mg1-4d") == preset("mg1-4d")
+    assert preset("mg1-4d") != preset("mg1-20d")
+    assert dataclasses.replace(preset("mg1-4d"), theta0=np.full(4, 0.2)) != preset("mg1-4d")
+    spec = {"algorithm": "gqsf2", "q_grid": [0.8], "beta_grid": [0.005], "M": 10,
+            "base_seed": 1, "system": "mg1-4d"}
+    config = config_from_dict(spec)
+    assert config == config_from_dict(dict(spec))
+    assert config != config_from_dict({**spec, "theta0": [0.2] * 4})
+    assert config != config_from_dict({**spec, "box": {"lower": 0.1, "upper": 0.7}})
+    assert config != config_from_dict({**spec, "L": 10})
+    assert config.box == BoxConstraint.cube(0.1, 0.6, 4)
+    assert config.box != BoxConstraint.cube(0.1, 0.7, 4)
 
 
 def test_worst_utilisation():

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
 
+from qsmooth.qgaussian import sample_standard
 from qsmooth.rng import RngStream, derive_stream_id
 
 
@@ -29,44 +32,111 @@ def test_uniform01_scalar_array_same_sequence():
     np.testing.assert_array_equal(singles, s2.uniform01(4100))
 
 
+class _CopyingStream(RngStream):
+    """A stream whose array normals copy their uniforms out through
+    ``uniform01(size)``, as they did before small draws read them in place;
+    ``drawn`` counts every uniform it hands out."""
+
+    __slots__ = ("drawn",)
+
+    def __init__(self, seed, stream_id=0):
+        super().__init__(seed, stream_id)
+        self.drawn = 0
+
+    def uniform01(self, size=None):
+        self.drawn += 1 if size is None else size
+        return super().uniform01(size)
+
+    def advance(self, n):
+        self.drawn += n
+        super().advance(n)
+
+    def standard_normal(self, size=None):
+        if size is None:
+            return super().standard_normal()
+        out = np.empty(size)
+        start = 0
+        if self._spare_normal is not None and size > 0:
+            out[0] = self._spare_normal
+            self._spare_normal = None
+            start = 1
+        need = size - start
+        if need > 0:
+            npairs = (need + 1) // 2
+            u = self.uniform01(2 * npairs)
+            r = np.sqrt(-2.0 * np.log(u[0::2]))
+            ang = 2.0 * np.pi * u[1::2]
+            z = np.empty(2 * npairs)
+            z[0::2] = r * np.cos(ang)
+            z[1::2] = r * np.sin(ang)
+            out[start:] = z[:need]
+            if need % 2 == 1:
+                self._spare_normal = float(z[need])
+        return out
+
+
+def _sample_standard_reference(q, dim, stream):
+    """sample_standard as written out before its constants were cached."""
+    z = stream.standard_normal(dim)
+    if q == 1.0:
+        return z, 1.0
+    c = dim + 2.0 - dim * q
+    if q < 1.0:
+        a = stream.chi_squared(2.0 * (2.0 - q) / (1.0 - q))
+        y = math.sqrt(c / (1.0 - q)) * z / math.sqrt(a + float(np.dot(z, z)))
+    else:
+        a = stream.chi_squared(c / (q - 1.0))
+        y = math.sqrt(c / (q - 1.0)) * z / math.sqrt(a)
+    return y, float(1.0 - ((1.0 - q) / c) * np.dot(y, y))
+
+
 def test_interleaved_uniform_draws_match_one_array_draw():
     # Scalar draws read a list copy of the current buffer; a refill made by
     # an array, normal or reserve call must replace that copy, not leave it
-    # stale, and a reserve must keep the unread tail in order.
+    # stale, and a reserve must keep the unread tail in order.  Array
+    # normals, read in place, must match those copied out through
+    # uniform01(size), with a spare normal carried between calls and across
+    # scalar chi-squared draws, and so must q-Gaussian perturbations.
     stream = RngStream(31, 4)
+    old = _CopyingStream(31, 4)  # drawn in lockstep; old.drawn counts the uniforms used
     positions, values = [], []
-    used = 0
 
     def scalars(n):
-        nonlocal used
         for _ in range(n):
-            positions.append(used)
+            positions.append(old.drawn)
             values.append(stream.uniform01())
-            used += 1
+            assert values[-1] == old.uniform01()
 
     def array(n):
-        nonlocal used
-        positions.extend(range(used, used + n))
+        positions.extend(range(old.drawn, old.drawn + n))
         values.extend(stream.uniform01(n).tolist())
-        used += n
+        assert values[-n:] == old.uniform01(n).tolist()
 
-    def normals(n):  # an even count with no spare normal takes n uniforms
-        nonlocal used
-        stream.standard_normal(n)
-        used += n
+    def normals(n):
+        got = stream.standard_normal(n)
+        assert got.shape == (n,) and got.tobytes() == old.standard_normal(n).tobytes()
 
     def in_place(n, at_least=3):
         # read as the compiled simulator does: reserve, read, advance
-        nonlocal used
         while n:
             buf, pos = stream.reserve(at_least)
             assert buf.size - pos >= at_least
             take = min(n, buf.size - pos)
-            positions.extend(range(used, used + take))
+            positions.extend(range(old.drawn, old.drawn + take))
             values.extend(buf[pos : pos + take].tolist())
+            old_buf, old_pos = old.reserve(take)
+            assert old_buf[old_pos : old_pos + take].tolist() == values[-take:]
             stream.advance(take)
-            used += take
+            old.advance(take)
             n -= take
+
+    def chi(df):
+        assert stream.chi_squared(df) == old.chi_squared(df)
+
+    def sample(q, dim):
+        pert = sample_standard(q, dim, stream)
+        eta, rho = _sample_standard_reference(q, dim, old)
+        assert pert.eta.tobytes() == eta.tobytes() and pert.rho == rho
 
     scalars(10)
     array(4086)  # ends the first buffer exactly
@@ -76,15 +146,27 @@ def test_interleaved_uniform_draws_match_one_array_draw():
     in_place(4091)  # leaves two in the third buffer
     in_place(5)  # the reserve carries those two to the front of a refill
     in_place(1, at_least=5000)  # a reserve larger than a buffer
+    normals(3)  # leaves a spare normal
+    chi(3.7)  # scalar normals: the spare is used, another may be left
+    normals(1)
+    normals(4097)  # more than a buffer holds: copied out, not read in place
     for k in range(40):
         scalars(k * 7 % 13 + 1)
         array(k * 997 % 1500 + 1)
         in_place(k * 613 % 2000 + 1)
         normals(2 * (k * 389 % 400 + 1))
-    assert used > 3 * 4096
+        normals(k % 5 + 1)  # odd and even, with and without a spare
+        chi(0.5 + k % 7)
+        for dim in (1, 2, 3, 4, 7, 20):
+            sample((0.5, 1.0, 1.0 + 1.0 / (dim + 1))[(k + dim) % 3], dim)
+    for dim in range(1, 21):
+        for q in (0.8, 1.0, 1.0 + 1.0 / (dim + 1)):
+            sample(q, dim)
+    assert old.drawn > 3 * 4096
 
-    twin = RngStream(31, 4).uniform01(used)
+    twin = RngStream(31, 4).uniform01(old.drawn)
     assert values == twin[positions].tolist()
+    assert stream.uniform01(8).tolist() == old.uniform01(8).tolist()
 
 
 def test_standard_normal_moments():
