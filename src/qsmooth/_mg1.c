@@ -11,8 +11,8 @@
  * refills or grows, and calls again, and the record keeps the count of
  * costs done so far.
  *
- * mg1_fold folds the costs the kernels left in their buffers into the fast
- * iterate's scalar recursion, as qsmooth.optimizer does in Python.
+ * sf_run, further down, runs whole outer iterations of the two-timescale
+ * optimizer over one or two such kernels.
  *
  * Every argument travels in a record the caller binds once, so a call
  * from Python passes one pointer.
@@ -36,7 +36,7 @@ typedef struct {
     const double *u;        /* the stream's buffer of uniforms */
     const double *rates;    /* external arrival rate per node */
     const double *p_leave;
-    const double *fac;      /* service-time factor per node */
+    double *fac;            /* service-time factor per node */
     double *serving;        /* entry time of the customer in service */
     double *comp;           /* completion time, INFINITY when idle */
     double *nxt;            /* next external arrival */
@@ -44,6 +44,12 @@ typedef struct {
     int64_t *head;
     int64_t *len;
     double *costs;
+    /* for the service factors: node i's block of theta is
+       [bounds[i], bounds[i+1]), with target theta_target and 1/R_i inv_r[i] */
+    const double *target;
+    const int64_t *bounds;
+    const double *inv_r;
+    double *diff;           /* scratch: control - target */
 } mg1_state;
 
 static void push(mg1_state *s, int64_t node, double entry)
@@ -144,27 +150,339 @@ int64_t mg1_observe(mg1_state *s)
     return done;
 }
 
-typedef struct {
-    const double *plus;     /* costs of the (+) simulation */
-    const double *minus;    /* costs of the (-) simulation; NULL with one */
-    int64_t L;
-    double one_minus_b;
-    double b;
-} mg1_fold_args;
+/* ------------------------------------------------------------------------
+ * sf_run: the outer loop of qsmooth.optimizer._run_loop, compiled.
+ *
+ * It mirrors the Python loop, which stays the reference, operation for
+ * operation, and takes the transcendentals and reductions from where
+ * numpy does, so that every number comes out bit for bit:
+ *   - the array Box-Muller reads tables numpy computed over the
+ *     perturbation stream's buffer (qsmooth.rng.box_muller_tables);
+ *   - the scalar draws (chi-squared rejection, scalar normals) call libm's
+ *     log, sin, cos and pow, as Python's math module and float ** do;
+ *   - every np.dot is numpy's own BLAS ddot, reached through a pointer;
+ *   - elementwise + - * / and np.maximum / np.minimum are written out in
+ *     numpy's order, NaN propagation and ties included.
+ *
+ * The loop returns to its caller when a stream's buffer runs short, when a
+ * ring is full, at each trajectory point, at M and on an error; the record
+ * keeps where it stands, and the next call resumes there.
+ */
 
-/* s = (1-b) s + b (h+[m] - h-[m]) over m = 0..L-1 from s = 0, or b h[m]
- * with one simulation: the order and roundings of the Python fold. */
-double mg1_fold(const mg1_fold_args *f)
+/* numpy's ILP64 CBLAS ddot */
+typedef double (*ddot_fn)(int64_t n, const double *x, int64_t incx,
+                          const double *y, int64_t incy);
+
+enum {
+    SF_DONE,        /* M outer iterations done */
+    SF_RECORD,      /* a trajectory point is due after iteration n */
+    SF_DIVERGED,    /* the fast iterate of iteration n failed the guard */
+    SF_BAD_RHO,     /* rho <= 0 at iteration n */
+    SF_PERTURBATION,/* the perturbation stream needs `need` uniforms */
+    SF_SIMULATOR    /* simulator `stopped` needs uniforms or a larger ring */
+};
+
+typedef struct {
+    /* constants of the run */
+    int64_t dim;
+    int64_t M;
+    int64_t L;
+    int64_t n_sims;         /* 1 (Gq-SF1) or 2 (Gq-SF2) */
+    int64_t record_every;   /* 0: no trajectory */
+    int64_t q_cmp;          /* sign of q - 1 */
+    double shape;           /* of the mixing gamma: half the chi-squared df */
+    double scale;
+    double rho_coeff;       /* (1-q)/(N+2-Nq) */
+    double numer;           /* 2 (Gq-SF1) or 1 (Gq-SF2) */
+    double beta_tc;         /* beta * (N+2-Nq) */
+    double beta;
+    double gamma;
+    double z_limit;
+    const double *lower;
+    const double *upper;
+    ddot_fn ddot;
+    mg1_state *sims[2];
+    /* the perturbation stream's buffer and, per value u, sqrt(-2 log u),
+       cos(2 pi u) and sin(2 pi u) */
+    const double *u;
+    const double *radius;
+    const double *cosine;
+    const double *sine;
+    int64_t u_pos;
+    int64_t u_len;
+    int64_t need;           /* uniforms from u_pos on that a draw ran short of */
+    int64_t has_spare;      /* the stream's cached normal */
+    double spare;
+    /* iterates, and dim-sized scratch */
+    double *theta;
+    double *z;
+    double *z_next;
+    double *eta;
+    double *coeff;
+    double *controls;       /* n_sims rows of dim */
+    /* where the loop stands */
+    int64_t n;              /* outer iterations done */
+    int64_t phase;          /* 0: draw; 1 + i: simulator i observing */
+    int64_t stopped;
+    double rho;
+    double a;               /* a(n+1), b(n+1) and 1 - b(n+1) */
+    double b;
+    double one_minus_b;
+} sf_run_t;
+
+/* np.dot of two vectors: numpy's DOUBLE_dot adds ddot's result to 0.0 */
+static double dot(ddot_fn ddot, int64_t n, const double *x, const double *y)
 {
-    const double one_minus_b = f->one_minus_b, b = f->b;
-    const double *plus = f->plus, *minus = f->minus;
+    return 0.0 + ddot(n, x, 1, y, 1);
+}
+
+/* np.maximum and np.minimum: a NaN first operand wins, then a NaN second
+ * one, and a tie (+0 against -0) gives the second operand */
+static double np_max(double a, double b)
+{
+    return (a != a || a > b) ? a : b;
+}
+
+static double np_min(double a, double b)
+{
+    return (a != a || a < b) ? a : b;
+}
+
+/* Per node i, 1/R_i + ||control_i - target_i||^2 into fac[i], as
+ * QueueSimulator._set_service_factors computes it. */
+static void set_factors(mg1_state *s, const double *control, int64_t dim, ddot_fn ddot)
+{
+    for (int64_t i = 0; i < dim; i++)
+        s->diff[i] = control[i] - s->target[i];
+    for (int64_t i = 0; i < s->k; i++) {
+        const double *block = s->diff + s->bounds[i];
+        s->fac[i] = s->inv_r[i] + dot(ddot, s->bounds[i + 1] - s->bounds[i], block, block);
+    }
+}
+
+/* A read position in the perturbation stream, with its cached normal.  A
+ * draw that runs short sets `want` (one past the last uniform it needed)
+ * and returns 0; the caller then drops the cursor. */
+typedef struct {
+    const sf_run_t *r;
+    int64_t pos;
+    int64_t want;
+    int64_t has_spare;
+    double spare;
+} cursor_t;
+
+static int uniform(cursor_t *c, double *out)
+{
+    if (c->pos >= c->r->u_len) {
+        c->want = c->pos + 1;
+        return 0;
+    }
+    *out = c->r->u[c->pos++];
+    return 1;
+}
+
+/* RngStream.standard_normal() */
+static int normal(cursor_t *c, double *out)
+{
+    if (c->has_spare) {
+        c->has_spare = 0;
+        *out = c->spare;
+        return 1;
+    }
+    double u1, u2;
+    if (!uniform(c, &u1) || !uniform(c, &u2))
+        return 0;
+    double r = sqrt(-2.0 * log(u1));
+    c->spare = r * sin(2.0 * M_PI * u2);
+    c->has_spare = 1;
+    *out = r * cos(2.0 * M_PI * u2);
+    return 1;
+}
+
+/* RngStream._gamma_unit_scale(shape) */
+static int gamma_unit_scale(cursor_t *c, double shape, double *out)
+{
+    double boost = 1.0;
+    if (shape < 1.0) {
+        double u;
+        if (!uniform(c, &u))
+            return 0;
+        boost = pow(u, 1.0 / shape);
+        shape = shape + 1.0;
+    }
+    const double d = shape - 1.0 / 3.0;
+    const double cd = 1.0 / sqrt(9.0 * d);
+    for (;;) {
+        double x, u;
+        if (!normal(c, &x))
+            return 0;
+        double t = 1.0 + cd * x;
+        if (t <= 0.0)
+            continue;
+        double v = t * t * t;
+        if (!uniform(c, &u))
+            return 0;
+        if (log(u) < 0.5 * x * x + d - d * v + d * log(v)) {
+            *out = boost * d * v;
+            return 1;
+        }
+    }
+}
+
+/* qgaussian.sample_standard(q, dim, stream) into r->eta and r->rho */
+static int draw(sf_run_t *r, cursor_t *c)
+{
+    const int64_t dim = r->dim;
+    double *eta = r->eta;
+
+    /* standard_normal(dim): the cached normal first, then pairs */
+    int64_t first = 0;
+    if (c->has_spare) {
+        eta[0] = c->spare;
+        c->has_spare = 0;
+        first = 1;
+    }
+    const int64_t need = dim - first;
+    const int64_t pairs = (need + 1) / 2;
+    if (r->u_len - c->pos < 2 * pairs) {
+        c->want = c->pos + 2 * pairs;
+        return 0;
+    }
+    for (int64_t j = 0; j < pairs; j++) {
+        const int64_t p = c->pos + 2 * j;
+        const double radius = r->radius[p];
+        eta[first + 2 * j] = radius * r->cosine[p + 1];
+        const double odd = radius * r->sine[p + 1];
+        if (2 * j + 1 < need) {
+            eta[first + 2 * j + 1] = odd;
+        } else {
+            c->spare = odd;
+            c->has_spare = 1;
+        }
+    }
+    c->pos += 2 * pairs;
+
+    if (r->q_cmp == 0) {
+        r->rho = 1.0;
+        return 1;
+    }
+    double g;
+    if (!gamma_unit_scale(c, r->shape, &g))
+        return 0;
+    double a = 2.0 * g;
+    if (r->q_cmp < 0)
+        a += dot(r->ddot, dim, eta, eta);
+    const double root = sqrt(a);
+    for (int64_t i = 0; i < dim; i++)
+        eta[i] = r->scale * eta[i] / root;
+    r->rho = 1.0 - r->rho_coeff * dot(r->ddot, dim, eta, eta);
+    return 1;
+}
+
+/* Outer iteration n's perturbation, its weight and the projected controls;
+ * then each simulator's service factors.  Returns -1 when the simulators
+ * can start, SF_BAD_RHO, or SF_PERTURBATION with nothing consumed when the
+ * stream's buffer runs short. */
+static int64_t begin_iteration(sf_run_t *r)
+{
+    const int64_t dim = r->dim;
+    const double n1 = (double)(r->n + 1);
+    r->a = 1.0 / n1;
+    r->b = pow(n1, -r->gamma);
+    r->one_minus_b = 1.0 - r->b;
+
+    cursor_t c = {r, r->u_pos, 0, r->has_spare, r->spare};
+    if (!draw(r, &c)) {
+        r->need = c.want - r->u_pos;
+        return SF_PERTURBATION;
+    }
+    r->u_pos = c.pos;
+    r->has_spare = c.has_spare;
+    r->spare = c.spare;
+    if (r->rho <= 0.0)
+        return SF_BAD_RHO;
+
+    const double weight = r->numer / (r->beta_tc * r->rho);
+    for (int64_t i = 0; i < dim; i++)
+        r->coeff[i] = weight * r->eta[i];
+    for (int64_t i = 0; i < dim; i++) {
+        const double shift = r->beta * r->eta[i];
+        r->controls[i] = np_min(np_max(r->theta[i] + shift, r->lower[i]), r->upper[i]);
+        if (r->n_sims == 2)
+            r->controls[dim + i] =
+                np_min(np_max(r->theta[i] - shift, r->lower[i]), r->upper[i]);
+    }
+    for (int64_t s = 0; s < r->n_sims; s++) {
+        set_factors(r->sims[s], r->controls + s * dim, dim, r->ddot);
+        r->sims[s]->done = 0;
+        r->sims[s]->want = r->L;
+    }
+    return -1;
+}
+
+/* Fold the L costs (or cost differences) into Z, guard it and step theta;
+ * returns -1 to go on, SF_RECORD or SF_DIVERGED. */
+static int64_t end_iteration(sf_run_t *r)
+{
+    const int64_t dim = r->dim, L = r->L;
+    const double b = r->b, one_minus_b = r->one_minus_b;
+    const double *plus = r->sims[0]->costs;
     double s = 0.0;
-    if (minus) {
-        for (int64_t m = 0; m < f->L; m++)
+    if (r->n_sims == 2) {
+        const double *minus = r->sims[1]->costs;
+        for (int64_t m = 0; m < L; m++)
             s = one_minus_b * s + b * (plus[m] - minus[m]);
     } else {
-        for (int64_t m = 0; m < f->L; m++)
+        for (int64_t m = 0; m < L; m++)
             s = one_minus_b * s + b * plus[m];
     }
-    return s;
+    const double decay = pow(one_minus_b, (double)L);
+    int ok = 1;
+    for (int64_t i = 0; i < dim; i++) {
+        r->z_next[i] = decay * r->z[i] + s * r->coeff[i];
+        if (!(fabs(r->z_next[i]) <= r->z_limit))
+            ok = 0;  /* NaN fails the comparison too */
+    }
+    if (ok) {
+        /* theta steps with the Z that entered the iteration */
+        for (int64_t i = 0; i < dim; i++)
+            r->theta[i] =
+                np_min(np_max(r->theta[i] - r->a * r->z[i], r->lower[i]), r->upper[i]);
+    }
+    for (int64_t i = 0; i < dim; i++)
+        r->z[i] = r->z_next[i];
+    if (!ok)
+        return SF_DIVERGED;
+    r->n += 1;
+    r->phase = 0;
+    if (r->record_every > 0 && (r->n % r->record_every == 0 || r->n == r->M))
+        return SF_RECORD;
+    return -1;
+}
+
+/* Runs outer iterations from where the record stands until a stop; returns
+ * its SF_ code. */
+int64_t sf_run(sf_run_t *r)
+{
+    for (;;) {
+        if (r->phase == 0) {
+            if (r->n == r->M)
+                return SF_DONE;
+            int64_t stop = begin_iteration(r);
+            if (stop >= 0)
+                return stop;
+            r->phase = 1;
+        }
+        while (r->phase <= r->n_sims) {
+            mg1_state *s = r->sims[r->phase - 1];
+            if (mg1_observe(s) < r->L) {
+                r->stopped = r->phase - 1;
+                return SF_SIMULATOR;
+            }
+            r->phase += 1;
+        }
+        int64_t stop = end_iteration(r);
+        if (stop >= 0)
+            return stop;
+    }
 }

@@ -1,4 +1,5 @@
-"""The compiled event loop behind ``QueueSimulator.observe``.
+"""The compiled event loop behind ``QueueSimulator.observe``, and the
+compiled outer loop of the optimizers over it.
 
 ``_mg1.c``, shipped beside this file, is compiled on the first call of
 :func:`load`, which the first simulator makes; importing qsmooth compiles
@@ -10,6 +11,11 @@ temporary name and renamed into place, so processes that compile at once,
 such as the workers of one pool, each load a complete library.  When the
 library cannot be built or loaded, :func:`load` returns None and simulators
 run the Python kernel, which gives the same numbers.
+
+The outer loop (``sf_run``) calls numpy's own BLAS ``ddot`` wherever the
+Python loop calls ``np.dot``; :func:`load` finds it in numpy's extension
+module and checks it against ``np.dot``.  Where it is missing or
+disagrees, optimizer runs take the Python loop, with the same numbers.
 """
 
 from __future__ import annotations
@@ -25,9 +31,15 @@ from pathlib import Path
 
 import numpy as np
 
+from .rng import box_muller_tables
+
 _SOURCE = Path(__file__).with_name("_mg1.c")
-# no FMA contraction: every product and sum rounds as it does in Python
-_CC = ("gcc", "-O2", "-ffp-contract=off", "-shared", "-fPIC")
+# no FMA contraction: every product and sum rounds as it does in Python;
+# sin and cos stay separate libm calls, as in Python, not one sincos
+_CC = (
+    "gcc", "-O2", "-ffp-contract=off", "-fno-builtin-sin", "-fno-builtin-cos",
+    "-shared", "-fPIC",
+)
 _RING_SLOTS = 16  # initial entries per node queue; doubled when one fills
 
 
@@ -91,6 +103,10 @@ class NativeState(ctypes.Structure):
         ("head", ctypes.c_void_p),
         ("len", ctypes.c_void_p),
         ("costs", ctypes.c_void_p),
+        ("target", ctypes.c_void_p),
+        ("bounds", ctypes.c_void_p),
+        ("inv_r", ctypes.c_void_p),
+        ("diff", ctypes.c_void_p),
     ]
 
     def __init__(self, config, next_arrival):
@@ -107,6 +123,10 @@ class NativeState(ctypes.Structure):
             "head": np.zeros(k, dtype=np.int64),
             "len": np.zeros(k, dtype=np.int64),
             "costs": np.empty(128),
+            "target": config.theta_target.copy(),
+            "bounds": np.cumsum((0,) + config.dims, dtype=np.int64),
+            "inv_r": np.array([inv_r for _, inv_r in config._node_blocks]),
+            "diff": np.empty(config.total_dim),
         }
         for name, array in self.arrays.items():
             self.bind(name, array)
@@ -144,31 +164,40 @@ class NativeKernel:
         self._state_ref = ctypes.byref(self.state)
         self._stream = stream
         self._buf = None
+        self._synced = 0  # the state's u_pos when the stream last heard of it
 
-    def cost_buffer(self, L: int) -> np.ndarray:
-        """``costs``, grown to hold ``L`` costs if need be."""
+    def hold(self, L: int) -> None:
+        """Grow ``costs`` to hold ``L`` costs if need be."""
         if L > self.costs.size:
             self.costs = np.empty(L)
             self.state.bind("costs", self.costs)
-        return self.costs
+
+    def refill(self) -> None:
+        """Point the state at the stream's buffer, with at least 3 unread
+        uniforms (the most one event draws) from its ``u_pos`` on."""
+        buf, pos = self._stream.reserve(3)
+        if buf is not self._buf:
+            self._buf = buf
+            self.state.u = buf.ctypes.data
+            self.state.u_len = buf.size
+        self.state.u_pos = self._synced = pos
+
+    def sync(self) -> None:
+        """Mark the uniforms read in place since the last refill as drawn."""
+        self._stream.advance(self.state.u_pos - self._synced)
+        self._synced = self.state.u_pos
 
     def fill(self, L: int) -> None:
         """Run through the next ``L`` service completions; their costs are
         ``costs[:L]`` until the next call."""
-        self.cost_buffer(L)
+        self.hold(L)
         state = self.state
         state.done = 0
         state.want = L
-        stream = self._stream
         while True:
-            buf, pos = stream.reserve(3)
-            if buf is not self._buf:
-                self._buf = buf
-                state.u = buf.ctypes.data
-                state.u_len = buf.size
-            state.u_pos = pos
+            self.refill()
             done = self._observe(self._state_ref)
-            stream.advance(state.u_pos - pos)
+            self.sync()
             if done >= L:
                 return
             if state.full >= 0:
@@ -179,60 +208,182 @@ class NativeKernel:
         return self.costs[:L].tolist()
 
 
-class FoldArgs(ctypes.Structure):
-    """The compiled fold's argument record (``mg1_fold_args`` in
-    ``_mg1.c``, field for field)."""
+class RunRecord(ctypes.Structure):
+    """The compiled outer loop's record (``sf_run_t`` in ``_mg1.c``, field
+    for field)."""
 
     _fields_ = [
-        ("plus", ctypes.c_void_p),
-        ("minus", ctypes.c_void_p),
-        ("L", ctypes.c_int64),
-        ("one_minus_b", ctypes.c_double),
+        *((name, ctypes.c_int64) for name in ("dim", "M", "L", "n_sims", "record_every", "q_cmp")),
+        *(
+            (name, ctypes.c_double)
+            for name in ("shape", "scale", "rho_coeff", "numer", "beta_tc", "beta", "gamma",
+                         "z_limit")
+        ),
+        ("lower", ctypes.c_void_p),
+        ("upper", ctypes.c_void_p),
+        ("ddot", ctypes.c_void_p),
+        ("sims", ctypes.POINTER(NativeState) * 2),
+        *((name, ctypes.c_void_p) for name in ("u", "radius", "cosine", "sine")),
+        ("u_pos", ctypes.c_int64),
+        ("u_len", ctypes.c_int64),
+        ("need", ctypes.c_int64),
+        ("has_spare", ctypes.c_int64),
+        ("spare", ctypes.c_double),
+        *(
+            (name, ctypes.c_void_p)
+            for name in ("theta", "z", "z_next", "eta", "coeff", "controls")
+        ),
+        ("n", ctypes.c_int64),
+        ("phase", ctypes.c_int64),
+        ("stopped", ctypes.c_int64),
+        ("rho", ctypes.c_double),
+        ("a", ctypes.c_double),
         ("b", ctypes.c_double),
+        ("one_minus_b", ctypes.c_double),
     ]
 
 
-class Fold:
-    """The compiled fold (``mg1_fold`` in ``_mg1.c``) over the cost buffers
-    of one or two simulations, bound once: ``fold(one_minus_b, b)`` returns
-    s = (1-b) s + b h_m folded over m = 0..L-1 from s = 0, with h_m the
-    (+) cost minus the (-) cost, or the one simulation's cost."""
+class CompiledRun:
+    """One optimizer run in ``sf_run``, over the compiled kernels of its
+    simulators.  :meth:`resume` runs outer iterations until one of the
+    stops its caller handles: ``DONE``, ``RECORD`` (iteration ``n`` ended
+    at a trajectory point), ``DIVERGED`` (the fast iterate of iteration
+    ``n``, now ``z``, failed the guard) or ``BAD_RHO`` (iteration ``n``
+    drew ``rho`` <= 0).  ``theta`` and ``z`` are the iterates so far."""
 
-    def __init__(self, lib, buffers, L: int):
-        plus, *minus = buffers
-        self._args = FoldArgs(
-            plus=plus.ctypes.data, minus=minus[0].ctypes.data if minus else None, L=L
+    DONE, RECORD, DIVERGED, BAD_RHO, _PERTURBATION, _SIMULATOR = range(6)
+
+    def __init__(self, lib, sim_kernels, stream, theta, lower, upper, **constants):
+        """``constants`` are the record's by field name."""
+        dim = constants["dim"]
+        self.theta = np.array(theta, dtype=float)
+        self.z = np.zeros(dim)
+        self._arrays = {
+            "theta": self.theta,
+            "z": self.z,
+            "lower": np.ascontiguousarray(lower, dtype=float),
+            "upper": np.ascontiguousarray(upper, dtype=float),
+            **{name: np.empty(dim) for name in ("z_next", "eta", "coeff")},
+            "controls": np.empty(len(sim_kernels) * dim),
+        }
+        self._record = record = RunRecord(
+            n_sims=len(sim_kernels), ddot=lib.ddot, **constants,
+            **{name: array.ctypes.data for name, array in self._arrays.items()},
         )
-        self._buffers = buffers  # keeps the addressed arrays alive
-        self._fold = lib.mg1_fold
-        self._ref = ctypes.byref(self._args)
+        self._kernels = sim_kernels
+        for i, kernel in enumerate(sim_kernels):
+            kernel.hold(constants["L"])
+            kernel.refill()
+            record.sims[i] = ctypes.pointer(kernel.state)
+        self._stream = stream
+        spare = stream._spare_normal
+        record.has_spare, record.spare = spare is not None, spare or 0.0
+        self._buf = None
+        self._synced = 0
+        self._refill_perturbations(0)
+        self._run = lib.sf_run
+        self._ref = ctypes.byref(record)
 
-    def __call__(self, one_minus_b: float, b: float) -> float:
-        args = self._args
-        args.one_minus_b = one_minus_b
-        args.b = b
-        return self._fold(self._ref)
+    @property
+    def n(self) -> int:
+        return self._record.n
+
+    @property
+    def rho(self) -> float:
+        return self._record.rho
+
+    def resume(self) -> int:
+        record = self._record
+        try:
+            while True:
+                stop = self._run(self._ref)
+                if stop == self._PERTURBATION:
+                    self._refill_perturbations(record.need)
+                elif stop == self._SIMULATOR:
+                    kernel = self._kernels[record.stopped]
+                    kernel.sync()
+                    if kernel.state.full >= 0:
+                        kernel.state.grow_rings()
+                    else:
+                        kernel.refill()
+                else:
+                    return stop
+        finally:
+            self._sync()
+
+    def _sync(self) -> None:
+        """Hand every stream the positions, and the perturbation stream the
+        cached normal, that the loop has reached."""
+        record = self._record
+        self._stream.advance(record.u_pos - self._synced)
+        self._synced = record.u_pos
+        self._stream._spare_normal = record.spare if record.has_spare else None
+        for kernel in self._kernels:
+            kernel.sync()
+
+    def _refill_perturbations(self, n: int) -> None:
+        """Point the record at the perturbation stream's buffer, with at
+        least ``n`` unread uniforms, and at its Box-Muller tables."""
+        record = self._record
+        self._stream.advance(record.u_pos - self._synced)
+        buf, pos = self._stream.reserve(n)
+        if buf is not self._buf:
+            self._buf = buf
+            tables = self._tables = (buf, *box_muller_tables(buf))
+            for name, array in zip(("u", "radius", "cosine", "sine"), tables):
+                setattr(record, name, array.ctypes.data)
+            record.u_len = buf.size
+        record.u_pos = self._synced = pos
 
 
-def compiled_fold(sims, L: int) -> Fold | None:
-    """A :class:`Fold` over ``sims`` when each one keeps its costs in a
-    compiled kernel's buffer (``sim.cost_buffer(L)`` is not None, and
-    ``sim.observe_in_place`` fills it); None otherwise."""
-    buffers = [sim.cost_buffer(L) if hasattr(sim, "cost_buffer") else None for sim in sims]
-    lib = load() if all(buf is not None for buf in buffers) else None
-    return None if lib is None else Fold(lib, buffers, L)
+_DDOT = ctypes.CFUNCTYPE(
+    ctypes.c_double, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
+    ctypes.c_int64,
+)
+
+
+def _numpy_ddot() -> int | None:
+    """The address of the ILP64 CBLAS ``ddot`` that ``np.dot`` calls, from
+    the library numpy's extension module links; None where there is none."""
+    try:
+        from numpy._core import _multiarray_umath
+
+        ddot = ctypes.CDLL(_multiarray_umath.__file__).scipy_cblas_ddot64_
+    except (ImportError, OSError, AttributeError):
+        return None
+    return ctypes.cast(ddot, ctypes.c_void_p).value
+
+
+def _checked_ddot() -> int | None:
+    """:func:`_numpy_ddot`, if it gives ``np.dot``'s bits on vectors of
+    every length from 1 to 32 (``np.dot`` adds its result to 0.0); None
+    otherwise."""
+    address = _numpy_ddot()
+    if address is None:
+        return None
+    ddot = _DDOT(address)
+    draws = np.random.default_rng(0)
+    for n in range(1, 33):
+        x, y = draws.standard_normal((2, n))
+        got = np.float64(0.0 + ddot(n, x.ctypes.data, 1, y.ctypes.data, 1))
+        if got.tobytes() != np.dot(x, y).tobytes():
+            return None
+    return address
 
 
 @functools.cache
 def load():
-    """The compiled library (``mg1_observe`` and ``mg1_fold``), built on
-    first use; None when it cannot be built or loaded here."""
+    """The compiled library (``mg1_observe`` and ``sf_run``), built on first
+    use, with ``ddot`` set to numpy's checked BLAS ``ddot`` (None where
+    there is none); None when the library cannot be built or loaded
+    here."""
     try:
         lib = ctypes.CDLL(str(_build(_cache_dir())))
     except (OSError, subprocess.SubprocessError):
         return None
     lib.mg1_observe.argtypes = (ctypes.POINTER(NativeState),)
     lib.mg1_observe.restype = ctypes.c_int64
-    lib.mg1_fold.argtypes = (ctypes.POINTER(FoldArgs),)
-    lib.mg1_fold.restype = ctypes.c_double
+    lib.sf_run.argtypes = (ctypes.POINTER(RunRecord),)
+    lib.sf_run.restype = ctypes.c_int64
+    lib.ddot = _checked_ddot()
     return lib

@@ -20,7 +20,8 @@ from typing import Protocol
 import numpy as np
 
 from . import _native
-from .qgaussian import QKernel, sample_standard
+from .qgaussian import QKernel, _transform_constants, sample_standard
+from .queueing import QueueSimulator
 from .rng import RngStream
 from .smoothing import _term_weight
 
@@ -63,10 +64,9 @@ class SimulatorHandle(Protocol):
     the costs of its next L observations under one control, as
     ``QueueSimulator`` does; the optimizers call it once per outer
     iteration, and call ``step`` L times for a simulator without it.  When
-    every simulator of a run offers ``cost_buffer(L)`` (not None) and
-    ``observe_in_place(control, L)``, as ``QueueSimulator`` does on the
-    compiled kernel, the optimizers call the latter instead and fold the
-    costs in C."""
+    every simulator of a run is a ``QueueSimulator`` on the compiled kernel
+    that keeps its ``observe``, the whole run goes to the compiled loop
+    (``sf_run`` in ``_mg1.c``), with the same numbers."""
 
     def step(self, control: np.ndarray) -> float: ...
 
@@ -181,6 +181,11 @@ class QuadraticCostSimulator:
         d = control - self.target
         return float(np.dot(d, d))
 
+    def observe(self, control: np.ndarray, L: int) -> list[float]:
+        """The next ``L`` costs: ``step``'s, computed once, as the system
+        has no state."""
+        return [self.step(control)] * L
+
 
 def _check_run_args(kernel, box, theta0, M, L):
     theta0 = np.asarray(theta0, dtype=float).copy()
@@ -203,13 +208,38 @@ def _distance(theta, target):
 
 def _fold(costs, one_minus_b: float, b: float) -> float:
     """s = (1-b) s + b h_m from s = 0 over m = 0..L-1, where h_m is the
-    m-th cost of one simulation, or the (+) one's minus the (-) one's: the
-    reference for the compiled fold, and the fold of simulators without
-    one."""
+    m-th cost of one simulation, or the (+) one's minus the (-) one's."""
     s = 0.0
     for h in costs[0] if len(costs) == 1 else map(operator.sub, *costs):
         s = one_minus_b * s + b * h
     return s
+
+
+def _compiled_run(sims, kernel, box, schedule, M, L, theta, stream, record_every, numer):
+    """The run as a ``_native.CompiledRun`` when the compiled loop can serve
+    it: every simulator a ``QueueSimulator`` on the C kernel that keeps its
+    ``observe``, every stream a distinct ``RngStream``, the step schedule a
+    ``StepSchedule`` and numpy's BLAS ``ddot`` found.  None otherwise: then
+    the Python loop, its reference, serves the run."""
+    lib = _native.load()
+    if lib is None or lib.ddot is None or type(schedule) is not StepSchedule:
+        return None
+    for sim in sims:
+        observe = getattr(sim, "observe", None)
+        if getattr(observe, "__func__", None) is not QueueSimulator.observe or sim.kernel != "c":
+            return None
+    streams = (stream, *(sim.stream for sim in sims))
+    if not isinstance(stream, RngStream) or len(set(map(id, streams))) != len(streams):
+        return None
+    q = kernel.q
+    df, scale, rho_coeff = _transform_constants(q, kernel.dim) or (0.0, 0.0, 0.0)
+    return _native.CompiledRun(
+        lib, [sim._kernel for sim in sims], stream, theta, box.lower, box.upper,
+        dim=kernel.dim, M=M, L=L, record_every=record_every, q_cmp=(q > 1.0) - (q < 1.0),
+        shape=0.5 * df, scale=scale, rho_coeff=rho_coeff, numer=numer,
+        beta_tc=kernel.beta * kernel.tail_coefficient, beta=kernel.beta,
+        gamma=schedule.gamma, z_limit=Z_DIVERGENCE_LIMIT,
+    )
 
 
 def _run_loop(
@@ -232,16 +262,7 @@ def _run_loop(
     beta = np.array(kernel.beta)
     lower, upper = box.lower, box.upper
     maximum, minimum = np.maximum, np.minimum
-    # Simulators on the compiled queue kernel leave their costs in its
-    # buffers, and the compiled fold reads them there; any other simulator
-    # returns its costs, and Python folds them.
-    compiled_fold = _native.compiled_fold(sims, L)
-    if compiled_fold is None:
-        observes = [
-            (sim if hasattr(sim, "observe") else _StepObserver(sim)).observe for sim in sims
-        ]
-    else:
-        observes = [sim.observe_in_place for sim in sims]
+    observes = [(sim if hasattr(sim, "observe") else _StepObserver(sim)).observe for sim in sims]
     # the term's signal is 2h one-sided and h+ - h- two-sided; the costs
     # enter through s below, the factor 2 or 1 through the coefficient
     numer = 2.0 if len(sims) == 1 else 1.0
@@ -251,52 +272,62 @@ def _run_loop(
     if trajectory is not None:
         trajectory.append(TrajectoryPoint(0, theta.copy(), _distance(theta, target)))
     t_start = time.perf_counter()
-    for n in range(M):
-        # the listing starts at n = 0 but 1/n is undefined there; the
-        # schedule is evaluated at n+1
-        a_n, b_n = schedule.step_sizes(n + 1)
-        one_minus_b = 1.0 - b_n
+    run = _compiled_run(sims, kernel, box, schedule, M, L, theta, stream, record_every, numer)
+    if run is not None:
+        while (stop := run.resume()) != run.DONE:
+            if stop == run.RECORD:
+                trajectory.append(
+                    TrajectoryPoint(run.n, run.theta.copy(), _distance(run.theta, target))
+                )
+            elif stop == run.DIVERGED:
+                raise DivergenceError(run.n, run.z.copy(), seed_info)
+            else:
+                _term_weight(kernel, run.rho, numer)  # raises InvalidRhoError
+        theta, z = run.theta, run.z
+    else:
+        for n in range(M):
+            # the listing starts at n = 0 but 1/n is undefined there; the
+            # schedule is evaluated at n+1
+            a_n, b_n = schedule.step_sizes(n + 1)
+            one_minus_b = 1.0 - b_n
 
-        pert = sample_standard(q, n_dim, stream)
-        eta = pert.eta
-        coeff = _term_weight(kernel, pert.rho, numer) * eta
+            pert = sample_standard(q, n_dim, stream)
+            eta = pert.eta
+            coeff = _term_weight(kernel, pert.rho, numer) * eta
 
-        # one call per simulator: the (+) one at theta + beta*eta, the (-)
-        # one at theta - beta*eta, both projected onto the box (np.clip
-        # gives the same bits, at a higher cost per call)
-        shift = beta * eta
-        controls = [minimum(maximum(theta + shift, lower), upper)]
-        if len(observes) == 2:
-            controls.append(minimum(maximum(theta - shift, lower), upper))
-        costs = []
-        for observe, control in zip(observes, controls):
-            try:
-                costs.append(observe(control, L))
-            except Exception as err:
-                observer = getattr(observe, "__self__", None)
-                inner = len(observer.costs) if isinstance(observer, _StepObserver) else 0
-                raise SimulationError(n, inner, seed_info) from err
+            # one call per simulator: the (+) one at theta + beta*eta, the (-)
+            # one at theta - beta*eta, both projected onto the box (np.clip
+            # gives the same bits, at a higher cost per call)
+            shift = beta * eta
+            controls = [minimum(maximum(theta + shift, lower), upper)]
+            if len(observes) == 2:
+                controls.append(minimum(maximum(theta - shift, lower), upper))
+            costs = []
+            for observe, control in zip(observes, controls):
+                try:
+                    costs.append(observe(control, L))
+                except Exception as err:
+                    observer = getattr(observe, "__self__", None)
+                    inner = len(observer.costs) if isinstance(observer, _StepObserver) else 0
+                    raise SimulationError(n, inner, seed_info) from err
 
-        # The costs enter Z linearly with a fixed per-iteration coefficient
-        # vector, so the L inner updates collapse to one scalar recursion:
-        #   Z <- (1-b)^L Z + coeff * s,   s = sum_m b (1-b)^(L-1-m) h_m
-        if compiled_fold is None:
+            # The costs enter Z linearly with a fixed per-iteration coefficient
+            # vector, so the L inner updates collapse to one scalar recursion:
+            #   Z <- (1-b)^L Z + coeff * s,   s = sum_m b (1-b)^(L-1-m) h_m
             s = _fold(costs, one_minus_b, b_n)
-        else:
-            s = compiled_fold(one_minus_b, b_n)
 
-        z_entering = z
-        z = (one_minus_b**L) * z_entering + s * coeff
-        # NaN fails the comparison too
-        if not abs(z).max() <= Z_DIVERGENCE_LIMIT:
-            raise DivergenceError(n, z, seed_info)
-        # theta steps with the Z value that entered this outer iteration
-        theta = minimum(maximum(theta - a_n * z_entering, lower), upper)
+            z_entering = z
+            z = (one_minus_b**L) * z_entering + s * coeff
+            # NaN fails the comparison too
+            if not abs(z).max() <= Z_DIVERGENCE_LIMIT:
+                raise DivergenceError(n, z, seed_info)
+            # theta steps with the Z value that entered this outer iteration
+            theta = minimum(maximum(theta - a_n * z_entering, lower), upper)
 
-        if trajectory is not None and ((n + 1) % record_every == 0 or n + 1 == M):
-            trajectory.append(
-                TrajectoryPoint(n + 1, theta.copy(), _distance(theta, target))
-            )
+            if trajectory is not None and ((n + 1) % record_every == 0 or n + 1 == M):
+                trajectory.append(
+                    TrajectoryPoint(n + 1, theta.copy(), _distance(theta, target))
+                )
     wall = time.perf_counter() - t_start
     return RunResult(
         theta_final=theta,

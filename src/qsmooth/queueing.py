@@ -311,19 +311,6 @@ class QueueSimulator:
         self._set_service_factors(control)
         return self._kernel.run(L)
 
-    def cost_buffer(self, L: int) -> np.ndarray | None:
-        """Under the compiled kernel, the array at whose front
-        :meth:`observe_in_place` leaves its ``L`` costs (grown to hold them,
-        and the same array on every call with that ``L`` or less); None
-        under the Python kernel."""
-        return self._kernel.cost_buffer(L) if self.kernel == "c" else None
-
-    def observe_in_place(self, control: np.ndarray, L: int) -> None:
-        """:meth:`observe` under the compiled kernel, with the costs left at
-        the front of :meth:`cost_buffer` instead of returned."""
-        self._set_service_factors(control)
-        self._kernel.fill(L)
-
     def step(self, control: np.ndarray) -> float:
         """The cost of the next observation."""
         return self.observe(control, 1)[0]

@@ -32,6 +32,25 @@ _MINUS_TWO = np.array(-2.0)
 _TWO_PI = np.array(2.0 * np.pi)
 
 
+def _radius(u: np.ndarray) -> np.ndarray:
+    """sqrt(-2 log u): the Box-Muller radius of each uniform."""
+    return np.sqrt(_MINUS_TWO * np.log(u))
+
+
+def box_muller_tables(buf: np.ndarray):
+    """Per value u of a stream's buffer: sqrt(-2 log u), cos(2 pi u) and
+    sin(2 pi u), each computed as :meth:`RngStream.standard_normal`
+    computes it (the logarithms over every other value, as it takes them).
+    A compiled caller that reads a pair of normals as radius[i] times
+    cosine[i+1] and sine[i+1] gets that method's draws bit for bit, with
+    numpy's own transcendentals."""
+    radius = np.empty(buf.size)
+    radius[0::2] = _radius(buf[0::2])
+    radius[1::2] = _radius(buf[1::2])
+    angle = _TWO_PI * buf
+    return radius, np.cos(angle), np.sin(angle)
+
+
 def _splitmix64(x: int) -> int:
     x = (x + 0x9E3779B97F4A7C15) & _U64
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _U64
@@ -176,7 +195,7 @@ class RngStream:
             u = buf[pos : pos + n_u]
         else:
             u = self.uniform01(n_u)
-        r = np.sqrt(_MINUS_TWO * np.log(u[0::2]))
+        r = _radius(u[0::2])
         ang = _TWO_PI * u[1::2]
         z = np.empty(n_u)
         np.multiply(r, np.cos(ang), out=z[0::2])

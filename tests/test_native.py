@@ -1,7 +1,10 @@
-"""The compiled event loop: bit-identical to the Python kernel, and a safe
-fallback to it when the library cannot be built."""
+"""The compiled event loop and outer loop: bit-identical to the Python
+kernel and loop, and a safe fallback to them when the library cannot be
+built."""
 
+import contextlib
 import copy
+import ctypes
 import os
 import shutil
 import stat
@@ -9,6 +12,7 @@ import subprocess
 import sys
 import weakref
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,18 +20,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qsmooth
-from qsmooth import _native
+from qsmooth import _native, optimizer, qgaussian
 from qsmooth.optimizer import (
     BoxConstraint,
+    DivergenceError,
     QuadraticCostSimulator,
     StepSchedule,
-    _fold,
     run_gqsf1,
     run_gqsf2,
 )
 from qsmooth.qgaussian import QKernel
-from qsmooth.queueing import QueueNetworkConfig, make_simulator, preset
-from qsmooth.rng import RngStream
+from qsmooth.queueing import QueueNetworkConfig, QueueSimulator, make_simulator, preset
+from qsmooth.rng import RngStream, box_muller_tables
+from qsmooth.smoothing import InvalidRhoError
+
+transform_constants = qgaussian._transform_constants
 
 from test_queueing import kernel_simulator
 
@@ -36,6 +43,10 @@ needs_gcc = pytest.mark.skipif(shutil.which("gcc") is None, reason="no C compile
 # a fixed example sequence, so the suite runs the same cases every time
 DETERMINISTIC = settings(derandomize=True, max_examples=60, deadline=None, database=None)
 
+# the state both event loops keep, compared between them
+COUNTERS = ("clock", "entry_sum", "n_present", "arrivals_seen", "departures_seen",
+            "completion_time")
+
 
 def _next_uniforms(stream):
     """The stream's next draws, without drawing from it."""
@@ -43,14 +54,14 @@ def _next_uniforms(stream):
 
 
 @st.composite
-def networks(draw):
+def networks(draw, max_dim=3):
     k = draw(st.integers(1, 4))
 
     def per_node(values, n=k):
         return draw(st.lists(values, min_size=n, max_size=n))
 
     rate = st.floats(0.05, 3.0)
-    dims = per_node(st.integers(1, 3))
+    dims = per_node(st.integers(1, max_dim))
     return QueueNetworkConfig(
         arrival_rates=[draw(rate)] + per_node(rate | st.just(0.0), k - 1),
         p_leave=per_node(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)),
@@ -86,50 +97,354 @@ def test_kernels_agree_bit_for_bit(network, data):
         assert np.array(c_costs).tobytes() == np.array(py_costs).tobytes()
         assert len(c_costs) == L and np.all(np.isfinite(c_costs))
         c_state, py_state = (sim.state for sim in sims)
-        for name in ("clock", "entry_sum", "n_present", "arrivals_seen", "departures_seen",
-                     "completion_time"):
+        for name in COUNTERS:
             assert getattr(c_state, name) == getattr(py_state, name), name
         assert c_state.arrivals_seen - c_state.departures_seen == c_state.n_present
         assert _next_uniforms(streams[0]) == _next_uniforms(streams[1])
 
 
-# costs of every magnitude and sign, and the zeros and subnormals between
-costs_of = st.floats(allow_nan=False, allow_infinity=False)
+class CountingStream(RngStream):
+    """A stream that counts the uniforms drawn through ``uniform01``, as a
+    profiler's might."""
+
+    __slots__ = ("uniforms",)
+
+    def __init__(self, seed, stream_id=0):
+        super().__init__(seed, stream_id)
+        self.uniforms = 0
+
+    def uniform01(self, size=None):
+        self.uniforms += 1 if size is None else size
+        return super().uniform01(size)
+
+
+def _end_state(stream):
+    """Where a stream stands: its cached normal and the uniforms it draws
+    next, without drawing them."""
+    return stream._spare_normal, _next_uniforms(stream)
+
+
+def _queue_counters(sim):
+    return [getattr(sim.state, name) for name in COUNTERS]
+
+
+def _run(spec, on_python=False, recording=False):
+    """One optimizer run of ``spec``: its result, or the error it raised,
+    as bytes, with the end state of every stream and simulator.  With
+    ``on_python`` the compiled library is hidden, so the simulators run the
+    Python kernel and the run the Python loop; ``recording`` has the
+    simulators keep their costs (which also keeps the run on the Python
+    loop)."""
+    network, box, kernel, M, L, record_every, theta0, seeds = (
+        spec[name] for name in ("network", "box", "kernel", "M", "L", "record_every", "theta0",
+                                "seeds")
+    )
+    kind = RecordingQueueSimulator if recording else QueueSimulator
+    hidden = mock.patch.object(_native, "load", return_value=None)
+    with hidden if on_python else contextlib.nullcontext():
+        streams = [spec["stream_type"](*seed) for seed in seeds]
+        for stream, skip in zip(streams, spec["skips"]):
+            stream.uniform01(skip)  # the loop meets buffer ends anywhere
+        sims = [kind(network, stream) for stream in streams[1:]]
+        run = run_gqsf1 if len(sims) == 1 else run_gqsf2
+        try:
+            result = run(
+                *sims, kernel, box, StepSchedule(0.75), M, L, theta0, streams[0],
+                record_every=record_every,
+            )
+            out = (
+                result.theta_final.tobytes(),
+                result.z.tobytes(),
+                [(point.n, point.theta.tobytes()) for point in result.trajectory or ()],
+            )
+        except (DivergenceError, InvalidRhoError) as err:
+            z = err.z.tobytes() if isinstance(err, DivergenceError) else None
+            out = (type(err), str(err), getattr(err, "outer_index", None), z)
+    ends = [_end_state(stream) for stream in streams] + [_queue_counters(sim) for sim in sims]
+    return out, ends, sims
+
+
+class RecordingQueueSimulator(QueueSimulator):
+    """Keeps every cost it returns."""
+
+    def __init__(self, network, stream):
+        super().__init__(network, stream)
+        self.costs = []
+
+    def observe(self, control, L):
+        costs = super().observe(control, L)
+        self.costs.extend(costs)
+        return costs
+
+
+@st.composite
+def run_specs(draw):
+    network = draw(networks(max_dim=5), label="network")
+    dim = network.total_dim
+    cauchy = 1.0 + 2.0 / (dim + 1)  # chi-squared df 1: gamma shape 1/2
+    q = draw(
+        st.sampled_from([1.0, cauchy, 0.5])
+        | st.floats(-3.0, 0.999)
+        | st.floats(1.001, 1.0 + 2.0 / dim - 1e-3),
+        label="q",
+    )
+    lower = draw(st.floats(-0.5, 0.5), label="box lower")
+    upper = lower + draw(st.floats(0.05, 1.0), label="box width")
+    box = BoxConstraint.cube(lower, upper, dim)
+    theta0 = np.array(
+        draw(st.lists(st.floats(lower, upper), min_size=dim, max_size=dim), label="theta0")
+    )
+    L = draw(st.integers(1, 300), label="L")
+    # 300 to 3000 observations per simulator: enough to meet buffer ends
+    M = draw(st.integers(max(1, 300 // L), 3000 // L), label="M")
+    n_sims = draw(st.sampled_from([1, 2]), label="simulations")
+    seed = draw(st.integers(0, 2**32), label="seed")
+    common = n_sims == 2 and draw(st.booleans(), label="common random numbers")
+    sim_ids = [1, 1] if common else [1, 2][:n_sims]
+    return {
+        "network": network,
+        "box": box,
+        "kernel": QKernel(q, draw(st.floats(1e-3, 0.5), label="beta"), dim),
+        "M": M,
+        "L": L,
+        "record_every": draw(st.integers(0, M + 1), label="record_every"),
+        "theta0": theta0,
+        "seeds": [(seed, 0)] + [(seed, i) for i in sim_ids],
+        "skips": draw(
+            st.lists(st.integers(0, 4095), min_size=n_sims + 1, max_size=n_sims + 1),
+            label="uniforms drawn before",
+        ),
+        "stream_type": RngStream,
+    }
 
 
 @needs_gcc
 @DETERMINISTIC
-@given(data=st.data())
-def test_compiled_fold_matches_the_python_fold(data):
-    n_sims = data.draw(st.sampled_from([1, 2]), label="simulations")
-    L = data.draw(st.integers(1, 300), label="L")
-    costs = [
-        np.array(data.draw(st.lists(costs_of, min_size=L, max_size=L), label="costs"))
-        for _ in range(n_sims)
-    ]
-    # buffers longer than L, as a kernel's are: the fold reads only L costs
-    buffers = [np.concatenate((c, np.full(7, np.nan))) for c in costs]
-    fold = _native.Fold(_native.load(), buffers, L)
-    for b in data.draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4), label="b"):
-        want = _fold([c.tolist() for c in costs], 1.0 - b, b)
-        assert np.float64(fold(1.0 - b, b)).tobytes() == np.float64(want).tobytes()
+@given(spec=run_specs())
+def test_compiled_loop_matches_the_python_loop(spec):
+    # Unstable networks are drawn too: their queues outgrow the rings.
+    with mock.patch.object(_native, "CompiledRun", wraps=_native.CompiledRun) as compiled:
+        got, got_ends, _ = _run(spec)
+    assert compiled.call_count == 1
+    want, want_ends, sims = _run(spec, on_python=True, recording=True)
+    assert got == want
+    assert got_ends == want_ends
+    for sim in sims:
+        assert min(sim.costs, default=0.0) >= 0.0
+
+
+def _far_target_spec(**changes):
+    """mg1-4d with its target far outside the box: overloaded queues whose
+    growing costs carry the fast iterate past the guard after a few
+    iterations."""
+    loaded = preset("mg1-4d")
+    network = QueueNetworkConfig(
+        arrival_rates=loaded.network.arrival_rates,
+        p_leave=loaded.network.p_leave,
+        service_constants=loaded.network.service_constants,
+        dims=loaded.network.dims,
+        theta_target=np.full(4, 30.0),
+    )
+    spec = {
+        "network": network,
+        "box": BoxConstraint.cube(loaded.box_lower, loaded.box_upper, 4),
+        "kernel": QKernel(0.8, 0.005, 4),
+        "M": 200,
+        "L": 100,
+        "record_every": 7,
+        "theta0": loaded.theta0,
+        "seeds": [(41, 0), (41, 1), (41, 2)],
+        "skips": [0, 0, 0],
+        "stream_type": RngStream,
+    }
+    return {**spec, **changes}
 
 
 @needs_gcc
-def test_compiled_fold_is_freed_with_its_run():
-    # no reference cycle keeps a fold, and the cost buffers it holds, alive
-    network = preset("mg1-4d").network
-    sims = [make_simulator(network, RngStream(0, i)) for i in range(2)]
-    fold = weakref.ref(_native.compiled_fold(sims, 100))
-    assert fold() is None
+def test_compiled_loop_diverges_where_the_python_loop_does():
+    got, got_ends, _ = _run(_far_target_spec())
+    want, want_ends, _ = _run(_far_target_spec(), on_python=True)
+    assert got[0] is DivergenceError and got[2] > 0
+    assert got == want and got_ends == want_ends
 
 
-def test_compiled_fold_needs_every_simulator_on_the_c_kernel():
+@needs_gcc
+@pytest.mark.parametrize("q", [0.5, 1.2])
+def test_compiled_loop_rejects_rho_where_the_python_loop_does(q):
+    # rho <= 0 cannot come from a correct draw: scale up the rho
+    # coefficient so that some draws give it, on both loops alike
+    def corrupted(q, dim):
+        df, scale, rho_coeff = transform_constants(q, dim)
+        return df, scale, rho_coeff * (1.3 if q < 1.0 else -40.0)
+
+    spec = {**_far_target_spec(), "network": preset("mg1-4d").network,
+            "kernel": QKernel(q, 0.005, 4)}
+    with mock.patch.object(optimizer, "_transform_constants", corrupted), \
+            mock.patch.object(qgaussian, "_transform_constants", corrupted):
+        got, got_ends, _ = _run(spec)
+        want, want_ends, _ = _run(spec, on_python=True)
+    assert got[0] is InvalidRhoError and got[2] is None
+    assert got == want and got_ends == want_ends
+
+
+@needs_gcc
+def test_compiled_perturbations_match_at_every_buffer_offset():
+    # Two short iterations leave each perturbation's last bits in z; 19-d
+    # draws carry a cached normal from one to the next.  Started from every
+    # third offset of a buffer, the runs read every table entry, at both
+    # parities.
+    network = QueueNetworkConfig(
+        arrival_rates=(0.2, 0.1), p_leave=(0.3, 0.4), service_constants=(10.0, 20.0),
+        dims=(10, 9), theta_target=np.full(19, 0.3),
+    )
+    box, kernel = BoxConstraint.cube(0.1, 0.6, 19), QKernel(0.8, 0.01, 19)
+    hidden = mock.patch.object(_native, "load", return_value=None)
+    for offset in range(0, 4096, 3):
+        runs = []
+        for on_python in (False, True):
+            with hidden if on_python else contextlib.nullcontext():
+                stream = RngStream(41, 0)
+                stream.uniform01(offset)
+                sims = [QueueSimulator(network, RngStream(41, i)) for i in (1, 2)]
+                result = run_gqsf2(
+                    *sims, kernel, box, StepSchedule(0.75), 2, 2, np.full(19, 0.35), stream,
+                    record_every=1,
+                )
+            runs.append(
+                (result.z.tobytes(), [point.theta.tobytes() for point in result.trajectory],
+                 stream._spare_normal)
+            )
+        assert runs[0] == runs[1], offset
+
+
+@needs_gcc
+def test_compiled_loop_crosses_refills_and_ring_growth():
+    # 20-d draws empty the perturbation stream's buffer every ~180
+    # iterations, and a heavy load outgrows the rings
+    network = QueueNetworkConfig(
+        arrival_rates=(2.0, 0.0), p_leave=(0.3, 0.3), service_constants=(1.0, 1.0),
+        dims=(10, 10), theta_target=np.full(20, 0.3),
+    )
+    spec = {**_far_target_spec(), "network": network, "kernel": QKernel(0.9, 0.01, 20),
+            "box": BoxConstraint.cube(0.1, 0.6, 20), "theta0": np.full(20, 0.6),
+            "M": 900, "L": 3, "record_every": 100, "stream_type": CountingStream}
+    got, got_ends, sims = _run(spec)
+    assert got[2][-1][0] == 900
+    assert all(sim.state.cap > 16 for sim in sims)
+    spec["stream_type"] = RngStream
+    want, want_ends, _ = _run(spec, on_python=True)
+    assert got == want and got_ends == want_ends
+
+
+@needs_gcc
+def test_a_counting_stream_gives_the_same_numbers():
+    spec = _far_target_spec(network=preset("mg1-4d").network)
+    plain = _run(spec)[:2]
+    assert _run({**spec, "stream_type": CountingStream})[:2] == plain
+
+
+@needs_gcc
+def test_an_overridden_observe_keeps_the_python_loop():
+    spec = _far_target_spec(network=preset("mg1-4d").network, M=30)
+    with mock.patch.object(_native, "CompiledRun", wraps=_native.CompiledRun) as compiled:
+        got, got_ends, sims = _run(spec, recording=True)
+    assert compiled.call_count == 0
+    assert len(sims[0].costs) == 30 * 100
+    assert (got, got_ends) == _run(spec)[:2]
+
+
+@needs_gcc
+def test_compiled_run_is_freed_with_its_run():
+    # no reference cycle keeps a compiled run, and the arrays it holds, alive
+    runs = []
+    original = _native.CompiledRun
+
+    def remembered(*args, **kwargs):
+        run = original(*args, **kwargs)
+        runs.append(weakref.ref(run))
+        return run
+
+    with mock.patch.object(_native, "CompiledRun", remembered):
+        _run(_far_target_spec(network=preset("mg1-4d").network, M=20))
+    assert len(runs) == 1 and runs[0]() is None
+
+
+def test_compiled_loop_needs_every_simulator_on_the_c_kernel():
     network = preset("mg1-4d").network
     queue = make_simulator(network, RngStream(0, 0))
     quadratic = QuadraticCostSimulator(network.theta_target)
-    assert _native.compiled_fold((queue, quadratic), 10) is None
-    assert (_native.compiled_fold((queue,), 10) is None) == (queue.kernel == "python")
+    with mock.patch.object(_native, "CompiledRun", wraps=_native.CompiledRun) as compiled:
+        run_gqsf2(queue, quadratic, QKernel(0.8, 0.005, 4), BoxConstraint.cube(0.1, 0.6, 4),
+                  StepSchedule(0.75), 3, 5, np.full(4, 0.3), RngStream(0, 1))
+        assert compiled.call_count == 0
+        run_gqsf1(queue, QKernel(0.8, 0.005, 4), BoxConstraint.cube(0.1, 0.6, 4),
+                  StepSchedule(0.75), 3, 5, np.full(4, 0.3), RngStream(0, 1))
+        assert compiled.call_count == (queue.kernel == "c")
+
+
+@pytest.mark.parametrize("size", [*range(1, 12), 20])
+def test_box_muller_tables_give_standard_normal_draws(size):
+    # at every offset in the buffer, with and without a cached normal, and
+    # across the refill that keeps a buffer's unread tail
+    stream = RngStream(8, 3)
+    stream.uniform01()
+    tables = box_muller_tables(stream._buf)
+    for offset in range(4097):
+        for spare in (None, 0.25):
+            first = 0 if spare is None else 1
+            pairs = (size - first + 1) // 2
+            refill = offset + 2 * pairs > 4096
+            # a draw that refills moves the generator, so it needs a copy of it
+            here = (copy.deepcopy if refill else copy.copy)(stream)
+            here._pos, here._spare_normal = offset, spare
+            if refill:
+                buf, pos = copy.deepcopy(here).reserve(2 * pairs)
+                radius, cosine, sine = box_muller_tables(buf)
+            else:
+                pos, (radius, cosine, sine) = offset, tables
+            p = pos + 2 * np.arange(pairs)
+            got = np.empty(first + 2 * pairs)
+            got[:first] = spare
+            got[first::2] = radius[p] * cosine[p + 1]
+            got[first + 1 :: 2] = radius[p] * sine[p + 1]
+            assert got[:size].tobytes() == here.standard_normal(size).tobytes()
+
+
+@needs_gcc
+def test_the_blas_ddot_gives_np_dot():
+    address = _native._checked_ddot()
+    assert address is not None and _native.load().ddot == address
+    ddot = _native._DDOT(address)
+    draws = np.random.default_rng(5)
+    for n in range(1, 33):
+        x, y = draws.standard_normal((2, n)) * draws.uniform(0.01, 100.0)
+        got = np.float64(0.0 + ddot(n, x.ctypes.data, 1, y.ctypes.data, 1))
+        assert got.tobytes() == np.dot(x, y).tobytes()
+
+
+# a left-to-right sum: not the BLAS kernel np.dot runs
+@_native._DDOT
+def _naive_ddot(n, x, incx, y, incy):
+    xs = ctypes.cast(x, ctypes.POINTER(ctypes.c_double))
+    ys = ctypes.cast(y, ctypes.POINTER(ctypes.c_double))
+    total = 0.0
+    for i in range(n):
+        total += xs[i * incx] * ys[i * incy]
+    return total
+
+
+@needs_gcc
+def test_a_wrong_ddot_fails_the_check_and_runs_take_the_python_loop(use_cache, monkeypatch):
+    spec = _far_target_spec(network=preset("mg1-4d").network, M=60)
+    want = _run(spec)[:2]
+    address = ctypes.cast(_naive_ddot, ctypes.c_void_p).value
+    monkeypatch.setattr(_native, "_numpy_ddot", lambda: address)
+    assert _native._checked_ddot() is None
+    use_cache()
+    assert _native.load() is not None and _native.load().ddot is None
+    with mock.patch.object(_native, "CompiledRun", wraps=_native.CompiledRun) as compiled:
+        assert _run(spec)[:2] == want
+    assert compiled.call_count == 0
 
 
 @needs_gcc
@@ -160,23 +475,24 @@ def _costs(network):
 
 def _runs():
     """Gq-SF1 and Gq-SF2 on mg1-4d, each run's theta_final, z and
-    trajectory as bytes, and whether the compiled fold served them."""
+    trajectory as bytes, and whether the compiled loop served them."""
     loaded = preset("mg1-4d")
     box = BoxConstraint.cube(loaded.box_lower, loaded.box_upper, 4)
     kernel = QKernel(0.8, 0.005, 4)
-    out, folds = [], []
+    out, compiled = [], []
     for run, n_sims in ((run_gqsf1, 1), (run_gqsf2, 2)):
         sims = [make_simulator(loaded.network, RngStream(66, 3 + i)) for i in range(n_sims)]
-        folds.append(_native.compiled_fold(sims, 100) is not None)
-        result = run(
-            *sims, kernel, box, StepSchedule(0.75), 300, 100, loaded.theta0,
-            RngStream(66, 9), record_every=40,
-        )
+        with mock.patch.object(_native, "CompiledRun", wraps=_native.CompiledRun) as spy:
+            result = run(
+                *sims, kernel, box, StepSchedule(0.75), 300, 100, loaded.theta0,
+                RngStream(66, 9), record_every=40,
+            )
+        compiled.append(spy.call_count == 1)
         out.append(
             (result.theta_final.tobytes(), result.z.tobytes(),
              [(point.n, point.theta.tobytes()) for point in result.trajectory])
         )
-    return out, folds
+    return out, compiled
 
 
 # argv ends "-o <path> -": write the start of a library there, then fail
@@ -193,14 +509,14 @@ _PARTIAL_WRITE = (
 def test_falls_back_to_python_when_the_build_fails(compiler, use_cache, monkeypatch):
     network = preset("mg1-4d").network
     _, want = _costs(network)
-    want_runs, folds = _runs()
-    assert folds == [shutil.which("gcc") is not None] * 2
+    want_runs, compiled = _runs()
+    assert compiled == [shutil.which("gcc") is not None] * 2
     monkeypatch.setattr(_native, "_CC", compiler)
     cache = use_cache()
     sim, got = _costs(network)
     assert sim.kernel == "python"
     assert got == want  # the same numbers as the kernel built before
-    # and the same runs, from the Python kernel and the Python fold
+    # and the same runs, from the Python kernel and the Python loop
     assert _runs() == (want_runs, [False, False])
     assert list(cache.iterdir()) == []  # no partial library left behind
 
