@@ -151,7 +151,39 @@ class NativeState(ctypes.Structure):
         self.cap = 2 * self.cap
 
 
-class NativeKernel:
+class _InPlaceReader:
+    """For a compiled loop that reads a stream's buffer in place: hands the
+    loop buffers with enough unread uniforms (through :meth:`_point_at`,
+    which a subclass defines) and the stream the positions the loop
+    reaches."""
+
+    def _read_from(self, stream) -> None:
+        self._stream = stream
+        self._buf = None
+        self._synced = 0  # the loop's position when the stream last heard of it
+
+    def _reserve(self, pos: int, n: int) -> int:
+        """Mark the uniforms read up to ``pos`` as drawn, and return the
+        position from which the stream's buffer holds at least ``n`` unread
+        ones."""
+        self._sync_to(pos)
+        buf, pos = self._stream.reserve(n)
+        if buf is not self._buf:
+            self._buf = buf
+            self._point_at(buf)
+        self._synced = pos
+        return pos
+
+    def _sync_to(self, pos: int) -> None:
+        """Mark the uniforms read up to ``pos`` as drawn."""
+        self._stream.advance(pos - self._synced)
+        self._synced = pos
+
+    def _point_at(self, buf: np.ndarray) -> None:
+        raise NotImplementedError
+
+
+class NativeKernel(_InPlaceReader):
     """Runs the compiled event loop over one :class:`NativeState`, reading
     uniforms straight from the stream's buffer.  A call reads its service
     factors from ``fac`` and leaves its costs at the front of ``costs``."""
@@ -162,9 +194,11 @@ class NativeKernel:
         self.costs = self.state.arrays["costs"]
         self._observe = lib.mg1_observe
         self._state_ref = ctypes.byref(self.state)
-        self._stream = stream
-        self._buf = None
-        self._synced = 0  # the state's u_pos when the stream last heard of it
+        self._read_from(stream)
+
+    def _point_at(self, buf: np.ndarray) -> None:
+        self.state.u = buf.ctypes.data
+        self.state.u_len = buf.size
 
     def hold(self, L: int) -> None:
         """Grow ``costs`` to hold ``L`` costs if need be."""
@@ -175,17 +209,11 @@ class NativeKernel:
     def refill(self) -> None:
         """Point the state at the stream's buffer, with at least 3 unread
         uniforms (the most one event draws) from its ``u_pos`` on."""
-        buf, pos = self._stream.reserve(3)
-        if buf is not self._buf:
-            self._buf = buf
-            self.state.u = buf.ctypes.data
-            self.state.u_len = buf.size
-        self.state.u_pos = self._synced = pos
+        self.state.u_pos = self._reserve(self.state.u_pos, 3)
 
     def sync(self) -> None:
         """Mark the uniforms read in place since the last refill as drawn."""
-        self._stream.advance(self.state.u_pos - self._synced)
-        self._synced = self.state.u_pos
+        self._sync_to(self.state.u_pos)
 
     def fill(self, L: int) -> None:
         """Run through the next ``L`` service completions; their costs are
@@ -243,7 +271,7 @@ class RunRecord(ctypes.Structure):
     ]
 
 
-class CompiledRun:
+class CompiledRun(_InPlaceReader):
     """One optimizer run in ``sf_run``, over the compiled kernels of its
     simulators.  :meth:`resume` runs outer iterations until one of the
     stops its caller handles: ``DONE``, ``RECORD`` (iteration ``n`` ended
@@ -275,11 +303,9 @@ class CompiledRun:
             kernel.hold(constants["L"])
             kernel.refill()
             record.sims[i] = ctypes.pointer(kernel.state)
-        self._stream = stream
-        spare = stream._spare_normal
+        spare = stream.spare_normal
         record.has_spare, record.spare = spare is not None, spare or 0.0
-        self._buf = None
-        self._synced = 0
+        self._read_from(stream)
         self._refill_perturbations(0)
         self._run = lib.sf_run
         self._ref = ctypes.byref(record)
@@ -301,7 +327,6 @@ class CompiledRun:
                     self._refill_perturbations(record.need)
                 elif stop == self._SIMULATOR:
                     kernel = self._kernels[record.stopped]
-                    kernel.sync()
                     if kernel.state.full >= 0:
                         kernel.state.grow_rings()
                     else:
@@ -315,25 +340,24 @@ class CompiledRun:
         """Hand every stream the positions, and the perturbation stream the
         cached normal, that the loop has reached."""
         record = self._record
-        self._stream.advance(record.u_pos - self._synced)
-        self._synced = record.u_pos
-        self._stream._spare_normal = record.spare if record.has_spare else None
+        self._sync_to(record.u_pos)
+        self._stream.spare_normal = record.spare if record.has_spare else None
         for kernel in self._kernels:
             kernel.sync()
 
     def _refill_perturbations(self, n: int) -> None:
         """Point the record at the perturbation stream's buffer, with at
-        least ``n`` unread uniforms, and at its Box-Muller tables."""
+        least ``n`` unread uniforms."""
         record = self._record
-        self._stream.advance(record.u_pos - self._synced)
-        buf, pos = self._stream.reserve(n)
-        if buf is not self._buf:
-            self._buf = buf
-            tables = self._tables = (buf, *box_muller_tables(buf))
-            for name, array in zip(("u", "radius", "cosine", "sine"), tables):
-                setattr(record, name, array.ctypes.data)
-            record.u_len = buf.size
-        record.u_pos = self._synced = pos
+        record.u_pos = self._reserve(record.u_pos, n)
+
+    def _point_at(self, buf: np.ndarray) -> None:
+        """Point the record at a new buffer and at its Box-Muller tables."""
+        record = self._record
+        self._tables = tables = (buf, *box_muller_tables(buf))
+        for name, array in zip(("u", "radius", "cosine", "sine"), tables):
+            setattr(record, name, array.ctypes.data)
+        record.u_len = buf.size
 
 
 _DDOT = ctypes.CFUNCTYPE(

@@ -215,21 +215,39 @@ def _fold(costs, one_minus_b: float, b: float) -> float:
     return s
 
 
+# the RngStream methods whose draws the compiled loop computes itself
+_COMPILED_DRAWS = ("standard_normal", "chi_squared", "_gamma_unit_scale", "reserve")
+
+
 def _compiled_run(sims, kernel, box, schedule, M, L, theta, stream, record_every, numer):
     """The run as a ``_native.CompiledRun`` when the compiled loop can serve
     it: every simulator a ``QueueSimulator`` on the C kernel that keeps its
-    ``observe``, every stream a distinct ``RngStream``, the step schedule a
-    ``StepSchedule`` and numpy's BLAS ``ddot`` found.  None otherwise: then
-    the Python loop, its reference, serves the run."""
+    ``observe``, over a network of the kernel's dimension; the perturbation
+    stream an ``RngStream`` whose class keeps the draws the loop computes
+    (``_COMPILED_DRAWS``); every stream distinct; the step schedule a
+    ``StepSchedule``; and numpy's
+    BLAS ``ddot`` found.  None otherwise: then the Python loop, its
+    reference, serves the run.  The loop reads uniforms from the buffer
+    itself, as the Python loop's array normals do, so an override of
+    ``uniform01`` (one that counts draws, say) sees none of its draws."""
     lib = _native.load()
     if lib is None or lib.ddot is None or type(schedule) is not StepSchedule:
         return None
     for sim in sims:
         observe = getattr(sim, "observe", None)
-        if getattr(observe, "__func__", None) is not QueueSimulator.observe or sim.kernel != "c":
+        if (
+            getattr(observe, "__func__", None) is not QueueSimulator.observe
+            or sim.kernel != "c"
+            or sim.config.total_dim != kernel.dim
+        ):
             return None
     streams = (stream, *(sim.stream for sim in sims))
-    if not isinstance(stream, RngStream) or len(set(map(id, streams))) != len(streams):
+    if (
+        not isinstance(stream, RngStream)
+        or any(getattr(type(stream), name) is not getattr(RngStream, name)
+               for name in _COMPILED_DRAWS)
+        or len(set(map(id, streams))) != len(streams)
+    ):
         return None
     q = kernel.q
     df, scale, rho_coeff = _transform_constants(q, kernel.dim) or (0.0, 0.0, 0.0)

@@ -165,6 +165,18 @@ class RngStream:
 
     # -- normals (Box-Muller) ----------------------------------------------
 
+    @property
+    def spare_normal(self) -> float | None:
+        """The unused half of the last Box-Muller pair, which the next
+        normal draw returns first; None when there is none.  A caller that
+        draws normals from the buffer itself (see :func:`box_muller_tables`)
+        takes it from here and hands back the one it leaves."""
+        return self._spare_normal
+
+    @spare_normal.setter
+    def spare_normal(self, value: float | None) -> None:
+        self._spare_normal = value
+
     def standard_normal(self, size: int | None = None):
         """N(0,1) draw(s) via the Box-Muller transform.
 

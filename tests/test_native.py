@@ -5,6 +5,7 @@ built."""
 import contextlib
 import copy
 import ctypes
+import math
 import os
 import shutil
 import stat
@@ -25,6 +26,7 @@ from qsmooth.optimizer import (
     BoxConstraint,
     DivergenceError,
     QuadraticCostSimulator,
+    SimulationError,
     StepSchedule,
     run_gqsf1,
     run_gqsf2,
@@ -121,7 +123,7 @@ class CountingStream(RngStream):
 def _end_state(stream):
     """Where a stream stands: its cached normal and the uniforms it draws
     next, without drawing them."""
-    return stream._spare_normal, _next_uniforms(stream)
+    return stream.spare_normal, _next_uniforms(stream)
 
 
 def _queue_counters(sim):
@@ -288,6 +290,31 @@ def test_compiled_loop_rejects_rho_where_the_python_loop_does(q):
 
 
 @needs_gcc
+@pytest.mark.parametrize("n_sims", [1, 2])
+def test_compiled_loop_catches_nan_where_the_python_loop_does(n_sims):
+    # a NaN rho coefficient makes rho, the weight and so Z NaN at the first
+    # iteration, while the controls stay finite; NaN must fail the guard.
+    # One iteration: a loop that let NaN through would step theta to NaN
+    # in the next, and NaN service times never complete
+    def corrupted(q, dim):
+        df, scale, _ = transform_constants(q, dim)
+        return df, scale, math.nan
+
+    spec = _far_target_spec(network=preset("mg1-4d").network, M=1,
+                            seeds=[(41, 0), (41, 1), (41, 2)][: n_sims + 1],
+                            skips=[0] * (n_sims + 1))
+    with mock.patch.object(optimizer, "_transform_constants", corrupted), \
+            mock.patch.object(qgaussian, "_transform_constants", corrupted):
+        with mock.patch.object(_native, "CompiledRun", wraps=_native.CompiledRun) as compiled:
+            got, got_ends, _ = _run(spec)
+        want, want_ends, _ = _run(spec, on_python=True)
+    assert compiled.call_count == 1
+    assert got[0] is DivergenceError and got[2] == 0
+    assert np.isnan(np.frombuffer(got[3])).all()
+    assert got == want and got_ends == want_ends
+
+
+@needs_gcc
 def test_compiled_perturbations_match_at_every_buffer_offset():
     # Two short iterations leave each perturbation's last bits in z; 19-d
     # draws carry a cached normal from one to the next.  Started from every
@@ -312,7 +339,7 @@ def test_compiled_perturbations_match_at_every_buffer_offset():
                 )
             runs.append(
                 (result.z.tobytes(), [point.theta.tobytes() for point in result.trajectory],
-                 stream._spare_normal)
+                 stream.spare_normal)
             )
         assert runs[0] == runs[1], offset
 
@@ -351,6 +378,55 @@ def test_an_overridden_observe_keeps_the_python_loop():
     assert compiled.call_count == 0
     assert len(sims[0].costs) == 30 * 100
     assert (got, got_ends) == _run(spec)[:2]
+
+
+class NegatedNormals(RngStream):
+    """A stream whose normals are the plain stream's, negated."""
+
+    __slots__ = ()
+
+    def standard_normal(self, size=None):
+        return -super().standard_normal(size)
+
+
+@needs_gcc
+@pytest.mark.parametrize("name", optimizer._COMPILED_DRAWS)
+def test_a_stream_that_overrides_a_compiled_draw_keeps_the_python_loop(name):
+    def same(self, *args):
+        return getattr(RngStream, name)(self, *args)
+
+    overriding = type("Overriding", (RngStream,), {"__slots__": (), name: same})
+    spec = _far_target_spec(network=preset("mg1-4d").network, M=30, stream_type=overriding)
+    with mock.patch.object(_native, "CompiledRun", wraps=_native.CompiledRun) as compiled:
+        got = _run(spec)[:2]
+    assert compiled.call_count == 0
+    assert got == _run({**spec, "stream_type": RngStream})[:2]
+
+
+@needs_gcc
+def test_a_stream_that_changes_its_draws_gets_its_own_numbers():
+    spec = _far_target_spec(network=preset("mg1-4d").network, M=30, stream_type=NegatedNormals)
+    got = _run(spec)[:2]
+    assert got == _run(spec, on_python=True)[:2]
+    assert got != _run({**spec, "stream_type": RngStream})[:2]
+
+
+@needs_gcc
+@pytest.mark.parametrize("dim", [2, 20])
+@pytest.mark.parametrize("n_sims", [1, 2])
+def test_a_network_of_another_dimension_fails_as_on_the_python_loop(dim, n_sims):
+    # the simulators' service factors read a control of the network's
+    # dimension: another one cannot be served, on either loop
+    network = preset("mg1-4d").network
+    sims = [QueueSimulator(network, RngStream(0, i)) for i in range(1, n_sims + 1)]
+    run = run_gqsf1 if n_sims == 1 else run_gqsf2
+    with mock.patch.object(_native, "CompiledRun", wraps=_native.CompiledRun) as compiled, \
+            pytest.raises(SimulationError) as caught:
+        run(*sims, QKernel(0.8, 0.005, dim), BoxConstraint.cube(0.1, 0.6, dim),
+            StepSchedule(0.75), 3, 5, np.full(dim, 0.3), RngStream(0, 0))
+    assert compiled.call_count == 0
+    assert (caught.value.outer_index, caught.value.inner_index) == (0, 0)
+    assert isinstance(caught.value.__cause__, ValueError)
 
 
 @needs_gcc
