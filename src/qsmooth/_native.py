@@ -215,24 +215,22 @@ class NativeKernel(_InPlaceReader):
         """Mark the uniforms read in place since the last refill as drawn."""
         self._sync_to(self.state.u_pos)
 
-    def fill(self, L: int) -> None:
-        """Run through the next ``L`` service completions; their costs are
-        ``costs[:L]`` until the next call."""
-        self.hold(L)
-        state = self.state
-        state.done = 0
-        state.want = L
-        while True:
+    def unblock(self) -> None:
+        """Clear what stopped the loop: grow the rings if one was full,
+        else refill."""
+        if self.state.full >= 0:
+            self.state.grow_rings()
+        else:
             self.refill()
-            done = self._observe(self._state_ref)
-            self.sync()
-            if done >= L:
-                return
-            if state.full >= 0:
-                state.grow_rings()
 
     def run(self, L: int) -> list[float]:
-        self.fill(L)
+        """The costs of the next ``L`` service completions."""
+        self.hold(L)
+        self.state.done, self.state.want = 0, L
+        self.refill()
+        while self._observe(self._state_ref) < L:
+            self.unblock()
+        self.sync()
         return self.costs[:L].tolist()
 
 
@@ -326,11 +324,7 @@ class CompiledRun(_InPlaceReader):
                 if stop == self._PERTURBATION:
                     self._refill_perturbations(record.need)
                 elif stop == self._SIMULATOR:
-                    kernel = self._kernels[record.stopped]
-                    if kernel.state.full >= 0:
-                        kernel.state.grow_rings()
-                    else:
-                        kernel.refill()
+                    self._kernels[record.stopped].unblock()
                 else:
                     return stop
         finally:

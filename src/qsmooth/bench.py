@@ -30,7 +30,7 @@ from .optimizer import (
     run_gqsf2,
 )
 from .qgaussian import QKernel
-from .queueing import QueueNetworkConfig, make_simulator, preset, preset_names
+from .queueing import QueueNetworkConfig, equal_by_value, make_simulator, preset, preset_names
 from .rng import RngStream, derive_stream_id
 from .smoothing import InvalidRhoError
 
@@ -137,17 +137,7 @@ class ExperimentConfig:
         except ValueError as err:
             raise ConfigError(str(err)) from None
 
-    def __eq__(self, other):
-        # written out: the generated __eq__ would compare theta0 with ==,
-        # whose truth value is ambiguous
-        if not isinstance(other, ExperimentConfig):
-            return NotImplemented
-        return all(
-            np.array_equal(mine, theirs) if isinstance(mine, np.ndarray) else mine == theirs
-            for mine, theirs in (
-                (getattr(self, f.name), getattr(other, f.name)) for f in fields(self)
-            )
-        )
+    __eq__ = equal_by_value
 
     def cells(self) -> list[tuple[float, float]]:
         """Grid order: q outer, beta inner."""

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import _native
 from .qgaussian import QKernel, _transform_constants, sample_standard
-from .queueing import QueueSimulator
+from .queueing import QueueSimulator, equal_by_value
 from .rng import RngStream
 from .smoothing import _term_weight
 
@@ -105,14 +105,7 @@ class BoxConstraint:
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
 
-    def __eq__(self, other):
-        # written out: the generated __eq__ would compare the bound arrays
-        # with ==, whose truth value is ambiguous
-        if not isinstance(other, BoxConstraint):
-            return NotImplemented
-        return np.array_equal(self.lower, other.lower) and np.array_equal(
-            self.upper, other.upper
-        )
+    __eq__ = equal_by_value
 
     @property
     def dim(self) -> int:

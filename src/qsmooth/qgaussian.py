@@ -29,7 +29,8 @@ _LOG_2PI = math.log(2.0 * math.pi)
 
 
 class QGaussianDomainError(ValueError):
-    """q is outside (-inf, 1 + 2/N), where the distribution is undefined."""
+    """q is outside (-inf, 1 + 2/N), where the distribution is undefined, or
+    so far below 1 that the sampler's constants overflow."""
 
 
 class MomentDoesNotExistError(ValueError):
@@ -59,9 +60,9 @@ class QKernel:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
-        if not self.beta > 0.0:
-            raise ValueError(f"beta must be > 0, got {self.beta}")
-        _check_q_domain(self.q, self.dim)
+        if not 0.0 < self.beta < math.inf:
+            raise ValueError(f"beta must be > 0 and finite, got {self.beta}")
+        _transform_constants(self.q, self.dim)
 
     @property
     def tail_coefficient(self) -> float:
@@ -91,10 +92,11 @@ class MomentSpec:
 
 def rho(eta: np.ndarray, q: float, dim: int) -> float:
     """Correction factor 1 - ((1-q)/(N+2-Nq)) * ||eta||^2; exactly 1 at q = 1."""
-    if q == 1.0:
+    constants = _transform_constants(q, dim)
+    if constants is None:
         return 1.0
     eta = np.asarray(eta, dtype=float)
-    return float(1.0 - ((1.0 - q) / tail_coefficient(q, dim)) * np.dot(eta, eta))
+    return float(1.0 - constants[2] * np.dot(eta, eta))
 
 
 def log_normalizing_constant(q: float, dim: int) -> float:
@@ -166,24 +168,23 @@ def density(x: np.ndarray, kernel: QKernel) -> float:
 # sampling
 # ---------------------------------------------------------------------------
 
-def _chi2_df(q: float, dim: int) -> float:
-    """Degrees of freedom of the mixing chi-squared in the exact sampler."""
-    if q < 1.0:
-        return 2.0 * (2.0 - q) / (1.0 - q)
-    return tail_coefficient(q, dim) / (q - 1.0)
-
-
 @functools.lru_cache(maxsize=64)
 def _transform_constants(q: float, dim: int):
-    """The per-(q, dim) constants of :func:`sample_standard`, checked and
-    computed once: the mixing chi-squared's df, the scale of Z and the rho
-    coefficient (1-q)/(N+2-Nq); None at q = 1."""
+    """The per-(q, dim) constants of the exact sampler, checked and computed
+    once: the mixing chi-squared's df, the scale of Z and the rho
+    coefficient (1-q)/(N+2-Nq); None at q = 1.  A q so far below 1 that a
+    constant is not finite is out of the domain too: no sampler draw would
+    ever be accepted."""
     _check_q_domain(q, dim)
     if q == 1.0:
         return None
     c = tail_coefficient(q, dim)
-    scale = math.sqrt(c / (1.0 - q)) if q < 1.0 else math.sqrt(c / (q - 1.0))
-    return _chi2_df(q, dim), scale, (1.0 - q) / c
+    gap = abs(1.0 - q)  # bit for bit q - 1 when q > 1
+    df = 2.0 * (2.0 - q) / gap if q < 1.0 else c / gap
+    constants = df, math.sqrt(c / gap), (1.0 - q) / c
+    if not all(map(math.isfinite, constants)):
+        raise QGaussianDomainError(f"q={q} is too far below 1 for dim={dim}: {constants}")
+    return constants
 
 
 def sample_standard(q: float, dim: int, stream: RngStream) -> Perturbation:
@@ -212,19 +213,16 @@ def sample_standard_many(
     q: float, dim: int, count: int, stream: RngStream
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized standard draws: (count, dim) samples and their rho values."""
-    _check_q_domain(q, dim)
+    constants = _transform_constants(q, dim)
     z = stream.standard_normal(count * dim).reshape(count, dim)
-    if q == 1.0:
+    if constants is None:
         return z, np.ones(count)
-    c = tail_coefficient(q, dim)
-    a = stream.chi_squared(_chi2_df(q, dim), size=count)
-    norm_sq = np.einsum("ij,ij->i", z, z)
+    df, scale, rho_coeff = constants
+    a = stream.chi_squared(df, size=count)
     if q < 1.0:
-        y = math.sqrt(c / (1.0 - q)) * z / np.sqrt(a + norm_sq)[:, None]
-    else:
-        y = math.sqrt(c / (q - 1.0)) * z / np.sqrt(a)[:, None]
-    rho_vals = 1.0 - ((1.0 - q) / c) * np.einsum("ij,ij->i", y, y)
-    return y, rho_vals
+        a += np.einsum("ij,ij->i", z, z)
+    y = scale * z / np.sqrt(a)[:, None]
+    return y, 1.0 - rho_coeff * np.einsum("ij,ij->i", y, y)
 
 
 def sample(kernel: QKernel, mean: np.ndarray, stream: RngStream) -> np.ndarray:

@@ -22,12 +22,26 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import _native
 from .rng import RngStream
+
+
+def equal_by_value(self, other):
+    """``__eq__`` for a dataclass with array fields, which the generated
+    one would compare with ``==``, whose truth value is ambiguous: arrays
+    by ``np.array_equal``, every other field by ``==``."""
+    if not isinstance(other, type(self)):
+        return NotImplemented
+    return all(
+        np.array_equal(mine, theirs) if isinstance(mine, np.ndarray) else mine == theirs
+        for mine, theirs in (
+            (getattr(self, f.name), getattr(other, f.name)) for f in fields(self)
+        )
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,18 +100,7 @@ class QueueNetworkConfig:
             ),
         )
 
-    def __eq__(self, other):
-        # written out: the generated __eq__ would compare the target
-        # arrays with ==, whose truth value is ambiguous
-        if not isinstance(other, QueueNetworkConfig):
-            return NotImplemented
-        return (
-            self.arrival_rates == other.arrival_rates
-            and self.p_leave == other.p_leave
-            and self.service_constants == other.service_constants
-            and self.dims == other.dims
-            and np.array_equal(self.theta_target, other.theta_target)
-        )
+    __eq__ = equal_by_value
 
     @property
     def n_nodes(self) -> int:
@@ -298,11 +301,15 @@ class QueueSimulator:
 
     def _set_service_factors(self, control) -> None:
         """Per node i, 1/R_i + ||theta_i - target_i||^2 into the kernel's
-        ``fac[i]``: a service time there is U(0,1) times this."""
+        ``fac[i]``: a service time there is U(0,1) times this.  Raises
+        ValueError, before any event, when a factor is not finite: no event
+        loop can run on one."""
         fac = self._kernel.fac
         np.subtract(control, self.config.theta_target, out=self._diff)
         for i, (block, inv_r) in enumerate(self._blocks):
-            fac[i] = inv_r + float(np.dot(block, block))
+            f = fac[i] = inv_r + float(np.dot(block, block))
+            if not f < math.inf:
+                raise ValueError(f"control {control} gives node {i} the service factor {f}")
 
     def observe(self, control: np.ndarray, L: int) -> list[float]:
         """The costs of the next ``L`` observations under one control.  The
@@ -340,16 +347,7 @@ class BenchmarkPreset:
     box_upper: float
     theta0: np.ndarray
 
-    def __eq__(self, other):
-        # written out, as for QueueNetworkConfig: theta0 is an array
-        if not isinstance(other, BenchmarkPreset):
-            return NotImplemented
-        return (
-            self.network == other.network
-            and self.box_lower == other.box_lower
-            and self.box_upper == other.box_upper
-            and np.array_equal(self.theta0, other.theta0)
-        )
+    __eq__ = equal_by_value
 
 
 def _preset_4d() -> BenchmarkPreset:

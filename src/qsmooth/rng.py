@@ -97,7 +97,7 @@ class RngStream:
     in vectorized waves.
     """
 
-    __slots__ = ("seed", "stream_id", "_bitgen", "_buf", "_values", "_pos", "_spare_normal")
+    __slots__ = ("seed", "stream_id", "_bitgen", "_buf", "_values", "_pos", "spare_normal")
 
     def __init__(self, seed: int, stream_id: int = 0):
         self.seed = seed & _U64
@@ -109,18 +109,17 @@ class RngStream:
         # a refill: indexing a list is cheaper than float(self._buf[i])
         self._values: list[float] | None = None
         self._pos = 0
-        self._spare_normal: float | None = None
+        # the unused half of the last Box-Muller pair, which the next normal
+        # draw returns first; None when there is none.  A caller that draws
+        # normals from the buffer itself (see box_muller_tables) takes it
+        # from here and hands back the one it leaves.
+        self.spare_normal: float | None = None
 
     # -- uniforms ----------------------------------------------------------
 
     def _fresh(self, count: int) -> np.ndarray:
         raw = self._bitgen.random_raw(count)
         return ((raw >> np.uint64(11)) + 0.5) * _TO_UNIT
-
-    def _refill(self) -> None:
-        self._buf = self._fresh(_BUFFER_SIZE)
-        self._values = None
-        self._pos = 0
 
     def reserve(self, n: int):
         """The buffer and read position, with at least ``n`` unread uniforms
@@ -146,36 +145,21 @@ class RngStream:
             pos = self._pos
             values = self._values
             if values is None or pos >= len(values):
-                if pos >= len(self._buf):
-                    self._refill()
-                    pos = 0
-                values = self._values = self._buf.tolist()
+                buf, pos = self.reserve(1)
+                values = self._values = buf.tolist()
             self._pos = pos + 1
             return values[pos]
         out = np.empty(size)
         filled = 0
         while filled < size:
-            if self._pos >= len(self._buf):
-                self._refill()
-            take = min(size - filled, len(self._buf) - self._pos)
-            out[filled : filled + take] = self._buf[self._pos : self._pos + take]
-            self._pos += take
+            buf, pos = self.reserve(1)
+            take = min(size - filled, buf.size - pos)
+            out[filled : filled + take] = buf[pos : pos + take]
+            self._pos = pos + take
             filled += take
         return out
 
     # -- normals (Box-Muller) ----------------------------------------------
-
-    @property
-    def spare_normal(self) -> float | None:
-        """The unused half of the last Box-Muller pair, which the next
-        normal draw returns first; None when there is none.  A caller that
-        draws normals from the buffer itself (see :func:`box_muller_tables`)
-        takes it from here and hands back the one it leaves."""
-        return self._spare_normal
-
-    @spare_normal.setter
-    def spare_normal(self, value: float | None) -> None:
-        self._spare_normal = value
 
     def standard_normal(self, size: int | None = None):
         """N(0,1) draw(s) via the Box-Muller transform.
@@ -185,17 +169,17 @@ class RngStream:
         and scalar/array call patterns yield the same sequence.
         """
         if size is None:
-            if self._spare_normal is not None:
-                v = self._spare_normal
-                self._spare_normal = None
+            if self.spare_normal is not None:
+                v = self.spare_normal
+                self.spare_normal = None
                 return v
             u1 = self.uniform01()
             u2 = self.uniform01()
             r = math.sqrt(-2.0 * math.log(u1))
-            self._spare_normal = r * math.sin(2.0 * math.pi * u2)
+            self.spare_normal = r * math.sin(2.0 * math.pi * u2)
             return r * math.cos(2.0 * math.pi * u2)
 
-        spare = self._spare_normal if size > 0 else None
+        spare = self.spare_normal if size > 0 else None
         need = size if spare is None else size - 1
         n_u = 2 * ((need + 1) // 2)
         if n_u <= _BUFFER_SIZE:
@@ -217,10 +201,10 @@ class RngStream:
         out = np.empty(size)
         if spare is not None:
             out[0] = spare
-            self._spare_normal = None
+            self.spare_normal = None
         out[size - need :] = z[:need]
         if need % 2 == 1:
-            self._spare_normal = float(z[need])
+            self.spare_normal = float(z[need])
         return out
 
     # -- gamma / chi-squared -------------------------------------------------

@@ -1,13 +1,22 @@
+import contextlib
 import csv
 import dataclasses
 import io
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qsmooth.bench as bench
 from qsmooth.bench import (
+    ALGORITHMS,
     CellResult,
     ConfigError,
     config_from_dict,
@@ -142,11 +151,59 @@ def test_config_inline_system():
         _inline_system(p_leave=[0.0, 0.0]),  # no customer ever leaves
         _inline_system(arrival_rates=[5.0, 0.1]),  # node 0 overloaded
         _inline_system(arrival_rates=[3.0, 0.1]),  # overloaded at a box corner only
+        # a q whose sampler constants are not finite, so that no draw is ever
+        # accepted, and an infinite beta
+        {"q_grid": ["-inf"]},
+        {"q_grid": [float("-inf")]},
+        {"q_grid": [-1e308]},
+        {"beta_grid": [float("inf")]},
     ],
 )
 def test_config_rejects_bad_values(mutation):
     with pytest.raises(ConfigError):
         config_from_dict(small_config_dict(**mutation))
+
+
+# numeric extremes for the config-path fuzz below
+EXTREMES = (math.inf, -math.inf, math.nan, 1e308, -1e308, 0.0, 1e-300)
+# (field, value, coordinate): coordinate 4 sets a whole vector
+MUTATION = st.tuples(
+    st.sampled_from(["q_grid", "beta_grid", "gamma", "lower", "upper", "theta0"]),
+    st.sampled_from(EXTREMES),
+    st.integers(0, 4),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(algorithm=st.sampled_from(ALGORITHMS), mutations=st.lists(MUTATION, min_size=1, max_size=3))
+def test_numeric_extremes_fail_at_load_or_run_to_the_end(algorithm, mutations):
+    # every config either fails at load or runs without an error escaping
+    # the ones a grid records per replication
+    spec = {
+        "algorithm": algorithm, "q_grid": [0.8], "beta_grid": [0.05], "gamma": 0.75,
+        "M": 2, "L": 2, "replications": 1, "base_seed": 11, "system": "mg1-4d",
+        "box": {"lower": [0.1] * 4, "upper": [0.6] * 4}, "theta0": [0.2] * 4,
+    }
+    for field, value, i in mutations:
+        if field in ("q_grid", "beta_grid"):
+            spec[field] = [value]
+        elif field == "gamma":
+            spec["gamma"] = value
+        else:
+            vector = spec["box"][field] if field in ("lower", "upper") else spec[field]
+            if i == 4:
+                vector[:] = [value] * 4
+            else:
+                vector[i] = value
+    with np.errstate(all="ignore"):
+        # through JSON, which spells the extremes Infinity, -Infinity and NaN
+        try:
+            config = config_from_dict(json.loads(json.dumps(spec)))
+        except ConfigError:
+            return
+        q, beta = config.cells()[0]
+        with contextlib.suppress(*bench.REPLICATION_ERRORS):
+            run_replication(config, 0, q, beta, 0)
 
 
 def test_config_missing_fields():
@@ -388,6 +445,17 @@ def test_cli_sample(capsys):
 
 def test_cli_sample_bad_q(capsys):
     assert main(["sample", "--q", "2.5", "--dim", "2"]) == 2
+
+
+def test_cli_sample_rejects_a_q_whose_sampler_never_accepts():
+    # in a subprocess with a timeout: without the check the draw never ends
+    done = subprocess.run(
+        [sys.executable, "-m", "qsmooth.cli", "sample", "--q=-1e308", "--dim", "2"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(Path(bench.__file__).resolve().parent.parent)},
+    )
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("config error: q=-1e+308"), done.stderr
 
 
 def test_cli_moments(capsys):

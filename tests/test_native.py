@@ -472,7 +472,7 @@ def test_box_muller_tables_give_standard_normal_draws(size):
             refill = offset + 2 * pairs > 4096
             # a draw that refills moves the generator, so it needs a copy of it
             here = (copy.deepcopy if refill else copy.copy)(stream)
-            here._pos, here._spare_normal = offset, spare
+            here._pos, here.spare_normal = offset, spare
             if refill:
                 buf, pos = copy.deepcopy(here).reserve(2 * pairs)
                 radius, cosine, sine = box_muller_tables(buf)

@@ -20,6 +20,7 @@ from qsmooth.qgaussian import (
     sample_standard_many,
     support_contains,
     support_radius_sq,
+    _transform_constants,
 )
 from qsmooth.rng import RngStream
 
@@ -200,6 +201,12 @@ def test_rho_values():
     assert rho(np.zeros(3), 0.4, 3) == 1.0
     assert rho(np.array([5.0, -2.0]), 1.0, 2) == 1.0
     assert rho(np.array([1.0, 1.0]), 0.0, 2) == pytest.approx(0.5)
+    eta = np.array([0.3, -1.1, 0.7, 2.0])
+    assert rho(eta, 0.8, 4) == 1.0 - ((1.0 - 0.8) / (6.0 - 4 * 0.8)) * np.dot(eta, eta)
+    # rho takes the sampler's constants, so it rejects what the sampler does
+    for q in (1.5, math.nan, -math.inf, -1e308):
+        with pytest.raises(QGaussianDomainError):
+            rho(eta, q, 4)
 
 
 def test_support_contains():
@@ -217,6 +224,16 @@ def test_qkernel_validation():
         QKernel(q=0.5, beta=0.0, dim=2)
     with pytest.raises(ValueError):
         QKernel(q=0.5, beta=0.1, dim=0)
+    for beta in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            QKernel(q=0.5, beta=beta, dim=2)
+    # constants that are not finite: the mixing chi-squared never accepts
+    for q in (-math.inf, -1e308):
+        with pytest.raises(QGaussianDomainError):
+            QKernel(q=q, beta=0.1, dim=4)
+    # the check is on the constants, not on a bound for q
+    assert _transform_constants(-1e300, 4) == (2.0, 2.0, 0.25)
+    QKernel(q=-1e300, beta=0.1, dim=4)
 
 
 # -- sampler ---------------------------------------------------------------------
@@ -383,3 +400,5 @@ def test_moment_grid_full_mc(q, n):
 def test_sampler_rejects_bad_domain():
     with pytest.raises(QGaussianDomainError):
         sample_standard(1.6, 4, RngStream(0, 0))
+    with pytest.raises(QGaussianDomainError):
+        sample_standard_many(-1e308, 4, 3, RngStream(0, 0))

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import hashlib
 import math
@@ -254,6 +255,28 @@ def test_control_changed_in_place_takes_effect():
         ], kernel
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1e200])
+def test_a_control_with_no_finite_service_factor_is_rejected(value):
+    # an infinite factor is the idle sentinel and a NaN one never wins the
+    # event scan: a loop run on either never returns; 1e200 overflows when
+    # squared
+    cfg = preset("mg1-4d").network
+    good = np.full(4, 0.45)
+    counters = ("clock", "entry_sum", "n_present", "arrivals_seen", "departures_seen")
+    for kernel in KERNELS:
+        sim = kernel_simulator(kernel, cfg, RngStream(68, 4))
+        twin = kernel_simulator(kernel, cfg, RngStream(68, 4))
+        assert sim.observe(good, 50) == twin.observe(good, 50)
+        for bad in (np.full(4, value), np.array([0.45, 0.45, 0.45, value])):
+            before = [getattr(sim.state, name) for name in counters]
+            next_uniforms = copy.deepcopy(sim.stream).uniform01(4).tolist()
+            with np.errstate(over="ignore"), pytest.raises(ValueError):
+                sim.observe(bad, 1)
+            assert [getattr(sim.state, name) for name in counters] == before, kernel
+            assert copy.deepcopy(sim.stream).uniform01(4).tolist() == next_uniforms
+        assert sim.observe(good, 300) == twin.observe(good, 300), kernel
+
+
 def test_observe_is_a_batch_of_steps():
     cfg = preset("mg1-20d").network
     theta = np.full(20, 0.45)
@@ -375,6 +398,10 @@ def test_network_configs_compare_by_value():
     assert config != config_from_dict({**spec, "L": 10})
     assert config.box == BoxConstraint.cube(0.1, 0.6, 4)
     assert config.box != BoxConstraint.cube(0.1, 0.7, 4)
+    # compared by value, but not hashable: the arrays are mutable
+    for record in (net, preset("mg1-4d"), config, config.box):
+        with pytest.raises(TypeError):
+            hash(record)
 
 
 def test_worst_utilisation():

@@ -56,9 +56,9 @@ class _CopyingStream(RngStream):
             return super().standard_normal()
         out = np.empty(size)
         start = 0
-        if self._spare_normal is not None and size > 0:
-            out[0] = self._spare_normal
-            self._spare_normal = None
+        if self.spare_normal is not None and size > 0:
+            out[0] = self.spare_normal
+            self.spare_normal = None
             start = 1
         need = size - start
         if need > 0:
@@ -71,7 +71,7 @@ class _CopyingStream(RngStream):
             z[1::2] = r * np.sin(ang)
             out[start:] = z[:need]
             if need % 2 == 1:
-                self._spare_normal = float(z[need])
+                self.spare_normal = float(z[need])
         return out
 
 
