@@ -20,6 +20,15 @@
 #include <math.h>
 #include <stdint.h>
 
+/* The records shared with Python, mg1_state and sf_run_t, and the SF_ stop
+ * codes are described here only: qsmooth._native lays its ctypes records
+ * out from these declarations when it is imported, and binds each stop
+ * code by its name.  So every typedef struct in this file declares one
+ * member per line, as `T name;`, `T *name;` or `T *name[N];`, with an
+ * optional leading const, and by value only double, int64_t or ddot_fn;
+ * comments may go anywhere.  Any other line fails that import, quoting the
+ * line.
+ */
 typedef struct {
     double clock;           /* time of the latest service completion */
     double entry_sum;       /* sum of entry times of customers present */
@@ -182,6 +191,7 @@ enum {
     SF_SIMULATOR    /* simulator `stopped` needs uniforms or a larger ring */
 };
 
+/* one member per line: see the comment above mg1_state */
 typedef struct {
     /* constants of the run */
     int64_t dim;

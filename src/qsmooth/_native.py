@@ -20,11 +20,13 @@ disagrees, optimizer runs take the Python loop, with the same numbers.
 
 from __future__ import annotations
 
+import collections
 import ctypes
 import functools
 import hashlib
 import math
 import os
+import re
 import subprocess
 import tempfile
 from pathlib import Path
@@ -75,39 +77,44 @@ def _build(cache: Path) -> Path:
     return target
 
 
-class NativeState(ctypes.Structure):
-    """The C kernel's state record (``mg1_state`` in ``_mg1.c``, field for
-    field).  It owns the arrays its pointers address."""
+# a record member, `T name;`, `T *name;` or `T *name[N];` after an optional const
+_MEMBER = re.compile(r"(?:const\s+)?(\w+)(?:\s+(\w+)|\s*(\*)\s*(\w+)(?:\[(\d+)\])?);")
+_BY_VALUE = {"double": ctypes.c_double, "int64_t": ctypes.c_int64, "ddot_fn": ctypes.c_void_p}
 
-    _fields_ = [
-        ("clock", ctypes.c_double),
-        ("entry_sum", ctypes.c_double),
-        ("n_present", ctypes.c_int64),
-        ("arrivals_seen", ctypes.c_int64),
-        ("departures_seen", ctypes.c_int64),
-        ("k", ctypes.c_int64),
-        ("cap", ctypes.c_int64),
-        ("full", ctypes.c_int64),
-        ("done", ctypes.c_int64),
-        ("want", ctypes.c_int64),
-        ("u_pos", ctypes.c_int64),
-        ("u_len", ctypes.c_int64),
-        ("u", ctypes.c_void_p),
-        ("rates", ctypes.c_void_p),
-        ("p_leave", ctypes.c_void_p),
-        ("fac", ctypes.c_void_p),
-        ("serving", ctypes.c_void_p),
-        ("comp", ctypes.c_void_p),
-        ("nxt", ctypes.c_void_p),
-        ("ring", ctypes.c_void_p),
-        ("head", ctypes.c_void_p),
-        ("len", ctypes.c_void_p),
-        ("costs", ctypes.c_void_p),
-        ("target", ctypes.c_void_p),
-        ("bounds", ctypes.c_void_p),
-        ("inv_r", ctypes.c_void_p),
-        ("diff", ctypes.c_void_p),
-    ]
+
+def _read_declarations(source: str) -> tuple[dict, dict]:
+    """The ctypes ``_fields_`` of every ``typedef struct`` in the C
+    ``source``, one member per line, and the value of every enum member,
+    by name.  Raises ValueError, quoting the line, at a record line that is
+    not one member of a form above, by value of a type in ``_BY_VALUE``."""
+    # comments go, but their line breaks stay, so that no two lines join
+    code = re.sub(r"/\*.*?\*/|//[^\n]*", lambda c: "\n" * c[0].count("\n"), source, flags=re.S)
+    records = {}
+    for body, name in re.findall(r"^typedef struct \{$(.*?)^\} (\w+);", code, flags=re.M | re.S):
+        records[name] = fields = []
+        for line in filter(None, map(str.strip, body.splitlines())):
+            member = _MEMBER.fullmatch(line)
+            kind = member and (ctypes.c_void_p if member[3] else _BY_VALUE.get(member[1]))
+            if not kind:
+                raise ValueError(f"{_SOURCE.name} cannot lay out {line!r} in {name}")
+            fields.append((member[2] or member[4], kind * int(member[5]) if member[5] else kind))
+    enums = re.findall(r"enum\s*\{([^}]*)\}", code)
+    return records, {name.strip(): i for body in enums for i, name in enumerate(body.split(","))}
+
+
+# read at import, so that the workers a pool forks share them; where _mg1.c
+# cannot be read, load() cannot build it either and returns None
+try:
+    _RECORDS, _ENUM = _read_declarations(_SOURCE.read_text())
+except OSError:
+    _RECORDS, _ENUM = collections.defaultdict(list), collections.defaultdict(int)
+
+
+class NativeState(ctypes.Structure):
+    """The C kernel's state record, ``mg1_state``, laid out as ``_mg1.c``
+    declares it.  It owns the arrays its pointers address."""
+
+    _fields_ = _RECORDS["mg1_state"]
 
     def __init__(self, config, next_arrival):
         k = config.n_nodes
@@ -123,7 +130,7 @@ class NativeState(ctypes.Structure):
             "head": np.zeros(k, dtype=np.int64),
             "len": np.zeros(k, dtype=np.int64),
             "costs": np.empty(128),
-            "target": config.theta_target.copy(),
+            "target": config.theta_target,
             "bounds": np.cumsum((0,) + config.dims, dtype=np.int64),
             "inv_r": np.array([inv_r for _, inv_r in config._node_blocks]),
             "diff": np.empty(config.total_dim),
@@ -179,9 +186,6 @@ class _InPlaceReader:
         self._stream.advance(pos - self._synced)
         self._synced = pos
 
-    def _point_at(self, buf: np.ndarray) -> None:
-        raise NotImplementedError
-
 
 class NativeKernel(_InPlaceReader):
     """Runs the compiled event loop over one :class:`NativeState`, reading
@@ -234,39 +238,8 @@ class NativeKernel(_InPlaceReader):
         return self.costs[:L].tolist()
 
 
-class RunRecord(ctypes.Structure):
-    """The compiled outer loop's record (``sf_run_t`` in ``_mg1.c``, field
-    for field)."""
-
-    _fields_ = [
-        *((name, ctypes.c_int64) for name in ("dim", "M", "L", "n_sims", "record_every", "q_cmp")),
-        *(
-            (name, ctypes.c_double)
-            for name in ("shape", "scale", "rho_coeff", "numer", "beta_tc", "beta", "gamma",
-                         "z_limit")
-        ),
-        ("lower", ctypes.c_void_p),
-        ("upper", ctypes.c_void_p),
-        ("ddot", ctypes.c_void_p),
-        ("sims", ctypes.POINTER(NativeState) * 2),
-        *((name, ctypes.c_void_p) for name in ("u", "radius", "cosine", "sine")),
-        ("u_pos", ctypes.c_int64),
-        ("u_len", ctypes.c_int64),
-        ("need", ctypes.c_int64),
-        ("has_spare", ctypes.c_int64),
-        ("spare", ctypes.c_double),
-        *(
-            (name, ctypes.c_void_p)
-            for name in ("theta", "z", "z_next", "eta", "coeff", "controls")
-        ),
-        ("n", ctypes.c_int64),
-        ("phase", ctypes.c_int64),
-        ("stopped", ctypes.c_int64),
-        ("rho", ctypes.c_double),
-        ("a", ctypes.c_double),
-        ("b", ctypes.c_double),
-        ("one_minus_b", ctypes.c_double),
-    ]
+# the compiled outer loop's record, laid out as _mg1.c declares sf_run_t
+RunRecord = type("RunRecord", (ctypes.Structure,), {"_fields_": _RECORDS["sf_run_t"]})
 
 
 class CompiledRun(_InPlaceReader):
@@ -277,7 +250,10 @@ class CompiledRun(_InPlaceReader):
     ``n``, now ``z``, failed the guard) or ``BAD_RHO`` (iteration ``n``
     drew ``rho`` <= 0).  ``theta`` and ``z`` are the iterates so far."""
 
-    DONE, RECORD, DIVERGED, BAD_RHO, _PERTURBATION, _SIMULATOR = range(6)
+    DONE, RECORD, DIVERGED, BAD_RHO, _PERTURBATION, _SIMULATOR = (
+        _ENUM[f"SF_{name}"]  # sf_run's stop codes, by their names in _mg1.c
+        for name in ("DONE", "RECORD", "DIVERGED", "BAD_RHO", "PERTURBATION", "SIMULATOR")
+    )
 
     def __init__(self, lib, sim_kernels, stream, theta, lower, upper, **constants):
         """``constants`` are the record's by field name."""
@@ -300,7 +276,7 @@ class CompiledRun(_InPlaceReader):
         for i, kernel in enumerate(sim_kernels):
             kernel.hold(constants["L"])
             kernel.refill()
-            record.sims[i] = ctypes.pointer(kernel.state)
+            record.sims[i] = ctypes.addressof(kernel.state)
         spare = stream.spare_normal
         record.has_spare, record.spare = spare is not None, spare or 0.0
         self._read_from(stream)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import re
 import sys
 
 import numpy as np
@@ -149,8 +150,20 @@ def _moment_grid(dim: int) -> list[MomentSpec]:
     return specs
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` that takes a negative number in exponent
+    notation as a value (``--q -1e-3``), as it does ``-0.5``: its own
+    pattern for a negative number has no exponent.  The pattern is an
+    argparse internal; ``test_cli_takes_a_negative_exponent_as_a_value``
+    fails should a Python release stop reading it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qsmooth",
         description="q-Gaussian smoothed-functional stochastic optimization",
     )

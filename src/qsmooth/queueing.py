@@ -65,9 +65,11 @@ class QueueNetworkConfig:
             self, "service_constants", tuple(float(x) for x in self.service_constants)
         )
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        object.__setattr__(
-            self, "theta_target", np.asarray(self.theta_target, dtype=float)
-        )
+        # a read-only copy: every event loop reads the target the network
+        # was built with, and the caller's array stays theirs to change
+        target = np.array(self.theta_target, dtype=float)
+        target.flags.writeable = False
+        object.__setattr__(self, "theta_target", target)
         k = len(self.arrival_rates)
         if not (len(self.p_leave) == len(self.service_constants) == len(self.dims) == k):
             raise ValueError("per-node parameter tuples must all have length K")
@@ -133,7 +135,8 @@ class QueueNetworkConfig:
         if rates is None or not np.all(rates >= 0.0):
             raise ValueError("the traffic equations have no solution: no customer leaves")
         t = self.theta_target
-        worst = np.maximum((lower - t) ** 2, (upper - t) ** 2)
+        with np.errstate(over="ignore"):  # a bound far out gives inf, which is rejected
+            worst = np.maximum((lower - t) ** 2, (upper - t) ** 2)
         service = [0.5 * (inv_r + worst[block].sum()) for block, inv_r in self._node_blocks]
         return rates * np.array(service)
 
@@ -302,8 +305,12 @@ class QueueSimulator:
     def _set_service_factors(self, control) -> None:
         """Per node i, 1/R_i + ||theta_i - target_i||^2 into the kernel's
         ``fac[i]``: a service time there is U(0,1) times this.  Raises
-        ValueError, before any event, when a factor is not finite: no event
-        loop can run on one."""
+        ValueError, before any event, when ``control`` is not a vector of the
+        network's dimension, or when a factor is not finite: no event loop
+        can run on one."""
+        if np.shape(control) != self._diff.shape:
+            raise ValueError(f"control of shape {np.shape(control)} for a network of "
+                             f"dimension {self.config.total_dim}")
         fac = self._kernel.fac
         np.subtract(control, self.config.theta_target, out=self._diff)
         for i, (block, inv_r) in enumerate(self._blocks):

@@ -7,10 +7,12 @@ import copy
 import ctypes
 import math
 import os
+import re
 import shutil
 import stat
 import subprocess
 import sys
+import textwrap
 import weakref
 from pathlib import Path
 from unittest import mock
@@ -42,8 +44,8 @@ from test_queueing import kernel_simulator
 
 needs_gcc = pytest.mark.skipif(shutil.which("gcc") is None, reason="no C compiler")
 
-# a fixed example sequence, so the suite runs the same cases every time
-DETERMINISTIC = settings(derandomize=True, max_examples=60, deadline=None, database=None)
+# 60 examples of the fixed sequence that the suite's profile (conftest.py) pins
+DETERMINISTIC = settings(max_examples=60)
 
 # the state both event loops keep, compared between them
 COUNTERS = ("clock", "entry_sum", "n_present", "arrivals_seen", "departures_seen",
@@ -98,6 +100,7 @@ def test_kernels_agree_bit_for_bit(network, data):
         c_costs, py_costs = (sim.observe(control, L) for sim in sims)
         assert np.array(c_costs).tobytes() == np.array(py_costs).tobytes()
         assert len(c_costs) == L and np.all(np.isfinite(c_costs))
+        assert min(c_costs) >= 0.0
         c_state, py_state = (sim.state for sim in sims)
         for name in COUNTERS:
             assert getattr(c_state, name) == getattr(py_state, name), name
@@ -412,11 +415,12 @@ def test_a_stream_that_changes_its_draws_gets_its_own_numbers():
 
 
 @needs_gcc
-@pytest.mark.parametrize("dim", [2, 20])
+@pytest.mark.parametrize("dim", [1, 2, 20])
 @pytest.mark.parametrize("n_sims", [1, 2])
 def test_a_network_of_another_dimension_fails_as_on_the_python_loop(dim, n_sims):
     # the simulators' service factors read a control of the network's
-    # dimension: another one cannot be served, on either loop
+    # dimension: another one cannot be served, on either loop; a 1-d
+    # control would broadcast, and is refused as well
     network = preset("mg1-4d").network
     sims = [QueueSimulator(network, RngStream(0, i)) for i in range(1, n_sims + 1)]
     run = run_gqsf1 if n_sims == 1 else run_gqsf2
@@ -528,6 +532,89 @@ def test_c_kernel_builds_where_gcc_is_installed():
     assert _native.load() is not None
     sim = make_simulator(preset("mg1-4d").network, RngStream(0, 0))
     assert sim.kernel == "c"
+
+
+@needs_gcc
+def test_the_records_are_laid_out_as_the_c_compiler_lays_them_out(tmp_path):
+    # a program built from _mg1.c prints each record's size and each
+    # member's offset and size, and each stop code
+    records = {"mg1_state": _native.NativeState, "sf_run_t": _native.RunRecord}
+    prints = [f'printf("{name} %zu\\n", sizeof({name}));' for name in records]
+    want = {name: ctypes.sizeof(record) for name, record in records.items()}
+    for name, record in records.items():
+        for field, _ in record._fields_:
+            prints.append(f'printf("{name}.{field} %zu %zu\\n", offsetof({name}, {field}), '
+                          f'sizeof((({name} *)0)->{field}));')
+            want[f"{name}.{field}"] = (getattr(record, field).offset, getattr(record, field).size)
+    stops = ("DONE", "RECORD", "DIVERGED", "BAD_RHO", "_PERTURBATION", "_SIMULATOR")
+    prints += [f'printf("{stop} %d\\n", SF{stop if stop[0] == "_" else "_" + stop});'
+               for stop in stops]
+    want.update({stop: getattr(_native.CompiledRun, stop) for stop in stops})
+    program = (f'#include <stddef.h>\n#include <stdio.h>\n#include "{_native._SOURCE}"\n'
+               "int main(void)\n{\n" + "\n".join(prints) + "\nreturn 0;\n}\n")
+    exe = tmp_path / "layout"
+    subprocess.run(["gcc", "-x", "c", "-o", str(exe), "-", "-lm"], input=program, text=True,
+                   check=True, capture_output=True, timeout=120)
+    printed = subprocess.run([str(exe)], capture_output=True, text=True, check=True).stdout
+    got = {}
+    for line in printed.splitlines():
+        name, *numbers = line.split()
+        got[name] = tuple(map(int, numbers)) if len(numbers) > 1 else int(numbers[0])
+    assert got == want
+    assert len(records["mg1_state"]._fields_) == 27 and len(records["sf_run_t"]._fields_) == 40
+
+
+def test_the_record_reader_takes_each_allowed_form():
+    source = textwrap.dedent("""\
+        typedef struct {
+            double x;         /* a comment,
+                                 over two lines */
+            const int64_t *p; // and another
+            mg1_state *sims[2];
+            ddot_fn f;
+        } rec;
+        enum { A, /* between */ B };
+    """)
+    records, values = _native._read_declarations(source)
+    assert [(name, ctypes.sizeof(kind)) for name, kind in records["rec"]] == [
+        ("x", 8), ("p", 8), ("sims", 16), ("f", 8)
+    ]
+    assert records["rec"][2][1]._type_ is ctypes.c_void_p
+    assert (values["A"], values["B"]) == (0, 1)
+
+
+@pytest.mark.parametrize(
+    "line", ["double a, b;", "float x;", "double x[2];", "unsigned int x;", "double *a, *b;",
+             "int64_tx;", "struct { double y; } inner;"],
+)
+def test_the_record_reader_refuses_any_other_line(line):
+    # the reader never guesses a type: it quotes the line it cannot lay out
+    source = f"typedef struct {{\n    int64_t k;  /* a\n    comment */\n    {line}\n}} rec;\n"
+    with pytest.raises(ValueError, match=f"cannot lay out {re.escape(repr(line))} in rec$"):
+        _native._read_declarations(source)
+
+
+def test_without_its_c_source_qsmooth_imports_and_runs_the_python_kernel(tmp_path):
+    package = Path(qsmooth.__file__).resolve().parent
+    shutil.copytree(package, tmp_path / "qsmooth",
+                    ignore=shutil.ignore_patterns("_mg1.c", "__pycache__"))
+    env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path / "cache"), "PYTHONPATH": str(tmp_path)}
+    code = (
+        "import qsmooth._native\n"
+        "assert qsmooth._native.load() is None\n"
+        "from qsmooth.queueing import make_simulator, preset\n"
+        "from qsmooth.rng import RngStream\n"
+        "p = preset('mg1-4d')\n"
+        "sim = make_simulator(p.network, RngStream(66, 2))\n"
+        "assert qsmooth._native.__file__.startswith(" + repr(str(tmp_path)) + ")\n"
+        "print(sim.kernel, repr(sim.observe(p.theta0, 1000)[-1]))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    loaded = preset("mg1-4d")
+    want = make_simulator(loaded.network, RngStream(66, 2)).observe(loaded.theta0, 1000)[-1]
+    assert done.stdout == f"python {want!r}\n"
 
 
 @pytest.fixture

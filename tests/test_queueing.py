@@ -277,6 +277,25 @@ def test_a_control_with_no_finite_service_factor_is_rejected(value):
         assert sim.observe(good, 300) == twin.observe(good, 300), kernel
 
 
+@pytest.mark.parametrize(
+    "control", [np.array([0.3]), 0.3, np.full(5, 0.3), np.full((1, 4), 0.3)],
+    ids=["length-1", "scalar", "length-5", "row"],
+)
+def test_a_control_of_another_shape_is_rejected(control):
+    # a length-1 control or a scalar would broadcast against the target
+    cfg = preset("mg1-4d").network
+    counters = ("clock", "entry_sum", "n_present", "arrivals_seen", "departures_seen")
+    for kernel in KERNELS:
+        sim = kernel_simulator(kernel, cfg, RngStream(68, 5))
+        sim.observe(np.full(4, 0.45), 20)
+        before = [getattr(sim.state, name) for name in counters]
+        next_uniforms = copy.deepcopy(sim.stream).uniform01(4).tolist()
+        with pytest.raises(ValueError, match="dimension 4"):
+            sim.observe(control, 3)
+        assert [getattr(sim.state, name) for name in counters] == before, kernel
+        assert copy.deepcopy(sim.stream).uniform01(4).tolist() == next_uniforms, kernel
+
+
 def test_observe_is_a_batch_of_steps():
     cfg = preset("mg1-20d").network
     theta = np.full(20, 0.45)
@@ -402,6 +421,18 @@ def test_network_configs_compare_by_value():
     for record in (net, preset("mg1-4d"), config, config.box):
         with pytest.raises(TypeError):
             hash(record)
+
+
+def test_a_network_keeps_its_own_read_only_target():
+    # the event loops read the target the network was built with: a write
+    # to it fails, and the caller's array stays theirs
+    mine = np.full(4, 0.3)
+    net = QueueNetworkConfig((0.2, 0.1), (0.0, 0.4), (10.0, 20.0), (2, 2), mine)
+    with pytest.raises(ValueError, match="read-only"):
+        net.theta_target[:] = 0.5
+    mine[:] = 0.5
+    assert mine.flags.writeable
+    assert net.theta_target.tolist() == [0.3] * 4
 
 
 def test_worst_utilisation():
