@@ -12,12 +12,14 @@
  * costs done so far.
  *
  * sf_run, further down, runs whole outer iterations of the two-timescale
- * optimizer over one or two such kernels.
+ * optimizer over one or two simulators, each such a kernel or one the
+ * caller observes.
  *
  * Every argument travels in a record the caller binds once, so a call
  * from Python passes one pointer.
  */
 #include <math.h>
+#include <stddef.h>
 #include <stdint.h>
 
 /* The records shared with Python, mg1_state and sf_run_t, and the SF_ stop
@@ -174,8 +176,9 @@ int64_t mg1_observe(mg1_state *s)
  *     numpy's order, NaN propagation and ties included.
  *
  * The loop returns to its caller when a stream's buffer runs short, when a
- * ring is full, at each trajectory point, at M and on an error; the record
- * keeps where it stands, and the next call resumes there.
+ * ring is full, when the caller is to observe a simulator, at each
+ * trajectory point, at M and on an error; the record keeps where it stands,
+ * and the next call resumes there.
  */
 
 /* numpy's ILP64 CBLAS ddot */
@@ -188,7 +191,9 @@ enum {
     SF_DIVERGED,    /* the fast iterate of iteration n failed the guard */
     SF_BAD_RHO,     /* rho <= 0 at iteration n */
     SF_PERTURBATION,/* the perturbation stream needs `need` uniforms */
-    SF_SIMULATOR    /* simulator `stopped` needs uniforms or a larger ring */
+    SF_SIMULATOR,   /* simulator `stopped` needs uniforms or a larger ring */
+    SF_OBSERVE      /* the caller is to observe simulators `stopped` to
+                       phase - 2 and write their costs */
 };
 
 /* one member per line: see the comment above mg1_state */
@@ -211,7 +216,8 @@ typedef struct {
     const double *lower;
     const double *upper;
     ddot_fn ddot;
-    mg1_state *sims[2];
+    mg1_state *sims[2];     /* NULL: the caller observes simulator i */
+    double *costs[2];       /* simulator i's L costs, which the fold reads */
     /* the perturbation stream's buffer and, per value u, sqrt(-2 log u),
        cos(2 pi u) and sin(2 pi u) */
     const double *u;
@@ -259,7 +265,8 @@ static double np_min(double a, double b)
 }
 
 /* Per node i, 1/R_i + ||control_i - target_i||^2 into fac[i], as
- * QueueSimulator._set_service_factors computes it. */
+ * QueueSimulator._set_service_factors computes it.  The loop hands a kernel
+ * whose factors are not all finite to the caller (see finite_factors). */
 static void set_factors(mg1_state *s, const double *control, int64_t dim, ddot_fn ddot)
 {
     for (int64_t i = 0; i < dim; i++)
@@ -268,6 +275,16 @@ static void set_factors(mg1_state *s, const double *control, int64_t dim, ddot_f
         const double *block = s->diff + s->bounds[i];
         s->fac[i] = s->inv_r[i] + dot(ddot, s->bounds[i + 1] - s->bounds[i], block, block);
     }
+}
+
+/* Whether every service factor is finite: no event loop can run on one
+ * that is not, and the caller's observe raises the error that says so. */
+static int finite_factors(const mg1_state *s)
+{
+    for (int64_t i = 0; i < s->k; i++)
+        if (!(s->fac[i] < INFINITY))  /* NaN fails the comparison too */
+            return 0;
+    return 1;
 }
 
 /* A read position in the perturbation stream, with its cached normal.  A
@@ -390,9 +407,9 @@ static int draw(sf_run_t *r, cursor_t *c)
 }
 
 /* Outer iteration n's perturbation, its weight and the projected controls;
- * then each simulator's service factors.  Returns -1 when the simulators
- * can start, SF_BAD_RHO, or SF_PERTURBATION with nothing consumed when the
- * stream's buffer runs short. */
+ * then each compiled simulator's service factors.  Returns -1 when the
+ * simulators can start, SF_BAD_RHO, or SF_PERTURBATION with nothing
+ * consumed when the stream's buffer runs short. */
 static int64_t begin_iteration(sf_run_t *r)
 {
     const int64_t dim = r->dim;
@@ -423,9 +440,12 @@ static int64_t begin_iteration(sf_run_t *r)
                 np_min(np_max(r->theta[i] - shift, r->lower[i]), r->upper[i]);
     }
     for (int64_t s = 0; s < r->n_sims; s++) {
-        set_factors(r->sims[s], r->controls + s * dim, dim, r->ddot);
-        r->sims[s]->done = 0;
-        r->sims[s]->want = r->L;
+        mg1_state *sim = r->sims[s];
+        if (sim == NULL)
+            continue;
+        set_factors(sim, r->controls + s * dim, dim, r->ddot);
+        sim->done = 0;
+        sim->want = r->L;
     }
     return -1;
 }
@@ -436,10 +456,10 @@ static int64_t end_iteration(sf_run_t *r)
 {
     const int64_t dim = r->dim, L = r->L;
     const double b = r->b, one_minus_b = r->one_minus_b;
-    const double *plus = r->sims[0]->costs;
+    const double *plus = r->costs[0];
     double s = 0.0;
     if (r->n_sims == 2) {
-        const double *minus = r->sims[1]->costs;
+        const double *minus = r->costs[1];
         for (int64_t m = 0; m < L; m++)
             s = one_minus_b * s + b * (plus[m] - minus[m]);
     } else {
@@ -485,6 +505,15 @@ int64_t sf_run(sf_run_t *r)
         }
         while (r->phase <= r->n_sims) {
             mg1_state *s = r->sims[r->phase - 1];
+            if (s == NULL || !finite_factors(s)) {
+                /* the caller observes this simulator and every following
+                   one it observes, then resumes after them */
+                r->stopped = r->phase - 1;
+                do
+                    r->phase += 1;
+                while (r->phase <= r->n_sims && r->sims[r->phase - 1] == NULL);
+                return SF_OBSERVE;
+            }
             if (mg1_observe(s) < r->L) {
                 r->stopped = r->phase - 1;
                 return SF_SIMULATOR;

@@ -243,44 +243,53 @@ RunRecord = type("RunRecord", (ctypes.Structure,), {"_fields_": _RECORDS["sf_run
 
 
 class CompiledRun(_InPlaceReader):
-    """One optimizer run in ``sf_run``, over the compiled kernels of its
-    simulators.  :meth:`resume` runs outer iterations until one of the
-    stops its caller handles: ``DONE``, ``RECORD`` (iteration ``n`` ended
-    at a trajectory point), ``DIVERGED`` (the fast iterate of iteration
-    ``n``, now ``z``, failed the guard) or ``BAD_RHO`` (iteration ``n``
-    drew ``rho`` <= 0).  ``theta`` and ``z`` are the iterates so far."""
+    """One optimizer run in ``sf_run``.  Each simulator is a compiled
+    kernel, which the loop runs itself, or None: one its caller observes.
+    :meth:`resume` runs outer iterations until one of the stops its caller
+    handles: ``OBSERVE`` (the caller is to observe the simulators in
+    ``observing`` at their ``control`` rows of iteration ``n`` and write
+    their costs into ``costs``), ``DONE``, ``RECORD`` (iteration ``n``
+    ended at a trajectory point), ``DIVERGED`` (the fast iterate of
+    iteration ``n``, now ``z``, failed the guard) or ``BAD_RHO`` (iteration
+    ``n`` drew ``rho`` <= 0).  ``theta`` and ``z`` are the iterates so
+    far.  The loop also hands the caller a kernel whose service factors are
+    not all finite, whose own ``observe`` raises the error."""
 
-    DONE, RECORD, DIVERGED, BAD_RHO, _PERTURBATION, _SIMULATOR = (
+    DONE, RECORD, DIVERGED, BAD_RHO, OBSERVE, _PERTURBATION, _SIMULATOR = (
         _ENUM[f"SF_{name}"]  # sf_run's stop codes, by their names in _mg1.c
-        for name in ("DONE", "RECORD", "DIVERGED", "BAD_RHO", "PERTURBATION", "SIMULATOR")
+        for name in ("DONE", "RECORD", "DIVERGED", "BAD_RHO", "OBSERVE", "PERTURBATION",
+                     "SIMULATOR")
     )
 
     def __init__(self, lib, sim_kernels, stream, theta, lower, upper, **constants):
         """``constants`` are the record's by field name."""
-        dim = constants["dim"]
+        dim, L = constants["dim"], constants["L"]
         self.theta = np.array(theta, dtype=float)
         self.z = np.zeros(dim)
+        self._controls = np.empty((len(sim_kernels), dim))
         self._arrays = {
             "theta": self.theta,
             "z": self.z,
             "lower": np.ascontiguousarray(lower, dtype=float),
             "upper": np.ascontiguousarray(upper, dtype=float),
             **{name: np.empty(dim) for name in ("z_next", "eta", "coeff")},
-            "controls": np.empty(len(sim_kernels) * dim),
+            "controls": self._controls,
         }
         self._record = record = RunRecord(
             n_sims=len(sim_kernels), ddot=lib.ddot, **constants,
             **{name: array.ctypes.data for name, array in self._arrays.items()},
         )
         self._kernels = sim_kernels
+        self.costs = []
         for i, kernel in enumerate(sim_kernels):
-            kernel.hold(constants["L"])
-            kernel.refill()
-            record.sims[i] = ctypes.addressof(kernel.state)
-        spare = stream.spare_normal
-        record.has_spare, record.spare = spare is not None, spare or 0.0
+            if kernel is None:
+                self.costs.append(np.empty(L))
+            else:
+                kernel.hold(L)
+                self.costs.append(kernel.costs[:L])
+                record.sims[i] = ctypes.addressof(kernel.state)
+            record.costs[i] = self.costs[i].ctypes.data
         self._read_from(stream)
-        self._refill_perturbations(0)
         self._run = lib.sf_run
         self._ref = ctypes.byref(record)
 
@@ -292,8 +301,21 @@ class CompiledRun(_InPlaceReader):
     def rho(self) -> float:
         return self._record.rho
 
+    @property
+    def observing(self) -> range:
+        """The simulators an ``OBSERVE`` stop hands the caller."""
+        return range(self._record.stopped, self._record.phase - 1)
+
+    def control(self, i: int) -> np.ndarray:
+        """A fresh copy of simulator ``i``'s control in this iteration."""
+        return self._controls[i].copy()
+
     def resume(self) -> int:
+        """Runs from where every stream stands, and hands each stream back
+        where the loop leaves it: the caller may draw from any of them
+        between calls."""
         record = self._record
+        self._read()
         try:
             while True:
                 stop = self._run(self._ref)
@@ -306,6 +328,17 @@ class CompiledRun(_InPlaceReader):
         finally:
             self._sync()
 
+    def _read(self) -> None:
+        """Read where every stream stands, and the perturbation stream's
+        cached normal."""
+        record = self._record
+        self._refill_perturbations(0)
+        spare = self._stream.spare_normal
+        record.has_spare, record.spare = spare is not None, 0.0 if spare is None else spare
+        for kernel in self._kernels:
+            if kernel is not None:
+                kernel.refill()
+
     def _sync(self) -> None:
         """Hand every stream the positions, and the perturbation stream the
         cached normal, that the loop has reached."""
@@ -313,7 +346,8 @@ class CompiledRun(_InPlaceReader):
         self._sync_to(record.u_pos)
         self._stream.spare_normal = record.spare if record.has_spare else None
         for kernel in self._kernels:
-            kernel.sync()
+            if kernel is not None:
+                kernel.sync()
 
     def _refill_perturbations(self, n: int) -> None:
         """Point the record at the perturbation stream's buffer, with at

@@ -20,6 +20,7 @@ from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
+from . import _native
 from .optimizer import (
     BoxConstraint,
     DivergenceError,
@@ -356,6 +357,8 @@ def run_experiment(
     if workers <= 1 or len(tasks) == 1:
         outcomes = list(map(_replication_task, tasks))
     else:
+        # loaded once here, so that the forked workers share the library
+        _native.load()
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_replication_task, tasks))
     n = config.replications

@@ -12,7 +12,6 @@ raw perturbation.
 
 from __future__ import annotations
 
-import operator
 import time
 from dataclasses import dataclass, field
 from typing import Protocol
@@ -45,7 +44,8 @@ class SimulationError(RuntimeError):
     """A simulator raised mid-run; carries the (outer, inner) position.
     ``inner`` counts the costs the failing simulator returned in that outer
     iteration before the fault: the steps taken by one that defines only
-    ``step``, and 0 for one whose ``observe`` raised."""
+    ``step``, and 0 for one whose ``observe`` raised or returned a number
+    of costs other than L."""
 
     def __init__(self, outer_index: int, inner_index: int, seed_info: dict):
         self.outer_index = outer_index
@@ -63,10 +63,12 @@ class SimulatorHandle(Protocol):
     calls.  A simulator may also define ``observe(control, L)``, returning
     the costs of its next L observations under one control, as
     ``QueueSimulator`` does; the optimizers call it once per outer
-    iteration, and call ``step`` L times for a simulator without it.  When
-    every simulator of a run is a ``QueueSimulator`` on the compiled kernel
-    that keeps its ``observe``, the whole run goes to the compiled loop
-    (``sf_run`` in ``_mg1.c``), with the same numbers."""
+    iteration, and call ``step`` L times for a simulator without it.  Either
+    way a simulator gives exactly L costs per iteration, each taken as a
+    float64.  Runs go to the compiled loop (``sf_run`` in ``_mg1.c``), with
+    the same numbers: it runs a ``QueueSimulator`` on the compiled kernel
+    that keeps its ``observe`` itself, and returns to Python to observe
+    every other simulator (see ``_compiled_run``)."""
 
     def step(self, control: np.ndarray) -> float: ...
 
@@ -199,11 +201,27 @@ def _distance(theta, target):
     return float(np.linalg.norm(theta - np.asarray(target, dtype=float)))
 
 
-def _fold(costs, one_minus_b: float, b: float) -> float:
+def _observe(observe, control, L: int, n: int, seed_info: dict) -> np.ndarray:
+    """``observe(control, L)`` as L float64 costs, on either loop.  Raises
+    SimulationError(n, inner) when it fails, or returns another number of
+    costs (inner 0)."""
+    try:
+        costs = np.asarray(observe(control, L), dtype=float)
+        if costs.shape != (L,):
+            raise ValueError(f"a simulator gave costs of shape {costs.shape} for L = {L}")
+    except Exception as err:
+        observer = getattr(observe, "__self__", None)
+        inner = len(observer.costs) if isinstance(observer, _StepObserver) else 0
+        raise SimulationError(n, inner, seed_info) from err
+    return costs
+
+
+def _fold(signal: np.ndarray, one_minus_b: float, b: float) -> float:
     """s = (1-b) s + b h_m from s = 0 over m = 0..L-1, where h_m is the
-    m-th cost of one simulation, or the (+) one's minus the (-) one's."""
+    m-th entry of ``signal``: the costs of one simulation, or the (+) one's
+    minus the (-) one's."""
     s = 0.0
-    for h in costs[0] if len(costs) == 1 else map(operator.sub, *costs):
+    for h in signal.tolist():
         s = one_minus_b * s + b * h
     return s
 
@@ -213,39 +231,45 @@ _COMPILED_DRAWS = ("standard_normal", "chi_squared", "_gamma_unit_scale", "reser
 
 
 def _compiled_run(sims, kernel, box, schedule, M, L, theta, stream, record_every, numer):
-    """The run as a ``_native.CompiledRun`` when the compiled loop can serve
-    it: every simulator a ``QueueSimulator`` on the C kernel that keeps its
-    ``observe``, over a network of the kernel's dimension; the perturbation
-    stream an ``RngStream`` whose class keeps the draws the loop computes
-    (``_COMPILED_DRAWS``); every stream distinct; the step schedule a
-    ``StepSchedule``; and numpy's
-    BLAS ``ddot`` found.  None otherwise: then the Python loop, its
-    reference, serves the run.  The loop reads uniforms from the buffer
-    itself, as the Python loop's array normals do, so an override of
-    ``uniform01`` (one that counts draws, say) sees none of its draws."""
+    """The run as a ``_native.CompiledRun``, unless numpy's BLAS ``ddot``
+    or the compiled library is missing, the step schedule is not a
+    ``StepSchedule``, or the perturbation stream is not an ``RngStream``
+    whose class keeps the draws the loop computes (``_COMPILED_DRAWS``);
+    then None, and the Python loop, its reference, serves the run.
+
+    The loop runs a simulator itself when it is a ``QueueSimulator`` on the
+    C kernel that keeps its ``observe``, over a network of the kernel's
+    dimension, with a stream that neither the perturbations nor the other
+    simulator draw from; it hands every other simulator back to its caller
+    to observe.  The loop reads uniforms from the buffer itself, as the
+    Python loop's array normals do, so an override of ``uniform01`` (one
+    that counts draws, say) sees none of its draws."""
     lib = _native.load()
-    if lib is None or lib.ddot is None or type(schedule) is not StepSchedule:
-        return None
-    for sim in sims:
-        observe = getattr(sim, "observe", None)
-        if (
-            getattr(observe, "__func__", None) is not QueueSimulator.observe
-            or sim.kernel != "c"
-            or sim.config.total_dim != kernel.dim
-        ):
-            return None
-    streams = (stream, *(sim.stream for sim in sims))
     if (
-        not isinstance(stream, RngStream)
+        lib is None
+        or lib.ddot is None
+        or type(schedule) is not StepSchedule
+        or not isinstance(stream, RngStream)
         or any(getattr(type(stream), name) is not getattr(RngStream, name)
                for name in _COMPILED_DRAWS)
-        or len(set(map(id, streams))) != len(streams)
     ):
         return None
+    streams = [stream, *(getattr(sim, "stream", None) for sim in sims)]
+
+    def compiled(sim):
+        observe = getattr(sim, "observe", None)
+        return (
+            getattr(observe, "__func__", None) is QueueSimulator.observe
+            and sim.kernel == "c"
+            and sim.config.total_dim == kernel.dim
+            and sum(other is sim.stream for other in streams) == 1
+        )
+
     q = kernel.q
     df, scale, rho_coeff = _transform_constants(q, kernel.dim) or (0.0, 0.0, 0.0)
     return _native.CompiledRun(
-        lib, [sim._kernel for sim in sims], stream, theta, box.lower, box.upper,
+        lib, [sim._kernel if compiled(sim) else None for sim in sims], stream, theta,
+        box.lower, box.upper,
         dim=kernel.dim, M=M, L=L, record_every=record_every, q_cmp=(q > 1.0) - (q < 1.0),
         shape=0.5 * df, scale=scale, rho_coeff=rho_coeff, numer=numer,
         beta_tc=kernel.beta * kernel.tail_coefficient, beta=kernel.beta,
@@ -286,7 +310,10 @@ def _run_loop(
     run = _compiled_run(sims, kernel, box, schedule, M, L, theta, stream, record_every, numer)
     if run is not None:
         while (stop := run.resume()) != run.DONE:
-            if stop == run.RECORD:
+            if stop == run.OBSERVE:
+                for i in run.observing:
+                    run.costs[i][:] = _observe(observes[i], run.control(i), L, run.n, seed_info)
+            elif stop == run.RECORD:
                 trajectory.append(
                     TrajectoryPoint(run.n, run.theta.copy(), _distance(run.theta, target))
                 )
@@ -313,19 +340,15 @@ def _run_loop(
             controls = [minimum(maximum(theta + shift, lower), upper)]
             if len(observes) == 2:
                 controls.append(minimum(maximum(theta - shift, lower), upper))
-            costs = []
-            for observe, control in zip(observes, controls):
-                try:
-                    costs.append(observe(control, L))
-                except Exception as err:
-                    observer = getattr(observe, "__self__", None)
-                    inner = len(observer.costs) if isinstance(observer, _StepObserver) else 0
-                    raise SimulationError(n, inner, seed_info) from err
+            costs = [
+                _observe(observe, control, L, n, seed_info)
+                for observe, control in zip(observes, controls)
+            ]
 
             # The costs enter Z linearly with a fixed per-iteration coefficient
             # vector, so the L inner updates collapse to one scalar recursion:
             #   Z <- (1-b)^L Z + coeff * s,   s = sum_m b (1-b)^(L-1-m) h_m
-            s = _fold(costs, one_minus_b, b_n)
+            s = _fold(costs[0] if len(costs) == 1 else costs[0] - costs[1], one_minus_b, b_n)
 
             z_entering = z
             z = (one_minus_b**L) * z_entering + s * coeff

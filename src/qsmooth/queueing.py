@@ -104,6 +104,11 @@ class QueueNetworkConfig:
 
     __eq__ = equal_by_value
 
+    def __reduce__(self):
+        # through the constructor, so that a copy or an unpickled network
+        # (a pool worker's) keeps its own read-only target
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
     @property
     def n_nodes(self) -> int:
         return len(self.arrival_rates)
@@ -312,11 +317,12 @@ class QueueSimulator:
             raise ValueError(f"control of shape {np.shape(control)} for a network of "
                              f"dimension {self.config.total_dim}")
         fac = self._kernel.fac
-        np.subtract(control, self.config.theta_target, out=self._diff)
-        for i, (block, inv_r) in enumerate(self._blocks):
-            f = fac[i] = inv_r + float(np.dot(block, block))
-            if not f < math.inf:
-                raise ValueError(f"control {control} gives node {i} the service factor {f}")
+        with np.errstate(over="ignore"):  # an overflow gives inf, which is refused
+            np.subtract(control, self.config.theta_target, out=self._diff)
+            for i, (block, inv_r) in enumerate(self._blocks):
+                f = fac[i] = inv_r + float(np.dot(block, block))
+                if not f < math.inf:
+                    raise ValueError(f"control {control} gives node {i} the service factor {f}")
 
     def observe(self, control: np.ndarray, L: int) -> list[float]:
         """The costs of the next ``L`` observations under one control.  The

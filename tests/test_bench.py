@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -262,6 +263,13 @@ def test_grid_runs_and_is_deterministic_across_worker_counts():
         assert cell.failures == 0
         assert len(cell.distances) == cfg.replications
         assert cell.mean_distance == pytest.approx(float(np.mean(cell.distances)))
+
+
+def test_the_library_is_loaded_before_the_pool_starts(monkeypatch):
+    # the forked workers then share it instead of each loading it
+    monkeypatch.setattr(bench._native, "load", functools.cache(bench._native.load.__wrapped__))
+    run_experiment(config_from_dict(small_config_dict(q_grid=[0.5], replications=2)), workers=2)
+    assert bench._native.load.cache_info().misses == 1
 
 
 def test_single_replication_cell_has_zero_std():

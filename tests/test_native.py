@@ -5,14 +5,17 @@ built."""
 import contextlib
 import copy
 import ctypes
+import dataclasses
 import math
 import os
 import re
+import resource
 import shutil
 import stat
 import subprocess
 import sys
 import textwrap
+import warnings
 import weakref
 from pathlib import Path
 from unittest import mock
@@ -133,42 +136,6 @@ def _queue_counters(sim):
     return [getattr(sim.state, name) for name in COUNTERS]
 
 
-def _run(spec, on_python=False, recording=False):
-    """One optimizer run of ``spec``: its result, or the error it raised,
-    as bytes, with the end state of every stream and simulator.  With
-    ``on_python`` the compiled library is hidden, so the simulators run the
-    Python kernel and the run the Python loop; ``recording`` has the
-    simulators keep their costs (which also keeps the run on the Python
-    loop)."""
-    network, box, kernel, M, L, record_every, theta0, seeds = (
-        spec[name] for name in ("network", "box", "kernel", "M", "L", "record_every", "theta0",
-                                "seeds")
-    )
-    kind = RecordingQueueSimulator if recording else QueueSimulator
-    hidden = mock.patch.object(_native, "load", return_value=None)
-    with hidden if on_python else contextlib.nullcontext():
-        streams = [spec["stream_type"](*seed) for seed in seeds]
-        for stream, skip in zip(streams, spec["skips"]):
-            stream.uniform01(skip)  # the loop meets buffer ends anywhere
-        sims = [kind(network, stream) for stream in streams[1:]]
-        run = run_gqsf1 if len(sims) == 1 else run_gqsf2
-        try:
-            result = run(
-                *sims, kernel, box, StepSchedule(0.75), M, L, theta0, streams[0],
-                record_every=record_every,
-            )
-            out = (
-                result.theta_final.tobytes(),
-                result.z.tobytes(),
-                [(point.n, point.theta.tobytes()) for point in result.trajectory or ()],
-            )
-        except (DivergenceError, InvalidRhoError) as err:
-            z = err.z.tobytes() if isinstance(err, DivergenceError) else None
-            out = (type(err), str(err), getattr(err, "outer_index", None), z)
-    ends = [_end_state(stream) for stream in streams] + [_queue_counters(sim) for sim in sims]
-    return out, ends, sims
-
-
 class RecordingQueueSimulator(QueueSimulator):
     """Keeps every cost it returns."""
 
@@ -180,6 +147,117 @@ class RecordingQueueSimulator(QueueSimulator):
         costs = super().observe(control, L)
         self.costs.extend(costs)
         return costs
+
+
+class StepOnlySimulator:
+    """A queue simulator seen through ``step`` alone."""
+
+    def __init__(self, network, stream):
+        self.inner = QueueSimulator(network, stream)
+        self.state = self.inner.state
+
+    def step(self, control):
+        return self.inner.step(control)
+
+
+class DrawingSimulator:
+    """A quadratic cost plus draws from a stream that the run also reads
+    elsewhere: the perturbation stream, or the other simulator's.  Its
+    scalar normal moves the stream's cached normal, and its uniforms the
+    stream's position."""
+
+    def __init__(self, target, source):
+        self.target = target
+        self.source = source
+
+    def observe(self, control, L):
+        d = control - self.target
+        cost = float(np.dot(d, d)) + abs(self.source.standard_normal())
+        return (cost + self.source.uniform01(L)).tolist()
+
+
+# what an observe returns in place of the L costs of a quadratic system
+COST_FORMS = {
+    "short": lambda cost, L: [cost] * (L - 1),
+    "long": lambda cost, L: [cost] * (L + 1),
+    "int": lambda cost, L: [round(1e6 * cost)] * L,
+    "float32": lambda cost, L: np.full(L, cost, dtype=np.float32),
+    "float32 as float64": lambda cost, L: [float(np.float32(cost))] * L,
+}
+
+
+class FormedCostSimulator(QuadraticCostSimulator):
+    """A quadratic system whose costs come back in one of ``COST_FORMS``."""
+
+    def __init__(self, target, form):
+        super().__init__(target)
+        self.form = COST_FORMS[form]
+
+    def observe(self, control, L):
+        return self.form(self.step(control), L)
+
+
+def _simulator(kind, network, streams, i, recording):
+    """Simulator ``i`` of a run, of ``kind``: ``"queue"``, ``"overriding"``
+    (a queue simulator whose ``observe`` is its subclass's),
+    ``"step-only"``, ``"quadratic"``, ``("drawing", j)`` (drawing from
+    ``streams[j]``) or ``("costs", form)``.  ``recording`` makes a queue
+    simulator an overriding one, which keeps its costs."""
+    stream = streams[1 + i]
+    if kind == "queue" and not recording:
+        return QueueSimulator(network, stream)
+    if kind in ("queue", "overriding"):
+        return RecordingQueueSimulator(network, stream)
+    if kind == "step-only":
+        return StepOnlySimulator(network, stream)
+    if kind == "quadratic":
+        return QuadraticCostSimulator(network.theta_target)
+    if kind[0] == "drawing":
+        return DrawingSimulator(network.theta_target, streams[kind[1]])
+    return FormedCostSimulator(network.theta_target, kind[1])
+
+
+def _outcome(call):
+    """``call()``'s run as bytes, or the optimizer error it raised."""
+    try:
+        result = call()
+    except (DivergenceError, InvalidRhoError, SimulationError) as err:
+        z = err.z.tobytes() if isinstance(err, DivergenceError) else None
+        return (type(err), str(err), getattr(err, "outer_index", None), z,
+                getattr(err, "inner_index", None), repr(err.__cause__))
+    return (
+        result.theta_final.tobytes(),
+        result.z.tobytes(),
+        [(point.n, point.theta.tobytes()) for point in result.trajectory or ()],
+    )
+
+
+def _run(spec, on_python=False, recording=False):
+    """One optimizer run of ``spec``: its result, or the error it raised,
+    as bytes, with the end state of every stream and simulator.  With
+    ``on_python`` the compiled library is hidden, so the simulators run the
+    Python kernel and the run the Python loop; ``recording`` has the queue
+    simulators keep their costs.  The simulators are queue simulators
+    unless ``spec["kinds"]`` names others (see ``_simulator``)."""
+    network, box, kernel, M, L, record_every, theta0, seeds = (
+        spec[name] for name in ("network", "box", "kernel", "M", "L", "record_every", "theta0",
+                                "seeds")
+    )
+    hidden = mock.patch.object(_native, "load", return_value=None)
+    with hidden if on_python else contextlib.nullcontext():
+        streams = [spec["stream_type"](*seed) for seed in seeds]
+        for stream, skip in zip(streams, spec["skips"]):
+            stream.uniform01(skip)  # the loop meets buffer ends anywhere
+        kinds = spec.get("kinds", ["queue"] * (len(streams) - 1))
+        sims = [_simulator(kind, network, streams, i, recording) for i, kind in enumerate(kinds)]
+        run = run_gqsf1 if len(sims) == 1 else run_gqsf2
+        out = _outcome(lambda: run(
+            *sims, kernel, box, StepSchedule(0.75), M, L, theta0, streams[0],
+            record_every=record_every,
+        ))
+    ends = [_end_state(stream) for stream in streams]
+    ends += [_queue_counters(sim) if hasattr(sim, "state") else None for sim in sims]
+    return out, ends, sims
 
 
 @st.composite
@@ -203,6 +281,17 @@ def run_specs(draw):
     # 300 to 3000 observations per simulator: enough to meet buffer ends
     M = draw(st.integers(max(1, 300 // L), 3000 // L), label="M")
     n_sims = draw(st.sampled_from([1, 2]), label="simulations")
+    # the perturbation stream, or the other simulator's, for one that draws
+    sources = [[0] + [2 - i] * (n_sims == 2) for i in range(n_sims)]
+    kinds = [
+        draw(
+            st.just("queue")
+            | st.sampled_from(["overriding", "step-only", "quadratic"])
+            | st.sampled_from(sources[i]).map(lambda j: ("drawing", j)),
+            label=f"simulator {i}",
+        )
+        for i in range(n_sims)
+    ]
     seed = draw(st.integers(0, 2**32), label="seed")
     common = n_sims == 2 and draw(st.booleans(), label="common random numbers")
     sim_ids = [1, 1] if common else [1, 2][:n_sims]
@@ -220,6 +309,7 @@ def run_specs(draw):
             label="uniforms drawn before",
         ),
         "stream_type": RngStream,
+        "kinds": kinds,
     }
 
 
@@ -228,6 +318,8 @@ def run_specs(draw):
 @given(spec=run_specs())
 def test_compiled_loop_matches_the_python_loop(spec):
     # Unstable networks are drawn too: their queues outgrow the rings.
+    # Whatever its simulators, the compiled loop serves the run, running
+    # the queue simulators itself and handing the others back to Python.
     with mock.patch.object(_native, "CompiledRun", wraps=_native.CompiledRun) as compiled:
         got, got_ends, _ = _run(spec)
     assert compiled.call_count == 1
@@ -235,7 +327,8 @@ def test_compiled_loop_matches_the_python_loop(spec):
     assert got == want
     assert got_ends == want_ends
     for sim in sims:
-        assert min(sim.costs, default=0.0) >= 0.0
+        if isinstance(sim, RecordingQueueSimulator):
+            assert min(sim.costs, default=0.0) >= 0.0
 
 
 def _far_target_spec(**changes):
@@ -374,13 +467,13 @@ def test_a_counting_stream_gives_the_same_numbers():
 
 
 @needs_gcc
-def test_an_overridden_observe_keeps_the_python_loop():
+def test_an_overridden_observe_is_called_from_the_compiled_loop():
     spec = _far_target_spec(network=preset("mg1-4d").network, M=30)
     with mock.patch.object(_native, "CompiledRun", wraps=_native.CompiledRun) as compiled:
         got, got_ends, sims = _run(spec, recording=True)
-    assert compiled.call_count == 0
+    assert compiled.call_count == 1
     assert len(sims[0].costs) == 30 * 100
-    assert (got, got_ends) == _run(spec)[:2]
+    assert (got, got_ends) == _run(spec, on_python=True)[:2]
 
 
 class NegatedNormals(RngStream):
@@ -420,7 +513,8 @@ def test_a_stream_that_changes_its_draws_gets_its_own_numbers():
 def test_a_network_of_another_dimension_fails_as_on_the_python_loop(dim, n_sims):
     # the simulators' service factors read a control of the network's
     # dimension: another one cannot be served, on either loop; a 1-d
-    # control would broadcast, and is refused as well
+    # control would broadcast, and is refused as well.  The compiled loop
+    # hands such a simulator to its own observe, which refuses the control
     network = preset("mg1-4d").network
     sims = [QueueSimulator(network, RngStream(0, i)) for i in range(1, n_sims + 1)]
     run = run_gqsf1 if n_sims == 1 else run_gqsf2
@@ -428,7 +522,7 @@ def test_a_network_of_another_dimension_fails_as_on_the_python_loop(dim, n_sims)
             pytest.raises(SimulationError) as caught:
         run(*sims, QKernel(0.8, 0.005, dim), BoxConstraint.cube(0.1, 0.6, dim),
             StepSchedule(0.75), 3, 5, np.full(dim, 0.3), RngStream(0, 0))
-    assert compiled.call_count == 0
+    assert compiled.call_count == 1
     assert (caught.value.outer_index, caught.value.inner_index) == (0, 0)
     assert isinstance(caught.value.__cause__, ValueError)
 
@@ -449,17 +543,101 @@ def test_compiled_run_is_freed_with_its_run():
     assert len(runs) == 1 and runs[0]() is None
 
 
-def test_compiled_loop_needs_every_simulator_on_the_c_kernel():
+def test_compiled_loop_serves_simulators_off_the_c_kernel():
     network = preset("mg1-4d").network
-    queue = make_simulator(network, RngStream(0, 0))
-    quadratic = QuadraticCostSimulator(network.theta_target)
+
+    def runs():
+        queue = make_simulator(network, RngStream(0, 0))
+        quadratic = QuadraticCostSimulator(network.theta_target)
+        args = (QKernel(0.8, 0.005, 4), BoxConstraint.cube(0.1, 0.6, 4), StepSchedule(0.75), 3,
+                5, np.full(4, 0.3), RngStream(0, 1))
+        results = [run_gqsf2(queue, quadratic, *args), run_gqsf2(quadratic, queue, *args),
+                   run_gqsf1(quadratic, *args), run_gqsf1(queue, *args)]
+        return [(result.theta_final.tobytes(), result.z.tobytes()) for result in results]
+
     with mock.patch.object(_native, "CompiledRun", wraps=_native.CompiledRun) as compiled:
-        run_gqsf2(queue, quadratic, QKernel(0.8, 0.005, 4), BoxConstraint.cube(0.1, 0.6, 4),
-                  StepSchedule(0.75), 3, 5, np.full(4, 0.3), RngStream(0, 1))
-        assert compiled.call_count == 0
-        run_gqsf1(queue, QKernel(0.8, 0.005, 4), BoxConstraint.cube(0.1, 0.6, 4),
-                  StepSchedule(0.75), 3, 5, np.full(4, 0.3), RngStream(0, 1))
-        assert compiled.call_count == (queue.kernel == "c")
+        got = runs()
+    lib = _native.load()
+    assert compiled.call_count == (4 if lib is not None and lib.ddot is not None else 0)
+    with mock.patch.object(_native, "load", return_value=None):
+        assert got == runs()
+
+
+@needs_gcc
+@pytest.mark.parametrize("form", COST_FORMS)
+@pytest.mark.parametrize("n_sims", [1, 2])
+def test_both_loops_take_exactly_L_costs_as_float64(form, n_sims):
+    # a wrong count fails the run at its first iteration; int and float32
+    # costs fold as the float64 values they are
+    spec = _far_target_spec(network=preset("mg1-4d").network, M=30, L=7,
+                            seeds=[(41, 0), (41, 1), (41, 2)][: n_sims + 1],
+                            skips=[0] * (n_sims + 1),
+                            kinds=[("costs", form), "queue"][:n_sims])
+    with mock.patch.object(_native, "CompiledRun", wraps=_native.CompiledRun) as compiled:
+        got, got_ends, _ = _run(spec)
+    assert compiled.call_count == 1
+    want, want_ends, _ = _run(spec, on_python=True)
+    assert got == want and got_ends == want_ends
+    if form in ("short", "long"):
+        assert got[0] is SimulationError and (got[2], got[4]) == (0, 0)
+        assert got[5].startswith("ValueError(")
+    elif form == "float32":
+        widened = {**spec, "kinds": [("costs", "float32 as float64"), "queue"][:n_sims]}
+        assert _run(widened)[:2] == (got, got_ends)
+
+
+def _far_control_run(targets):
+    """Gq-SF1 or Gq-SF2, one simulator per target, on mg1-4d networks with
+    those targets and every control at 1e200: there a target of 0.3 gives
+    the service factor inf, and 1e200 a finite one.  The SimulationError's
+    position and cause, with the end state of every stream and simulator;
+    a RuntimeWarning fails the run instead."""
+    network = preset("mg1-4d").network
+    streams = [RngStream(5, i) for i in range(len(targets) + 1)]
+    sims = [
+        QueueSimulator(dataclasses.replace(network, theta_target=np.full(4, target)), stream)
+        for target, stream in zip(targets, streams[1:])
+    ]
+    run = run_gqsf1 if len(sims) == 1 else run_gqsf2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(SimulationError) as caught:
+            run(*sims, QKernel(0.8, 0.005, 4), BoxConstraint.cube(-1e200, 1e200, 4),
+                StepSchedule(0.75), 3, 5, np.full(4, 1e200), streams[0])
+    err = caught.value
+    return ((err.outer_index, err.inner_index, repr(err.__cause__)),
+            [_end_state(stream) for stream in streams], [_queue_counters(sim) for sim in sims])
+
+
+@needs_gcc
+@pytest.mark.parametrize("targets", [(0.3,), (0.3, 0.3), (1e200, 0.3)])
+def test_a_control_with_no_finite_service_factor_fails_both_loops_alike(targets):
+    # the compiled loop hands the simulator to its own observe, which
+    # raises; it runs in a process of its own, so that a loop that hangs
+    # (with a bounded address space, as its rings grow) fails the test
+    tests = str(Path(__file__).resolve().parent)
+    src = str(Path(qsmooth.__file__).resolve().parent.parent)
+    code = (
+        "from unittest import mock\n"
+        "from qsmooth import _native\n"
+        "import test_native\n"
+        "with mock.patch.object(_native, 'CompiledRun', wraps=_native.CompiledRun) as spy:\n"
+        f"    outcome = test_native._far_control_run({targets!r})\n"
+        "print(repr((outcome, spy.call_count)))\n"
+    )
+
+    def bounded():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join((src, tests))}, preexec_fn=bounded,
+    )
+    assert done.returncode == 0, done.stderr
+    with mock.patch.object(_native, "load", return_value=None):
+        want = _far_control_run(targets)
+    assert want[0][:2] == (0, 0) and "service factor inf" in want[0][2]
+    assert done.stdout == repr((want, 1)) + "\n"
 
 
 @pytest.mark.parametrize("size", [*range(1, 12), 20])
@@ -546,7 +724,7 @@ def test_the_records_are_laid_out_as_the_c_compiler_lays_them_out(tmp_path):
             prints.append(f'printf("{name}.{field} %zu %zu\\n", offsetof({name}, {field}), '
                           f'sizeof((({name} *)0)->{field}));')
             want[f"{name}.{field}"] = (getattr(record, field).offset, getattr(record, field).size)
-    stops = ("DONE", "RECORD", "DIVERGED", "BAD_RHO", "_PERTURBATION", "_SIMULATOR")
+    stops = ("DONE", "RECORD", "DIVERGED", "BAD_RHO", "OBSERVE", "_PERTURBATION", "_SIMULATOR")
     prints += [f'printf("{stop} %d\\n", SF{stop if stop[0] == "_" else "_" + stop});'
                for stop in stops]
     want.update({stop: getattr(_native.CompiledRun, stop) for stop in stops})
@@ -561,7 +739,7 @@ def test_the_records_are_laid_out_as_the_c_compiler_lays_them_out(tmp_path):
         name, *numbers = line.split()
         got[name] = tuple(map(int, numbers)) if len(numbers) > 1 else int(numbers[0])
     assert got == want
-    assert len(records["mg1_state"]._fields_) == 27 and len(records["sf_run_t"]._fields_) == 40
+    assert len(records["mg1_state"]._fields_) == 27 and len(records["sf_run_t"]._fields_) == 41
 
 
 def test_the_record_reader_takes_each_allowed_form():

@@ -312,7 +312,7 @@ class NanAfterSimulator:
 
 class NanQueueSimulator(QueueSimulator):
     """A queue simulator whose ``nan_call``-th observation batch holds a NaN
-    cost; overriding ``observe`` keeps its runs on the Python loop."""
+    cost; the compiled loop hands it back to Python to observe."""
 
     def __init__(self, network, stream, nan_call):
         super().__init__(network, stream)

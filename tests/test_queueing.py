@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import hashlib
 import math
+import pickle
 import shutil
 from unittest import mock
 
@@ -433,6 +434,9 @@ def test_a_network_keeps_its_own_read_only_target():
     mine[:] = 0.5
     assert mine.flags.writeable
     assert net.theta_target.tolist() == [0.3] * 4
+    # and so does a copy, as a pool worker gets it
+    for copied in (pickle.loads(pickle.dumps(net)), copy.deepcopy(net), copy.copy(net)):
+        assert copied == net and not copied.theta_target.flags.writeable
 
 
 def test_worst_utilisation():
