@@ -15,7 +15,6 @@ import itertools
 import json
 import numbers
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
@@ -190,6 +189,10 @@ def _system_fields(data: dict) -> dict:
         box = {"lower": loaded.box_lower, "upper": loaded.box_upper}
         data = {"box": box, "theta0": loaded.theta0, **data}
     elif isinstance(spec, dict):
+        unknown = set(spec) - {f.name for f in fields(QueueNetworkConfig)}
+        if unknown:
+            raise ConfigError(f"unknown system fields: {sorted(unknown, key=str)}")
+
         def entries(key, check):
             values = spec[key]
             if not isinstance(values, (list, tuple)):
@@ -357,6 +360,9 @@ def run_experiment(
     if workers <= 1 or len(tasks) == 1:
         outcomes = list(map(_replication_task, tasks))
     else:
+        # imported here: serial runs need none of multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         # loaded once here, so that the forked workers share the library
         _native.load()
         with ProcessPoolExecutor(max_workers=workers) as pool:

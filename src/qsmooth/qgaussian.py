@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from .rng import RngStream
 
@@ -26,6 +25,15 @@ from .rng import RngStream
 _BOUNDARY_GUARD = 1e-9
 
 _LOG_2PI = math.log(2.0 * math.pi)
+
+
+def _gammaln(x: float) -> float:
+    """scipy's log-gamma, imported on first use: only the analytic values
+    need it, and scipy would otherwise load with every import of qsmooth.
+    ``math.lgamma`` differs from it in the last bits."""
+    from scipy.special import gammaln
+
+    return gammaln(x)
 
 
 class QGaussianDomainError(ValueError):
@@ -111,15 +119,15 @@ def log_normalizing_constant(q: float, dim: int) -> float:
         return (
             0.5 * n * (math.log(c) - math.log(1.0 - q))
             + 0.5 * n * math.log(math.pi)
-            + gammaln(u)
-            - gammaln(u + 0.5 * n)
+            + _gammaln(u)
+            - _gammaln(u + 0.5 * n)
         )
     v = 1.0 / (q - 1.0)
     return (
         0.5 * n * (math.log(c) - math.log(q - 1.0))
         + 0.5 * n * math.log(math.pi)
-        + gammaln(v - 0.5 * n)
-        - gammaln(v)
+        + _gammaln(v - 0.5 * n)
+        - _gammaln(v)
     )
 
 
@@ -280,18 +288,18 @@ def analytic_moment(spec: MomentSpec, q: float, dim: int) -> float:
     if q < 1.0:
         u = 1.0 / (1.0 - q)
         log_kbar = (
-            gammaln(u - spec.b + 1.0)
-            + gammaln(u + 1.0 + 0.5 * dim)
-            - gammaln(u + 1.0)
-            - gammaln(u - spec.b + 1.0 + 0.5 * dim + half_sum)
+            _gammaln(u - spec.b + 1.0)
+            + _gammaln(u + 1.0 + 0.5 * dim)
+            - _gammaln(u + 1.0)
+            - _gammaln(u - spec.b + 1.0 + 0.5 * dim + half_sum)
         )
     else:
         v = 1.0 / (q - 1.0)
         log_kbar = (
-            gammaln(v)
-            + gammaln(v + spec.b - 0.5 * dim - half_sum)
-            - gammaln(v + spec.b)
-            - gammaln(v - 0.5 * dim)
+            _gammaln(v)
+            + _gammaln(v + spec.b - 0.5 * dim - half_sum)
+            - _gammaln(v + spec.b)
+            - _gammaln(v - 0.5 * dim)
         )
     scale = half_sum * (math.log(c) - math.log(abs(1.0 - q)))
     parity_prod = math.prod(

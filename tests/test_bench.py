@@ -31,6 +31,7 @@ from qsmooth.bench import (
 )
 from qsmooth.cli import main
 from qsmooth.optimizer import DivergenceError, SimulationError
+from qsmooth.qgaussian import MomentSpec, analytic_moment
 from qsmooth.queueing import kernel_name
 from qsmooth.rng import derive_stream_id
 from qsmooth.smoothing import InvalidRhoError
@@ -220,6 +221,15 @@ def test_a_far_box_fails_at_load_without_a_warning(bound):
             config_from_dict(spec)
 
 
+@pytest.mark.parametrize(
+    "extra", [{"capacity": [5, 5]}, {"arrival_rate": [9.0, 9.0]}], ids=["extra", "misspelled"]
+)
+def test_config_rejects_unknown_system_fields(extra):
+    # a misspelled key beside the right one used to load and be ignored
+    with pytest.raises(ConfigError, match=f"unknown system fields: \\['{next(iter(extra))}'\\]"):
+        config_from_dict(small_config_dict(**_inline_system(**extra)))
+
+
 def test_config_missing_fields():
     with pytest.raises(ConfigError):
         config_from_dict({"algorithm": "gqsf1"})
@@ -270,6 +280,71 @@ def test_the_library_is_loaded_before_the_pool_starts(monkeypatch):
     monkeypatch.setattr(bench._native, "load", functools.cache(bench._native.load.__wrapped__))
     run_experiment(config_from_dict(small_config_dict(q_grid=[0.5], replications=2)), workers=2)
     assert bench._native.load.cache_info().misses == 1
+
+
+def _fresh_python(*argv) -> str:
+    """The stdout of a new interpreter on this qsmooth, bounded in time so
+    that a hung child fails the test."""
+    done = subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(Path(bench.__file__).resolve().parent.parent)},
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_serial_runs_load_neither_scipy_nor_the_process_pool():
+    # each costs start-up time and memory in every process that imports
+    # qsmooth; only the analytic values need scipy, only a pool of workers
+    # needs multiprocessing
+    spec = small_config_dict(q_grid=[0.8], replications=2)
+    code = (
+        "import sys\n"
+        "import qsmooth.cli\n"
+        "from qsmooth import bench, qgaussian\n"
+        "assert qsmooth.cli.main(['single', '--M', '20', '--L', '10']) == 0\n"
+        f"bench.run_experiment(bench.config_from_dict({spec!r}), workers=1)\n"
+        "print(sorted({'scipy', 'concurrent.futures.process'} & set(sys.modules)))\n"
+        "print(repr(qgaussian.analytic_moment(qgaussian.MomentSpec(1, (2, 0)), 0.8, 2)))\n"
+    )
+    out = _fresh_python("-c", code).splitlines()
+    assert out[-2:] == ["[]", repr(analytic_moment(MomentSpec(1, (2, 0)), 0.8, 2))]
+
+
+_SPAWNED_REPLICATION = """
+import json
+import multiprocessing
+import sys
+
+from qsmooth import bench
+
+
+def replicate(task):
+    return bench._replication_task(task), "scipy" in sys.modules
+
+
+if __name__ == "__main__":
+    config = bench.config_from_dict(json.loads(sys.argv[1]))
+    (q, beta), = config.cells()
+    with multiprocessing.get_context("spawn").Pool(1) as pool:
+        (distance, _, reason), scipy_loaded = pool.apply_async(
+            replicate, ((config, 0, q, beta, 0),)
+        ).get(timeout=100)
+    print(float.hex(distance), reason, scipy_loaded)
+"""
+
+
+def test_a_spawned_worker_gives_the_in_process_result(tmp_path):
+    # as the workers of a forkserver or spawn pool do, the child imports
+    # qsmooth afresh and loads the library itself
+    spec = small_config_dict(q_grid=[0.8], beta_grid=[0.005], M=50, L=10, replications=1)
+    script = tmp_path / "spawned_replication.py"
+    script.write_text(_SPAWNED_REPLICATION)
+    out = _fresh_python(str(script), json.dumps(spec))
+    config = config_from_dict(spec)
+    distance, _, reason = bench._replication_task((config, 0, *config.cells()[0], 0))
+    assert reason is None
+    assert out == f"{float.hex(distance)} None False\n"
 
 
 def test_single_replication_cell_has_zero_std():
