@@ -26,6 +26,7 @@ from .optimizer import (
     RunResult,
     SimulationError,
     StepSchedule,
+    _check_run_args,
     run_gqsf1,
     run_gqsf2,
 )
@@ -58,6 +59,13 @@ def _integer(value, name: str) -> int:
     return value
 
 
+def _dimension(value, name: str) -> int:
+    """A JSON integer >= 1."""
+    if _integer(value, name) < 1:
+        raise ConfigError(f"{name} must be >= 1, got {value}")
+    return value
+
+
 def resolve_q(value: float | str, dim: int) -> float:
     """Resolve a grid entry to a shape value; 'gaussian' -> 1 and
     'cauchy' -> 1 + 2/(N+1)."""
@@ -79,7 +87,7 @@ def resolve_q(value: float | str, dim: int) -> float:
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
     """A grid of seeded replications.  Fields arrive as JSON values; every
-    check on a value and every default lives here."""
+    check on a value runs from here, and every default lives here."""
 
     algorithm: str
     q_grid: tuple
@@ -99,8 +107,8 @@ class ExperimentConfig:
             raise ConfigError(f"algorithm must be one of {ALGORITHMS}")
         for name in ("M", "L", "replications", "base_seed"):
             _integer(getattr(self, name), name)
-        if min(self.M, self.L, self.replications) < 1:
-            raise ConfigError("M, L and replications must be >= 1")
+        if self.replications < 1:
+            raise ConfigError("replications must be >= 1")
         if not isinstance(self.common_random_numbers, bool):
             raise ConfigError("common_random_numbers must be true or false")
         grids = (self.q_grid, self.beta_grid)
@@ -115,10 +123,14 @@ class ExperimentConfig:
         }
         for name, value in resolved.items():
             object.__setattr__(self, name, value)
-        if self.box.dim != dim or self.theta0.shape != (dim,):
-            raise ConfigError("box and theta0 must match the system dimension")
-        if not self.box.contains(self.theta0):
-            raise ConfigError("theta0 must lie inside the box")
+        # the schedule, the kernel and the optimizer own the gamma, beta and
+        # q domains, the box and theta0 dimensions, and the M and L domain
+        try:
+            StepSchedule(self.gamma)
+            for q, beta in self.cells():
+                _check_run_args(QKernel(q, beta, dim), self.box, self.theta0, self.M, self.L)
+        except ValueError as err:
+            raise ConfigError(str(err)) from None
         # an unstable network's queues grow until the run fails mid-grid
         try:
             load = self.system.worst_utilisation(self.box.lower, self.box.upper)
@@ -129,13 +141,6 @@ class ExperimentConfig:
                 f"unstable network: worst-case utilisation {load.max():.3g} >= 1 "
                 "at a corner of the box"
             )
-        # the schedule and the kernel own the gamma, beta and q domains
-        try:
-            StepSchedule(self.gamma)
-            for q, beta in self.cells():
-                QKernel(q, beta, dim)
-        except ValueError as err:
-            raise ConfigError(str(err)) from None
 
     __eq__ = equal_by_value
 
@@ -200,7 +205,8 @@ def _system_fields(data: dict) -> dict:
             return tuple(check(v, f"system.{key} entry") for v in values)
 
         try:
-            dims = entries("dims", _integer)
+            # checked before theta_target is sized from them
+            dims = entries("dims", _dimension)
             target = _as_vector(spec["theta_target"], sum(dims), "theta_target")
             network = QueueNetworkConfig(
                 arrival_rates=entries("arrival_rates", _real),
@@ -243,7 +249,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     known = fields(ExperimentConfig)
     unknown = set(data) - {f.name for f in known}
     if unknown:
-        raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+        raise ConfigError(f"unknown config fields: {sorted(unknown, key=str)}")
     kwargs = {k: v for k, v in data.items() if k not in ("system", "box", "theta0")}
     if "system" in data:
         kwargs.update(_system_fields(data))
@@ -380,43 +386,23 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
+# the CSV columns in order: the CellResult field each one holds, and how
+# its value is written
+_CSV_COLUMNS = (
+    ("algorithm", str), ("q", _fmt), ("beta", _fmt), ("gamma", _fmt), ("M", str), ("L", str),
+    ("replications", str), ("mean_distance", _fmt), ("std_distance", _fmt), ("failures", str),
+)
+
+
 def emit_csv(results: list[CellResult], include_timing: bool = True) -> str:
     """CSV of the grid, one row per cell, in grid order.
 
     ``include_timing=False`` drops the wall-time column so that identical
     configs and seeds produce byte-identical output.
     """
-    cols = [
-        "algorithm",
-        "q",
-        "beta",
-        "gamma",
-        "M",
-        "L",
-        "replications",
-        "mean_distance",
-        "std_distance",
-        "failures",
-    ]
-    if include_timing:
-        cols.append("seconds")
-    lines = [",".join(cols)]
-    for r in results:
-        row = [
-            r.algorithm,
-            _fmt(r.q),
-            _fmt(r.beta),
-            _fmt(r.gamma),
-            str(r.M),
-            str(r.L),
-            str(r.replications),
-            _fmt(r.mean_distance),
-            _fmt(r.std_distance),
-            str(r.failures),
-        ]
-        if include_timing:
-            row.append(_fmt(r.seconds))
-        lines.append(",".join(row))
+    columns = _CSV_COLUMNS + ((("seconds", _fmt),) if include_timing else ())
+    lines = [",".join(name for name, _ in columns)]
+    lines += [",".join(fmt(getattr(r, name)) for name, fmt in columns) for r in results]
     return "\n".join(lines) + "\n"
 
 

@@ -24,6 +24,7 @@ from .qgaussian import (
     MomentDoesNotExistError,
     MomentSpec,
     QGaussianDomainError,
+    _check_q_domain,
     analytic_moment,
     sample_standard_many,
 )
@@ -31,12 +32,16 @@ from .queueing import kernel_name, preset_names
 from .rng import RngStream, derive_stream_id
 
 
+def _config_error(err) -> int:
+    print(f"config error: {err}", file=sys.stderr)
+    return 2
+
+
 def _cmd_run(args) -> int:
     try:
         config = bench.load_config(args.config)
     except bench.ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
+        return _config_error(err)
     results = bench.run_experiment(config, workers=args.workers)
     for i, cell in enumerate(results):
         failed = [r for r, d in enumerate(cell.distances) if d is None]
@@ -69,8 +74,7 @@ def _cmd_single(args) -> int:
     try:
         config = bench.config_from_dict(data)
     except bench.ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
+        return _config_error(err)
     (q, beta), = config.cells()
     try:
         result = bench.run_replication(
@@ -91,12 +95,13 @@ def _cmd_single(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    if args.count < 0:
+        return _config_error(f"--count must be >= 0, got {args.count}")
     try:
         stream = RngStream(args.seed, derive_stream_id(args.seed, "sample"))
         draws, rhos = sample_standard_many(args.q, args.dim, args.count, stream)
     except QGaussianDomainError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
+        return _config_error(err)
     print(",".join(f"x{i}" for i in range(args.dim)) + ",rho")
     for row, r in zip(draws, rhos):
         print(",".join(f"{v:.9g}" for v in row) + f",{r:.9g}")
@@ -104,39 +109,34 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_moments(args) -> int:
-    dim = args.dim
+    q, dim, count = args.q, args.dim, args.count
+    if count < 0 or count == 1:
+        # a standard error needs two draws
+        return _config_error(f"--count must be 0 or >= 2, got {count}")
     try:
-        specs = _moment_grid(dim)
-        rows = []
-        stream = RngStream(args.seed, derive_stream_id(args.seed, "moments"))
-        draws, rhos = (None, None)
-        if args.count > 0:
-            draws, rhos = sample_standard_many(args.q, dim, args.count, stream)
-        for spec in specs:
-            try:
-                value = analytic_moment(spec, args.q, dim)
-            except MomentDoesNotExistError:
-                rows.append((spec, None, None, None))
-                continue
-            if draws is None:
-                rows.append((spec, value, None, None))
-                continue
-            sample_vals = np.prod(draws ** np.asarray(spec.powers), axis=1) / rhos**spec.b
-            mc = float(np.mean(sample_vals))
-            se = float(np.std(sample_vals, ddof=1) / np.sqrt(args.count))
-            rows.append((spec, value, mc, se))
+        # the domain every analytic moment checks, before the grid, which
+        # has dim axes, and before any output
+        _check_q_domain(q, dim)
+        if count:
+            stream = RngStream(args.seed, derive_stream_id(args.seed, "moments"))
+            draws, rhos = sample_standard_many(q, dim, count, stream)
     except QGaussianDomainError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
+        return _config_error(err)
     print("b,powers,analytic,mc_mean,mc_stderr")
-    for spec, value, mc, se in rows:
+    for spec in _moment_grid(dim):
         powers = "|".join(str(p) for p in spec.powers)
-        if value is None:
+        try:
+            value = analytic_moment(spec, q, dim)
+        except MomentDoesNotExistError:
             print(f"{spec.b},{powers},does-not-exist,,")
-        elif mc is None:
+            continue
+        if not count:
             print(f"{spec.b},{powers},{value:.9g},,")
-        else:
-            print(f"{spec.b},{powers},{value:.9g},{mc:.9g},{se:.3g}")
+            continue
+        sample_vals = np.prod(draws ** np.asarray(spec.powers), axis=1) / rhos**spec.b
+        mc = float(np.mean(sample_vals))
+        se = float(np.std(sample_vals, ddof=1) / np.sqrt(count))
+        print(f"{spec.b},{powers},{value:.9g},{mc:.9g},{se:.3g}")
     return 0
 
 

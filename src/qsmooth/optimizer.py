@@ -123,8 +123,9 @@ class BoxConstraint:
 
 
 def project(x: np.ndarray, box: BoxConstraint) -> np.ndarray:
-    """Component-wise clamp onto the box (idempotent, identity on C)."""
-    return np.clip(np.asarray(x, dtype=float), box.lower, box.upper)
+    """Component-wise clamp onto the box (idempotent, identity on C), as
+    both outer loops project (``sf_run`` in this order too)."""
+    return np.minimum(np.maximum(x, box.lower), box.upper)
 
 
 @dataclass(frozen=True)
@@ -184,9 +185,9 @@ class QuadraticCostSimulator:
 
 def _check_run_args(kernel, box, theta0, M, L):
     theta0 = np.asarray(theta0, dtype=float).copy()
-    if kernel.dim != box.dim or theta0.size != box.dim:
+    if kernel.dim != box.dim or theta0.shape != (box.dim,):
         raise ValueError(
-            f"dimension mismatch: kernel {kernel.dim}, box {box.dim}, theta0 {theta0.size}"
+            f"dimension mismatch: kernel {kernel.dim}, box {box.dim}, theta0 {theta0.shape}"
         )
     if not box.contains(theta0):
         raise ValueError("theta0 must lie in the constraint box")
@@ -241,9 +242,9 @@ def _compiled_run(sims, kernel, box, schedule, M, L, theta, stream, record_every
     C kernel that keeps its ``observe``, over a network of the kernel's
     dimension, with a stream that neither the perturbations nor the other
     simulator draw from; it hands every other simulator back to its caller
-    to observe.  The loop reads uniforms from the buffer itself, as the
-    Python loop's array normals do, so an override of ``uniform01`` (one
-    that counts draws, say) sees none of its draws."""
+    to observe.  The loop reads uniforms from the buffer itself, so an
+    override of ``uniform01`` (one that counts draws, say) sees none of its
+    draws."""
     lib = _native.load()
     if (
         lib is None
@@ -292,11 +293,7 @@ def _run_loop(
     theta = _check_run_args(kernel, box, theta0, M, L)
     n_dim = kernel.dim
     q = kernel.q
-    # a 0-d array: numpy multiplies by it faster than by a float, with the
-    # same bits
-    beta = np.array(kernel.beta)
-    lower, upper = box.lower, box.upper
-    maximum, minimum = np.maximum, np.minimum
+    beta = kernel.beta
     observes = [(sim if hasattr(sim, "observe") else _StepObserver(sim)).observe for sim in sims]
     # the term's signal is 2h one-sided and h+ - h- two-sided; the costs
     # enter through s below, the factor 2 or 1 through the coefficient
@@ -334,12 +331,11 @@ def _run_loop(
             coeff = _term_weight(kernel, pert.rho, numer) * eta
 
             # one call per simulator: the (+) one at theta + beta*eta, the (-)
-            # one at theta - beta*eta, both projected onto the box (np.clip
-            # gives the same bits, at a higher cost per call)
+            # one at theta - beta*eta, both projected onto the box
             shift = beta * eta
-            controls = [minimum(maximum(theta + shift, lower), upper)]
+            controls = [project(theta + shift, box)]
             if len(observes) == 2:
-                controls.append(minimum(maximum(theta - shift, lower), upper))
+                controls.append(project(theta - shift, box))
             costs = [
                 _observe(observe, control, L, n, seed_info)
                 for observe, control in zip(observes, controls)
@@ -356,7 +352,7 @@ def _run_loop(
             if not abs(z).max() <= Z_DIVERGENCE_LIMIT:
                 raise DivergenceError(n, z, seed_info)
             # theta steps with the Z value that entered this outer iteration
-            theta = minimum(maximum(theta - a_n * z_entering, lower), upper)
+            theta = project(theta - a_n * z_entering, box)
 
             if trajectory is not None and ((n + 1) % record_every == 0 or n + 1 == M):
                 trajectory.append(

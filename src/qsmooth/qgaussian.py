@@ -37,8 +37,8 @@ def _gammaln(x: float) -> float:
 
 
 class QGaussianDomainError(ValueError):
-    """q is outside (-inf, 1 + 2/N), where the distribution is undefined, or
-    so far below 1 that the sampler's constants overflow."""
+    """N < 1, or q is outside (-inf, 1 + 2/N), where the distribution is
+    undefined, or so far below 1 that the sampler's constants overflow."""
 
 
 class MomentDoesNotExistError(ValueError):
@@ -46,6 +46,8 @@ class MomentDoesNotExistError(ValueError):
 
 
 def _check_q_domain(q: float, dim: int) -> None:
+    if dim < 1:
+        raise QGaussianDomainError(f"dim must be >= 1, got {dim}")
     if not q < 1.0 + 2.0 / dim - _BOUNDARY_GUARD:
         raise QGaussianDomainError(
             f"q={q} not admissible for dim={dim}; need q < 1 + 2/dim = {1.0 + 2.0 / dim}"
@@ -66,8 +68,6 @@ class QKernel:
     dim: int
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
         if not 0.0 < self.beta < math.inf:
             raise ValueError(f"beta must be > 0 and finite, got {self.beta}")
         _transform_constants(self.q, self.dim)

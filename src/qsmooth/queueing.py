@@ -303,9 +303,6 @@ class QueueSimulator:
             self.kernel = "c"
             self._kernel = _native.NativeKernel(lib, config, stream, next_arrival)
         self.state = self._kernel.state
-        # control - target, and each node's block of it as a view
-        self._diff = np.empty(config.total_dim)
-        self._blocks = [(self._diff[block], inv_r) for block, inv_r in config._node_blocks]
 
     def _set_service_factors(self, control) -> None:
         """Per node i, 1/R_i + ||theta_i - target_i||^2 into the kernel's
@@ -313,14 +310,14 @@ class QueueSimulator:
         ValueError, before any event, when ``control`` is not a vector of the
         network's dimension, or when a factor is not finite: no event loop
         can run on one."""
-        if np.shape(control) != self._diff.shape:
+        if np.shape(control) != (self.config.total_dim,):
             raise ValueError(f"control of shape {np.shape(control)} for a network of "
                              f"dimension {self.config.total_dim}")
         fac = self._kernel.fac
         with np.errstate(over="ignore"):  # an overflow gives inf, which is refused
-            np.subtract(control, self.config.theta_target, out=self._diff)
-            for i, (block, inv_r) in enumerate(self._blocks):
-                f = fac[i] = inv_r + float(np.dot(block, block))
+            diff = np.subtract(control, self.config.theta_target)
+            for i, (block, inv_r) in enumerate(self.config._node_blocks):
+                f = fac[i] = inv_r + float(np.dot(diff[block], diff[block]))
                 if not f < math.inf:
                     raise ValueError(f"control {control} gives node {i} the service factor {f}")
 

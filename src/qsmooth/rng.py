@@ -26,15 +26,11 @@ _BUFFER_SIZE = 4096
 # 2**-53; raw >> 11 keeps 53 bits, +0.5 centers in the cell so the open
 # interval (0, 1) is hit by construction (never exactly 0 or 1).
 _TO_UNIT = 2.0 ** -53
-# Box-Muller's constants as 0-d arrays: numpy multiplies an array by one
-# faster than by a float, with the same bits
-_MINUS_TWO = np.array(-2.0)
-_TWO_PI = np.array(2.0 * np.pi)
 
 
 def _radius(u: np.ndarray) -> np.ndarray:
     """sqrt(-2 log u): the Box-Muller radius of each uniform."""
-    return np.sqrt(_MINUS_TWO * np.log(u))
+    return np.sqrt(-2.0 * np.log(u))
 
 
 def box_muller_tables(buf: np.ndarray):
@@ -47,7 +43,7 @@ def box_muller_tables(buf: np.ndarray):
     radius = np.empty(buf.size)
     radius[0::2] = _radius(buf[0::2])
     radius[1::2] = _radius(buf[1::2])
-    angle = _TWO_PI * buf
+    angle = 2.0 * np.pi * buf
     return radius, np.cos(angle), np.sin(angle)
 
 
@@ -181,19 +177,10 @@ class RngStream:
 
         spare = self.spare_normal if size > 0 else None
         need = size if spare is None else size - 1
-        n_u = 2 * ((need + 1) // 2)
-        if n_u <= _BUFFER_SIZE:
-            # read in place, as numpy's elementwise results do not depend on
-            # the stride or offset of their operands; a large draw is copied
-            # out a buffer at a time instead, so no refill grows with it
-            buf, pos = self.reserve(n_u)
-            self._pos = pos + n_u
-            u = buf[pos : pos + n_u]
-        else:
-            u = self.uniform01(n_u)
+        u = self.uniform01(2 * ((need + 1) // 2))
         r = _radius(u[0::2])
-        ang = _TWO_PI * u[1::2]
-        z = np.empty(n_u)
+        ang = 2.0 * np.pi * u[1::2]
+        z = np.empty(u.size)
         np.multiply(r, np.cos(ang), out=z[0::2])
         np.multiply(r, np.sin(ang), out=z[1::2])
         if spare is None and need % 2 == 0:

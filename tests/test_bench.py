@@ -230,6 +230,21 @@ def test_config_rejects_unknown_system_fields(extra):
         config_from_dict(small_config_dict(**_inline_system(**extra)))
 
 
+def test_config_rejects_unknown_keys_of_mixed_types():
+    # a Python caller's keys of two types used to fail being sorted, with
+    # TypeError
+    with pytest.raises(ConfigError, match=r"unknown config fields: \[1, 'a'\]"):
+        config_from_dict({**small_config_dict(), 1: 2, "a": 3})
+
+
+@pytest.mark.parametrize("dims", [[-1, 2], [2, 0], [-3, -1]])
+def test_config_names_a_bad_inline_dimension(dims):
+    # theta_target is sized from the dims, so a negative one used to be
+    # reported as a theta_target of length -1
+    with pytest.raises(ConfigError, match="system.dims entry must be >= 1"):
+        config_from_dict(small_config_dict(**_inline_system(dims=dims)))
+
+
 def test_config_missing_fields():
     with pytest.raises(ConfigError):
         config_from_dict({"algorithm": "gqsf1"})
@@ -440,6 +455,23 @@ def test_emit_csv_empty_and_single():
     assert two_lines.count("\n") == 2
 
 
+def test_emit_csv_bytes():
+    # the exact bytes, so that a change to a column's name, order or format
+    # shows; the second row has a value that rounds and NaN statistics
+    cells = [_fake_cell(), _fake_cell(q=1 / 3, mean_distance=float("nan"),
+                                      std_distance=float("nan"), failures=2, seconds=0.0)]
+    assert emit_csv(cells) == (
+        "algorithm,q,beta,gamma,M,L,replications,mean_distance,std_distance,failures,seconds\n"
+        "gqsf2,1,0.005,0.75,100,10,2,0.0123456,0.000123,0,1.5\n"
+        "gqsf2,0.333333,0.005,0.75,100,10,2,nan,nan,2,0\n"
+    )
+    assert emit_csv(cells, include_timing=False) == (
+        "algorithm,q,beta,gamma,M,L,replications,mean_distance,std_distance,failures\n"
+        "gqsf2,1,0.005,0.75,100,10,2,0.0123456,0.000123,0\n"
+        "gqsf2,0.333333,0.005,0.75,100,10,2,nan,nan,2\n"
+    )
+
+
 def test_emit_csv_roundtrip():
     cells = [_fake_cell(), _fake_cell(q=0.5, mean_distance=0.5)]
     rows = parse_csv(emit_csv(cells))
@@ -562,6 +594,28 @@ def test_cli_takes_a_negative_exponent_as_a_value(q, capsys):
     assert main(["sample", f"--q={q}", "--dim", "2", "--count", "3"]) == 0
     by_space, by_equals = capsys.readouterr().out.split("x0,x1,rho")[1:]
     assert by_space == by_equals
+
+
+@pytest.mark.parametrize("command", ["sample", "moments"])
+def test_cli_rejects_a_dimension_below_one(command, capsys):
+    # the q bound 1 + 2/dim used to divide by zero
+    for dim in ("0", "-2"):
+        assert main([command, "--q", "0.5", "--dim", dim, "--count", "0"]) == 2
+        assert capsys.readouterr().err.startswith("config error: dim must be >= 1")
+
+
+@pytest.mark.parametrize(
+    "command, count", [("sample", "-1"), ("moments", "-3"), ("moments", "1")]
+)
+def test_cli_rejects_a_count_it_cannot_use(command, count, capsys):
+    # a negative count raised from numpy or ran as 0, and one draw gave NaN
+    # standard errors
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--q", "0.5", "--dim", "2", "--count", count]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: --count")
 
 
 def test_cli_moments(capsys):

@@ -33,9 +33,10 @@ def test_uniform01_scalar_array_same_sequence():
 
 
 class _CopyingStream(RngStream):
-    """A stream whose array normals copy their uniforms out through
-    ``uniform01(size)``, as they did before small draws read them in place;
-    ``drawn`` counts every uniform it hands out."""
+    """A stream whose array normals are written out pair by pair from
+    uniforms copied out through ``uniform01(size)``, a reference for
+    ``RngStream.standard_normal``; ``drawn`` counts every uniform it hands
+    out."""
 
     __slots__ = ("drawn",)
 
@@ -94,9 +95,9 @@ def test_interleaved_uniform_draws_match_one_array_draw():
     # Scalar draws read a list copy of the current buffer; a refill made by
     # an array, normal or reserve call must replace that copy, not leave it
     # stale, and a reserve must keep the unread tail in order.  Array
-    # normals, read in place, must match those copied out through
-    # uniform01(size), with a spare normal carried between calls and across
-    # scalar chi-squared draws, and so must q-Gaussian perturbations.
+    # normals must match the reference's, with a spare normal carried
+    # between calls and across scalar chi-squared draws, and so must
+    # q-Gaussian perturbations.
     stream = RngStream(31, 4)
     old = _CopyingStream(31, 4)  # drawn in lockstep; old.drawn counts the uniforms used
     positions, values = [], []
@@ -149,7 +150,7 @@ def test_interleaved_uniform_draws_match_one_array_draw():
     normals(3)  # leaves a spare normal
     chi(3.7)  # scalar normals: the spare is used, another may be left
     normals(1)
-    normals(4097)  # more than a buffer holds: copied out, not read in place
+    normals(4097)  # more than a buffer holds
     for k in range(40):
         scalars(k * 7 % 13 + 1)
         array(k * 997 % 1500 + 1)
