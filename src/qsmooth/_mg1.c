@@ -5,11 +5,13 @@
  * same floating-point operations in the same order.  Built without FMA
  * contraction (-ffp-contract=off), it returns the same costs bit for bit.
  *
- * The kernel stops at an event boundary, before touching any state, when
- * fewer than 3 uniforms (the most one event draws) remain in the buffer or
- * when the ring that the next event may push onto is full; the caller
- * refills or grows, and calls again, and the record keeps the count of
- * costs done so far.
+ * When fewer than 3 uniforms (the most one event draws) remain in the
+ * buffer, the kernel refills it from the stream's generator, as
+ * RngStream.reserve(3) does, into a buffer of its own.  It stops at an
+ * event boundary, before touching any state, when the ring that the next
+ * event may push onto is full, or when it runs short of uniforms with no
+ * generator to refill from; the caller grows or refills, and calls again,
+ * and the record keeps the count of costs done so far.
  *
  * sf_run, further down, runs whole outer iterations of the two-timescale
  * optimizer over one or two simulators, each such a kernel or one the
@@ -21,16 +23,21 @@
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
+#include <string.h>
 
 /* The records shared with Python, mg1_state and sf_run_t, and the SF_ stop
  * codes are described here only: qsmooth._native lays its ctypes records
  * out from these declarations when it is imported, and binds each stop
  * code by its name.  So every typedef struct in this file declares one
  * member per line, as `T name;`, `T *name;` or `T *name[N];`, with an
- * optional leading const, and by value only double, int64_t or ddot_fn;
- * comments may go anywhere.  Any other line fails that import, quoting the
- * line.
+ * optional leading const, and by value only double, int64_t, ddot_fn or
+ * next_fn; comments may go anywhere.  Any other line fails that import,
+ * quoting the line.
  */
+
+/* a numpy bit generator's next_uint64, as its ctypes interface gives it */
+typedef uint64_t (*next_fn)(void *state);
+
 typedef struct {
     double clock;           /* time of the latest service completion */
     double entry_sum;       /* sum of entry times of customers present */
@@ -44,7 +51,14 @@ typedef struct {
     int64_t want;           /* costs the call asks for */
     int64_t u_pos;          /* next unread uniform */
     int64_t u_len;
-    const double *u;        /* the stream's buffer of uniforms */
+    const double *u;        /* the stream's buffer of uniforms, or own */
+    /* the stream's Philox generator (numpy's Philox.ctypes), which refills
+       own; NULL where the caller refills the buffer */
+    void *bitgen;
+    next_fn next_uint64;
+    double *own;            /* refill_size + 2 slots */
+    int64_t refill_size;    /* fresh uniforms per refill */
+    int64_t refills;        /* refills made here */
     const double *rates;    /* external arrival rate per node */
     const double *p_leave;
     double *fac;            /* service-time factor per node */
@@ -77,6 +91,22 @@ static double pop(mg1_state *s, int64_t node)
     return entry;
 }
 
+/* RngStream.reserve(3) on the stream's generator, with `pos` the next
+ * unread uniform: the unread tail moves to the front of own, then come
+ * refill_size fresh uniforms, each made from one raw draw as
+ * RngStream._fresh makes it.  Returns own, read from 0. */
+static const double *refill(mg1_state *s, int64_t pos)
+{
+    const int64_t tail = s->u_len - pos;
+    memmove(s->own, s->u + pos, (size_t)tail * sizeof(double));
+    for (int64_t i = 0; i < s->refill_size; i++)
+        s->own[tail + i] = ((double)(s->next_uint64(s->bitgen) >> 11) + 0.5) * 0x1p-53;
+    s->u = s->own;
+    s->u_len = tail + s->refill_size;
+    s->refills += 1;
+    return s->own;
+}
+
 /* Runs until s->want costs are written to s->costs or the loop must stop;
  * returns the number of costs written so far, s->done included, and
  * stores it in s->done. */
@@ -93,8 +123,12 @@ int64_t mg1_observe(mg1_state *s)
 
     s->full = -1;
     while (done < L) {
-        if (s->u_len - pos < 3)
-            break;
+        if (s->u_len - pos < 3) {
+            if (s->bitgen == NULL)
+                break;
+            u = refill(s, pos);
+            pos = 0;
+        }
         double t_min = INFINITY;
         int64_t node = -1;
         int is_completion = 0;
@@ -175,10 +209,11 @@ int64_t mg1_observe(mg1_state *s)
  *   - elementwise + - * / and np.maximum / np.minimum are written out in
  *     numpy's order, NaN propagation and ties included.
  *
- * The loop returns to its caller when a stream's buffer runs short, when a
- * ring is full, when the caller is to observe a simulator, at each
- * trajectory point, at M and on an error; the record keeps where it stands,
- * and the next call resumes there.
+ * The loop returns to its caller when the perturbation stream's buffer runs
+ * short (or a simulator's, with no generator to refill from), when a ring
+ * is full, when the caller is to observe a simulator, at each trajectory
+ * point, at M and on an error; the record keeps where it stands, and the
+ * next call resumes there.
  */
 
 /* numpy's ILP64 CBLAS ddot */
@@ -191,7 +226,8 @@ enum {
     SF_DIVERGED,    /* the fast iterate of iteration n failed the guard */
     SF_BAD_RHO,     /* rho <= 0 at iteration n */
     SF_PERTURBATION,/* the perturbation stream needs `need` uniforms */
-    SF_SIMULATOR,   /* simulator `stopped` needs uniforms or a larger ring */
+    SF_SIMULATOR,   /* simulator `stopped` needs a larger ring, or uniforms
+                       that it has no generator to refill from */
     SF_OBSERVE      /* the caller is to observe simulators `stopped` to
                        phase - 2 and write their costs */
 };

@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .rng import box_muller_tables
+from .rng import _BUFFER_SIZE, RngStream, box_muller_tables
 
 _SOURCE = Path(__file__).with_name("_mg1.c")
 # no FMA contraction: every product and sum rounds as it does in Python;
@@ -79,7 +79,10 @@ def _build(cache: Path) -> Path:
 
 # a record member, `T name;`, `T *name;` or `T *name[N];` after an optional const
 _MEMBER = re.compile(r"(?:const\s+)?(\w+)(?:\s+(\w+)|\s*(\*)\s*(\w+)(?:\[(\d+)\])?);")
-_BY_VALUE = {"double": ctypes.c_double, "int64_t": ctypes.c_int64, "ddot_fn": ctypes.c_void_p}
+_BY_VALUE = {
+    "double": ctypes.c_double, "int64_t": ctypes.c_int64, "ddot_fn": ctypes.c_void_p,
+    "next_fn": ctypes.c_void_p,
+}
 
 
 def _read_declarations(source: str) -> tuple[dict, dict]:
@@ -138,6 +141,16 @@ class NativeState(ctypes.Structure):
         for name, array in self.arrays.items():
             self.bind(name, array)
 
+    def bind_generator(self, bitgen: np.random.Philox) -> None:
+        """Let the loop refill its buffer from ``bitgen`` itself, into
+        ``own``, ``rng._BUFFER_SIZE`` fresh uniforms at a time."""
+        self.generator = bitgen  # kept alive while the loop draws from it
+        interface = bitgen.ctypes
+        self.bitgen = interface.state_address
+        self.next_uint64 = ctypes.cast(interface.next_uint64, ctypes.c_void_p).value
+        self.refill_size = _BUFFER_SIZE
+        self.bind("own", np.empty(_BUFFER_SIZE + 2))  # + the unread tail, at most 2
+
     def bind(self, name: str, array: np.ndarray) -> None:
         """Point field ``name`` at ``array``, and keep the array alive."""
         self.arrays[name] = array
@@ -187,10 +200,25 @@ class _InPlaceReader:
         self._synced = pos
 
 
+# the RngStream methods that the event loop's own refill stands in for
+_COMPILED_REFILL = ("_fresh", "reserve", "advance")
+
+
+def _refills_in_c(stream) -> bool:
+    """Whether the event loop may refill ``stream``'s buffer itself: the
+    stream's class keeps ``RngStream``'s refill (``_COMPILED_REFILL``) and
+    its generator is a ``np.random.Philox``."""
+    return all(
+        getattr(type(stream), name, None) is getattr(RngStream, name) for name in _COMPILED_REFILL
+    ) and type(getattr(stream, "_bitgen", None)) is np.random.Philox
+
+
 class NativeKernel(_InPlaceReader):
     """Runs the compiled event loop over one :class:`NativeState`, reading
-    uniforms straight from the stream's buffer.  A call reads its service
-    factors from ``fac`` and leaves its costs at the front of ``costs``."""
+    uniforms straight from the stream's buffer, and refilling it from the
+    stream's generator where :func:`_refills_in_c` allows.  A call reads its
+    service factors from ``fac`` and leaves its costs at the front of
+    ``costs``."""
 
     def __init__(self, lib, config, stream, next_arrival):
         self.state = NativeState(config, next_arrival)
@@ -199,6 +227,9 @@ class NativeKernel(_InPlaceReader):
         self._observe = lib.mg1_observe
         self._state_ref = ctypes.byref(self.state)
         self._read_from(stream)
+        if _refills_in_c(stream):
+            self.state.bind_generator(stream._bitgen)
+        self._refills = 0  # the loop's refills the stream has taken
 
     def _point_at(self, buf: np.ndarray) -> None:
         self.state.u = buf.ctypes.data
@@ -216,12 +247,26 @@ class NativeKernel(_InPlaceReader):
         self.state.u_pos = self._reserve(self.state.u_pos, 3)
 
     def sync(self) -> None:
-        """Mark the uniforms read in place since the last refill as drawn."""
-        self._sync_to(self.state.u_pos)
+        """Hand the stream where the loop stands: the uniforms read in place
+        since the last refill, or, when the loop has refilled the buffer
+        itself, a copy of that buffer and the position in it."""
+        state = self.state
+        if state.refills == self._refills:
+            self._sync_to(state.u_pos)
+            return
+        self._refills = state.refills
+        # what stream.reserve would have left, with the generator already
+        # moved on by the loop's draws
+        buf = state.arrays["own"][: state.u_len].copy()
+        stream = self._stream
+        stream._buf, stream._pos, stream._values = buf, state.u_pos, None
+        self._buf, self._synced = buf, state.u_pos
+        self._point_at(buf)
 
     def unblock(self) -> None:
         """Clear what stopped the loop: grow the rings if one was full,
-        else refill."""
+        else refill (only a loop with no generator bound stops for
+        that)."""
         if self.state.full >= 0:
             self.state.grow_rings()
         else:

@@ -24,7 +24,7 @@ from .qgaussian import (
     MomentDoesNotExistError,
     MomentSpec,
     QGaussianDomainError,
-    _check_q_domain,
+    _transform_constants,
     analytic_moment,
     sample_standard_many,
 )
@@ -114,9 +114,10 @@ def _cmd_moments(args) -> int:
         # a standard error needs two draws
         return _config_error(f"--count must be 0 or >= 2, got {count}")
     try:
-        # the domain every analytic moment checks, before the grid, which
-        # has dim axes, and before any output
-        _check_q_domain(q, dim)
+        # the domain every analytic moment checks, finite sampler constants
+        # included, before the grid, which has dim axes, and before any
+        # output
+        _transform_constants(q, dim)
         if count:
             stream = RngStream(args.seed, derive_stream_id(args.seed, "moments"))
             draws, rhos = sample_standard_many(q, dim, count, stream)

@@ -267,11 +267,13 @@ def analytic_moment(spec: MomentSpec, q: float, dim: int) -> float:
     independent standard-normal moments (rho is identically 1 there).
     Raises :class:`MomentDoesNotExistError` when the defining integral is
     infinite, which is a property of (spec, q, dim) jointly -- the same
-    spec can be valid for one shape and not another.
+    spec can be valid for one shape and not another.  Raises
+    :class:`QGaussianDomainError` outside the sampler's domain, as for a q
+    so far below 1 that its constants are not finite.
     """
     if len(spec.powers) != dim:
         raise ValueError(f"powers must have length dim={dim}, got {len(spec.powers)}")
-    _check_q_domain(q, dim)
+    _transform_constants(q, dim)
     if not moment_exists(spec, q, dim):
         raise MomentDoesNotExistError(
             f"moment b={spec.b}, powers={spec.powers} does not exist at q={q}, dim={dim}"

@@ -209,6 +209,88 @@ def test_numeric_extremes_fail_at_load_or_run_to_the_end(algorithm, mutations):
             run_replication(config, 0, q, beta, 0)
 
 
+# JSON values of every type, and nested ones, for the config fuzz below
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.sampled_from(EXTREMES)
+    | st.floats(-2.0, 2.0) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=2),
+    max_leaves=4,
+)
+
+
+@st.composite
+def inline_systems(draw):
+    """An inline system with random per-node values, a list now and then of
+    another length than its node count, and a box and theta0 to match."""
+    k = draw(st.integers(1, 4))
+
+    def per_node(values):
+        n = draw(st.sampled_from([k] * 18 + [k - 1, k + 1]))
+        return draw(st.lists(values, min_size=n, max_size=n))
+
+    dims = per_node(st.integers(1, 3))
+    dim = sum(dims)
+    vector = st.floats(0.0, 1.0) | st.lists(st.floats(0.0, 1.0), min_size=dim, max_size=dim)
+    lower = draw(st.floats(0.0, 0.5))
+    return {
+        "system": {
+            "arrival_rates": per_node(st.floats(0.0, 0.5)),
+            "p_leave": per_node(st.floats(0.0, 1.0)),
+            "service_constants": per_node(st.floats(0.5, 50.0)),
+            "dims": dims,
+            "theta_target": draw(vector),
+        },
+        "box": {"lower": lower, "upper": lower + draw(st.floats(0.01, 0.5))},
+        "theta0": lower,
+    }
+
+
+@st.composite
+def fuzzed_configs(draw):
+    """A config for M=2, L=2, on mg1-4d or a random inline system, with
+    some keys deleted, some values replaced by JSON values of any type, and
+    some lists cut short or nested."""
+    spec = {
+        "algorithm": draw(st.sampled_from(ALGORITHMS)), "q_grid": [0.8], "beta_grid": [0.05],
+        "M": 2, "L": 2, "replications": 1, "base_seed": 11, "system": "mg1-4d",
+    }
+    spec.update(draw(st.just({}) | inline_systems(), label="system"))
+    for _ in range(draw(st.integers(0, 3), label="edits")):
+        # a key of the config, or of its system or box object
+        owners = [spec] + [v for v in (spec.get("system"), spec.get("box")) if isinstance(v, dict)]
+        owner = draw(st.sampled_from(owners))
+        if not owner:
+            continue
+        key = draw(st.sampled_from(sorted(owner)))
+        edit = draw(st.sampled_from(["delete", "replace", "nest", "cut"]))
+        if edit == "delete":
+            del owner[key]
+        elif edit == "replace":
+            owner[key] = draw(JSON_VALUES, label=key)
+        elif edit == "nest":
+            owner[key] = [owner[key]]
+        elif isinstance(owner[key], list):
+            owner[key] = owner[key][: draw(st.integers(0, max(0, len(owner[key]) - 1)))]
+    return spec
+
+
+@settings(max_examples=300)
+@given(spec=fuzzed_configs())
+def test_random_configs_fail_at_load_or_run_to_the_end(spec):
+    # wrong types and shapes, missing keys and random inline systems: each
+    # config fails at load with ConfigError, or each of its cells runs with
+    # no error escaping the ones a grid records per replication
+    with np.errstate(all="ignore"):
+        try:
+            config = config_from_dict(json.loads(json.dumps(spec)))
+        except ConfigError:
+            return
+        for i, (q, beta) in enumerate(config.cells()):
+            with contextlib.suppress(*bench.REPLICATION_ERRORS):
+                run_replication(config, i, q, beta, 0)
+
+
 @pytest.mark.parametrize("bound", [-1e308, 1e308])
 def test_a_far_box_fails_at_load_without_a_warning(bound):
     # the worst corner's squared distance overflows to inf, which the
@@ -584,6 +666,16 @@ def test_cli_sample_rejects_a_q_whose_sampler_never_accepts():
     )
     assert done.returncode == 2, done.stderr
     assert done.stderr.startswith("config error: q=-1e+308"), done.stderr
+
+
+@pytest.mark.parametrize("count", ["0", "5"])
+def test_cli_moments_rejects_a_q_whose_sampler_never_accepts(count, capsys):
+    # with no draws to make, the analytic moments used to print inf and
+    # exit 0
+    assert main(["moments", "--q=-1e308", "--dim", "2", "--count", count]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: q=-1e+308 is too far below 1")
 
 
 @pytest.mark.parametrize("q", ["-1e-3", "-1E-3", "-2.5e+0", "-.5e1"])

@@ -111,6 +111,133 @@ def test_kernels_agree_bit_for_bit(network, data):
         assert _next_uniforms(streams[0]) == _next_uniforms(streams[1])
 
 
+class RefillCountingStream(RngStream):
+    """A stream that counts its refills, through an override of ``_fresh``:
+    the event loop leaves them to Python."""
+
+    __slots__ = ("refills",)
+
+    def __init__(self, seed, stream_id=0):
+        super().__init__(seed, stream_id)
+        self.refills = 0
+
+    def _fresh(self, count):
+        self.refills += 1
+        return super()._fresh(count)
+
+
+def _stands(stream):
+    """Where a stream stands, to the bit: its unread uniforms and its
+    generator's next raw draw, without drawing it."""
+    return stream._buf[stream._pos :].tobytes(), copy.deepcopy(stream._bitgen).random_raw()
+
+
+# the steps of the refill test below: observe L costs, or draw n uniforms
+# from the simulator's stream, one at a time or as an array
+REFILL_STEPS = (
+    st.tuples(st.just("observe"), st.integers(1, 5000))
+    | st.tuples(st.just("scalar"), st.integers(1, 4))
+    | st.tuples(st.just("array"), st.integers(1, 4100))
+)
+
+
+@needs_gcc
+@DETERMINISTIC
+@given(network=networks(), data=st.data())
+def test_the_loop_refills_as_the_stream_would(network, data):
+    # Against the same kernel whose refills Python makes, through
+    # RngStream.reserve: the same costs, and each stream at the same
+    # unread uniforms and the same generator state, after every step
+    seed = data.draw(st.integers(0, 2**32), label="seed")
+    skip = data.draw(st.integers(0, 4095), label="uniforms drawn before")
+    streams = [RngStream(seed, 5), RefillCountingStream(seed, 5)]
+    for stream in streams:
+        stream.uniform01(skip)
+    sims = [QueueSimulator(network, stream) for stream in streams]
+    assert [bool(sim._kernel.state.bitgen) for sim in sims] == [True, False]
+    control = np.array(data.draw(
+        st.lists(st.floats(0.0, 1.0), min_size=network.total_dim, max_size=network.total_dim),
+        label="control",
+    ))
+    for kind, n in data.draw(st.lists(REFILL_STEPS, min_size=1, max_size=8), label="steps"):
+        if kind == "observe":
+            got = [np.array(sim.observe(control, n)).tobytes() for sim in sims]
+        elif kind == "scalar":
+            got = [[stream.uniform01() for _ in range(n)] for stream in streams]
+        else:
+            got = [stream.uniform01(n).tobytes() for stream in streams]
+        assert got[0] == got[1]
+        assert _stands(streams[0]) == _stands(streams[1])
+        assert _queue_counters(sims[0]) == _queue_counters(sims[1])
+
+
+@needs_gcc
+def test_the_loop_refills_at_every_tail_many_times():
+    # A call of 50 observations refills at most once, and leaves the stream
+    # with the unread tail the refill kept (0, 1 or 2 uniforms) ahead of the
+    # 4096 fresh ones; on mg1-20d, whose completions often draw 3 uniforms,
+    # every tail comes up
+    loaded = preset("mg1-20d")
+    streams = [RngStream(3, 1), RefillCountingStream(3, 1)]
+    sims = [QueueSimulator(loaded.network, stream) for stream in streams]
+    state = sims[0]._kernel.state
+    tails = set()
+    for _ in range(3000):
+        refills = state.refills
+        got = [np.array(sim.observe(loaded.theta0, 50)).tobytes() for sim in sims]
+        assert got[0] == got[1]
+        if state.refills > refills:
+            assert _stands(streams[0]) == _stands(streams[1])
+            tails.add(streams[0]._buf.size - 4096)
+    assert tails == {0, 1, 2}
+    assert state.refills >= 50
+    assert _stands(streams[0]) == _stands(streams[1])
+
+
+@needs_gcc
+def test_a_stream_that_overrides_fresh_keeps_its_refills_in_python():
+    # The loop refills a plain stream's buffer itself, so it stops only to
+    # grow a ring; one whose class overrides _fresh sees every refill
+    stops = {}
+    unblock = _native.NativeKernel.unblock
+
+    def counted(kernel):
+        kind = "ring" if kernel.state.full >= 0 else "uniforms"
+        stops[kind] = stops.get(kind, 0) + 1
+        unblock(kernel)
+
+    runs = {}
+    for stream_type in (RngStream, RefillCountingStream):
+        stops.clear()
+        spec = _far_target_spec(network=preset("mg1-4d").network, stream_type=stream_type)
+        with mock.patch.object(_native.NativeKernel, "unblock", counted):
+            out, ends, sims = _run(spec)
+        runs[stream_type] = out, ends
+        c_refills = [sim._kernel.state.refills for sim in sims]
+        if stream_type is RngStream:
+            assert "uniforms" not in stops and min(c_refills) > 0
+        else:
+            assert stops["uniforms"] > 0 and c_refills == [0, 0]
+            assert all(sim.stream.refills >= 4 for sim in sims)
+    assert runs[RngStream] == runs[RefillCountingStream]
+
+
+@needs_gcc
+@pytest.mark.parametrize("name", [*_native._COMPILED_REFILL, "_bitgen"])
+def test_only_a_plain_philox_stream_is_refilled_by_the_loop(name):
+    # a stream whose class overrides a method the loop's refill stands in
+    # for, or whose generator is not Philox, is refilled from Python
+    def same(self, *args):
+        return getattr(RngStream, name)(self, *args)
+
+    if name == "_bitgen":
+        stream = RngStream(5, 1)
+        stream._bitgen = np.random.PCG64(5)
+    else:
+        stream = type("Overriding", (RngStream,), {"__slots__": (), name: same})(5, 1)
+    assert not QueueSimulator(preset("mg1-4d").network, stream)._kernel.state.bitgen
+
+
 class CountingStream(RngStream):
     """A stream that counts the uniforms drawn through ``uniform01``, as a
     profiler's might."""
@@ -739,7 +866,7 @@ def test_the_records_are_laid_out_as_the_c_compiler_lays_them_out(tmp_path):
         name, *numbers = line.split()
         got[name] = tuple(map(int, numbers)) if len(numbers) > 1 else int(numbers[0])
     assert got == want
-    assert len(records["mg1_state"]._fields_) == 27 and len(records["sf_run_t"]._fields_) == 41
+    assert len(records["mg1_state"]._fields_) == 32 and len(records["sf_run_t"]._fields_) == 41
 
 
 def test_the_record_reader_takes_each_allowed_form():
@@ -750,12 +877,13 @@ def test_the_record_reader_takes_each_allowed_form():
             const int64_t *p; // and another
             mg1_state *sims[2];
             ddot_fn f;
+            next_fn g;
         } rec;
         enum { A, /* between */ B };
     """)
     records, values = _native._read_declarations(source)
     assert [(name, ctypes.sizeof(kind)) for name, kind in records["rec"]] == [
-        ("x", 8), ("p", 8), ("sims", 16), ("f", 8)
+        ("x", 8), ("p", 8), ("sims", 16), ("f", 8), ("g", 8)
     ]
     assert records["rec"][2][1]._type_ is ctypes.c_void_p
     assert (values["A"], values["B"]) == (0, 1)
@@ -810,13 +938,16 @@ def use_cache(monkeypatch, tmp_path):
 
 
 def _costs(network):
+    """A simulator, its first 2000 costs, and where its stream then stands."""
     sim = make_simulator(network, RngStream(66, 2))
-    return sim, sim.observe(np.full(network.total_dim, 0.45), 2000)
+    costs = sim.observe(np.full(network.total_dim, 0.45), 2000)
+    return sim, (costs, _end_state(sim.stream))
 
 
 def _runs():
     """Gq-SF1 and Gq-SF2 on mg1-4d, each run's theta_final, z and
-    trajectory as bytes, and whether the compiled loop served them."""
+    trajectory as bytes and the end state of each simulator's stream, and
+    whether the compiled loop served them."""
     loaded = preset("mg1-4d")
     box = BoxConstraint.cube(loaded.box_lower, loaded.box_upper, 4)
     kernel = QKernel(0.8, 0.005, 4)
@@ -831,7 +962,8 @@ def _runs():
         compiled.append(spy.call_count == 1)
         out.append(
             (result.theta_final.tobytes(), result.z.tobytes(),
-             [(point.n, point.theta.tobytes()) for point in result.trajectory])
+             [(point.n, point.theta.tobytes()) for point in result.trajectory],
+             [_end_state(sim.stream) for sim in sims])
         )
     return out, compiled
 

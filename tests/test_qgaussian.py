@@ -325,6 +325,14 @@ def test_moment_total_probability():
     assert analytic_moment(MomentSpec(b=0, powers=(0, 0, 0)), 0.7, 3) == 1.0
 
 
+@pytest.mark.parametrize("powers", [(0, 0), (2, 0), (4, 0), (1, 0)])
+def test_moment_refuses_a_q_whose_sampler_constants_are_not_finite(powers):
+    # q = -1e308 passes the q < 1 + 2/N bound, but its tail coefficient
+    # overflows: even moments used to come out inf, as no sampler gives them
+    with pytest.raises(QGaussianDomainError, match="too far below 1"):
+        analytic_moment(MomentSpec(b=0, powers=powers), -1e308, 2)
+
+
 @pytest.mark.parametrize(
     "q,b,power",
     [(0.5, 0, 2), (0.5, 1, 2), (0.5, 2, 4), (0.0, 1, 2), (-1.0, 0, 4), (1.2, 1, 4), (1.1, 2, 2)],
