@@ -14,8 +14,8 @@
  * and the record keeps the count of costs done so far.
  *
  * sf_run, further down, runs whole outer iterations of the two-timescale
- * optimizer over one or two simulators, each such a kernel or one the
- * caller observes.
+ * optimizer over one or two simulators, each such a kernel, a quadratic
+ * cost whose target it is given, or one the caller observes.
  *
  * Every argument travels in a record the caller binds once, so a call
  * from Python passes one pointer.
@@ -252,7 +252,11 @@ typedef struct {
     const double *lower;
     const double *upper;
     ddot_fn ddot;
-    mg1_state *sims[2];     /* NULL: the caller observes simulator i */
+    /* simulator i is the kernel sims[i], the quadratic cost
+       ||control - targets[i]||^2, or, where both are NULL, one the caller
+       observes */
+    mg1_state *sims[2];
+    const double *targets[2];
     double *costs[2];       /* simulator i's L costs, which the fold reads */
     /* the perturbation stream's buffer and, per value u, sqrt(-2 log u),
        cos(2 pi u) and sin(2 pi u) */
@@ -272,6 +276,7 @@ typedef struct {
     double *eta;
     double *coeff;
     double *controls;       /* n_sims rows of dim */
+    double *diff;           /* control - target of a quadratic */
     /* where the loop stands */
     int64_t n;              /* outer iterations done */
     int64_t phase;          /* 0: draw; 1 + i: simulator i observing */
@@ -320,6 +325,23 @@ static int finite_factors(const mg1_state *s)
     for (int64_t i = 0; i < s->k; i++)
         if (!(s->fac[i] < INFINITY))  /* NaN fails the comparison too */
             return 0;
+    return 1;
+}
+
+/* QuadraticCostSimulator.observe: L copies of ||control - target||^2,
+ * the subtraction elementwise and the square through np.dot, into
+ * costs[i].  Returns 0, writing nothing, when that cost is not finite:
+ * the caller's observe then computes it, with numpy's warnings. */
+static int quadratic_costs(sf_run_t *r, int64_t i)
+{
+    const double *control = r->controls + i * r->dim, *target = r->targets[i];
+    for (int64_t j = 0; j < r->dim; j++)
+        r->diff[j] = control[j] - target[j];
+    const double cost = dot(r->ddot, r->dim, r->diff, r->diff);
+    if (!(cost < INFINITY))  /* NaN fails the comparison too */
+        return 0;
+    for (int64_t m = 0; m < r->L; m++)
+        r->costs[i][m] = cost;
     return 1;
 }
 
@@ -540,18 +562,21 @@ int64_t sf_run(sf_run_t *r)
             r->phase = 1;
         }
         while (r->phase <= r->n_sims) {
-            mg1_state *s = r->sims[r->phase - 1];
-            if (s == NULL || !finite_factors(s)) {
+            const int64_t i = r->phase - 1;
+            mg1_state *s = r->sims[i];
+            if (r->targets[i] != NULL ? !quadratic_costs(r, i)
+                                      : s == NULL || !finite_factors(s)) {
                 /* the caller observes this simulator and every following
                    one it observes, then resumes after them */
-                r->stopped = r->phase - 1;
+                r->stopped = i;
                 do
                     r->phase += 1;
-                while (r->phase <= r->n_sims && r->sims[r->phase - 1] == NULL);
+                while (r->phase <= r->n_sims && r->sims[r->phase - 1] == NULL &&
+                       r->targets[r->phase - 1] == NULL);
                 return SF_OBSERVE;
             }
-            if (mg1_observe(s) < r->L) {
-                r->stopped = r->phase - 1;
+            if (s != NULL && mg1_observe(s) < r->L) {
+                r->stopped = i;
                 return SF_SIMULATOR;
             }
             r->phase += 1;

@@ -289,7 +289,9 @@ RunRecord = type("RunRecord", (ctypes.Structure,), {"_fields_": _RECORDS["sf_run
 
 class CompiledRun(_InPlaceReader):
     """One optimizer run in ``sf_run``.  Each simulator is a compiled
-    kernel, which the loop runs itself, or None: one its caller observes.
+    kernel, which the loop runs itself, a quadratic cost's target (a
+    contiguous float64 array of ``dim``), whose costs the loop computes,
+    or None: one its caller observes.
     :meth:`resume` runs outer iterations until one of the stops its caller
     handles: ``OBSERVE`` (the caller is to observe the simulators in
     ``observing`` at their ``control`` rows of iteration ``n`` and write
@@ -298,7 +300,9 @@ class CompiledRun(_InPlaceReader):
     iteration ``n``, now ``z``, failed the guard) or ``BAD_RHO`` (iteration
     ``n`` drew ``rho`` <= 0).  ``theta`` and ``z`` are the iterates so
     far.  The loop also hands the caller a kernel whose service factors are
-    not all finite, whose own ``observe`` raises the error."""
+    not all finite, whose own ``observe`` raises the error, and a quadratic
+    whose cost is not finite, whose ``observe`` computes it with numpy's
+    warnings."""
 
     DONE, RECORD, DIVERGED, BAD_RHO, OBSERVE, _PERTURBATION, _SIMULATOR = (
         _ENUM[f"SF_{name}"]  # sf_run's stop codes, by their names in _mg1.c
@@ -306,33 +310,36 @@ class CompiledRun(_InPlaceReader):
                      "SIMULATOR")
     )
 
-    def __init__(self, lib, sim_kernels, stream, theta, lower, upper, **constants):
+    def __init__(self, lib, sims, stream, theta, lower, upper, **constants):
         """``constants`` are the record's by field name."""
         dim, L = constants["dim"], constants["L"]
         self.theta = np.array(theta, dtype=float)
         self.z = np.zeros(dim)
-        self._controls = np.empty((len(sim_kernels), dim))
+        self._controls = np.empty((len(sims), dim))
         self._arrays = {
             "theta": self.theta,
             "z": self.z,
             "lower": np.ascontiguousarray(lower, dtype=float),
             "upper": np.ascontiguousarray(upper, dtype=float),
-            **{name: np.empty(dim) for name in ("z_next", "eta", "coeff")},
+            **{name: np.empty(dim) for name in ("z_next", "eta", "coeff", "diff")},
             "controls": self._controls,
         }
         self._record = record = RunRecord(
-            n_sims=len(sim_kernels), ddot=lib.ddot, **constants,
+            n_sims=len(sims), ddot=lib.ddot, **constants,
             **{name: array.ctypes.data for name, array in self._arrays.items()},
         )
-        self._kernels = sim_kernels
+        self._sims = sims  # the kernels, and the targets the loop reads, kept alive
+        self._kernels = [sim for sim in sims if isinstance(sim, NativeKernel)]
         self.costs = []
-        for i, kernel in enumerate(sim_kernels):
-            if kernel is None:
-                self.costs.append(np.empty(L))
+        for i, sim in enumerate(sims):
+            if isinstance(sim, NativeKernel):
+                sim.hold(L)
+                self.costs.append(sim.costs[:L])
+                record.sims[i] = ctypes.addressof(sim.state)
             else:
-                kernel.hold(L)
-                self.costs.append(kernel.costs[:L])
-                record.sims[i] = ctypes.addressof(kernel.state)
+                self.costs.append(np.empty(L))
+                if sim is not None:
+                    record.targets[i] = sim.ctypes.data
             record.costs[i] = self.costs[i].ctypes.data
         self._read_from(stream)
         self._run = lib.sf_run
@@ -367,7 +374,7 @@ class CompiledRun(_InPlaceReader):
                 if stop == self._PERTURBATION:
                     self._refill_perturbations(record.need)
                 elif stop == self._SIMULATOR:
-                    self._kernels[record.stopped].unblock()
+                    self._sims[record.stopped].unblock()
                 else:
                     return stop
         finally:
@@ -381,8 +388,7 @@ class CompiledRun(_InPlaceReader):
         spare = self._stream.spare_normal
         record.has_spare, record.spare = spare is not None, 0.0 if spare is None else spare
         for kernel in self._kernels:
-            if kernel is not None:
-                kernel.refill()
+            kernel.refill()
 
     def _sync(self) -> None:
         """Hand every stream the positions, and the perturbation stream the
@@ -391,8 +397,7 @@ class CompiledRun(_InPlaceReader):
         self._sync_to(record.u_pos)
         self._stream.spare_normal = record.spare if record.has_spare else None
         for kernel in self._kernels:
-            if kernel is not None:
-                kernel.sync()
+            kernel.sync()
 
     def _refill_perturbations(self, n: int) -> None:
         """Point the record at the perturbation stream's buffer, with at

@@ -49,7 +49,10 @@ def _real(value, name: str) -> float:
     """A JSON number as a float; booleans and strings are not numbers."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise ConfigError(f"{name} is too large, got {value!r}") from None
 
 
 def _integer(value, name: str) -> int:
@@ -169,16 +172,15 @@ class CellResult:
 # -- config ingestion --------------------------------------------------------
 
 def _as_vector(value, dim: int, name: str) -> np.ndarray:
-    bad = ConfigError(f"{name} must be a scalar or a length-{dim} list")
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        raise bad from None
-    if arr.ndim == 0:
-        arr = np.full(dim, float(arr))
-    if arr.shape != (dim,):
-        raise bad
-    return arr
+    """A number, or a list of ``dim`` numbers, as a length-``dim`` vector;
+    each entry is checked as every scalar field is (``_real``)."""
+    if isinstance(value, np.ndarray):  # a preset's
+        value = value.tolist()
+    if isinstance(value, (list, tuple)):
+        if len(value) != dim:
+            raise ConfigError(f"{name} must be a scalar or a length-{dim} list")
+        return np.array([_real(entry, f"{name} entry") for entry in value])
+    return np.full(dim, _real(value, name))
 
 
 def _system_fields(data: dict) -> dict:

@@ -67,8 +67,10 @@ class SimulatorHandle(Protocol):
     way a simulator gives exactly L costs per iteration, each taken as a
     float64.  Runs go to the compiled loop (``sf_run`` in ``_mg1.c``), with
     the same numbers: it runs a ``QueueSimulator`` on the compiled kernel
-    that keeps its ``observe`` itself, and returns to Python to observe
-    every other simulator (see ``_compiled_run``)."""
+    that keeps its ``observe`` itself, computes the costs of a
+    ``QuadraticCostSimulator`` that keeps its ``step`` and ``observe``, and
+    returns to Python to observe every other simulator (see
+    ``_compiled_run``)."""
 
     def step(self, control: np.ndarray) -> float: ...
 
@@ -183,6 +185,10 @@ class QuadraticCostSimulator:
         return [self.step(control)] * L
 
 
+# the methods as defined here, whose costs the compiled loop computes itself
+_QUADRATIC_STEP, _QUADRATIC_OBSERVE = QuadraticCostSimulator.step, QuadraticCostSimulator.observe
+
+
 def _check_run_args(kernel, box, theta0, M, L):
     theta0 = np.asarray(theta0, dtype=float).copy()
     if kernel.dim != box.dim or theta0.shape != (box.dim,):
@@ -241,10 +247,14 @@ def _compiled_run(sims, kernel, box, schedule, M, L, theta, stream, record_every
     The loop runs a simulator itself when it is a ``QueueSimulator`` on the
     C kernel that keeps its ``observe``, over a network of the kernel's
     dimension, with a stream that neither the perturbations nor the other
-    simulator draw from; it hands every other simulator back to its caller
-    to observe.  The loop reads uniforms from the buffer itself, so an
-    override of ``uniform01`` (one that counts draws, say) sees none of its
-    draws."""
+    simulator draw from.  It computes the costs of a simulator whose
+    ``step`` and ``observe`` are ``QuadraticCostSimulator``'s as defined
+    here (not a subclass's, an instance's or a patch's) and whose target is
+    a contiguous float64 ndarray of the kernel's dimension, reading that
+    array, as it stands at each iteration, through the run.  It hands every
+    other simulator back to its caller to observe.  The loop reads uniforms
+    from the buffer itself, so an override of ``uniform01`` (one that
+    counts draws, say) sees none of its draws."""
     lib = _native.load()
     if (
         lib is None
@@ -258,18 +268,33 @@ def _compiled_run(sims, kernel, box, schedule, M, L, theta, stream, record_every
     streams = [stream, *(getattr(sim, "stream", None) for sim in sims)]
 
     def compiled(sim):
-        observe = getattr(sim, "observe", None)
-        return (
-            getattr(observe, "__func__", None) is QueueSimulator.observe
+        """The simulator as the loop runs it: its kernel, its target, or
+        None."""
+        observe = getattr(getattr(sim, "observe", None), "__func__", None)
+        if (
+            observe is QueueSimulator.observe
             and sim.kernel == "c"
             and sim.config.total_dim == kernel.dim
             and sum(other is sim.stream for other in streams) == 1
-        )
+        ):
+            return sim._kernel
+        step = getattr(getattr(sim, "step", None), "__func__", None)
+        target = getattr(sim, "target", None)
+        if (
+            step is _QUADRATIC_STEP
+            and observe is _QUADRATIC_OBSERVE
+            and type(target) is np.ndarray
+            and target.dtype == np.float64
+            and target.shape == (kernel.dim,)
+            and target.flags.c_contiguous
+        ):
+            return target
+        return None
 
     q = kernel.q
     df, scale, rho_coeff = _transform_constants(q, kernel.dim) or (0.0, 0.0, 0.0)
     return _native.CompiledRun(
-        lib, [sim._kernel if compiled(sim) else None for sim in sims], stream, theta,
+        lib, [compiled(sim) for sim in sims], stream, theta,
         box.lower, box.upper,
         dim=kernel.dim, M=M, L=L, record_every=record_every, q_cmp=(q > 1.0) - (q < 1.0),
         shape=0.5 * df, scale=scale, rho_coeff=rho_coeff, numer=numer,

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -165,6 +166,45 @@ def test_config_inline_system():
 def test_config_rejects_bad_values(mutation):
     with pytest.raises(ConfigError):
         config_from_dict(small_config_dict(**mutation))
+
+
+def _vector_field(field, value):
+    """A config of the 4-d inline system whose vector ``field`` (theta0,
+    box.lower, box.upper or theta_target) is ``value``."""
+    fields = _inline_system()
+    if field == "theta_target":
+        fields = _inline_system(theta_target=value)
+    elif field == "theta0":
+        fields["theta0"] = value
+    else:
+        fields["box"] = {**fields["box"], field.split(".")[1]: value}
+    return small_config_dict(**fields)
+
+
+@pytest.mark.parametrize("field", ["theta0", "box.lower", "box.upper", "theta_target"])
+@pytest.mark.parametrize(
+    "value, named",
+    [("0.2", "{}"), (True, "{}"), (10**400, "{}"), (None, "{}"), (["0.2"] * 4, "{} entry"),
+     ([0.2, 0.2, False, 0.2], "{} entry"), ([0.2, 0.2, 0.2, 10**400], "{} entry"),
+     ([[0.2]] * 4, "{} entry")],
+)
+def test_a_vector_field_takes_numbers_only(field, value, named):
+    # each entry, and a scalar, is checked as every scalar field is
+    with pytest.raises(ConfigError, match=re.escape(named.format(field))):
+        config_from_dict(_vector_field(field, value))
+    assert config_from_dict(_vector_field(field, 0.2)).system.total_dim == 4
+
+
+@pytest.mark.parametrize(
+    "field, values",
+    [("theta0", [0.2, 0.25, 0.5, 0.3]), ("box.lower", [0.1, 0.15, 0, 0.2]),
+     ("box.upper", [0.6, 0.5, 1, 0.3]), ("theta_target", [0.2, 0.25, 0.5, 0.3])],
+)
+def test_a_vector_field_takes_a_list_of_numbers(field, values):
+    config = config_from_dict(_vector_field(field, values))
+    vectors = {"theta0": config.theta0, "box.lower": config.box.lower,
+               "box.upper": config.box.upper, "theta_target": config.system.theta_target}
+    assert vectors[field].dtype == np.float64 and vectors[field].tolist() == values
 
 
 # numeric extremes for the config-path fuzz below

@@ -328,8 +328,11 @@ def _simulator(kind, network, streams, i, recording):
     """Simulator ``i`` of a run, of ``kind``: ``"queue"``, ``"overriding"``
     (a queue simulator whose ``observe`` is its subclass's),
     ``"step-only"``, ``"quadratic"``, ``("drawing", j)`` (drawing from
-    ``streams[j]``) or ``("costs", form)``.  ``recording`` makes a queue
-    simulator an overriding one, which keeps its costs."""
+    ``streams[j]``), ``("costs", form)``, or a function that makes one
+    from the network.  ``recording`` makes a queue simulator an overriding
+    one, which keeps its costs."""
+    if callable(kind):
+        return kind(network)
     stream = streams[1 + i]
     if kind == "queue" and not recording:
         return QueueSimulator(network, stream)
@@ -671,6 +674,9 @@ def test_compiled_run_is_freed_with_its_run():
 
 
 def test_compiled_loop_serves_simulators_off_the_c_kernel():
+    # queue and quadratic simulators, in either position, give the Python
+    # loop's numbers: the compiled loop runs the queue simulator on its
+    # kernel and computes the quadratic's costs itself
     network = preset("mg1-4d").network
 
     def runs():
@@ -688,6 +694,147 @@ def test_compiled_loop_serves_simulators_off_the_c_kernel():
     assert compiled.call_count == (4 if lib is not None and lib.ddot is not None else 0)
     with mock.patch.object(_native, "load", return_value=None):
         assert got == runs()
+
+
+def _stops_of(spec):
+    """``_run(spec)`` on the compiled loop, the stops its ``resume``
+    returned, and the simulators each ``OBSERVE`` stop handed back."""
+    stops, observed, resume = [], [], _native.CompiledRun.resume
+
+    def counted(self):
+        stops.append(resume(self))
+        if stops[-1] == self.OBSERVE:
+            observed.append(list(self.observing))
+        return stops[-1]
+
+    with mock.patch.object(_native.CompiledRun, "resume", counted):
+        return _run(spec), stops, observed
+
+
+def _quadratic_spec(kinds, **changes):
+    """mg1-4d, whose target is 0.3, with the simulators ``kinds``."""
+    seeds = [(41, 0), (41, 1), (41, 2)][: len(kinds) + 1]
+    return _far_target_spec(network=preset("mg1-4d").network, M=30, kinds=kinds, seeds=seeds,
+                            skips=[0] * len(seeds), **changes)
+
+
+@needs_gcc
+@pytest.mark.parametrize(
+    "kinds", [["quadratic"], ["quadratic", "quadratic"], ["quadratic", "queue"],
+              ["queue", "quadratic"]],
+)
+def test_a_plain_quadratic_never_stops_the_compiled_loop(kinds):
+    (got, got_ends, _), stops, observed = _stops_of(_quadratic_spec(kinds))
+    assert stops[-1] == _native.CompiledRun.DONE and observed == []
+    assert (got, got_ends) == _run(_quadratic_spec(kinds), on_python=True)[:2]
+
+
+class SteppedQuadratic(QuadraticCostSimulator):
+    """A quadratic system whose subclass counts the steps."""
+
+    def __init__(self, target):
+        super().__init__(target)
+        self.calls = 0
+
+    def step(self, control):
+        self.calls += 1
+        return super().step(control)
+
+
+def _with_instance_step(network):
+    """A quadratic system whose instance counts the steps."""
+    sim = QuadraticCostSimulator(network.theta_target)
+    sim.calls, step = 0, sim.step
+
+    def counted(control):
+        sim.calls += 1
+        return step(control)
+
+    sim.step = counted
+    return sim
+
+
+def _with_target(target):
+    """A quadratic system on mg1-4d whose target is then set to ``target``."""
+
+    def make(network):
+        sim = QuadraticCostSimulator(network.theta_target)
+        sim.target = target
+        return sim
+
+    return make
+
+
+# quadratic systems the compiled loop hands back to their own methods
+HANDED_BACK = {
+    "subclass step": lambda network: SteppedQuadratic(network.theta_target),
+    "instance step": _with_instance_step,
+    "float32 target": _with_target(np.full(4, 0.3, dtype=np.float32)),
+    "wrong-length target": _with_target(np.full(5, 0.3)),
+    "strided target": _with_target(np.full(8, 0.3)[::2]),
+}
+
+
+@needs_gcc
+@pytest.mark.parametrize("name", HANDED_BACK)
+@pytest.mark.parametrize("kinds", [["back"], ["back", "quadratic"], ["quadratic", "back"]])
+def test_a_quadratic_the_loop_cannot_compute_is_handed_back(name, kinds):
+    # and only that one: a plain quadratic beside it stays in the loop
+    back = kinds.index("back")
+    spec = _quadratic_spec([HANDED_BACK[name] if kind == "back" else kind for kind in kinds])
+    (got, got_ends, sims), _, observed = _stops_of(spec)
+    want, want_ends, want_sims = _run(spec, on_python=True)
+    assert (got, got_ends) == (want, want_ends)
+    if name == "wrong-length target":
+        assert observed == [[back]]
+        assert got[0] is SimulationError and (got[2], got[4]) == (0, 0)
+        assert got[5].startswith("ValueError(")
+    else:
+        assert observed == [[back]] * 30 and len(got[2]) > 1
+    if name.endswith("step"):
+        assert sims[back].calls == want_sims[back].calls == 30
+
+
+@needs_gcc
+def test_a_patched_quadratic_step_is_called_from_the_compiled_loop():
+    # the loop compares against the methods as defined, so a patch of the
+    # class, such as a tracer's, keeps the handoff
+    calls, step = [], QuadraticCostSimulator.step
+
+    def counting(self, control):
+        calls.append(self)
+        return step(self, control)
+
+    spec = _quadratic_spec(["quadratic", "quadratic"])
+    with mock.patch.object(QuadraticCostSimulator, "step", counting):
+        (got, got_ends, sims), _, observed = _stops_of(spec)
+        assert observed == [[0, 1]] * 30
+        assert calls == sims * 30
+        calls.clear()
+        want, want_ends, _ = _run(spec, on_python=True)
+        assert len(calls) == 60
+    assert (got, got_ends) == (want, want_ends)
+    assert (got, got_ends) == _run(spec)[:2]  # and unpatched, on the compiled path
+
+
+@needs_gcc
+@pytest.mark.parametrize("target", [math.inf, -math.inf, math.nan, 1e200])
+@pytest.mark.parametrize("n_sims", [1, 2])
+def test_a_quadratic_whose_cost_is_not_finite_diverges_as_on_the_python_loop(target, n_sims):
+    # the loop hands such a cost to the simulator's observe, which warns as
+    # numpy does (1e200 overflows np.dot); the guard then fails at once
+    bad = np.array([0.3, target, 0.3, 0.3])
+    spec = _quadratic_spec([_with_target(bad)] + ["quadratic"] * (n_sims - 1))
+    runs = []
+    for on_python in (False, True):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got, got_ends, _ = _run(spec, on_python=on_python)
+        runs.append((got, got_ends, [str(w.message) for w in caught]))
+    assert runs[0] == runs[1]
+    got = runs[0][0]
+    assert got[0] is DivergenceError and got[2] == 0
+    assert runs[0][2] == (["overflow encountered in dot"] if target == 1e200 else [])
 
 
 @needs_gcc
@@ -866,7 +1013,7 @@ def test_the_records_are_laid_out_as_the_c_compiler_lays_them_out(tmp_path):
         name, *numbers = line.split()
         got[name] = tuple(map(int, numbers)) if len(numbers) > 1 else int(numbers[0])
     assert got == want
-    assert len(records["mg1_state"]._fields_) == 32 and len(records["sf_run_t"]._fields_) == 41
+    assert len(records["mg1_state"]._fields_) == 32 and len(records["sf_run_t"]._fields_) == 43
 
 
 def test_the_record_reader_takes_each_allowed_form():
