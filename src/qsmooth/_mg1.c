@@ -25,18 +25,53 @@
 #include <stdint.h>
 #include <string.h>
 
-/* The records shared with Python, mg1_state and sf_run_t, and the SF_ stop
- * codes are described here only: qsmooth._native lays its ctypes records
- * out from these declarations when it is imported, and binds each stop
- * code by its name.  So every typedef struct in this file declares one
- * member per line, as `T name;`, `T *name;` or `T *name[N];`, with an
- * optional leading const, and by value only double, int64_t, ddot_fn or
- * next_fn; comments may go anywhere.  Any other line fails that import,
- * quoting the line.
+/* The records shared with Python (stream_t, ufunc_loop_t, mg1_state and
+ * sf_run_t) and the SF_ stop codes are described here only:
+ * qsmooth._native lays its ctypes records out from these declarations when
+ * it is imported, and binds each stop code by its name.  So every typedef
+ * struct in this file declares one member per line, as `T name;`,
+ * `T *name;` or `T *name[N];`, with an optional leading const, and by value
+ * only double, int64_t, ddot_fn, next_fn, loop_fn or a record declared
+ * above it, whose members Python then reaches as the outer record's own;
+ * comments may go anywhere.  Any other line fails that import, quoting the
+ * line.
  */
 
 /* a numpy bit generator's next_uint64, as its ctypes interface gives it */
 typedef uint64_t (*next_fn)(void *state);
+
+/* A stream's buffer of uniforms, as a compiled loop reads it in place, and
+ * the stream's Philox generator (numpy's Philox.ctypes), which refills own;
+ * bitgen is NULL where the caller refills the buffer. */
+typedef struct {
+    const double *u;        /* the stream's buffer of uniforms, or own */
+    int64_t u_pos;          /* next unread uniform */
+    int64_t u_len;
+    void *bitgen;
+    next_fn next_uint64;
+    double *own;            /* room for refill_size + the longest unread tail */
+    int64_t refill_size;    /* fresh uniforms per refill, at least */
+    int64_t refills;        /* refills made here */
+} stream_t;
+
+/* RngStream.reserve(n) on the stream's generator: when fewer than n
+ * uniforms remain unread, the unread tail moves to the front of own, then
+ * come max(refill_size, n - tail) fresh uniforms, each made from one raw
+ * draw as RngStream._fresh makes it, and the stream reads own from 0. */
+static void reserve(stream_t *s, int64_t n)
+{
+    const int64_t tail = s->u_len - s->u_pos;
+    if (tail >= n)
+        return;
+    const int64_t fresh = n - tail > s->refill_size ? n - tail : s->refill_size;
+    memmove(s->own, s->u + s->u_pos, (size_t)tail * sizeof(double));
+    for (int64_t i = 0; i < fresh; i++)
+        s->own[tail + i] = ((double)(s->next_uint64(s->bitgen) >> 11) + 0.5) * 0x1p-53;
+    s->u = s->own;
+    s->u_pos = 0;
+    s->u_len = tail + fresh;
+    s->refills += 1;
+}
 
 typedef struct {
     double clock;           /* time of the latest service completion */
@@ -49,16 +84,7 @@ typedef struct {
     int64_t full;           /* the node whose full ring stopped the loop, or -1 */
     int64_t done;           /* costs written so far in this call */
     int64_t want;           /* costs the call asks for */
-    int64_t u_pos;          /* next unread uniform */
-    int64_t u_len;
-    const double *u;        /* the stream's buffer of uniforms, or own */
-    /* the stream's Philox generator (numpy's Philox.ctypes), which refills
-       own; NULL where the caller refills the buffer */
-    void *bitgen;
-    next_fn next_uint64;
-    double *own;            /* refill_size + 2 slots */
-    int64_t refill_size;    /* fresh uniforms per refill */
-    int64_t refills;        /* refills made here */
+    stream_t stream;        /* the simulator's stream */
     const double *rates;    /* external arrival rate per node */
     const double *p_leave;
     double *fac;            /* service-time factor per node */
@@ -91,22 +117,6 @@ static double pop(mg1_state *s, int64_t node)
     return entry;
 }
 
-/* RngStream.reserve(3) on the stream's generator, with `pos` the next
- * unread uniform: the unread tail moves to the front of own, then come
- * refill_size fresh uniforms, each made from one raw draw as
- * RngStream._fresh makes it.  Returns own, read from 0. */
-static const double *refill(mg1_state *s, int64_t pos)
-{
-    const int64_t tail = s->u_len - pos;
-    memmove(s->own, s->u + pos, (size_t)tail * sizeof(double));
-    for (int64_t i = 0; i < s->refill_size; i++)
-        s->own[tail + i] = ((double)(s->next_uint64(s->bitgen) >> 11) + 0.5) * 0x1p-53;
-    s->u = s->own;
-    s->u_len = tail + s->refill_size;
-    s->refills += 1;
-    return s->own;
-}
-
 /* Runs until s->want costs are written to s->costs or the loop must stop;
  * returns the number of costs written so far, s->done included, and
  * stores it in s->done. */
@@ -115,18 +125,21 @@ int64_t mg1_observe(mg1_state *s)
     const int64_t L = s->want;
     int64_t done = s->done;
     const int64_t k = s->k;
-    const double *u = s->u, *fac = s->fac;
+    stream_t *in = &s->stream;
+    const double *u = in->u, *fac = s->fac;
     double *serving = s->serving, *comp = s->comp, *nxt = s->nxt;
-    int64_t pos = s->u_pos;
+    int64_t pos = in->u_pos;
     int64_t n_present = s->n_present;
     double entry_sum = s->entry_sum;
 
     s->full = -1;
     while (done < L) {
-        if (s->u_len - pos < 3) {
-            if (s->bitgen == NULL)
+        if (in->u_len - pos < 3) {
+            if (in->bitgen == NULL)
                 break;
-            u = refill(s, pos);
+            in->u_pos = pos;
+            reserve(in, 3);
+            u = in->u;
             pos = 0;
         }
         double t_min = INFINITY;
@@ -188,7 +201,7 @@ int64_t mg1_observe(mg1_state *s)
             comp[node] = INFINITY;
         }
     }
-    s->u_pos = pos;
+    in->u_pos = pos;
     s->n_present = n_present;
     s->entry_sum = entry_sum;
     s->done = done;
@@ -201,38 +214,60 @@ int64_t mg1_observe(mg1_state *s)
  * It mirrors the Python loop, which stays the reference, operation for
  * operation, and takes the transcendentals and reductions from where
  * numpy does, so that every number comes out bit for bit:
- *   - the array Box-Muller reads tables numpy computed over the
- *     perturbation stream's buffer (qsmooth.rng.box_muller_tables);
+ *   - the array Box-Muller calls numpy's own float64 log, cos and sin
+ *     loops, through pointers, with the lengths and strides that
+ *     RngStream.standard_normal(size) calls them with;
  *   - the scalar draws (chi-squared rejection, scalar normals) call libm's
  *     log, sin, cos and pow, as Python's math module and float ** do;
  *   - every np.dot is numpy's own BLAS ddot, reached through a pointer;
- *   - elementwise + - * / and np.maximum / np.minimum are written out in
- *     numpy's order, NaN propagation and ties included.
+ *   - elementwise + - * / and sqrt, np.maximum and np.minimum are written
+ *     out in numpy's order, NaN propagation and ties included.
  *
- * The loop returns to its caller when the perturbation stream's buffer runs
- * short (or a simulator's, with no generator to refill from), when a ring
- * is full, when the caller is to observe a simulator, at each trajectory
- * point, at M and on an error; the record keeps where it stands, and the
- * next call resumes there.
+ * The loop refills the perturbation stream's buffer from its generator, as
+ * mg1_observe refills a simulator's.  It returns to its caller when a
+ * simulator's stream runs short with no generator to refill from, when a
+ * ring is full, when the caller is to observe a simulator, at each
+ * trajectory point, at M and on an error; the record keeps where it
+ * stands, and the next call resumes there.
  */
 
 /* numpy's ILP64 CBLAS ddot */
 typedef double (*ddot_fn)(int64_t n, const double *x, int64_t incx,
                           const double *y, int64_t incy);
 
+/* numpy's PyArrayMethod_StridedLoop (NEP 43) */
+typedef int (*loop_fn)(void *context, char *const *data, const intptr_t *dimensions,
+                       const intptr_t *strides, void *auxdata);
+
+/* one of numpy's float64 ufunc loops, as its ufunc_call_info gives it */
+typedef struct {
+    loop_fn loop;
+    void *context;
+    void *auxdata;
+} ufunc_loop_t;
+
+/* The ufunc over n values, read every `step` doubles from `in`, written
+ * contiguously to `out`.  The loops qsmooth._native checks never fail. */
+static void apply(const ufunc_loop_t *f, const double *in, int64_t step, double *out, int64_t n)
+{
+    char *const data[2] = {(char *)in, (char *)out};
+    const intptr_t dimensions[1] = {(intptr_t)n};
+    const intptr_t strides[2] = {(intptr_t)(step * sizeof(double)), sizeof(double)};
+    f->loop(f->context, data, dimensions, strides, f->auxdata);
+}
+
 enum {
     SF_DONE,        /* M outer iterations done */
     SF_RECORD,      /* a trajectory point is due after iteration n */
     SF_DIVERGED,    /* the fast iterate of iteration n failed the guard */
     SF_BAD_RHO,     /* rho <= 0 at iteration n */
-    SF_PERTURBATION,/* the perturbation stream needs `need` uniforms */
     SF_SIMULATOR,   /* simulator `stopped` needs a larger ring, or uniforms
                        that it has no generator to refill from */
     SF_OBSERVE      /* the caller is to observe simulators `stopped` to
                        phase - 2 and write their costs */
 };
 
-/* one member per line: see the comment above mg1_state */
+/* one member per line: see the comment above stream_t */
 typedef struct {
     /* constants of the run */
     int64_t dim;
@@ -252,21 +287,16 @@ typedef struct {
     const double *lower;
     const double *upper;
     ddot_fn ddot;
+    const ufunc_loop_t *log_loop;
+    const ufunc_loop_t *cos_loop;
+    const ufunc_loop_t *sin_loop;
     /* simulator i is the kernel sims[i], the quadratic cost
        ||control - targets[i]||^2, or, where both are NULL, one the caller
        observes */
     mg1_state *sims[2];
     const double *targets[2];
     double *costs[2];       /* simulator i's L costs, which the fold reads */
-    /* the perturbation stream's buffer and, per value u, sqrt(-2 log u),
-       cos(2 pi u) and sin(2 pi u) */
-    const double *u;
-    const double *radius;
-    const double *cosine;
-    const double *sine;
-    int64_t u_pos;
-    int64_t u_len;
-    int64_t need;           /* uniforms from u_pos on that a draw ran short of */
+    stream_t stream;        /* the perturbation stream */
     int64_t has_spare;      /* the stream's cached normal */
     double spare;
     /* iterates, and dim-sized scratch */
@@ -277,6 +307,11 @@ typedef struct {
     double *coeff;
     double *controls;       /* n_sims rows of dim */
     double *diff;           /* control - target of a quadratic */
+    /* per Box-Muller pair, (dim + 1) / 2 of each */
+    double *radius;
+    double *angle;
+    double *cosine;
+    double *sine;
     /* where the loop stands */
     int64_t n;              /* outer iterations done */
     int64_t phase;          /* 0: draw; 1 + i: simulator i observing */
@@ -345,129 +380,113 @@ static int quadratic_costs(sf_run_t *r, int64_t i)
     return 1;
 }
 
-/* A read position in the perturbation stream, with its cached normal.  A
- * draw that runs short sets `want` (one past the last uniform it needed)
- * and returns 0; the caller then drops the cursor. */
-typedef struct {
-    const sf_run_t *r;
-    int64_t pos;
-    int64_t want;
-    int64_t has_spare;
-    double spare;
-} cursor_t;
-
-static int uniform(cursor_t *c, double *out)
+/* RngStream.uniform01() */
+static double uniform(sf_run_t *r)
 {
-    if (c->pos >= c->r->u_len) {
-        c->want = c->pos + 1;
-        return 0;
-    }
-    *out = c->r->u[c->pos++];
-    return 1;
+    stream_t *s = &r->stream;
+    reserve(s, 1);
+    return s->u[s->u_pos++];
 }
 
 /* RngStream.standard_normal() */
-static int normal(cursor_t *c, double *out)
+static double normal(sf_run_t *r)
 {
-    if (c->has_spare) {
-        c->has_spare = 0;
-        *out = c->spare;
-        return 1;
+    if (r->has_spare) {
+        r->has_spare = 0;
+        return r->spare;
     }
-    double u1, u2;
-    if (!uniform(c, &u1) || !uniform(c, &u2))
-        return 0;
-    double r = sqrt(-2.0 * log(u1));
-    c->spare = r * sin(2.0 * M_PI * u2);
-    c->has_spare = 1;
-    *out = r * cos(2.0 * M_PI * u2);
-    return 1;
+    const double u1 = uniform(r);
+    const double u2 = uniform(r);
+    const double radius = sqrt(-2.0 * log(u1));
+    r->spare = radius * sin(2.0 * M_PI * u2);
+    r->has_spare = 1;
+    return radius * cos(2.0 * M_PI * u2);
 }
 
 /* RngStream._gamma_unit_scale(shape) */
-static int gamma_unit_scale(cursor_t *c, double shape, double *out)
+static double gamma_unit_scale(sf_run_t *r, double shape)
 {
     double boost = 1.0;
     if (shape < 1.0) {
-        double u;
-        if (!uniform(c, &u))
-            return 0;
-        boost = pow(u, 1.0 / shape);
+        boost = pow(uniform(r), 1.0 / shape);
         shape = shape + 1.0;
     }
     const double d = shape - 1.0 / 3.0;
     const double cd = 1.0 / sqrt(9.0 * d);
     for (;;) {
-        double x, u;
-        if (!normal(c, &x))
-            return 0;
-        double t = 1.0 + cd * x;
+        const double x = normal(r);
+        const double t = 1.0 + cd * x;
         if (t <= 0.0)
             continue;
-        double v = t * t * t;
-        if (!uniform(c, &u))
-            return 0;
-        if (log(u) < 0.5 * x * x + d - d * v + d * log(v)) {
-            *out = boost * d * v;
-            return 1;
+        const double v = t * t * t;
+        if (log(uniform(r)) < 0.5 * x * x + d - d * v + d * log(v))
+            return boost * d * v;
+    }
+}
+
+/* RngStream.standard_normal(dim) into r->eta: the cached normal first, then
+ * pairs, pair j from uniforms 2j and 2j + 1 of the draw's reserve; the
+ * unused half of the last pair is cached */
+static void normals(sf_run_t *r)
+{
+    const int64_t dim = r->dim;
+    double *eta = r->eta;
+    int64_t first = 0;
+    if (r->has_spare) {
+        eta[0] = r->spare;
+        r->has_spare = 0;
+        first = 1;
+    }
+    const int64_t need = dim - first;
+    const int64_t pairs = (need + 1) / 2;
+    if (pairs == 0)
+        return;
+    stream_t *s = &r->stream;
+    reserve(s, 2 * pairs);
+    const double *u = s->u + s->u_pos;
+    s->u_pos += 2 * pairs;
+    /* np.sqrt(-2.0 * np.log(u[0::2])) and 2.0 * np.pi * u[1::2] */
+    apply(r->log_loop, u, 2, r->radius, pairs);
+    for (int64_t j = 0; j < pairs; j++) {
+        r->radius[j] = sqrt(-2.0 * r->radius[j]);
+        r->angle[j] = 2.0 * M_PI * u[2 * j + 1];
+    }
+    apply(r->cos_loop, r->angle, 1, r->cosine, pairs);
+    apply(r->sin_loop, r->angle, 1, r->sine, pairs);
+    for (int64_t j = 0; j < pairs; j++) {
+        eta[first + 2 * j] = r->radius[j] * r->cosine[j];
+        const double odd = r->radius[j] * r->sine[j];
+        if (2 * j + 1 < need) {
+            eta[first + 2 * j + 1] = odd;
+        } else {
+            r->spare = odd;
+            r->has_spare = 1;
         }
     }
 }
 
 /* qgaussian.sample_standard(q, dim, stream) into r->eta and r->rho */
-static int draw(sf_run_t *r, cursor_t *c)
+static void draw(sf_run_t *r)
 {
     const int64_t dim = r->dim;
     double *eta = r->eta;
-
-    /* standard_normal(dim): the cached normal first, then pairs */
-    int64_t first = 0;
-    if (c->has_spare) {
-        eta[0] = c->spare;
-        c->has_spare = 0;
-        first = 1;
-    }
-    const int64_t need = dim - first;
-    const int64_t pairs = (need + 1) / 2;
-    if (r->u_len - c->pos < 2 * pairs) {
-        c->want = c->pos + 2 * pairs;
-        return 0;
-    }
-    for (int64_t j = 0; j < pairs; j++) {
-        const int64_t p = c->pos + 2 * j;
-        const double radius = r->radius[p];
-        eta[first + 2 * j] = radius * r->cosine[p + 1];
-        const double odd = radius * r->sine[p + 1];
-        if (2 * j + 1 < need) {
-            eta[first + 2 * j + 1] = odd;
-        } else {
-            c->spare = odd;
-            c->has_spare = 1;
-        }
-    }
-    c->pos += 2 * pairs;
-
+    normals(r);
     if (r->q_cmp == 0) {
         r->rho = 1.0;
-        return 1;
+        return;
     }
-    double g;
-    if (!gamma_unit_scale(c, r->shape, &g))
-        return 0;
-    double a = 2.0 * g;
+    double a = 2.0 * gamma_unit_scale(r, r->shape);
     if (r->q_cmp < 0)
         a += dot(r->ddot, dim, eta, eta);
     const double root = sqrt(a);
     for (int64_t i = 0; i < dim; i++)
         eta[i] = r->scale * eta[i] / root;
     r->rho = 1.0 - r->rho_coeff * dot(r->ddot, dim, eta, eta);
-    return 1;
 }
 
 /* Outer iteration n's perturbation, its weight and the projected controls;
  * then each compiled simulator's service factors.  Returns -1 when the
- * simulators can start, SF_BAD_RHO, or SF_PERTURBATION with nothing
- * consumed when the stream's buffer runs short. */
+ * simulators can start, or SF_BAD_RHO. */
 static int64_t begin_iteration(sf_run_t *r)
 {
     const int64_t dim = r->dim;
@@ -476,14 +495,7 @@ static int64_t begin_iteration(sf_run_t *r)
     r->b = pow(n1, -r->gamma);
     r->one_minus_b = 1.0 - r->b;
 
-    cursor_t c = {r, r->u_pos, 0, r->has_spare, r->spare};
-    if (!draw(r, &c)) {
-        r->need = c.want - r->u_pos;
-        return SF_PERTURBATION;
-    }
-    r->u_pos = c.pos;
-    r->has_spare = c.has_spare;
-    r->spare = c.spare;
+    draw(r);
     if (r->rho <= 0.0)
         return SF_BAD_RHO;
 

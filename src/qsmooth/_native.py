@@ -13,9 +13,15 @@ library cannot be built or loaded, :func:`load` returns None and simulators
 run the Python kernel, which gives the same numbers.
 
 The outer loop (``sf_run``) calls numpy's own BLAS ``ddot`` wherever the
-Python loop calls ``np.dot``; :func:`load` finds it in numpy's extension
-module and checks it against ``np.dot``.  Where it is missing or
-disagrees, optimizer runs take the Python loop, with the same numbers.
+Python loop calls ``np.dot``, and numpy's own float64 ``log``, ``cos`` and
+``sin`` loops wherever ``RngStream.standard_normal(size)`` calls those
+ufuncs.  :func:`load` finds ``ddot`` in numpy's extension module, and the
+three loops through the ufuncs' ``_resolve_dtypes_and_context`` and
+``_get_strided_loop`` (NEP 43), and checks each against numpy itself: a
+loop that asks for the Python API, or any one that gives other bits than
+its ufunc, is refused.  Where one is missing or refused, optimizer runs
+take the Python loop, with the same numbers; so do runs whose perturbation
+stream the loop cannot refill from its generator (:func:`_refills_in_c`).
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .rng import _BUFFER_SIZE, RngStream, box_muller_tables
+from .rng import _BUFFER_SIZE, RngStream
 
 _SOURCE = Path(__file__).with_name("_mg1.c")
 # no FMA contraction: every product and sum rounds as it does in Python;
@@ -81,26 +87,33 @@ def _build(cache: Path) -> Path:
 _MEMBER = re.compile(r"(?:const\s+)?(\w+)(?:\s+(\w+)|\s*(\*)\s*(\w+)(?:\[(\d+)\])?);")
 _BY_VALUE = {
     "double": ctypes.c_double, "int64_t": ctypes.c_int64, "ddot_fn": ctypes.c_void_p,
-    "next_fn": ctypes.c_void_p,
+    "next_fn": ctypes.c_void_p, "loop_fn": ctypes.c_void_p,
 }
 
 
 def _read_declarations(source: str) -> tuple[dict, dict]:
-    """The ctypes ``_fields_`` of every ``typedef struct`` in the C
+    """A ctypes ``Structure`` for every ``typedef struct`` in the C
     ``source``, one member per line, and the value of every enum member,
-    by name.  Raises ValueError, quoting the line, at a record line that is
-    not one member of a form above, by value of a type in ``_BY_VALUE``."""
+    by name.  A member held by value is of a type in ``_BY_VALUE`` or a
+    record declared before it, whose members the outer record then has as
+    its own (ctypes' ``_anonymous_``).  Raises ValueError, quoting the
+    line, at a record line that is not one member of a form above."""
     # comments go, but their line breaks stay, so that no two lines join
     code = re.sub(r"/\*.*?\*/|//[^\n]*", lambda c: "\n" * c[0].count("\n"), source, flags=re.S)
     records = {}
     for body, name in re.findall(r"^typedef struct \{$(.*?)^\} (\w+);", code, flags=re.M | re.S):
-        records[name] = fields = []
+        fields, held = [], []
         for line in filter(None, map(str.strip, body.splitlines())):
             member = _MEMBER.fullmatch(line)
-            kind = member and (ctypes.c_void_p if member[3] else _BY_VALUE.get(member[1]))
+            kind = member and (
+                ctypes.c_void_p if member[3] else _BY_VALUE.get(member[1], records.get(member[1]))
+            )
             if not kind:
                 raise ValueError(f"{_SOURCE.name} cannot lay out {line!r} in {name}")
             fields.append((member[2] or member[4], kind * int(member[5]) if member[5] else kind))
+            if member[1] in records and not member[3]:
+                held.append(member[2])
+        records[name] = type(name, (ctypes.Structure,), {"_anonymous_": held, "_fields_": fields})
     enums = re.findall(r"enum\s*\{([^}]*)\}", code)
     return records, {name.strip(): i for body in enums for i, name in enumerate(body.split(","))}
 
@@ -110,14 +123,14 @@ def _read_declarations(source: str) -> tuple[dict, dict]:
 try:
     _RECORDS, _ENUM = _read_declarations(_SOURCE.read_text())
 except OSError:
-    _RECORDS, _ENUM = collections.defaultdict(list), collections.defaultdict(int)
+    _RECORDS = collections.defaultdict(lambda: type("Unread", (ctypes.Structure,), {}))
+    _ENUM = collections.defaultdict(int)
 
 
-class NativeState(ctypes.Structure):
+class NativeState(_RECORDS["mg1_state"]):
     """The C kernel's state record, ``mg1_state``, laid out as ``_mg1.c``
-    declares it.  It owns the arrays its pointers address."""
-
-    _fields_ = _RECORDS["mg1_state"]
+    declares it.  It owns the arrays its pointers address, but for the
+    stream's, which the kernel's :class:`StreamReader` keeps."""
 
     def __init__(self, config, next_arrival):
         k = config.n_nodes
@@ -141,16 +154,6 @@ class NativeState(ctypes.Structure):
         for name, array in self.arrays.items():
             self.bind(name, array)
 
-    def bind_generator(self, bitgen: np.random.Philox) -> None:
-        """Let the loop refill its buffer from ``bitgen`` itself, into
-        ``own``, ``rng._BUFFER_SIZE`` fresh uniforms at a time."""
-        self.generator = bitgen  # kept alive while the loop draws from it
-        interface = bitgen.ctypes
-        self.bitgen = interface.state_address
-        self.next_uint64 = ctypes.cast(interface.next_uint64, ctypes.c_void_p).value
-        self.refill_size = _BUFFER_SIZE
-        self.bind("own", np.empty(_BUFFER_SIZE + 2))  # + the unread tail, at most 2
-
     def bind(self, name: str, array: np.ndarray) -> None:
         """Point field ``name`` at ``array``, and keep the array alive."""
         self.arrays[name] = array
@@ -171,41 +174,12 @@ class NativeState(ctypes.Structure):
         self.cap = 2 * self.cap
 
 
-class _InPlaceReader:
-    """For a compiled loop that reads a stream's buffer in place: hands the
-    loop buffers with enough unread uniforms (through :meth:`_point_at`,
-    which a subclass defines) and the stream the positions the loop
-    reaches."""
-
-    def _read_from(self, stream) -> None:
-        self._stream = stream
-        self._buf = None
-        self._synced = 0  # the loop's position when the stream last heard of it
-
-    def _reserve(self, pos: int, n: int) -> int:
-        """Mark the uniforms read up to ``pos`` as drawn, and return the
-        position from which the stream's buffer holds at least ``n`` unread
-        ones."""
-        self._sync_to(pos)
-        buf, pos = self._stream.reserve(n)
-        if buf is not self._buf:
-            self._buf = buf
-            self._point_at(buf)
-        self._synced = pos
-        return pos
-
-    def _sync_to(self, pos: int) -> None:
-        """Mark the uniforms read up to ``pos`` as drawn."""
-        self._stream.advance(pos - self._synced)
-        self._synced = pos
-
-
-# the RngStream methods that the event loop's own refill stands in for
+# the RngStream methods that a compiled loop's own refill stands in for
 _COMPILED_REFILL = ("_fresh", "reserve", "advance")
 
 
 def _refills_in_c(stream) -> bool:
-    """Whether the event loop may refill ``stream``'s buffer itself: the
+    """Whether a compiled loop may refill ``stream``'s buffer itself: the
     stream's class keeps ``RngStream``'s refill (``_COMPILED_REFILL``) and
     its generator is a ``np.random.Philox``."""
     return all(
@@ -213,12 +187,66 @@ def _refills_in_c(stream) -> bool:
     ) and type(getattr(stream, "_bitgen", None)) is np.random.Philox
 
 
-class NativeKernel(_InPlaceReader):
+class StreamReader:
+    """A stream's buffer as a compiled loop reads it in place, through the
+    ``stream_t`` members of ``record``.  Where :func:`_refills_in_c` allows,
+    the loop refills the buffer itself, from the stream's generator, into
+    ``own``, which holds ``_BUFFER_SIZE`` fresh uniforms after an unread
+    tail shorter than ``longest``, the most uniforms one read reserves."""
+
+    def __init__(self, record, stream, longest: int):
+        self._record = record
+        self._stream = stream
+        self._buf = None
+        self._synced = 0  # the loop's position when the stream last heard of it
+        self._refills = 0  # the loop's refills the stream has taken
+        if _refills_in_c(stream):
+            self._generator = stream._bitgen  # kept alive while the loop draws from it
+            interface = self._generator.ctypes
+            record.bitgen = interface.state_address
+            record.next_uint64 = ctypes.cast(interface.next_uint64, ctypes.c_void_p).value
+            record.refill_size = _BUFFER_SIZE
+            self._own = np.empty(_BUFFER_SIZE + longest - 1)
+            record.own = self._own.ctypes.data
+
+    def _bind(self, buf: np.ndarray) -> None:
+        self._buf = buf
+        self._record.u = buf.ctypes.data
+        self._record.u_len = buf.size
+
+    def reserve(self, n: int) -> None:
+        """Point the record at the stream's buffer, with at least ``n``
+        unread uniforms from its ``u_pos`` on, after marking the uniforms
+        the loop read in place as drawn."""
+        self.sync()
+        buf, pos = self._stream.reserve(n)
+        if buf is not self._buf:
+            self._bind(buf)
+        self._record.u_pos = self._synced = pos
+
+    def sync(self) -> None:
+        """Hand the stream where the loop stands: the uniforms read in place
+        since the last call, or, when the loop has refilled the buffer
+        itself, a copy of that buffer and the position in it."""
+        record = self._record
+        if record.refills == self._refills:
+            self._stream.advance(record.u_pos - self._synced)
+        else:
+            self._refills = record.refills
+            # what stream.reserve would have left, with the generator already
+            # moved on by the loop's draws
+            buf = self._own[: record.u_len].copy()
+            stream = self._stream
+            stream._buf, stream._pos, stream._values = buf, record.u_pos, None
+            self._bind(buf)
+        self._synced = record.u_pos
+
+
+class NativeKernel:
     """Runs the compiled event loop over one :class:`NativeState`, reading
-    uniforms straight from the stream's buffer, and refilling it from the
-    stream's generator where :func:`_refills_in_c` allows.  A call reads its
-    service factors from ``fac`` and leaves its costs at the front of
-    ``costs``."""
+    uniforms straight from the stream's buffer through a
+    :class:`StreamReader`.  A call reads its service factors from ``fac``
+    and leaves its costs at the front of ``costs``."""
 
     def __init__(self, lib, config, stream, next_arrival):
         self.state = NativeState(config, next_arrival)
@@ -226,42 +254,13 @@ class NativeKernel(_InPlaceReader):
         self.costs = self.state.arrays["costs"]
         self._observe = lib.mg1_observe
         self._state_ref = ctypes.byref(self.state)
-        self._read_from(stream)
-        if _refills_in_c(stream):
-            self.state.bind_generator(stream._bitgen)
-        self._refills = 0  # the loop's refills the stream has taken
-
-    def _point_at(self, buf: np.ndarray) -> None:
-        self.state.u = buf.ctypes.data
-        self.state.u_len = buf.size
+        self.reader = StreamReader(self.state, stream, 3)  # one event draws at most 3
 
     def hold(self, L: int) -> None:
         """Grow ``costs`` to hold ``L`` costs if need be."""
         if L > self.costs.size:
             self.costs = np.empty(L)
             self.state.bind("costs", self.costs)
-
-    def refill(self) -> None:
-        """Point the state at the stream's buffer, with at least 3 unread
-        uniforms (the most one event draws) from its ``u_pos`` on."""
-        self.state.u_pos = self._reserve(self.state.u_pos, 3)
-
-    def sync(self) -> None:
-        """Hand the stream where the loop stands: the uniforms read in place
-        since the last refill, or, when the loop has refilled the buffer
-        itself, a copy of that buffer and the position in it."""
-        state = self.state
-        if state.refills == self._refills:
-            self._sync_to(state.u_pos)
-            return
-        self._refills = state.refills
-        # what stream.reserve would have left, with the generator already
-        # moved on by the loop's draws
-        buf = state.arrays["own"][: state.u_len].copy()
-        stream = self._stream
-        stream._buf, stream._pos, stream._values = buf, state.u_pos, None
-        self._buf, self._synced = buf, state.u_pos
-        self._point_at(buf)
 
     def unblock(self) -> None:
         """Clear what stopped the loop: grow the rings if one was full,
@@ -270,28 +269,29 @@ class NativeKernel(_InPlaceReader):
         if self.state.full >= 0:
             self.state.grow_rings()
         else:
-            self.refill()
+            self.reader.reserve(3)
 
     def run(self, L: int) -> list[float]:
         """The costs of the next ``L`` service completions."""
         self.hold(L)
         self.state.done, self.state.want = 0, L
-        self.refill()
+        self.reader.reserve(3)
         while self._observe(self._state_ref) < L:
             self.unblock()
-        self.sync()
+        self.reader.sync()
         return self.costs[:L].tolist()
 
 
 # the compiled outer loop's record, laid out as _mg1.c declares sf_run_t
-RunRecord = type("RunRecord", (ctypes.Structure,), {"_fields_": _RECORDS["sf_run_t"]})
+RunRecord = _RECORDS["sf_run_t"]
 
 
-class CompiledRun(_InPlaceReader):
+class CompiledRun:
     """One optimizer run in ``sf_run``.  Each simulator is a compiled
     kernel, which the loop runs itself, a quadratic cost's target (a
     contiguous float64 array of ``dim``), whose costs the loop computes,
-    or None: one its caller observes.
+    or None: one its caller observes.  The loop refills the perturbation
+    stream itself, so :func:`_refills_in_c` must allow it.
     :meth:`resume` runs outer iterations until one of the stops its caller
     handles: ``OBSERVE`` (the caller is to observe the simulators in
     ``observing`` at their ``control`` rows of iteration ``n`` and write
@@ -304,10 +304,9 @@ class CompiledRun(_InPlaceReader):
     whose cost is not finite, whose ``observe`` computes it with numpy's
     warnings."""
 
-    DONE, RECORD, DIVERGED, BAD_RHO, OBSERVE, _PERTURBATION, _SIMULATOR = (
+    DONE, RECORD, DIVERGED, BAD_RHO, OBSERVE, _SIMULATOR = (
         _ENUM[f"SF_{name}"]  # sf_run's stop codes, by their names in _mg1.c
-        for name in ("DONE", "RECORD", "DIVERGED", "BAD_RHO", "OBSERVE", "PERTURBATION",
-                     "SIMULATOR")
+        for name in ("DONE", "RECORD", "DIVERGED", "BAD_RHO", "OBSERVE", "SIMULATOR")
     )
 
     def __init__(self, lib, sims, stream, theta, lower, upper, **constants):
@@ -316,6 +315,7 @@ class CompiledRun(_InPlaceReader):
         self.theta = np.array(theta, dtype=float)
         self.z = np.zeros(dim)
         self._controls = np.empty((len(sims), dim))
+        pairs = (dim + 1) // 2  # the most Box-Muller pairs one draw takes
         self._arrays = {
             "theta": self.theta,
             "z": self.z,
@@ -323,9 +323,11 @@ class CompiledRun(_InPlaceReader):
             "upper": np.ascontiguousarray(upper, dtype=float),
             **{name: np.empty(dim) for name in ("z_next", "eta", "coeff", "diff")},
             "controls": self._controls,
+            **{name: np.empty(pairs) for name in ("radius", "angle", "cosine", "sine")},
         }
         self._record = record = RunRecord(
             n_sims=len(sims), ddot=lib.ddot, **constants,
+            **{f"{name}_loop": ctypes.addressof(loop) for name, loop in lib.loops.items()},
             **{name: array.ctypes.data for name, array in self._arrays.items()},
         )
         self._sims = sims  # the kernels, and the targets the loop reads, kept alive
@@ -341,7 +343,10 @@ class CompiledRun(_InPlaceReader):
                 if sim is not None:
                     record.targets[i] = sim.ctypes.data
             record.costs[i] = self.costs[i].ctypes.data
-        self._read_from(stream)
+        self._stream = stream
+        self._reader = StreamReader(record, stream, 2 * pairs)
+        if not record.bitgen:  # the loop's draws would read past the buffer
+            raise ValueError("sf_run refills the perturbation stream itself: see _refills_in_c")
         self._run = lib.sf_run
         self._ref = ctypes.byref(record)
 
@@ -369,14 +374,9 @@ class CompiledRun(_InPlaceReader):
         record = self._record
         self._read()
         try:
-            while True:
-                stop = self._run(self._ref)
-                if stop == self._PERTURBATION:
-                    self._refill_perturbations(record.need)
-                elif stop == self._SIMULATOR:
-                    self._sims[record.stopped].unblock()
-                else:
-                    return stop
+            while (stop := self._run(self._ref)) == self._SIMULATOR:
+                self._sims[record.stopped].unblock()
+            return stop
         finally:
             self._sync()
 
@@ -384,34 +384,20 @@ class CompiledRun(_InPlaceReader):
         """Read where every stream stands, and the perturbation stream's
         cached normal."""
         record = self._record
-        self._refill_perturbations(0)
+        self._reader.reserve(0)
         spare = self._stream.spare_normal
         record.has_spare, record.spare = spare is not None, 0.0 if spare is None else spare
         for kernel in self._kernels:
-            kernel.refill()
+            kernel.reader.reserve(3)
 
     def _sync(self) -> None:
         """Hand every stream the positions, and the perturbation stream the
         cached normal, that the loop has reached."""
         record = self._record
-        self._sync_to(record.u_pos)
+        self._reader.sync()
         self._stream.spare_normal = record.spare if record.has_spare else None
         for kernel in self._kernels:
-            kernel.sync()
-
-    def _refill_perturbations(self, n: int) -> None:
-        """Point the record at the perturbation stream's buffer, with at
-        least ``n`` unread uniforms."""
-        record = self._record
-        record.u_pos = self._reserve(record.u_pos, n)
-
-    def _point_at(self, buf: np.ndarray) -> None:
-        """Point the record at a new buffer and at its Box-Muller tables."""
-        record = self._record
-        self._tables = tables = (buf, *box_muller_tables(buf))
-        for name, array in zip(("u", "radius", "cosine", "sine"), tables):
-            setattr(record, name, array.ctypes.data)
-        record.u_len = buf.size
+            kernel.reader.sync()
 
 
 _DDOT = ctypes.CFUNCTYPE(
@@ -449,10 +435,86 @@ def _checked_ddot() -> int | None:
     return address
 
 
+# numpy's ufunc_call_info (NEP 43), behind the capsule that a ufunc's
+# private _get_strided_loop fills
+class _CallInfo(ctypes.Structure):
+    _fields_ = [("loop", ctypes.c_void_p), ("context", ctypes.c_void_p),
+                ("auxdata", ctypes.c_void_p), ("flags", ctypes.c_int)]
+
+
+_CALL_INFO = b"numpy_1.24_ufunc_call_info"
+_CAPSULE_POINTER = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi)
+)
+_REQUIRES_PYAPI = 1  # NPY_METH_REQUIRES_PYAPI
+_LOOP = ctypes.CFUNCTYPE(ctypes.c_int, *[ctypes.c_void_p] * 5)
+# the ufuncs sf_run calls, and the input step, in doubles, at which it
+# calls each: the Box-Muller logarithms read every other uniform
+_UFUNCS = {"log": (np.log, 2), "cos": (np.cos, 1), "sin": (np.sin, 1)}
+UfuncLoop = _RECORDS["ufunc_loop_t"]
+
+
+def _numpy_loop(ufunc, step: int):
+    """``ufunc``'s float64 loop for input stride ``step`` doubles and output
+    stride 1, as a :class:`UfuncLoop` that keeps numpy's capsule alive, and
+    numpy's flags for it; None where numpy gives none."""
+    f8 = np.dtype(np.float64)
+    try:
+        _, capsule = ufunc._resolve_dtypes_and_context((f8, f8))
+        ufunc._get_strided_loop(capsule, fixed_strides=(8 * step, 8))
+        info = _CallInfo.from_address(_CAPSULE_POINTER(capsule, _CALL_INFO))
+    except (AttributeError, TypeError, ValueError):
+        return None
+    loop = UfuncLoop(loop=info.loop, context=info.context, auxdata=info.auxdata)
+    loop.capsule = capsule  # owns the context and auxdata
+    return loop, info.flags
+
+
+def _gives_the_ufunc(loop, ufunc, step: int) -> bool:
+    """Whether ``loop``, called as sf_run calls it, gives ``ufunc``'s bits
+    at every length from 1 to 64 and at 4096, read and written at byte
+    offsets 0 to 56 apart from one array's start, on values in (0, 2 pi),
+    as sf_run's are."""
+    values = np.random.default_rng(0).uniform(0.0, 2.0 * np.pi, step * 4096 + 16)
+    got = np.empty(4096 + 8)
+    call = _LOOP(loop.loop)
+    dimension = (ctypes.c_ssize_t * 1)()
+    strides = (ctypes.c_ssize_t * 2)(8 * step, 8)
+    data = (ctypes.c_void_p * 2)()
+    starts = values.ctypes.data, got.ctypes.data
+    for n in (*range(1, 65), 4096):
+        first, at = n % 8, 7 - n % 8  # the input's and the output's offsets
+        data[:] = starts[0] + 8 * first, starts[1] + 8 * at
+        dimension[0] = n
+        if call(loop.context, data, dimension, strides, loop.auxdata) != 0:
+            return False
+        want = ufunc(values[first : first + step * n : step])
+        if got[at : at + n].tobytes() != want.tobytes():
+            return False
+    return True
+
+
+def _checked_loops() -> dict | None:
+    """The loops of ``_UFUNCS`` by name, each from :func:`_numpy_loop` and
+    checked by :func:`_gives_the_ufunc`; None where one is missing, asks
+    for the Python API (sf_run holds no GIL) or fails the check."""
+    loops = {}
+    for name, (ufunc, step) in _UFUNCS.items():
+        found = _numpy_loop(ufunc, step)
+        if found is None:
+            return None
+        loop, flags = found
+        if flags & _REQUIRES_PYAPI or not _gives_the_ufunc(loop, ufunc, step):
+            return None
+        loops[name] = loop
+    return loops
+
+
 @functools.cache
 def load():
     """The compiled library (``mg1_observe`` and ``sf_run``), built on first
-    use, with ``ddot`` set to numpy's checked BLAS ``ddot`` (None where
+    use, with ``ddot`` set to numpy's checked BLAS ``ddot`` and ``loops``
+    to numpy's checked ``log``, ``cos`` and ``sin`` loops (each None where
     there is none); None when the library cannot be built or loaded
     here."""
     try:
@@ -464,4 +526,5 @@ def load():
     lib.sf_run.argtypes = (ctypes.POINTER(RunRecord),)
     lib.sf_run.restype = ctypes.c_int64
     lib.ddot = _checked_ddot()
+    lib.loops = _checked_loops()
     return lib

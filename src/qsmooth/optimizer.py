@@ -234,15 +234,17 @@ def _fold(signal: np.ndarray, one_minus_b: float, b: float) -> float:
 
 
 # the RngStream methods whose draws the compiled loop computes itself
-_COMPILED_DRAWS = ("standard_normal", "chi_squared", "_gamma_unit_scale", "reserve")
+_COMPILED_DRAWS = ("standard_normal", "chi_squared", "_gamma_unit_scale")
 
 
 def _compiled_run(sims, kernel, box, schedule, M, L, theta, stream, record_every, numer):
-    """The run as a ``_native.CompiledRun``, unless numpy's BLAS ``ddot``
-    or the compiled library is missing, the step schedule is not a
-    ``StepSchedule``, or the perturbation stream is not an ``RngStream``
-    whose class keeps the draws the loop computes (``_COMPILED_DRAWS``);
-    then None, and the Python loop, its reference, serves the run.
+    """The run as a ``_native.CompiledRun``, unless the compiled library
+    or numpy's checked ``ddot`` or ``log``/``cos``/``sin`` loops are
+    missing, the step schedule is not a ``StepSchedule``, or the
+    perturbation stream is not an ``RngStream`` whose class keeps the
+    draws the loop computes (``_COMPILED_DRAWS``) and whose buffer the loop
+    may refill (``_native._refills_in_c``); then None, and the Python loop,
+    its reference, serves the run.
 
     The loop runs a simulator itself when it is a ``QueueSimulator`` on the
     C kernel that keeps its ``observe``, over a network of the kernel's
@@ -259,10 +261,12 @@ def _compiled_run(sims, kernel, box, schedule, M, L, theta, stream, record_every
     if (
         lib is None
         or lib.ddot is None
+        or lib.loops is None
         or type(schedule) is not StepSchedule
         or not isinstance(stream, RngStream)
         or any(getattr(type(stream), name) is not getattr(RngStream, name)
                for name in _COMPILED_DRAWS)
+        or not _native._refills_in_c(stream)
     ):
         return None
     streams = [stream, *(getattr(sim, "stream", None) for sim in sims)]

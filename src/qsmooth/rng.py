@@ -28,25 +28,6 @@ _BUFFER_SIZE = 4096
 _TO_UNIT = 2.0 ** -53
 
 
-def _radius(u: np.ndarray) -> np.ndarray:
-    """sqrt(-2 log u): the Box-Muller radius of each uniform."""
-    return np.sqrt(-2.0 * np.log(u))
-
-
-def box_muller_tables(buf: np.ndarray):
-    """Per value u of a stream's buffer: sqrt(-2 log u), cos(2 pi u) and
-    sin(2 pi u), each computed as :meth:`RngStream.standard_normal`
-    computes it (the logarithms over every other value, as it takes them).
-    A compiled caller that reads a pair of normals as radius[i] times
-    cosine[i+1] and sine[i+1] gets that method's draws bit for bit, with
-    numpy's own transcendentals."""
-    radius = np.empty(buf.size)
-    radius[0::2] = _radius(buf[0::2])
-    radius[1::2] = _radius(buf[1::2])
-    angle = 2.0 * np.pi * buf
-    return radius, np.cos(angle), np.sin(angle)
-
-
 def _splitmix64(x: int) -> int:
     x = (x + 0x9E3779B97F4A7C15) & _U64
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _U64
@@ -106,9 +87,9 @@ class RngStream:
         self._values: list[float] | None = None
         self._pos = 0
         # the unused half of the last Box-Muller pair, which the next normal
-        # draw returns first; None when there is none.  A caller that draws
-        # normals from the buffer itself (see box_muller_tables) takes it
-        # from here and hands back the one it leaves.
+        # draw returns first; None when there is none.  A compiled loop that
+        # draws normals from the buffer itself (sf_run) takes it from here
+        # and hands back the one it leaves.
         self.spare_normal: float | None = None
 
     # -- uniforms ----------------------------------------------------------
@@ -178,7 +159,7 @@ class RngStream:
         spare = self.spare_normal if size > 0 else None
         need = size if spare is None else size - 1
         u = self.uniform01(2 * ((need + 1) // 2))
-        r = _radius(u[0::2])
+        r = np.sqrt(-2.0 * np.log(u[0::2]))
         ang = 2.0 * np.pi * u[1::2]
         z = np.empty(u.size)
         np.multiply(r, np.cos(ang), out=z[0::2])
@@ -245,9 +226,11 @@ class RngStream:
         return out
 
     def chi_squared(self, df: float, size: int | None = None):
-        """Chi-squared draw(s); df may be any real > 0."""
-        if not df > 0.0:
-            raise ValueError(f"chi_squared requires df > 0, got {df}")
+        """Chi-squared draw(s); df may be any finite real > 0 (at df = inf
+        every rejection test reads inf - inf, and no candidate would ever be
+        accepted)."""
+        if not 0.0 < df < math.inf:
+            raise ValueError(f"chi_squared requires 0 < df < inf, got {df}")
         if size is None:
             return 2.0 * self._gamma_unit_scale(0.5 * df)
         return 2.0 * self._gamma_unit_scale_array(0.5 * df, size)

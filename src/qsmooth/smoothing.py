@@ -10,6 +10,7 @@ directly, which is what the property tests exercise.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -103,6 +104,18 @@ def sf_term_two_batch(
     return etas * _term_weight(kernel, rhos, signal)[:, None]
 
 
+def _mc_theta(theta, kernel: QKernel, n_samples: int) -> np.ndarray:
+    """``theta`` as a float array of the kernel's dimension.  Raises
+    ValueError, naming the argument, for any other shape or for an
+    ``n_samples`` that is not an integer >= 1, before any draw."""
+    if not isinstance(n_samples, numbers.Integral) or n_samples < 1:
+        raise ValueError(f"n_samples must be an integer >= 1, got {n_samples!r}")
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != (kernel.dim,):
+        raise ValueError(f"theta must have shape ({kernel.dim},), got {theta.shape}")
+    return theta
+
+
 def smoothed_value(
     f: Callable[[np.ndarray], float],
     theta: np.ndarray,
@@ -115,7 +128,7 @@ def smoothed_value(
     f must be defined wherever theta - beta*eta can land (all of R^N unless
     q < 1 bounds the perturbation).
     """
-    theta = np.asarray(theta, dtype=float)
+    theta = _mc_theta(theta, kernel, n_samples)
     total = 0.0
     done = 0
     while done < n_samples:
@@ -136,7 +149,7 @@ def smoothed_gradient_mc(
 ) -> np.ndarray:
     """Monte-Carlo estimate of the smoothed gradient: the average of
     one-simulation terms with cost f(theta + beta*eta)."""
-    theta = np.asarray(theta, dtype=float)
+    theta = _mc_theta(theta, kernel, n_samples)
     acc = np.zeros(kernel.dim)
     done = 0
     while done < n_samples:

@@ -41,7 +41,7 @@ from qsmooth.smoothing import (
     sf_term_two_batch,
 )
 
-from test_qgaussian import quadrature_cdf_1d
+from test_qgaussian import moment_values, quadrature_cdf_1d
 
 
 def report(num, name, ok, detail=""):
@@ -79,13 +79,14 @@ def test_criterion_1_moment_oracle_agreement():
             draws, rhos = sample_standard_many(
                 q, n, count, RngStream(101, int(q * 10) * 10 + n)
             )
+            values = moment_values(draws, rhos)
             for spec in _criterion1_specs(n):
                 if not moment_exists(spec, q, n):
                     with pytest.raises(MomentDoesNotExistError):
                         analytic_moment(spec, q, n)
                     continue
                 ref = analytic_moment(spec, q, n)
-                vals = np.prod(draws ** np.asarray(spec.powers), axis=1) / rhos**spec.b
+                vals = values(spec)
                 se = vals.std(ddof=1) / math.sqrt(count)
                 dev = abs(vals.mean() - ref)
                 checked += 1

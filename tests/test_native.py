@@ -38,7 +38,7 @@ from qsmooth.optimizer import (
 )
 from qsmooth.qgaussian import QKernel
 from qsmooth.queueing import QueueNetworkConfig, QueueSimulator, make_simulator, preset
-from qsmooth.rng import RngStream, box_muller_tables
+from qsmooth.rng import RngStream
 from qsmooth.smoothing import InvalidRhoError
 
 transform_constants = qgaussian._transform_constants
@@ -615,13 +615,26 @@ class NegatedNormals(RngStream):
         return -super().standard_normal(size)
 
 
+class SubclassedPhilox(np.random.Philox):
+    """Philox itself, under another class: the same draws."""
+
+
 @needs_gcc
-@pytest.mark.parametrize("name", optimizer._COMPILED_DRAWS)
+@pytest.mark.parametrize(
+    "name", [*optimizer._COMPILED_DRAWS, *_native._COMPILED_REFILL, "_bitgen"]
+)
 def test_a_stream_that_overrides_a_compiled_draw_keeps_the_python_loop(name):
+    # a stream whose class overrides a draw the loop computes, or a method
+    # its refill stands in for, or whose generator is not exactly Philox
     def same(self, *args):
         return getattr(RngStream, name)(self, *args)
 
-    overriding = type("Overriding", (RngStream,), {"__slots__": (), name: same})
+    def subclassed(self, seed, stream_id=0):
+        RngStream.__init__(self, seed, stream_id)
+        self._bitgen = SubclassedPhilox(key=self._bitgen.state["state"]["key"])
+
+    members = {"__init__": subclassed} if name == "_bitgen" else {name: same}
+    overriding = type("Overriding", (RngStream,), {"__slots__": (), **members})
     spec = _far_target_spec(network=preset("mg1-4d").network, M=30, stream_type=overriding)
     with mock.patch.object(_native, "CompiledRun", wraps=_native.CompiledRun) as compiled:
         got = _run(spec)[:2]
@@ -914,32 +927,83 @@ def test_a_control_with_no_finite_service_factor_fails_both_loops_alike(targets)
     assert done.stdout == repr((want, 1)) + "\n"
 
 
+@needs_gcc
 @pytest.mark.parametrize("size", [*range(1, 12), 20])
 def test_box_muller_tables_give_standard_normal_draws(size):
-    # at every offset in the buffer, with and without a cached normal, and
-    # across the refill that keeps a buffer's unread tail
+    # sf_run's draw of a q = 1 perturbation, whose Box-Muller tables (the
+    # radius, cosine and sine of each pair) numpy's loops compute, at every
+    # offset in the buffer, with and without a cached normal, and across the
+    # refill that keeps a buffer's unread tail: the draws of
+    # stream.standard_normal(size), and the stream left where it leaves one
+    base = RngStream(8, 3)
+    base.uniform01()
+    buf, bitgen = base._buf, base._bitgen.state
     stream = RngStream(8, 3)
-    stream.uniform01()
-    tables = box_muller_tables(stream._buf)
+    run = optimizer._compiled_run(
+        [QuadraticCostSimulator(np.full(size, 0.3))], QKernel(1.0, 0.01, size),
+        BoxConstraint.cube(0.1, 0.6, size), StepSchedule(0.75), 2 * 4097, 1,
+        np.full(size, 0.35), stream, 1, 2.0,
+    )
     for offset in range(4097):
+        refill = offset + size + 1 > 4096  # the draw may refill
         for spare in (None, 0.25):
-            first = 0 if spare is None else 1
-            pairs = (size - first + 1) // 2
-            refill = offset + 2 * pairs > 4096
             # a draw that refills moves the generator, so it needs a copy of it
-            here = (copy.deepcopy if refill else copy.copy)(stream)
+            here = (copy.deepcopy if refill else copy.copy)(base)
             here._pos, here.spare_normal = offset, spare
+            want = here.standard_normal(size)
+            stream._buf, stream._pos, stream.spare_normal = buf, offset, spare
+            stream._bitgen.state = bitgen
+            assert run.resume() == run.RECORD
+            assert run._arrays["eta"].tobytes() == want.tobytes()
+            assert stream.spare_normal == here.spare_normal
             if refill:
-                buf, pos = copy.deepcopy(here).reserve(2 * pairs)
-                radius, cosine, sine = box_muller_tables(buf)
+                assert _stands(stream) == _stands(here)
             else:
-                pos, (radius, cosine, sine) = offset, tables
-            p = pos + 2 * np.arange(pairs)
-            got = np.empty(first + 2 * pairs)
-            got[:first] = spare
-            got[first::2] = radius[p] * cosine[p + 1]
-            got[first + 1 :: 2] = radius[p] * sine[p + 1]
-            assert got[:size].tobytes() == here.standard_normal(size).tobytes()
+                assert stream._buf is buf and stream._pos == here._pos
+
+
+@needs_gcc
+def test_a_draw_longer_than_a_refill_takes_all_it_needs():
+    # a 9001-d draw reads more uniforms than one refill of 4096 brings: the
+    # loop appends them all at once, as RngStream.reserve(n) does
+    dim, runs = 9001, []
+    for on_python in (False, True):
+        hidden = mock.patch.object(_native, "load", return_value=None)
+        with hidden if on_python else contextlib.nullcontext(), \
+                mock.patch.object(_native, "CompiledRun", wraps=_native.CompiledRun) as compiled:
+            stream = RngStream(4, 0)
+            stream.uniform01(100)
+            result = run_gqsf1(
+                QuadraticCostSimulator(np.full(dim, 0.3)), QKernel(0.8, 0.01, dim),
+                BoxConstraint.cube(0.1, 0.6, dim), StepSchedule(0.75), 3, 2, np.full(dim, 0.35),
+                stream, record_every=1,
+            )
+        assert compiled.call_count == (0 if on_python else 1)
+        runs.append((result.z.tobytes(), [point.theta.tobytes() for point in result.trajectory],
+                     _end_state(stream)))
+    assert runs[0] == runs[1]
+
+
+@needs_gcc
+@pytest.mark.parametrize("name", ["log", "cos", "sin"])
+def test_each_numpy_loop_gives_its_ufunc_bits(name):
+    # at the strides sf_run calls it with (every other uniform for the
+    # logarithms), at every length from 1 to 64 and at 4096, and at every
+    # byte offset from an array's start that a double can take
+    loop = _native.load().loops[name]
+    ufunc, step = {"log": (np.log, 2), "cos": (np.cos, 1), "sin": (np.sin, 1)}[name]
+    values = np.random.default_rng(9).uniform(size=2 * 4096 + 16)
+    if name != "log":
+        values = 2.0 * np.pi * values
+    call = _native._LOOP(loop.loop)
+    for n in (*range(1, 65), 4096):
+        for shift in range(8):
+            x = values[shift : shift + step * n : step]
+            out = np.empty(n + 8)[shift : shift + n]
+            data = (ctypes.c_void_p * 2)(x.ctypes.data, out.ctypes.data)
+            strides = (ctypes.c_ssize_t * 2)(8 * step, 8)
+            assert call(loop.context, data, (ctypes.c_ssize_t * 1)(n), strides, loop.auxdata) == 0
+            assert out.tobytes() == ufunc(x).tobytes(), (n, shift)
 
 
 @needs_gcc
@@ -979,6 +1043,39 @@ def test_a_wrong_ddot_fails_the_check_and_runs_take_the_python_loop(use_cache, m
     assert compiled.call_count == 0
 
 
+_numpy_loop = _native._numpy_loop
+
+
+def _wrong_loop(ufunc, step):
+    """np.exp's loop in place of np.log's."""
+    return _numpy_loop(np.exp if ufunc is np.log else ufunc, step)
+
+
+def _loop_asking_for_python(ufunc, step):
+    """The right loop, with numpy's flag that it needs the Python API."""
+    loop, flags = _numpy_loop(ufunc, step)
+    return loop, flags | _native._REQUIRES_PYAPI
+
+
+@needs_gcc
+@pytest.mark.parametrize(
+    "lookup", [_wrong_loop, _loop_asking_for_python, lambda ufunc, step: None],
+    ids=["wrong", "python-api", "missing"],
+)
+def test_a_wrong_loop_fails_the_check_and_runs_take_the_python_loop(lookup, use_cache,
+                                                                    monkeypatch):
+    spec = _far_target_spec(network=preset("mg1-4d").network, M=60)
+    want = _run(spec)[:2]
+    assert _native._checked_loops() is not None
+    monkeypatch.setattr(_native, "_numpy_loop", lookup)
+    assert _native._checked_loops() is None
+    use_cache()
+    assert _native.load() is not None and _native.load().loops is None
+    with mock.patch.object(_native, "CompiledRun", wraps=_native.CompiledRun) as compiled:
+        assert _run(spec)[:2] == want
+    assert compiled.call_count == 0
+
+
 @needs_gcc
 def test_c_kernel_builds_where_gcc_is_installed():
     assert _native.load() is not None
@@ -990,7 +1087,8 @@ def test_c_kernel_builds_where_gcc_is_installed():
 def test_the_records_are_laid_out_as_the_c_compiler_lays_them_out(tmp_path):
     # a program built from _mg1.c prints each record's size and each
     # member's offset and size, and each stop code
-    records = {"mg1_state": _native.NativeState, "sf_run_t": _native.RunRecord}
+    records = {"stream_t": _native._RECORDS["stream_t"], "ufunc_loop_t": _native.UfuncLoop,
+               "mg1_state": _native.NativeState, "sf_run_t": _native.RunRecord}
     prints = [f'printf("{name} %zu\\n", sizeof({name}));' for name in records]
     want = {name: ctypes.sizeof(record) for name, record in records.items()}
     for name, record in records.items():
@@ -998,7 +1096,7 @@ def test_the_records_are_laid_out_as_the_c_compiler_lays_them_out(tmp_path):
             prints.append(f'printf("{name}.{field} %zu %zu\\n", offsetof({name}, {field}), '
                           f'sizeof((({name} *)0)->{field}));')
             want[f"{name}.{field}"] = (getattr(record, field).offset, getattr(record, field).size)
-    stops = ("DONE", "RECORD", "DIVERGED", "BAD_RHO", "OBSERVE", "_PERTURBATION", "_SIMULATOR")
+    stops = ("DONE", "RECORD", "DIVERGED", "BAD_RHO", "OBSERVE", "_SIMULATOR")
     prints += [f'printf("{stop} %d\\n", SF{stop if stop[0] == "_" else "_" + stop});'
                for stop in stops]
     want.update({stop: getattr(_native.CompiledRun, stop) for stop in stops})
@@ -1013,11 +1111,20 @@ def test_the_records_are_laid_out_as_the_c_compiler_lays_them_out(tmp_path):
         name, *numbers = line.split()
         got[name] = tuple(map(int, numbers)) if len(numbers) > 1 else int(numbers[0])
     assert got == want
-    assert len(records["mg1_state"]._fields_) == 32 and len(records["sf_run_t"]._fields_) == 43
+    assert [len(record._fields_) for record in records.values()] == [8, 3, 25, 44]
+    # a record held by value lays out its members as the outer record's own
+    for name in ("mg1_state", "sf_run_t"):
+        record = records[name]
+        assert (record.u_pos.offset - record.stream.offset
+                == records["stream_t"].u_pos.offset)
 
 
 def test_the_record_reader_takes_each_allowed_form():
     source = textwrap.dedent("""\
+        typedef struct {
+            int64_t a;
+            double b;
+        } inner;
         typedef struct {
             double x;         /* a comment,
                                  over two lines */
@@ -1025,14 +1132,21 @@ def test_the_record_reader_takes_each_allowed_form():
             mg1_state *sims[2];
             ddot_fn f;
             next_fn g;
+            loop_fn h;
+            inner held;
+            inner *pointed;
         } rec;
         enum { A, /* between */ B };
     """)
     records, values = _native._read_declarations(source)
-    assert [(name, ctypes.sizeof(kind)) for name, kind in records["rec"]] == [
-        ("x", 8), ("p", 8), ("sims", 16), ("f", 8), ("g", 8)
+    rec = records["rec"]
+    assert [(name, ctypes.sizeof(kind)) for name, kind in rec._fields_] == [
+        ("x", 8), ("p", 8), ("sims", 16), ("f", 8), ("g", 8), ("h", 8), ("held", 16),
+        ("pointed", 8),
     ]
-    assert records["rec"][2][1]._type_ is ctypes.c_void_p
+    assert rec._fields_[2][1]._type_ is ctypes.c_void_p
+    assert rec._fields_[6][1] is records["inner"] and rec._anonymous_ == ["held"]
+    assert (rec.a.offset, rec.b.offset) == (56, 64)
     assert (values["A"], values["B"]) == (0, 1)
 
 

@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import qsmooth
 from qsmooth.qgaussian import sample_standard
 from qsmooth.rng import RngStream, derive_stream_id
 
@@ -211,6 +216,25 @@ def test_chi_squared_small_shape_branch():
 def test_chi_squared_rejects_bad_df(df):
     with pytest.raises(ValueError):
         RngStream(0, 0).chi_squared(df)
+
+
+@pytest.mark.parametrize("size", [None, 3])
+def test_chi_squared_rejects_an_infinite_df(size):
+    # at df = inf every candidate's test reads inf - inf = NaN, and the draw
+    # never returned; a child process under a timeout fails a regression
+    # instead of hanging the suite
+    src = str(Path(qsmooth.__file__).resolve().parent.parent)
+    code = (
+        "from qsmooth.rng import RngStream\n"
+        "try:\n"
+        f"    RngStream(0, 0).chi_squared(float('inf'), size={size!r})\n"
+        "except ValueError as err:\n"
+        "    print(err)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "chi_squared requires 0 < df < inf, got inf\n"
 
 
 def test_stream_independence():

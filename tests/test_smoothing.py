@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -156,6 +157,33 @@ def test_smoothed_gradient_constant_f():
     kernel = QKernel(q=0.8, beta=0.1, dim=2)
     grad = smoothed_gradient_mc(lambda x: 3.0, np.zeros(2), kernel, 100_000, RngStream(5, 5))
     assert np.all(np.abs(grad) < 0.2)
+
+
+def _untouched(stream):
+    """Whether ``stream`` has drawn nothing yet."""
+    return stream._buf.size == 0 and stream.spare_normal is None
+
+
+@pytest.mark.parametrize("estimate", [smoothed_value, smoothed_gradient_mc])
+@pytest.mark.parametrize("n_samples", [0, -5, 2.5, 3.0])
+def test_monte_carlo_estimates_need_a_sample(estimate, n_samples):
+    # 0 samples divided by zero, or averaged to NaN under a warning, -5
+    # returned zeros and a float failed inside numpy; each fails now,
+    # naming the argument, before any draw
+    stream = RngStream(3, 1)
+    with pytest.raises(ValueError, match=f"n_samples must be an integer >= 1, got {n_samples}"):
+        estimate(lambda x: 1.0, np.zeros(2), QKernel(0.5, 0.1, 2), n_samples, stream)
+    assert _untouched(stream)
+
+
+@pytest.mark.parametrize("estimate", [smoothed_value, smoothed_gradient_mc])
+@pytest.mark.parametrize("theta", [np.zeros(3), np.zeros((2, 1)), 0.0, np.zeros(1)])
+def test_monte_carlo_estimates_need_theta_of_the_kernel_dimension(estimate, theta):
+    stream = RngStream(3, 1)
+    shape = np.shape(theta)
+    with pytest.raises(ValueError, match=re.escape(f"theta must have shape (2,), got {shape}")):
+        estimate(lambda x: 1.0, theta, QKernel(0.5, 0.1, 2), 10, stream)
+    assert _untouched(stream)
 
 
 @pytest.mark.parametrize("q", [0.0, 0.5, 1.0, 1.2])
