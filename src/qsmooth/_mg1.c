@@ -7,10 +7,9 @@
  *
  * When fewer than 3 uniforms (the most one event draws) remain in the
  * buffer, the kernel refills it from the stream's generator, as
- * RngStream.reserve(3) does, into a buffer of its own.  It stops at an
+ * RngStream.reserve(3) does, into a buffer of its own.  It stops only at an
  * event boundary, before touching any state, when the ring that the next
- * event may push onto is full, or when it runs short of uniforms with no
- * generator to refill from; the caller grows or refills, and calls again,
+ * event may push onto is full; the caller grows the rings and calls again,
  * and the record keeps the count of costs done so far.
  *
  * sf_run, further down, runs whole outer iterations of the two-timescale
@@ -41,8 +40,9 @@
 typedef uint64_t (*next_fn)(void *state);
 
 /* A stream's buffer of uniforms, as a compiled loop reads it in place, and
- * the stream's Philox generator (numpy's Philox.ctypes), which refills own;
- * bitgen is NULL where the caller refills the buffer. */
+ * the stream's Philox generator (numpy's Philox.ctypes), from which the loop
+ * refills own whenever it runs short.  qsmooth._native binds only a stream
+ * that _refills_in_c allows, so no loop stops for uniforms. */
 typedef struct {
     const double *u;        /* the stream's buffer of uniforms, or own */
     int64_t u_pos;          /* next unread uniform */
@@ -135,8 +135,6 @@ int64_t mg1_observe(mg1_state *s)
     s->full = -1;
     while (done < L) {
         if (in->u_len - pos < 3) {
-            if (in->bitgen == NULL)
-                break;
             in->u_pos = pos;
             reserve(in, 3);
             u = in->u;
@@ -224,8 +222,7 @@ int64_t mg1_observe(mg1_state *s)
  *     out in numpy's order, NaN propagation and ties included.
  *
  * The loop refills the perturbation stream's buffer from its generator, as
- * mg1_observe refills a simulator's.  It returns to its caller when a
- * simulator's stream runs short with no generator to refill from, when a
+ * mg1_observe refills a simulator's.  It returns to its caller only when a
  * ring is full, when the caller is to observe a simulator, at each
  * trajectory point, at M and on an error; the record keeps where it
  * stands, and the next call resumes there.
@@ -261,8 +258,7 @@ enum {
     SF_RECORD,      /* a trajectory point is due after iteration n */
     SF_DIVERGED,    /* the fast iterate of iteration n failed the guard */
     SF_BAD_RHO,     /* rho <= 0 at iteration n */
-    SF_SIMULATOR,   /* simulator `stopped` needs a larger ring, or uniforms
-                       that it has no generator to refill from */
+    SF_SIMULATOR,   /* simulator `stopped` has a full ring to grow */
     SF_OBSERVE      /* the caller is to observe simulators `stopped` to
                        phase - 2 and write their costs */
 };

@@ -20,8 +20,10 @@ three loops through the ufuncs' ``_resolve_dtypes_and_context`` and
 ``_get_strided_loop`` (NEP 43), and checks each against numpy itself: a
 loop that asks for the Python API, or any one that gives other bits than
 its ufunc, is refused.  Where one is missing or refused, optimizer runs
-take the Python loop, with the same numbers; so do runs whose perturbation
-stream the loop cannot refill from its generator (:func:`_refills_in_c`).
+take the Python loop, with the same numbers.  Both loops refill a stream's
+buffer themselves, so they read only a stream that :func:`_refills_in_c`
+allows: a simulator on any other runs the Python kernel, and a run with
+any other perturbation stream the Python loop.
 """
 
 from __future__ import annotations
@@ -174,52 +176,57 @@ class NativeState(_RECORDS["mg1_state"]):
         self.cap = 2 * self.cap
 
 
-# the RngStream methods that a compiled loop's own refill stands in for
+# the RngStream methods that compiled code stands in for: the draws that
+# sf_run computes, and the refill that both loops make themselves
+_COMPILED_DRAWS = ("standard_normal", "chi_squared", "_gamma_unit_scale")
 _COMPILED_REFILL = ("_fresh", "reserve", "advance")
 
 
 def _refills_in_c(stream) -> bool:
-    """Whether a compiled loop may refill ``stream``'s buffer itself: the
-    stream's class keeps ``RngStream``'s refill (``_COMPILED_REFILL``) and
-    its generator is a ``np.random.Philox``."""
-    return all(
-        getattr(type(stream), name, None) is getattr(RngStream, name) for name in _COMPILED_REFILL
+    """Whether compiled code may read ``stream``, the one rule for it: an
+    ``RngStream`` whose class keeps ``RngStream``'s ``_COMPILED_DRAWS`` and
+    ``_COMPILED_REFILL``, and whose generator is a ``np.random.Philox``."""
+    return isinstance(stream, RngStream) and all(
+        getattr(type(stream), name) is getattr(RngStream, name)
+        for name in _COMPILED_DRAWS + _COMPILED_REFILL
     ) and type(getattr(stream, "_bitgen", None)) is np.random.Philox
 
 
 class StreamReader:
     """A stream's buffer as a compiled loop reads it in place, through the
-    ``stream_t`` members of ``record``.  Where :func:`_refills_in_c` allows,
-    the loop refills the buffer itself, from the stream's generator, into
-    ``own``, which holds ``_BUFFER_SIZE`` fresh uniforms after an unread
-    tail shorter than ``longest``, the most uniforms one read reserves."""
+    ``stream_t`` members of ``record``.  The loop refills the buffer itself,
+    from the stream's generator, into ``own``, which holds ``_BUFFER_SIZE``
+    fresh uniforms after an unread tail shorter than ``longest``, the most
+    uniforms one read reserves.  Raises ValueError for a stream that
+    :func:`_refills_in_c` refuses."""
 
     def __init__(self, record, stream, longest: int):
+        if not _refills_in_c(stream):
+            raise ValueError("compiled code reads only a stream that _refills_in_c allows")
         self._record = record
         self._stream = stream
         self._buf = None
         self._synced = 0  # the loop's position when the stream last heard of it
         self._refills = 0  # the loop's refills the stream has taken
-        if _refills_in_c(stream):
-            self._generator = stream._bitgen  # kept alive while the loop draws from it
-            interface = self._generator.ctypes
-            record.bitgen = interface.state_address
-            record.next_uint64 = ctypes.cast(interface.next_uint64, ctypes.c_void_p).value
-            record.refill_size = _BUFFER_SIZE
-            self._own = np.empty(_BUFFER_SIZE + longest - 1)
-            record.own = self._own.ctypes.data
+        self._generator = stream._bitgen  # kept alive while the loop draws from it
+        interface = self._generator.ctypes
+        record.bitgen = interface.state_address
+        record.next_uint64 = ctypes.cast(interface.next_uint64, ctypes.c_void_p).value
+        record.refill_size = _BUFFER_SIZE
+        self._own = np.empty(_BUFFER_SIZE + longest - 1)
+        record.own = self._own.ctypes.data
 
     def _bind(self, buf: np.ndarray) -> None:
         self._buf = buf
         self._record.u = buf.ctypes.data
         self._record.u_len = buf.size
 
-    def reserve(self, n: int) -> None:
-        """Point the record at the stream's buffer, with at least ``n``
-        unread uniforms from its ``u_pos`` on, after marking the uniforms
-        the loop read in place as drawn."""
+    def read(self) -> None:
+        """Point the record at where the stream stands, after marking the
+        uniforms the loop read in place as drawn.  The loop reserves what it
+        reads, so nothing is refilled here."""
         self.sync()
-        buf, pos = self._stream.reserve(n)
+        buf, pos = self._stream.reserve(0)
         if buf is not self._buf:
             self._bind(buf)
         self._record.u_pos = self._synced = pos
@@ -262,22 +269,13 @@ class NativeKernel:
             self.costs = np.empty(L)
             self.state.bind("costs", self.costs)
 
-    def unblock(self) -> None:
-        """Clear what stopped the loop: grow the rings if one was full,
-        else refill (only a loop with no generator bound stops for
-        that)."""
-        if self.state.full >= 0:
-            self.state.grow_rings()
-        else:
-            self.reader.reserve(3)
-
     def run(self, L: int) -> list[float]:
         """The costs of the next ``L`` service completions."""
         self.hold(L)
         self.state.done, self.state.want = 0, L
-        self.reader.reserve(3)
-        while self._observe(self._state_ref) < L:
-            self.unblock()
+        self.reader.read()
+        while self._observe(self._state_ref) < L:  # a ring is full
+            self.state.grow_rings()
         self.reader.sync()
         return self.costs[:L].tolist()
 
@@ -290,10 +288,9 @@ class CompiledRun:
     """One optimizer run in ``sf_run``.  Each simulator is a compiled
     kernel, which the loop runs itself, a quadratic cost's target (a
     contiguous float64 array of ``dim``), whose costs the loop computes,
-    or None: one its caller observes.  The loop refills the perturbation
-    stream itself, so :func:`_refills_in_c` must allow it.
-    :meth:`resume` runs outer iterations until one of the stops its caller
-    handles: ``OBSERVE`` (the caller is to observe the simulators in
+    or None: one its caller observes.  Every stream it reads is one that
+    :func:`_refills_in_c` allows.  :meth:`resume` runs outer iterations
+    until one of the stops its caller handles: ``OBSERVE`` (the caller is to observe the simulators in
     ``observing`` at their ``control`` rows of iteration ``n`` and write
     their costs into ``costs``), ``DONE``, ``RECORD`` (iteration ``n``
     ended at a trajectory point), ``DIVERGED`` (the fast iterate of
@@ -345,8 +342,6 @@ class CompiledRun:
             record.costs[i] = self.costs[i].ctypes.data
         self._stream = stream
         self._reader = StreamReader(record, stream, 2 * pairs)
-        if not record.bitgen:  # the loop's draws would read past the buffer
-            raise ValueError("sf_run refills the perturbation stream itself: see _refills_in_c")
         self._run = lib.sf_run
         self._ref = ctypes.byref(record)
 
@@ -374,8 +369,8 @@ class CompiledRun:
         record = self._record
         self._read()
         try:
-            while (stop := self._run(self._ref)) == self._SIMULATOR:
-                self._sims[record.stopped].unblock()
+            while (stop := self._run(self._ref)) == self._SIMULATOR:  # a ring is full
+                self._sims[record.stopped].state.grow_rings()
             return stop
         finally:
             self._sync()
@@ -384,11 +379,11 @@ class CompiledRun:
         """Read where every stream stands, and the perturbation stream's
         cached normal."""
         record = self._record
-        self._reader.reserve(0)
+        self._reader.read()
         spare = self._stream.spare_normal
         record.has_spare, record.spare = spare is not None, 0.0 if spare is None else spare
         for kernel in self._kernels:
-            kernel.reader.reserve(3)
+            kernel.reader.read()
 
     def _sync(self) -> None:
         """Hand every stream the positions, and the perturbation stream the

@@ -353,9 +353,10 @@ def run_experiment(
 ) -> list[CellResult]:
     """Run every (q, beta) cell; returns results in grid order.
 
-    Replications are independent tasks spread over a process pool; a run
-    that raises one of ``REPLICATION_ERRORS`` is recorded in its cell's
-    failures and errors and does not abort the grid.
+    Replications are independent tasks spread over a pool of ``workers``
+    processes (by default one per CPU), never more than there are tasks;
+    a run that raises one of ``REPLICATION_ERRORS`` is recorded in its
+    cell's failures and errors and does not abort the grid.
     """
     cells = config.cells()
     tasks = [
@@ -365,7 +366,8 @@ def run_experiment(
     ]
     if workers is None:
         workers = os.cpu_count() or 1
-    if workers <= 1 or len(tasks) == 1:
+    workers = min(workers, len(tasks))  # a pool forks every worker up front
+    if workers <= 1:
         outcomes = list(map(_replication_task, tasks))
     else:
         # imported here: serial runs need none of multiprocessing

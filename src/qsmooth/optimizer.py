@@ -233,39 +233,31 @@ def _fold(signal: np.ndarray, one_minus_b: float, b: float) -> float:
     return s
 
 
-# the RngStream methods whose draws the compiled loop computes itself
-_COMPILED_DRAWS = ("standard_normal", "chi_squared", "_gamma_unit_scale")
-
-
 def _compiled_run(sims, kernel, box, schedule, M, L, theta, stream, record_every, numer):
     """The run as a ``_native.CompiledRun``, unless the compiled library
     or numpy's checked ``ddot`` or ``log``/``cos``/``sin`` loops are
-    missing, the step schedule is not a ``StepSchedule``, or the
-    perturbation stream is not an ``RngStream`` whose class keeps the
-    draws the loop computes (``_COMPILED_DRAWS``) and whose buffer the loop
-    may refill (``_native._refills_in_c``); then None, and the Python loop,
-    its reference, serves the run.
+    missing, the step schedule is not a ``StepSchedule``, or compiled code
+    may not read the perturbation stream (``_native._refills_in_c``); then
+    None, and the Python loop, its reference, serves the run.
 
     The loop runs a simulator itself when it is a ``QueueSimulator`` on the
-    C kernel that keeps its ``observe``, over a network of the kernel's
-    dimension, with a stream that neither the perturbations nor the other
-    simulator draw from.  It computes the costs of a simulator whose
-    ``step`` and ``observe`` are ``QuadraticCostSimulator``'s as defined
-    here (not a subclass's, an instance's or a patch's) and whose target is
-    a contiguous float64 ndarray of the kernel's dimension, reading that
-    array, as it stands at each iteration, through the run.  It hands every
-    other simulator back to its caller to observe.  The loop reads uniforms
-    from the buffer itself, so an override of ``uniform01`` (one that
-    counts draws, say) sees none of its draws."""
+    C kernel (so on a stream that the same rule allows) that keeps its
+    ``observe``, over a network of the kernel's dimension, with a stream
+    that neither the perturbations nor the other simulator draw from.  It
+    computes the costs of a simulator whose ``step`` and ``observe`` are
+    ``QuadraticCostSimulator``'s as defined here (not a subclass's, an
+    instance's or a patch's) and whose target is a contiguous float64
+    ndarray of the kernel's dimension, reading that array, as it stands at
+    each iteration, through the run.  It hands every other simulator back to
+    its caller to observe.  The loop reads uniforms from the buffer itself,
+    so an override of ``uniform01`` (one that counts draws, say) sees none
+    of its draws."""
     lib = _native.load()
     if (
         lib is None
         or lib.ddot is None
         or lib.loops is None
         or type(schedule) is not StepSchedule
-        or not isinstance(stream, RngStream)
-        or any(getattr(type(stream), name) is not getattr(RngStream, name)
-               for name in _COMPILED_DRAWS)
         or not _native._refills_in_c(stream)
     ):
         return None

@@ -75,13 +75,14 @@ class QueueNetworkConfig:
             raise ValueError("per-node parameter tuples must all have length K")
         if k < 1:
             raise ValueError("need at least one node")
-        if any(r < 0 for r in self.arrival_rates):
-            raise ValueError("arrival rates must be >= 0")
+        # written so that NaN fails each check too
+        if not all(0.0 <= r < math.inf for r in self.arrival_rates):
+            raise ValueError("arrival rates must be finite and >= 0")
         if not any(r > 0 for r in self.arrival_rates):
             raise ValueError("at least one node needs external arrivals")
         if any(not 0.0 <= p <= 1.0 for p in self.p_leave):
             raise ValueError("departure probabilities must lie in [0, 1]")
-        if any(r <= 0 for r in self.service_constants):
+        if not all(r > 0.0 for r in self.service_constants):
             raise ValueError("service constants must be > 0")
         if any(d < 1 for d in self.dims):
             raise ValueError("per-node parameter dimensions must be >= 1")
@@ -283,8 +284,9 @@ class QueueSimulator:
     runs through the next L service completions and returns their costs;
     ``step(control)`` is ``observe(control, 1)[0]``.  ``kernel`` names the
     event loop in use: ``"c"``, compiled from ``_mg1.c`` on first use, or
-    ``"python"`` where that cannot be built.  Both draw the same uniforms
-    and return the same costs, bit for bit."""
+    ``"python"`` where that cannot be built or where compiled code may not
+    read the stream (``_native._refills_in_c``).  Both draw the same
+    uniforms and return the same costs, bit for bit."""
 
     def __init__(self, config: QueueNetworkConfig, stream: RngStream):
         self.config = config
@@ -296,12 +298,12 @@ class QueueSimulator:
             for lam in config.arrival_rates
         ]
         lib = _native.load()
-        if lib is None:
-            self.kernel = "python"
-            self._kernel = PythonKernel(config, stream, next_arrival)
-        else:
+        if lib is not None and _native._refills_in_c(stream):
             self.kernel = "c"
             self._kernel = _native.NativeKernel(lib, config, stream, next_arrival)
+        else:
+            self.kernel = "python"
+            self._kernel = PythonKernel(config, stream, next_arrival)
         self.state = self._kernel.state
 
     def _set_service_factors(self, control) -> None:
@@ -324,7 +326,9 @@ class QueueSimulator:
     def observe(self, control: np.ndarray, L: int) -> list[float]:
         """The costs of the next ``L`` observations under one control.  The
         service factors are computed from ``control`` on every call, so an
-        array changed in place takes effect."""
+        array changed in place takes effect; a negative ``L`` is refused."""
+        if L < 0:
+            raise ValueError(f"cannot observe L = {L} costs")
         self._set_service_factors(control)
         return self._kernel.run(L)
 
@@ -334,8 +338,9 @@ class QueueSimulator:
 
 
 def kernel_name() -> str:
-    """The event loop the simulators of this process run: ``"c"`` or
-    ``"python"``.  The first call compiles the C kernel if need be."""
+    """The event loop that simulators of this process run on a plain
+    ``RngStream``, ``"c"`` or ``"python"`` (see ``QueueSimulator.kernel``).
+    The first call compiles the C kernel if need be."""
     return "python" if _native.load() is None else "c"
 
 

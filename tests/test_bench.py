@@ -11,6 +11,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -165,6 +166,21 @@ def test_config_inline_system():
 )
 def test_config_rejects_bad_values(mutation):
     with pytest.raises(ConfigError):
+        config_from_dict(small_config_dict(**mutation))
+
+
+@pytest.mark.parametrize(
+    "mutation, message",
+    [
+        (_inline_system(arrival_rates=[math.inf, 0.1]), "arrival rates must be finite and >= 0"),
+        (_inline_system(arrival_rates=[math.nan, 0.1]), "arrival rates must be finite and >= 0"),
+        (_inline_system(service_constants=[math.nan, 20.0]), "service constants must be > 0"),
+    ],
+    ids=["inf rate", "nan rate", "nan constant"],
+)
+def test_config_names_the_field_of_a_non_finite_rate(mutation, message):
+    # not the utilisation check's "unstable network" or "no solution"
+    with pytest.raises(ConfigError, match=f"^bad inline system: {message}$"):
         config_from_dict(small_config_dict(**mutation))
 
 
@@ -410,6 +426,19 @@ def test_grid_runs_and_is_deterministic_across_worker_counts():
         assert cell.failures == 0
         assert len(cell.distances) == cfg.replications
         assert cell.mean_distance == pytest.approx(float(np.mean(cell.distances)))
+
+
+def test_the_pool_forks_no_more_workers_than_tasks():
+    # a pool forks all its workers up front: 8 asked for on 2 tasks start 2
+    from concurrent.futures import ProcessPoolExecutor
+
+    cfg = config_from_dict(small_config_dict(q_grid=[0.5], replications=2))
+    with mock.patch("concurrent.futures.ProcessPoolExecutor", wraps=ProcessPoolExecutor) as pool:
+        pooled = run_experiment(cfg, workers=8)
+    assert [call.kwargs["max_workers"] for call in pool.call_args_list] == [2]
+    serial = run_experiment(cfg, workers=1)
+    assert [cell.distances for cell in pooled] == [cell.distances for cell in serial]
+    assert emit_csv(pooled, include_timing=False) == emit_csv(serial, include_timing=False)
 
 
 def test_the_library_is_loaded_before_the_pool_starts(monkeypatch):

@@ -113,7 +113,8 @@ def test_kernels_agree_bit_for_bit(network, data):
 
 class RefillCountingStream(RngStream):
     """A stream that counts its refills, through an override of ``_fresh``:
-    the event loop leaves them to Python."""
+    compiled code may not read it, so its simulators run the Python
+    kernel."""
 
     __slots__ = ("refills",)
 
@@ -132,6 +133,13 @@ def _stands(stream):
     return stream._buf[stream._pos :].tobytes(), copy.deepcopy(stream._bitgen).random_raw()
 
 
+def _to_come(stream):
+    """The stream's next 8192 uniforms, without drawing them: more than one
+    refill brings, so streams that agree on them stand at the same place in
+    the sequence, wherever their buffers end."""
+    return copy.deepcopy(stream).uniform01(8192).tobytes()
+
+
 # the steps of the refill test below: observe L costs, or draw n uniforms
 # from the simulator's stream, one at a time or as an array
 REFILL_STEPS = (
@@ -145,16 +153,18 @@ REFILL_STEPS = (
 @DETERMINISTIC
 @given(network=networks(), data=st.data())
 def test_the_loop_refills_as_the_stream_would(network, data):
-    # Against the same kernel whose refills Python makes, through
-    # RngStream.reserve: the same costs, and each stream at the same
-    # unread uniforms and the same generator state, after every step
+    # Against the Python kernel, which a stream whose class overrides
+    # _fresh gets: the same costs, and each stream with the same uniforms
+    # to come, after every step.  The C loop refills when fewer than 3
+    # remain, the Python kernel at its next draw, so their buffers may end
+    # apart for a while
     seed = data.draw(st.integers(0, 2**32), label="seed")
     skip = data.draw(st.integers(0, 4095), label="uniforms drawn before")
     streams = [RngStream(seed, 5), RefillCountingStream(seed, 5)]
     for stream in streams:
         stream.uniform01(skip)
     sims = [QueueSimulator(network, stream) for stream in streams]
-    assert [bool(sim._kernel.state.bitgen) for sim in sims] == [True, False]
+    assert [sim.kernel for sim in sims] == ["c", "python"]
     control = np.array(data.draw(
         st.lists(st.floats(0.0, 1.0), min_size=network.total_dim, max_size=network.total_dim),
         label="control",
@@ -167,7 +177,7 @@ def test_the_loop_refills_as_the_stream_would(network, data):
         else:
             got = [stream.uniform01(n).tobytes() for stream in streams]
         assert got[0] == got[1]
-        assert _stands(streams[0]) == _stands(streams[1])
+        assert _to_come(streams[0]) == _to_come(streams[1])
         assert _queue_counters(sims[0]) == _queue_counters(sims[1])
 
 
@@ -197,36 +207,41 @@ def test_the_loop_refills_at_every_tail_many_times():
 @needs_gcc
 def test_a_stream_that_overrides_fresh_keeps_its_refills_in_python():
     # The loop refills a plain stream's buffer itself, so it stops only to
-    # grow a ring; one whose class overrides _fresh sees every refill
-    stops = {}
-    unblock = _native.NativeKernel.unblock
+    # grow a full ring; a simulator on a stream whose class overrides
+    # _fresh runs the Python kernel, which the loop hands back at every
+    # iteration, and the stream sees every refill.  Overloaded queues grow
+    # the rings until the run diverges
+    grown = []
+    grow_rings = _native.NativeState.grow_rings
 
-    def counted(kernel):
-        kind = "ring" if kernel.state.full >= 0 else "uniforms"
-        stops[kind] = stops.get(kind, 0) + 1
-        unblock(kernel)
+    def counted(state):
+        grown.append(state.full)  # the node whose full ring stopped the loop
+        grow_rings(state)
 
     runs = {}
-    for stream_type in (RngStream, RefillCountingStream):
-        stops.clear()
-        spec = _far_target_spec(network=preset("mg1-4d").network, stream_type=stream_type)
-        with mock.patch.object(_native.NativeKernel, "unblock", counted):
-            out, ends, sims = _run(spec)
-        runs[stream_type] = out, ends
-        c_refills = [sim._kernel.state.refills for sim in sims]
-        if stream_type is RngStream:
-            assert "uniforms" not in stops and min(c_refills) > 0
+    for kind in ("queue", "fresh-overriding"):
+        grown.clear()
+        with mock.patch.object(_native.NativeState, "grow_rings", counted):
+            (out, ends, sims), stops, observed = _stops_of(_far_target_spec(kinds=[kind] * 2))
+        runs[kind] = out, ends
+        assert out[0] is DivergenceError and stops[-1] == _native.CompiledRun.DIVERGED
+        if kind == "queue":
+            assert [sim.kernel for sim in sims] == ["c", "c"]
+            assert grown and min(grown) >= 0 and observed == []
+            assert min(sim._kernel.state.refills for sim in sims) > 0
         else:
-            assert stops["uniforms"] > 0 and c_refills == [0, 0]
+            assert [sim.kernel for sim in sims] == ["python", "python"]
+            # at every iteration, the one that diverged included
+            assert grown == [] and observed == [[0, 1]] * (out[2] + 1)
             assert all(sim.stream.refills >= 4 for sim in sims)
-    assert runs[RngStream] == runs[RefillCountingStream]
+    assert runs["queue"] == runs["fresh-overriding"]
 
 
 @needs_gcc
 @pytest.mark.parametrize("name", [*_native._COMPILED_REFILL, "_bitgen"])
 def test_only_a_plain_philox_stream_is_refilled_by_the_loop(name):
     # a stream whose class overrides a method the loop's refill stands in
-    # for, or whose generator is not Philox, is refilled from Python
+    # for, or whose generator is not Philox, gets the Python kernel
     def same(self, *args):
         return getattr(RngStream, name)(self, *args)
 
@@ -235,7 +250,7 @@ def test_only_a_plain_philox_stream_is_refilled_by_the_loop(name):
         stream._bitgen = np.random.PCG64(5)
     else:
         stream = type("Overriding", (RngStream,), {"__slots__": (), name: same})(5, 1)
-    assert not QueueSimulator(preset("mg1-4d").network, stream)._kernel.state.bitgen
+    assert QueueSimulator(preset("mg1-4d").network, stream).kernel == "python"
 
 
 class CountingStream(RngStream):
@@ -327,16 +342,17 @@ class FormedCostSimulator(QuadraticCostSimulator):
 def _simulator(kind, network, streams, i, recording):
     """Simulator ``i`` of a run, of ``kind``: ``"queue"``, ``"overriding"``
     (a queue simulator whose ``observe`` is its subclass's),
-    ``"step-only"``, ``"quadratic"``, ``("drawing", j)`` (drawing from
-    ``streams[j]``), ``("costs", form)``, or a function that makes one
-    from the network.  ``recording`` makes a queue simulator an overriding
-    one, which keeps its costs."""
+    ``"fresh-overriding"`` (a queue simulator on a stream whose class
+    overrides ``_fresh``: see ``_run``), ``"step-only"``, ``"quadratic"``,
+    ``("drawing", j)`` (drawing from ``streams[j]``), ``("costs", form)``,
+    or a function that makes one from the network.  ``recording`` makes a
+    queue simulator an overriding one, which keeps its costs."""
     if callable(kind):
         return kind(network)
     stream = streams[1 + i]
-    if kind == "queue" and not recording:
+    if kind in ("queue", "fresh-overriding") and not recording:
         return QueueSimulator(network, stream)
-    if kind in ("queue", "overriding"):
+    if kind in ("queue", "overriding", "fresh-overriding"):
         return RecordingQueueSimulator(network, stream)
     if kind == "step-only":
         return StepOnlySimulator(network, stream)
@@ -368,17 +384,22 @@ def _run(spec, on_python=False, recording=False):
     ``on_python`` the compiled library is hidden, so the simulators run the
     Python kernel and the run the Python loop; ``recording`` has the queue
     simulators keep their costs.  The simulators are queue simulators
-    unless ``spec["kinds"]`` names others (see ``_simulator``)."""
+    unless ``spec["kinds"]`` names others (see ``_simulator``); a
+    ``"fresh-overriding"`` one draws from a ``RefillCountingStream``."""
     network, box, kernel, M, L, record_every, theta0, seeds = (
         spec[name] for name in ("network", "box", "kernel", "M", "L", "record_every", "theta0",
                                 "seeds")
     )
     hidden = mock.patch.object(_native, "load", return_value=None)
     with hidden if on_python else contextlib.nullcontext():
-        streams = [spec["stream_type"](*seed) for seed in seeds]
+        kinds = spec.get("kinds", ["queue"] * (len(seeds) - 1))
+        types = [spec["stream_type"]] + [
+            RefillCountingStream if kind == "fresh-overriding" else spec["stream_type"]
+            for kind in kinds
+        ]
+        streams = [stream_type(*seed) for stream_type, seed in zip(types, seeds)]
         for stream, skip in zip(streams, spec["skips"]):
             stream.uniform01(skip)  # the loop meets buffer ends anywhere
-        kinds = spec.get("kinds", ["queue"] * (len(streams) - 1))
         sims = [_simulator(kind, network, streams, i, recording) for i, kind in enumerate(kinds)]
         run = run_gqsf1 if len(sims) == 1 else run_gqsf2
         out = _outcome(lambda: run(
@@ -416,7 +437,7 @@ def run_specs(draw):
     kinds = [
         draw(
             st.just("queue")
-            | st.sampled_from(["overriding", "step-only", "quadratic"])
+            | st.sampled_from(["overriding", "fresh-overriding", "step-only", "quadratic"])
             | st.sampled_from(sources[i]).map(lambda j: ("drawing", j)),
             label=f"simulator {i}",
         )
@@ -621,7 +642,7 @@ class SubclassedPhilox(np.random.Philox):
 
 @needs_gcc
 @pytest.mark.parametrize(
-    "name", [*optimizer._COMPILED_DRAWS, *_native._COMPILED_REFILL, "_bitgen"]
+    "name", [*_native._COMPILED_DRAWS, *_native._COMPILED_REFILL, "_bitgen"]
 )
 def test_a_stream_that_overrides_a_compiled_draw_keeps_the_python_loop(name):
     # a stream whose class overrides a draw the loop computes, or a method

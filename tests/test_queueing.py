@@ -397,6 +397,47 @@ def test_config_validation():
         QueueNetworkConfig((0.0,), (0.4,), (10.0,), (2,), np.array([0.3, 0.3]))
 
 
+@pytest.mark.parametrize(
+    "rates, constants, message",
+    [
+        # an infinite rate would draw every interarrival time as 0, and the
+        # event loop would never leave that instant: only built here, never run
+        ((math.inf, 0.1), (10.0, 20.0), "arrival rates must be finite and >= 0"),
+        ((0.2, -math.inf), (10.0, 20.0), "arrival rates must be finite and >= 0"),
+        # a NaN rate would never bring an arrival to its node
+        ((math.nan, 0.1), (10.0, 20.0), "arrival rates must be finite and >= 0"),
+        ((0.2, 0.1), (math.nan, 20.0), "service constants must be > 0"),
+    ],
+    ids=["inf rate", "-inf rate", "nan rate", "nan constant"],
+)
+def test_config_refuses_non_finite_rates_and_nan_service_constants(rates, constants, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        QueueNetworkConfig(rates, (0.0, 0.4), constants, (2, 2), np.full(4, 0.3))
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_observe_refuses_a_negative_L_before_any_event(kernel):
+    # where the C kernel once returned the stale costs left in its buffer;
+    # L = 0 gives no costs, and neither moves the stream or the network
+    loaded = preset("mg1-4d")
+    stream = RngStream(4, 1)
+    sim = kernel_simulator(kernel, loaded.network, stream)
+    sim.observe(loaded.theta0, 50)
+
+    def stands():
+        return (stream._buf.tobytes(), stream._pos, repr(stream._bitgen.state),
+                stream.spare_normal, list(sim._kernel.fac), sim.state.clock,
+                sim.state.arrivals_seen, sim.state.departures_seen)
+
+    before = stands()
+    for L in (-1, -50):
+        with pytest.raises(ValueError, match=f"L = {L}"):
+            sim.observe(np.full(4, 0.5), L)  # another control: its factors are not set
+        assert stands() == before
+    assert sim.observe(loaded.theta0, 0) == []
+    assert stands() == before
+
+
 def test_network_configs_compare_by_value():
     assert preset("mg1-4d").network == preset("mg1-4d").network
     assert preset("mg1-4d").network != preset("mg1-20d").network
