@@ -348,15 +348,105 @@ def _aggregate(config, q, beta, outcomes) -> CellResult:
     )
 
 
+def _forked_worker(tasks, first: int, step: int, out_fd: int):
+    """In a forked child: run tasks ``first``, ``first + step``, ... and
+    write ``(outcomes, bug)`` to ``out_fd``, pickled.  ``bug`` is None, or
+    ``(index, exception, traceback text)`` for the first task that raised
+    an error outside ``REPLICATION_ERRORS``, where the worker stops.  Never
+    returns: the child leaves through ``os._exit``, with code 0 only once
+    the whole blob is written."""
+    import pickle
+
+    status = 1
+    try:
+        outcomes, bug = [], None
+        for index in range(first, len(tasks), step):
+            try:
+                outcomes.append(_replication_task(tasks[index]))
+            except Exception as err:
+                import traceback
+
+                where = traceback.format_exc()
+                try:  # the parent re-raises it, so it must survive the trip
+                    pickle.loads(pickle.dumps(err))
+                except Exception:
+                    err = RuntimeError(f"{type(err).__qualname__}: {err}")
+                bug = index, err, where
+                break
+        with open(out_fd, "wb") as out:
+            pickle.dump((outcomes, bug), out)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _run_forked(tasks: list, workers: int) -> list:
+    """The outcomes of ``_replication_task`` over ``tasks``, in order, from
+    ``workers`` forked children: worker k runs tasks k, k + workers, ...,
+    so every cell is spread over every worker, and sends them back over its
+    own pipe.  The first bug in task order is re-raised here; a worker that
+    leaves without its outcomes raises RuntimeError naming its exit code or
+    signal."""
+    import pickle
+    import signal
+
+    running, reads = {}, []  # pid -> worker index; each worker's read end
+    try:
+        for k in range(workers):
+            read, write = os.pipe()
+            reads.append(read)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _forked_worker(tasks, k, workers, write)
+            finally:
+                # closed before the next fork, so that only worker k holds
+                # it and the parent sees EOF when worker k is gone
+                os.close(write)
+            running[pid] = k
+        outcomes = [None] * len(tasks)
+        bugs = []
+        # in worker order: a worker whose pipe is full waits for its turn,
+        # and no worker waits on another, so this cannot deadlock
+        for pid, k in list(running.items()):
+            with open(reads[k], "rb", closefd=False) as pipe:
+                blob = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del running[pid]
+            if code != 0:
+                how = f"code {code}" if code > 0 else f"signal {-code} ({signal.strsignal(-code)})"
+                raise RuntimeError(
+                    f"replication worker {k} exited with {how} before returning its outcomes"
+                )
+            done, bug = pickle.loads(blob)
+            outcomes[k : k + workers * len(done) : workers] = done
+            if bug is not None:
+                bugs.append(bug)
+        if bugs:
+            _, err, where = min(bugs, key=lambda bug: bug[0])
+            raise err from RuntimeError(f"in a replication worker:\n{where}")
+        return outcomes
+    finally:
+        for pid in running:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for read in reads:
+            os.close(read)
+
+
 def run_experiment(
     config: ExperimentConfig, workers: int | None = None
 ) -> list[CellResult]:
     """Run every (q, beta) cell; returns results in grid order.
 
-    Replications are independent tasks spread over a pool of ``workers``
-    processes (by default one per CPU), never more than there are tasks;
-    a run that raises one of ``REPLICATION_ERRORS`` is recorded in its
-    cell's failures and errors and does not abort the grid.
+    Replications are independent tasks.  With ``workers`` > 1 (by default
+    one per CPU), never more than there are tasks, and where the platform
+    can fork, they run in that many forked workers, each taking every
+    ``workers``-th task in grid order; otherwise they run here, one after
+    another.  Either way every number is the same.  A run that raises one
+    of ``REPLICATION_ERRORS`` is recorded in its cell's failures and errors
+    and does not abort the grid; any other exception is re-raised here,
+    the one of the earliest task in grid order.
     """
     cells = config.cells()
     tasks = [
@@ -366,17 +456,13 @@ def run_experiment(
     ]
     if workers is None:
         workers = os.cpu_count() or 1
-    workers = min(workers, len(tasks))  # a pool forks every worker up front
-    if workers <= 1:
+    workers = min(workers, len(tasks))
+    if workers <= 1 or not hasattr(os, "fork"):
         outcomes = list(map(_replication_task, tasks))
     else:
-        # imported here: serial runs need none of multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
         # loaded once here, so that the forked workers share the library
         _native.load()
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_replication_task, tasks))
+        outcomes = _run_forked(tasks, workers)
     n = config.replications
     return [
         _aggregate(config, q, beta, outcomes[i * n : (i + 1) * n])

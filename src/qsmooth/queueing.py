@@ -91,6 +91,8 @@ class QueueNetworkConfig:
                 f"theta_target must have length {sum(self.dims)}, "
                 f"got {self.theta_target.shape}"
             )
+        if not np.all(np.isfinite(self.theta_target)):
+            raise ValueError("theta_target entries must be finite")
         # per node: its block of the parameter vector and 1/R_i, for the
         # service factors (not a field: equality and repr ignore it)
         bounds = np.cumsum((0,) + self.dims)
@@ -292,11 +294,11 @@ class QueueSimulator:
         self.config = config
         self.stream = stream
         # the first external arrival of each node is drawn at construction,
-        # in node order
-        next_arrival = [
-            (-math.log(stream.uniform01()) / lam) if lam > 0.0 else math.inf
-            for lam in config.arrival_rates
-        ]
+        # in node order, in one array draw: the same uniforms as one draw
+        # per node, without a scalar draw's copy of the buffer into a list
+        rates = config.arrival_rates
+        first = iter(stream.uniform01(sum(lam > 0.0 for lam in rates)).tolist())
+        next_arrival = [(-math.log(next(first)) / lam) if lam > 0.0 else math.inf for lam in rates]
         lib = _native.load()
         if lib is not None and _native._refills_in_c(stream):
             self.kernel = "c"

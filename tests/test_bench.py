@@ -7,6 +7,7 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import warnings
@@ -169,14 +170,21 @@ def test_config_rejects_bad_values(mutation):
         config_from_dict(small_config_dict(**mutation))
 
 
+NON_FINITE_TARGET = "theta_target entries must be finite"
+
+
 @pytest.mark.parametrize(
     "mutation, message",
     [
         (_inline_system(arrival_rates=[math.inf, 0.1]), "arrival rates must be finite and >= 0"),
         (_inline_system(arrival_rates=[math.nan, 0.1]), "arrival rates must be finite and >= 0"),
         (_inline_system(service_constants=[math.nan, 20.0]), "service constants must be > 0"),
+        # not the utilisation check's "utilisation nan"
+        (_inline_system(theta_target=[0.3, math.nan, 0.3, 0.3]), NON_FINITE_TARGET),
+        (_inline_system(theta_target=math.inf), NON_FINITE_TARGET),
+        (_inline_system(theta_target=[0.3, 0.3, 0.3, -math.inf]), NON_FINITE_TARGET),
     ],
-    ids=["inf rate", "nan rate", "nan constant"],
+    ids=["inf rate", "nan rate", "nan constant", "nan target", "inf target", "-inf target"],
 )
 def test_config_names_the_field_of_a_non_finite_rate(mutation, message):
     # not the utilisation check's "unstable network" or "no solution"
@@ -429,16 +437,138 @@ def test_grid_runs_and_is_deterministic_across_worker_counts():
 
 
 def test_the_pool_forks_no_more_workers_than_tasks():
-    # a pool forks all its workers up front: 8 asked for on 2 tasks start 2
-    from concurrent.futures import ProcessPoolExecutor
-
+    # 8 workers asked for on 2 tasks fork 2
     cfg = config_from_dict(small_config_dict(q_grid=[0.5], replications=2))
-    with mock.patch("concurrent.futures.ProcessPoolExecutor", wraps=ProcessPoolExecutor) as pool:
+    with mock.patch("os.fork", wraps=os.fork) as fork:
         pooled = run_experiment(cfg, workers=8)
-    assert [call.kwargs["max_workers"] for call in pool.call_args_list] == [2]
+    assert fork.call_count == 2
     serial = run_experiment(cfg, workers=1)
     assert [cell.distances for cell in pooled] == [cell.distances for cell in serial]
     assert emit_csv(pooled, include_timing=False) == emit_csv(serial, include_timing=False)
+
+
+def _open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.fixture
+def reaped_workers():
+    """Bounds the test in time, so that a grid that hangs fails it, and
+    checks that it leaves no worker unreaped and no descriptor open."""
+
+    def hung(signum, frame):
+        raise TimeoutError("the grid did not finish in 60 s")
+
+    before = _open_fds()
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert _open_fds() == before
+
+
+# five tasks: every worker count below splits them unevenly
+FIVE_TASKS = small_config_dict(q_grid=[0.5], replications=5)
+
+
+@pytest.mark.parametrize("workers", [2, 3, 8])
+def test_pooled_grids_equal_the_serial_grid(workers, reaped_workers):
+    cfg = config_from_dict(FIVE_TASKS)
+    serial = run_experiment(cfg, workers=1)
+    pooled = run_experiment(cfg, workers=workers)
+    assert [cell.distances for cell in pooled] == [cell.distances for cell in serial]
+    assert emit_csv(pooled, include_timing=False) == emit_csv(serial, include_timing=False)
+
+
+def test_outcomes_larger_than_a_pipe_buffer_come_back_whole(monkeypatch, reaped_workers):
+    # worker 0 of 2 sends three 40 KiB reasons, past a 64 KiB pipe buffer
+    def failing(config, cell_index, q, beta, rep):
+        raise InvalidRhoError(f"rep {rep} " + "x" * 40_000)
+
+    monkeypatch.setattr(bench, "run_replication", failing)
+    cfg = config_from_dict(FIVE_TASKS)
+    (cell,) = run_experiment(cfg, workers=2)
+    assert cell.errors == tuple(f"rep {rep} " + "x" * 40_000 for rep in range(5))
+    assert cell.failures == 5
+
+
+class _UnpicklableError(Exception):
+    def __reduce__(self):
+        raise TypeError("not picklable")
+
+
+@pytest.mark.parametrize(
+    "bug, raised, message",
+    [(LookupError, LookupError, "^rep 1$"),
+     (_UnpicklableError, RuntimeError, "^_UnpicklableError: rep 1$")],
+)
+def test_a_bug_in_a_worker_is_raised_from_the_earliest_task(
+    bug, raised, message, monkeypatch, reaped_workers
+):
+    # task 1 runs on worker 1 of 2 and task 4 on worker 0: task 1's error
+    # is raised, as serially, though worker 0 finishes first
+    def buggy(config, cell_index, q, beta, rep):
+        if rep == 4:
+            raise ArithmeticError("rep 4")
+        if rep == 1:
+            raise bug(f"rep {rep}")
+        return run_replication(config, cell_index, q, beta, rep)
+
+    monkeypatch.setattr(bench, "run_replication", buggy)
+    cfg = config_from_dict(FIVE_TASKS)
+    with pytest.raises(raised, match=message) as caught:
+        run_experiment(cfg, workers=2)
+    assert "in a replication worker" in str(caught.value.__cause__)
+
+
+_DYING_WORKER = """
+import os
+import signal
+import sys
+
+from qsmooth import bench
+
+config = bench.config_from_dict({spec!r})
+real = bench.run_replication
+
+
+def dying(config, cell_index, q, beta, rep):
+    if rep == 0:
+        {death}
+    return real(config, cell_index, q, beta, rep)
+
+
+bench.run_replication = dying
+fds = len(os.listdir("/proc/self/fd"))
+try:
+    bench.run_experiment(config, workers=2)
+except RuntimeError as err:
+    print(err)
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    print("reaped")
+print(len(os.listdir("/proc/self/fd")) - fds)
+"""
+
+
+@pytest.mark.parametrize(
+    "death, how",
+    [("os._exit(9)", "code 9"), ("os.kill(os.getpid(), signal.SIGKILL)", "signal 9 (Killed)")],
+)
+def test_a_worker_that_dies_fails_the_grid_without_hanging(death, how):
+    # in a new interpreter bounded in time, so that a hang fails the test;
+    # worker 0 dies at its first task, and worker 1 is still running then
+    code = _DYING_WORKER.format(spec=FIVE_TASKS, death=death)
+    out = _fresh_python("-c", code)
+    assert out == (
+        f"replication worker 0 exited with {how} before returning its outcomes\nreaped\n0\n"
+    )
 
 
 def test_the_library_is_loaded_before_the_pool_starts(monkeypatch):
@@ -461,20 +591,23 @@ def _fresh_python(*argv) -> str:
 
 def test_serial_runs_load_neither_scipy_nor_the_process_pool():
     # each costs start-up time and memory in every process that imports
-    # qsmooth; only the analytic values need scipy, only a pool of workers
-    # needs multiprocessing
+    # qsmooth; only the analytic values need scipy, and not even a grid
+    # over forked workers needs concurrent.futures or multiprocessing
     spec = small_config_dict(q_grid=[0.8], replications=2)
+    pools = "{'concurrent.futures', 'multiprocessing'}"
     code = (
         "import sys\n"
         "import qsmooth.cli\n"
         "from qsmooth import bench, qgaussian\n"
         "assert qsmooth.cli.main(['single', '--M', '20', '--L', '10']) == 0\n"
         f"bench.run_experiment(bench.config_from_dict({spec!r}), workers=1)\n"
-        "print(sorted({'scipy', 'concurrent.futures.process'} & set(sys.modules)))\n"
+        f"print(sorted(({pools} | {{'scipy'}}) & set(sys.modules)))\n"
+        f"bench.run_experiment(bench.config_from_dict({spec!r}), workers=2)\n"
+        f"print(sorted({pools} & set(sys.modules)))\n"
         "print(repr(qgaussian.analytic_moment(qgaussian.MomentSpec(1, (2, 0)), 0.8, 2)))\n"
     )
     out = _fresh_python("-c", code).splitlines()
-    assert out[-2:] == ["[]", repr(analytic_moment(MomentSpec(1, (2, 0)), 0.8, 2))]
+    assert out[-3:] == ["[]", "[]", repr(analytic_moment(MomentSpec(1, (2, 0)), 0.8, 2))]
 
 
 _SPAWNED_REPLICATION = """

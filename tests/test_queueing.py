@@ -415,6 +415,13 @@ def test_config_refuses_non_finite_rates_and_nan_service_constants(rates, consta
         QueueNetworkConfig(rates, (0.0, 0.4), constants, (2, 2), np.full(4, 0.3))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_config_refuses_a_non_finite_target(bad):
+    # which the first observe would refuse only as a service factor
+    with pytest.raises(ValueError, match="^theta_target entries must be finite$"):
+        QueueNetworkConfig((0.2, 0.1), (0.0, 0.4), (10.0, 20.0), (2, 2), [0.3, 0.3, bad, 0.3])
+
+
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_observe_refuses_a_negative_L_before_any_event(kernel):
     # where the C kernel once returned the stale costs left in its buffer;
