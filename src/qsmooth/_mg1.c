@@ -17,7 +17,8 @@
  * cost whose target it is given, or one the caller observes.
  *
  * Every argument travels in a record the caller binds once, so a call
- * from Python passes one pointer.
+ * from Python passes one pointer: a simulator's, mg1_state, is
+ * qsmooth._native.NativeKernel itself.
  */
 #include <math.h>
 #include <stddef.h>

@@ -23,7 +23,8 @@ its ufunc, is refused.  Where one is missing or refused, optimizer runs
 take the Python loop, with the same numbers.  Both loops refill a stream's
 buffer themselves, so they read only a stream that :func:`_refills_in_c`
 allows: a simulator on any other runs the Python kernel, and a run with
-any other perturbation stream the Python loop.
+any other perturbation stream the Python loop.  A simulator's compiled
+kernel, :class:`NativeKernel`, is itself the ``mg1_state`` record.
 """
 
 from __future__ import annotations
@@ -129,12 +130,16 @@ except OSError:
     _ENUM = collections.defaultdict(int)
 
 
-class NativeState(_RECORDS["mg1_state"]):
-    """The C kernel's state record, ``mg1_state``, laid out as ``_mg1.c``
-    declares it.  It owns the arrays its pointers address, but for the
-    stream's, which the kernel's :class:`StreamReader` keeps."""
+class NativeKernel(_RECORDS["mg1_state"]):
+    """The compiled event loop over one network, and its state: the C
+    kernel's record ``mg1_state``, laid out as ``_mg1.c`` declares it.  It
+    owns the arrays its pointers address, but for the stream's, which its
+    :class:`StreamReader` keeps, and reads uniforms straight from the
+    stream's buffer.  A call reads its service factors from ``factors`` and
+    leaves its costs at the front of ``arrays["costs"]``.  Nothing it holds
+    refers back to it, so reference counting alone frees it."""
 
-    def __init__(self, config, next_arrival):
+    def __init__(self, lib, config, stream, next_arrival):
         k = config.n_nodes
         super().__init__(k=k, cap=_RING_SLOTS, full=-1)
         self.arrays = {
@@ -155,6 +160,9 @@ class NativeState(_RECORDS["mg1_state"]):
         }
         for name, array in self.arrays.items():
             self.bind(name, array)
+        self.factors = self.arrays["fac"]
+        self._observe = lib.mg1_observe
+        self.reader = StreamReader(self, stream, 3)  # one event draws at most 3
 
     def bind(self, name: str, array: np.ndarray) -> None:
         """Point field ``name`` at ``array``, and keep the array alive."""
@@ -175,6 +183,21 @@ class NativeState(_RECORDS["mg1_state"]):
         self.bind("ring", ring)
         self.cap = 2 * self.cap
 
+    def hold(self, L: int) -> None:
+        """Grow ``arrays["costs"]`` to hold ``L`` costs if need be."""
+        if L > self.arrays["costs"].size:
+            self.bind("costs", np.empty(L))
+
+    def run(self, L: int) -> list[float]:
+        """The costs of the next ``L`` service completions."""
+        self.hold(L)
+        self.done, self.want = 0, L
+        self.reader.read(self)
+        while self._observe(self) < L:  # a ring is full
+            self.grow_rings()
+        self.reader.sync(self)
+        return self.arrays["costs"][:L].tolist()
+
 
 # the RngStream methods that compiled code stands in for: the draws that
 # sf_run computes, and the refill that both loops make themselves
@@ -194,16 +217,16 @@ def _refills_in_c(stream) -> bool:
 
 class StreamReader:
     """A stream's buffer as a compiled loop reads it in place, through the
-    ``stream_t`` members of ``record``.  The loop refills the buffer itself,
-    from the stream's generator, into ``own``, which holds ``_BUFFER_SIZE``
-    fresh uniforms after an unread tail shorter than ``longest``, the most
-    uniforms one read reserves.  Raises ValueError for a stream that
-    :func:`_refills_in_c` refuses."""
+    ``stream_t`` members of a record, which each call is handed (a reader
+    that kept its kernel would make the two a cycle).  The loop refills the
+    buffer itself, from the stream's generator, into ``own``, which holds
+    ``_BUFFER_SIZE`` fresh uniforms after an unread tail shorter than
+    ``longest``, the most uniforms one read reserves.  Raises ValueError for
+    a stream that :func:`_refills_in_c` refuses."""
 
     def __init__(self, record, stream, longest: int):
         if not _refills_in_c(stream):
             raise ValueError("compiled code reads only a stream that _refills_in_c allows")
-        self._record = record
         self._stream = stream
         self._buf = None
         self._synced = 0  # the loop's position when the stream last heard of it
@@ -216,26 +239,25 @@ class StreamReader:
         self._own = np.empty(_BUFFER_SIZE + longest - 1)
         record.own = self._own.ctypes.data
 
-    def _bind(self, buf: np.ndarray) -> None:
+    def _bind(self, record, buf: np.ndarray) -> None:
         self._buf = buf
-        self._record.u = buf.ctypes.data
-        self._record.u_len = buf.size
+        record.u = buf.ctypes.data
+        record.u_len = buf.size
 
-    def read(self) -> None:
-        """Point the record at where the stream stands, after marking the
+    def read(self, record) -> None:
+        """Point ``record`` at where the stream stands, after marking the
         uniforms the loop read in place as drawn.  The loop reserves what it
         reads, so nothing is refilled here."""
-        self.sync()
+        self.sync(record)
         buf, pos = self._stream.reserve(0)
         if buf is not self._buf:
-            self._bind(buf)
-        self._record.u_pos = self._synced = pos
+            self._bind(record, buf)
+        record.u_pos = self._synced = pos
 
-    def sync(self) -> None:
-        """Hand the stream where the loop stands: the uniforms read in place
-        since the last call, or, when the loop has refilled the buffer
-        itself, a copy of that buffer and the position in it."""
-        record = self._record
+    def sync(self, record) -> None:
+        """Hand the stream where the loop stands in ``record``: the uniforms
+        read in place since the last call, or, when the loop has refilled
+        the buffer itself, a copy of that buffer and the position in it."""
         if record.refills == self._refills:
             self._stream.advance(record.u_pos - self._synced)
         else:
@@ -245,39 +267,8 @@ class StreamReader:
             buf = self._own[: record.u_len].copy()
             stream = self._stream
             stream._buf, stream._pos, stream._values = buf, record.u_pos, None
-            self._bind(buf)
+            self._bind(record, buf)
         self._synced = record.u_pos
-
-
-class NativeKernel:
-    """Runs the compiled event loop over one :class:`NativeState`, reading
-    uniforms straight from the stream's buffer through a
-    :class:`StreamReader`.  A call reads its service factors from ``fac``
-    and leaves its costs at the front of ``costs``."""
-
-    def __init__(self, lib, config, stream, next_arrival):
-        self.state = NativeState(config, next_arrival)
-        self.fac = self.state.arrays["fac"]
-        self.costs = self.state.arrays["costs"]
-        self._observe = lib.mg1_observe
-        self._state_ref = ctypes.byref(self.state)
-        self.reader = StreamReader(self.state, stream, 3)  # one event draws at most 3
-
-    def hold(self, L: int) -> None:
-        """Grow ``costs`` to hold ``L`` costs if need be."""
-        if L > self.costs.size:
-            self.costs = np.empty(L)
-            self.state.bind("costs", self.costs)
-
-    def run(self, L: int) -> list[float]:
-        """The costs of the next ``L`` service completions."""
-        self.hold(L)
-        self.state.done, self.state.want = 0, L
-        self.reader.read()
-        while self._observe(self._state_ref) < L:  # a ring is full
-            self.state.grow_rings()
-        self.reader.sync()
-        return self.costs[:L].tolist()
 
 
 # the compiled outer loop's record, laid out as _mg1.c declares sf_run_t
@@ -285,10 +276,10 @@ RunRecord = _RECORDS["sf_run_t"]
 
 
 class CompiledRun:
-    """One optimizer run in ``sf_run``.  Each simulator is a compiled
-    kernel, which the loop runs itself, a quadratic cost's target (a
-    contiguous float64 array of ``dim``), whose costs the loop computes,
-    or None: one its caller observes.  Every stream it reads is one that
+    """One optimizer run in ``sf_run``.  Each simulator is a
+    :class:`NativeKernel`, which the loop binds and runs itself, a
+    quadratic cost's target (a contiguous float64 array of ``dim``), whose
+    costs the loop computes, or None: one its caller observes.  Every stream it reads is one that
     :func:`_refills_in_c` allows.  :meth:`resume` runs outer iterations
     until one of the stops its caller handles: ``OBSERVE`` (the caller is to observe the simulators in
     ``observing`` at their ``control`` rows of iteration ``n`` and write
@@ -333,8 +324,8 @@ class CompiledRun:
         for i, sim in enumerate(sims):
             if isinstance(sim, NativeKernel):
                 sim.hold(L)
-                self.costs.append(sim.costs[:L])
-                record.sims[i] = ctypes.addressof(sim.state)
+                self.costs.append(sim.arrays["costs"][:L])
+                record.sims[i] = ctypes.addressof(sim)
             else:
                 self.costs.append(np.empty(L))
                 if sim is not None:
@@ -343,7 +334,6 @@ class CompiledRun:
         self._stream = stream
         self._reader = StreamReader(record, stream, 2 * pairs)
         self._run = lib.sf_run
-        self._ref = ctypes.byref(record)
 
     @property
     def n(self) -> int:
@@ -369,8 +359,8 @@ class CompiledRun:
         record = self._record
         self._read()
         try:
-            while (stop := self._run(self._ref)) == self._SIMULATOR:  # a ring is full
-                self._sims[record.stopped].state.grow_rings()
+            while (stop := self._run(record)) == self._SIMULATOR:  # a ring is full
+                self._sims[record.stopped].grow_rings()
             return stop
         finally:
             self._sync()
@@ -379,20 +369,20 @@ class CompiledRun:
         """Read where every stream stands, and the perturbation stream's
         cached normal."""
         record = self._record
-        self._reader.read()
+        self._reader.read(record)
         spare = self._stream.spare_normal
         record.has_spare, record.spare = spare is not None, 0.0 if spare is None else spare
         for kernel in self._kernels:
-            kernel.reader.read()
+            kernel.reader.read(kernel)
 
     def _sync(self) -> None:
         """Hand every stream the positions, and the perturbation stream the
         cached normal, that the loop has reached."""
         record = self._record
-        self._reader.sync()
+        self._reader.sync(record)
         self._stream.spare_normal = record.spare if record.has_spare else None
         for kernel in self._kernels:
-            kernel.reader.sync()
+            kernel.reader.sync(kernel)
 
 
 _DDOT = ctypes.CFUNCTYPE(
@@ -516,7 +506,8 @@ def load():
         lib = ctypes.CDLL(str(_build(_cache_dir())))
     except (OSError, subprocess.SubprocessError):
         return None
-    lib.mg1_observe.argtypes = (ctypes.POINTER(NativeState),)
+    # a record passed where a POINTER is named goes by reference
+    lib.mg1_observe.argtypes = (ctypes.POINTER(NativeKernel),)
     lib.mg1_observe.restype = ctypes.c_int64
     lib.sf_run.argtypes = (ctypes.POINTER(RunRecord),)
     lib.sf_run.restype = ctypes.c_int64

@@ -40,7 +40,10 @@ def _config_error(err) -> int:
 def _cmd_run(args) -> int:
     try:
         config = bench.load_config(args.config)
-    except bench.ConfigError as err:
+        # opened before the grid, so that a path it cannot write fails
+        # before any replication, and not truncated until the CSV is ready
+        out = open(args.output, "a", encoding="utf-8") if args.output else None
+    except (bench.ConfigError, OSError) as err:
         return _config_error(err)
     results = bench.run_experiment(config, workers=args.workers)
     for i, cell in enumerate(results):
@@ -48,9 +51,11 @@ def _cmd_run(args) -> int:
         for rep, reason in zip(failed, cell.errors):
             print(f"cell {i} rep {rep}: {reason}", file=sys.stderr)
     csv_text = bench.emit_csv(results, include_timing=not args.no_timing)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
+    if out is not None:
+        with out:
+            if out.seekable():  # a pipe or a terminal has nothing to truncate
+                out.truncate(0)
+            out.write(csv_text)
     else:
         sys.stdout.write(csv_text)
     if args.table:
@@ -142,13 +147,13 @@ def _cmd_moments(args) -> int:
 
 
 def _moment_grid(dim: int) -> list[MomentSpec]:
-    """Verification grid: b <= 2 and total power <= 4."""
-    specs = []
-    for b in range(3):
-        for powers in itertools.product(range(5), repeat=dim):
-            if 0 < sum(powers) <= 4 or (b == 0 and sum(powers) == 0):
-                specs.append(MomentSpec(b=b, powers=powers))
-    return specs
+    """Verification grid: b <= 2 and total power <= 4, the zero powers at
+    b = 0 only, each b's powers in lexicographic order."""
+    # a multiset of 4 axes out of the dim axes and one more, for the power
+    # short of 4, is one tuple of powers
+    picks = itertools.combinations_with_replacement(range(dim + 1), 4)
+    powers = sorted(tuple(pick.count(axis) for axis in range(dim)) for pick in picks)
+    return [MomentSpec(b=b, powers=p) for b in range(3) for p in powers if b == 0 or any(p)]
 
 
 class _Parser(argparse.ArgumentParser):

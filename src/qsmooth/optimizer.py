@@ -273,7 +273,7 @@ def _compiled_run(sims, kernel, box, schedule, M, L, theta, stream, record_every
             and sim.config.total_dim == kernel.dim
             and sum(other is sim.stream for other in streams) == 1
         ):
-            return sim._kernel
+            return sim.state
         step = getattr(getattr(sim, "step", None), "__func__", None)
         target = getattr(sim, "target", None)
         if (

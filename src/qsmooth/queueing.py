@@ -21,6 +21,7 @@ Conventions fixed here (the underlying model leaves them open):
 from __future__ import annotations
 
 import math
+import numbers
 from collections import deque
 from dataclasses import dataclass, fields
 
@@ -64,7 +65,11 @@ class QueueNetworkConfig:
         object.__setattr__(
             self, "service_constants", tuple(float(x) for x in self.service_constants)
         )
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        # as in JSON configs, a bool, a float or a string is no dimension
+        dims = tuple(self.dims)
+        if not all(isinstance(d, numbers.Integral) and not isinstance(d, bool) for d in dims):
+            raise ValueError(f"dims must be integers, got {self.dims!r}")
+        object.__setattr__(self, "dims", tuple(int(d) for d in dims))
         # a read-only copy: every event loop reads the target the network
         # was built with, and the caller's array stays theirs to change
         target = np.array(self.theta_target, dtype=float)
@@ -149,25 +154,19 @@ class QueueNetworkConfig:
         return rates * np.array(service)
 
 
-class QueueState:
-    """Live state of one network under the Python kernel: event clock,
-    per-node FIFO queues of system-entry timestamps, in-service entries with
-    absolute completion times, and the pending external-arrival time per
-    node."""
+class PythonKernel:
+    """The event loop in Python, and the live state of one network under it:
+    event clock, per-node FIFO queues of system-entry timestamps, in-service
+    entries with absolute completion times, and the pending external-arrival
+    time per node.  It is the reference the compiled kernel in ``_mg1.c``
+    must match bit for bit, and the fallback where it cannot be built.  A
+    call reads its service factors from ``factors``."""
 
-    __slots__ = (
-        "clock",
-        "queues",
-        "serving_entry",
-        "completion_time",
-        "next_arrival",
-        "n_present",
-        "entry_sum",
-        "arrivals_seen",
-        "departures_seen",
-    )
+    __slots__ = ("clock", "queues", "serving_entry", "completion_time", "next_arrival",
+                 "n_present", "entry_sum", "arrivals_seen", "departures_seen", "factors",
+                 "_bound", "__weakref__")
 
-    def __init__(self, config: QueueNetworkConfig, next_arrival: list[float]):
+    def __init__(self, config: QueueNetworkConfig, stream: RngStream, next_arrival):
         k = config.n_nodes
         self.clock = 0.0
         self.queues = [deque() for _ in range(k)]
@@ -178,34 +177,17 @@ class QueueState:
         self.entry_sum = 0.0
         self.arrivals_seen = 0
         self.departures_seen = 0
-
-
-class PythonKernel:
-    """The event loop in Python: the reference the compiled kernel in
-    ``_mg1.c`` must match bit for bit, and the fallback where it cannot be
-    built.  A call reads its service factors from ``fac``."""
-
-    def __init__(self, config: QueueNetworkConfig, stream: RngStream, next_arrival):
-        self.state = state = QueueState(config, next_arrival)
-        self.fac = [0.0] * config.n_nodes
-        # everything run reads, bound once; the lists are mutated in place
-        self._bound = (
-            state,
-            state.queues,
-            state.serving_entry,
-            state.completion_time,
-            state.next_arrival,
-            config.arrival_rates,
-            config.p_leave,
-            config.n_nodes,
-            stream.uniform01,
-            self.fac,
-        )
+        self.factors = [0.0] * k
+        # everything run reads but the counters, bound once (the lists are
+        # mutated in place); not the kernel itself, which would make it a
+        # cycle that only the cyclic collector frees
+        self._bound = (self.queues, self.serving_entry, self.completion_time, self.next_arrival,
+                       config.arrival_rates, config.p_leave, k, stream.uniform01, self.factors)
 
     def run(self, L: int) -> list[float]:
         """Run the event loop through the next ``L`` service completions
-        under the service factors ``fac`` and return the cost observed at
-        each.
+        under the service factors ``factors`` and return the cost observed
+        at each.
 
         Random-draw order per event is fixed: an arrival draws its next
         interarrival time, then (if the server was idle) a service time; a
@@ -213,14 +195,14 @@ class PythonKernel:
         then service times for the destination (if it starts service) and
         for the completing node's next customer (if any), in that order.
         """
-        state, queues, serving, comp, nxt, rates, p_leave, k, u01, fac = self._bound
+        queues, serving, comp, nxt, rates, p_leave, k, u01, fac = self._bound
         log = math.log
         inf = math.inf
-        n_present = state.n_present
-        entry_sum = state.entry_sum
-        arrivals = state.arrivals_seen
-        departures = state.departures_seen
-        clock = state.clock
+        n_present = self.n_present
+        entry_sum = self.entry_sum
+        arrivals = self.arrivals_seen
+        departures = self.departures_seen
+        clock = self.clock
         costs = []
 
         for _ in range(L):
@@ -273,11 +255,11 @@ class PythonKernel:
                 comp[node] = clock + u01() * fac[node]
             else:
                 comp[node] = inf
-        state.clock = clock
-        state.n_present = n_present
-        state.entry_sum = entry_sum
-        state.arrivals_seen = arrivals
-        state.departures_seen = departures
+        self.clock = clock
+        self.n_present = n_present
+        self.entry_sum = entry_sum
+        self.arrivals_seen = arrivals
+        self.departures_seen = departures
         return costs
 
 
@@ -288,7 +270,11 @@ class QueueSimulator:
     event loop in use: ``"c"``, compiled from ``_mg1.c`` on first use, or
     ``"python"`` where that cannot be built or where compiled code may not
     read the stream (``_native._refills_in_c``).  Both draw the same
-    uniforms and return the same costs, bit for bit."""
+    uniforms and return the same costs, bit for bit.  ``state`` is the
+    kernel, its own state: a :class:`PythonKernel` or a
+    ``_native.NativeKernel`` (the C kernel's ``mg1_state`` record).  Both
+    carry ``clock``, ``arrivals_seen``, ``departures_seen`` and
+    ``completion_time``."""
 
     def __init__(self, config: QueueNetworkConfig, stream: RngStream):
         self.config = config
@@ -302,22 +288,21 @@ class QueueSimulator:
         lib = _native.load()
         if lib is not None and _native._refills_in_c(stream):
             self.kernel = "c"
-            self._kernel = _native.NativeKernel(lib, config, stream, next_arrival)
+            self.state = _native.NativeKernel(lib, config, stream, next_arrival)
         else:
             self.kernel = "python"
-            self._kernel = PythonKernel(config, stream, next_arrival)
-        self.state = self._kernel.state
+            self.state = PythonKernel(config, stream, next_arrival)
 
     def _set_service_factors(self, control) -> None:
         """Per node i, 1/R_i + ||theta_i - target_i||^2 into the kernel's
-        ``fac[i]``: a service time there is U(0,1) times this.  Raises
+        ``factors[i]``: a service time there is U(0,1) times this.  Raises
         ValueError, before any event, when ``control`` is not a vector of the
         network's dimension, or when a factor is not finite: no event loop
         can run on one."""
         if np.shape(control) != (self.config.total_dim,):
             raise ValueError(f"control of shape {np.shape(control)} for a network of "
                              f"dimension {self.config.total_dim}")
-        fac = self._kernel.fac
+        fac = self.state.factors
         with np.errstate(over="ignore"):  # an overflow gives inf, which is refused
             diff = np.subtract(control, self.config.theta_target)
             for i, (block, inv_r) in enumerate(self.config._node_blocks):
@@ -332,7 +317,7 @@ class QueueSimulator:
         if L < 0:
             raise ValueError(f"cannot observe L = {L} costs")
         self._set_service_factors(control)
-        return self._kernel.run(L)
+        return self.state.run(L)
 
     def step(self, control: np.ndarray) -> float:
         """The cost of the next observation."""

@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import functools
 import io
+import itertools
 import json
 import math
 import os
@@ -20,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qsmooth.bench as bench
+import qsmooth.cli as cli
 from qsmooth.bench import (
     ALGORITHMS,
     CellResult,
@@ -804,6 +806,39 @@ def test_cli_run_roundtrip(tmp_path):
     assert out_path.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize("where", ["in-a-missing-directory", "a-directory"])
+def test_cli_run_refuses_an_output_it_cannot_open_before_the_grid(where, tmp_path, capsys):
+    # the whole grid used to run before the output failed to open, and every
+    # result was lost with a FileNotFoundError traceback
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(small_config_dict(M=30, replications=1)))
+    output = tmp_path / "nope" / "out.csv" if where == "in-a-missing-directory" else tmp_path
+    with mock.patch.object(bench, "run_replication") as replication:
+        assert main(["run", str(cfg_path), "-o", str(output), "--workers", "1"]) == 2
+    assert replication.call_count == 0
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_cli_run_replaces_an_output_only_once_the_grid_is_done(tmp_path):
+    # the output is opened before the grid, but truncated only when the CSV
+    # is written
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(small_config_dict(M=30, replications=1)))
+    out_path, fresh = tmp_path / "out.csv", tmp_path / "fresh.csv"
+    out_path.write_text("stale\n" * 1000)
+    grid = bench.run_experiment
+
+    def checked(*args, **kwargs):
+        assert out_path.read_text() == "stale\n" * 1000
+        return grid(*args, **kwargs)
+
+    with mock.patch.object(bench, "run_experiment", checked):
+        assert main(["run", str(cfg_path), "-o", str(out_path), "--workers", "1",
+                     "--no-timing"]) == 0
+    assert main(["run", str(cfg_path), "-o", str(fresh), "--workers", "1", "--no-timing"]) == 0
+    assert out_path.read_bytes() == fresh.read_bytes()
+
+
 def test_cli_run_bad_config(tmp_path, capsys):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps(small_config_dict(algorithm="nope")))
@@ -917,6 +952,23 @@ def test_cli_moments(capsys):
     out = capsys.readouterr().out
     assert out.startswith("b,powers,analytic,mc_mean,mc_stderr")
     assert "does-not-exist" not in out  # every b <= 2 moment exists at q = 0.5
+
+
+@pytest.mark.parametrize("dim", range(1, 6))
+def test_moment_grid_is_the_filtered_product(dim):
+    # the grid used to filter all 5^dim power tuples, which never ended at
+    # the paper's 20 dimensions
+    want = [MomentSpec(b=b, powers=powers) for b in range(3)
+            for powers in itertools.product(range(5), repeat=dim)
+            if 0 < sum(powers) <= 4 or (b == 0 and sum(powers) == 0)]
+    assert cli._moment_grid(dim) == want
+
+
+def test_cli_moments_lists_the_20_dimensional_grid(capsys):
+    assert main(["moments", "--q", "0.5", "--dim", "20", "--count", "0"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "b,powers,analytic,mc_mean,mc_stderr"
+    assert len(lines) == 1 + 31876  # C(24, 4) powers at b = 0, one fewer at b = 1 and 2
 
 
 def test_cli_moments_nonexistent_entries(capsys):

@@ -6,6 +6,7 @@ import contextlib
 import copy
 import ctypes
 import dataclasses
+import gc
 import math
 import os
 import re
@@ -190,7 +191,7 @@ def test_the_loop_refills_at_every_tail_many_times():
     loaded = preset("mg1-20d")
     streams = [RngStream(3, 1), RefillCountingStream(3, 1)]
     sims = [QueueSimulator(loaded.network, stream) for stream in streams]
-    state = sims[0]._kernel.state
+    state = sims[0].state
     tails = set()
     for _ in range(3000):
         refills = state.refills
@@ -212,7 +213,7 @@ def test_a_stream_that_overrides_fresh_keeps_its_refills_in_python():
     # iteration, and the stream sees every refill.  Overloaded queues grow
     # the rings until the run diverges
     grown = []
-    grow_rings = _native.NativeState.grow_rings
+    grow_rings = _native.NativeKernel.grow_rings
 
     def counted(state):
         grown.append(state.full)  # the node whose full ring stopped the loop
@@ -221,14 +222,14 @@ def test_a_stream_that_overrides_fresh_keeps_its_refills_in_python():
     runs = {}
     for kind in ("queue", "fresh-overriding"):
         grown.clear()
-        with mock.patch.object(_native.NativeState, "grow_rings", counted):
+        with mock.patch.object(_native.NativeKernel, "grow_rings", counted):
             (out, ends, sims), stops, observed = _stops_of(_far_target_spec(kinds=[kind] * 2))
         runs[kind] = out, ends
         assert out[0] is DivergenceError and stops[-1] == _native.CompiledRun.DIVERGED
         if kind == "queue":
             assert [sim.kernel for sim in sims] == ["c", "c"]
             assert grown and min(grown) >= 0 and observed == []
-            assert min(sim._kernel.state.refills for sim in sims) > 0
+            assert min(sim.state.refills for sim in sims) > 0
         else:
             assert [sim.kernel for sim in sims] == ["python", "python"]
             # at every iteration, the one that diverged included
@@ -707,6 +708,41 @@ def test_compiled_run_is_freed_with_its_run():
     assert len(runs) == 1 and runs[0]() is None
 
 
+@needs_gcc
+@pytest.mark.parametrize("kernel", ["c", "python"])
+def test_a_simulator_is_freed_by_reference_counting_alone(kernel):
+    # with the cyclic collector off, a simulator's kernel goes with it, also
+    # after a compiled run: a kernel that reached itself (through a reader
+    # that kept it, or a stored ctypes.byref of it) would live on until the
+    # collector ran
+    loaded = preset("mg1-4d")
+    runs = []
+    original = _native.CompiledRun
+
+    def remembered(*args, **kwargs):
+        run = original(*args, **kwargs)
+        runs.append(weakref.ref(run))
+        return run
+
+    gc.disable()
+    try:
+        sim = kernel_simulator(kernel, loaded.network, RngStream(7, 1))
+        sim.observe(loaded.theta0, 50)
+        state = weakref.ref(sim.state)
+        del sim
+        assert state() is None
+        sims = [kernel_simulator(kernel, loaded.network, RngStream(7, i)) for i in (1, 2)]
+        with mock.patch.object(_native, "CompiledRun", remembered):
+            run_gqsf2(*sims, QKernel(0.8, 0.005, 4), BoxConstraint.cube(0.1, 0.6, 4),
+                      StepSchedule(0.75), 20, 20, loaded.theta0, RngStream(7, 0))
+        states = [weakref.ref(sim.state) for sim in sims]
+        del sims
+        assert len(runs) == 1 and runs[0]() is None
+        assert [state() for state in states] == [None, None]
+    finally:
+        gc.enable()
+
+
 def test_compiled_loop_serves_simulators_off_the_c_kernel():
     # queue and quadratic simulators, in either position, give the Python
     # loop's numbers: the compiled loop runs the queue simulator on its
@@ -1109,7 +1145,7 @@ def test_the_records_are_laid_out_as_the_c_compiler_lays_them_out(tmp_path):
     # a program built from _mg1.c prints each record's size and each
     # member's offset and size, and each stop code
     records = {"stream_t": _native._RECORDS["stream_t"], "ufunc_loop_t": _native.UfuncLoop,
-               "mg1_state": _native.NativeState, "sf_run_t": _native.RunRecord}
+               "mg1_state": _native.NativeKernel, "sf_run_t": _native.RunRecord}
     prints = [f'printf("{name} %zu\\n", sizeof({name}));' for name in records]
     want = {name: ctypes.sizeof(record) for name, record in records.items()}
     for name, record in records.items():

@@ -142,7 +142,7 @@ def _check_service_factors(theta, want, seed):
     for _ in range(2_000):
         sim.step(theta)
         # the factors the simulator used for this control
-        assert list(sim._kernel.fac) == pytest.approx(want, rel=1e-12)
+        assert list(sim.state.factors) == pytest.approx(want, rel=1e-12)
         # a service in progress ends within one full service time of now
         for comp, fac in zip(sim.state.completion_time, want):
             assert comp == np.inf or 0.0 <= comp - sim.state.clock <= fac
@@ -422,6 +422,20 @@ def test_config_refuses_a_non_finite_target(bad):
         QueueNetworkConfig((0.2, 0.1), (0.0, 0.4), (10.0, 20.0), (2, 2), [0.3, 0.3, bad, 0.3])
 
 
+@pytest.mark.parametrize(
+    "dims", [(2.9, 2.2), (2.0, 2), (True, 3), (np.float64(2.0), 2), "22"],
+    ids=["floats", "a whole float", "a bool", "a numpy float", "a string"],
+)
+def test_config_refuses_a_dimension_that_is_not_an_integer(dims):
+    # (2.9, 2.2) used to be truncated to (2, 2), as JSON configs never are
+    with pytest.raises(ValueError, match="^dims must be integers"):
+        QueueNetworkConfig((0.2, 0.1), (0.0, 0.4), (10.0, 20.0), dims, np.full(4, 0.3))
+    # an integer of numpy's is one
+    net = QueueNetworkConfig((0.2, 0.1), (0.0, 0.4), (10.0, 20.0), np.array([2, 2]),
+                             np.full(4, 0.3))
+    assert net.dims == (2, 2) and all(type(d) is int for d in net.dims)
+
+
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_observe_refuses_a_negative_L_before_any_event(kernel):
     # where the C kernel once returned the stale costs left in its buffer;
@@ -433,7 +447,7 @@ def test_observe_refuses_a_negative_L_before_any_event(kernel):
 
     def stands():
         return (stream._buf.tobytes(), stream._pos, repr(stream._bitgen.state),
-                stream.spare_normal, list(sim._kernel.fac), sim.state.clock,
+                stream.spare_normal, list(sim.state.factors), sim.state.clock,
                 sim.state.arrivals_seen, sim.state.departures_seen)
 
     before = stands()
