@@ -7,10 +7,11 @@
  *
  * When fewer than 3 uniforms (the most one event draws) remain in the
  * buffer, the kernel refills it from the stream's generator, as
- * RngStream.reserve(3) does, into a buffer of its own.  It stops only at an
- * event boundary, before touching any state, when the ring that the next
- * event may push onto is full; the caller grows the rings and calls again,
- * and the record keeps the count of costs done so far.
+ * RngStream.reserve(3) does, into a buffer of its own, which the stream
+ * then takes as its buffer.  It stops only at an event boundary, before
+ * touching any state, when the ring that the next event may push onto is
+ * full; the caller grows the rings and calls again, and the record keeps
+ * the count of costs done so far.
  *
  * sf_run, further down, runs whole outer iterations of the two-timescale
  * optimizer over one or two simulators, each such a kernel, a quadratic
@@ -40,10 +41,11 @@
 /* a numpy bit generator's next_uint64, as its ctypes interface gives it */
 typedef uint64_t (*next_fn)(void *state);
 
-/* A stream's buffer of uniforms, as a compiled loop reads it in place, and
- * the stream's Philox generator (numpy's Philox.ctypes), from which the loop
- * refills own whenever it runs short.  qsmooth._native binds only a stream
- * that _refills_in_c allows, so no loop stops for uniforms. */
+/* An RngStream, as qsmooth._native hands it to a compiled loop and back
+ * around each call (only one that _refills_in_c allows, so no loop stops for
+ * uniforms): its buffer of uniforms, read in place, its position, its cached
+ * normal and its Philox generator (numpy's Philox.ctypes), from which the
+ * loop refills own, the stream's buffer from then on, whenever it runs short. */
 typedef struct {
     const double *u;        /* the stream's buffer of uniforms, or own */
     int64_t u_pos;          /* next unread uniform */
@@ -53,6 +55,8 @@ typedef struct {
     double *own;            /* room for refill_size + the longest unread tail */
     int64_t refill_size;    /* fresh uniforms per refill, at least */
     int64_t refills;        /* refills made here */
+    int64_t has_spare;      /* whether the stream holds a cached normal, */
+    double spare;           /* which sf_run's next normal draw returns */
 } stream_t;
 
 /* RngStream.reserve(n) on the stream's generator: when fewer than n
@@ -294,8 +298,6 @@ typedef struct {
     const double *targets[2];
     double *costs[2];       /* simulator i's L costs, which the fold reads */
     stream_t stream;        /* the perturbation stream */
-    int64_t has_spare;      /* the stream's cached normal */
-    double spare;
     /* iterates, and dim-sized scratch */
     double *theta;
     double *z;
@@ -388,15 +390,15 @@ static double uniform(sf_run_t *r)
 /* RngStream.standard_normal() */
 static double normal(sf_run_t *r)
 {
-    if (r->has_spare) {
-        r->has_spare = 0;
-        return r->spare;
+    if (r->stream.has_spare) {
+        r->stream.has_spare = 0;
+        return r->stream.spare;
     }
     const double u1 = uniform(r);
     const double u2 = uniform(r);
     const double radius = sqrt(-2.0 * log(u1));
-    r->spare = radius * sin(2.0 * M_PI * u2);
-    r->has_spare = 1;
+    r->stream.spare = radius * sin(2.0 * M_PI * u2);
+    r->stream.has_spare = 1;
     return radius * cos(2.0 * M_PI * u2);
 }
 
@@ -428,17 +430,17 @@ static void normals(sf_run_t *r)
 {
     const int64_t dim = r->dim;
     double *eta = r->eta;
+    stream_t *s = &r->stream;
     int64_t first = 0;
-    if (r->has_spare) {
-        eta[0] = r->spare;
-        r->has_spare = 0;
+    if (s->has_spare) {
+        eta[0] = s->spare;
+        s->has_spare = 0;
         first = 1;
     }
     const int64_t need = dim - first;
     const int64_t pairs = (need + 1) / 2;
     if (pairs == 0)
         return;
-    stream_t *s = &r->stream;
     reserve(s, 2 * pairs);
     const double *u = s->u + s->u_pos;
     s->u_pos += 2 * pairs;
@@ -456,8 +458,8 @@ static void normals(sf_run_t *r)
         if (2 * j + 1 < need) {
             eta[first + 2 * j + 1] = odd;
         } else {
-            r->spare = odd;
-            r->has_spare = 1;
+            s->spare = odd;
+            s->has_spare = 1;
         }
     }
 }

@@ -23,8 +23,10 @@ its ufunc, is refused.  Where one is missing or refused, optimizer runs
 take the Python loop, with the same numbers.  Both loops refill a stream's
 buffer themselves, so they read only a stream that :func:`_refills_in_c`
 allows: a simulator on any other runs the Python kernel, and a run with
-any other perturbation stream the Python loop.  A simulator's compiled
-kernel, :class:`NativeKernel`, is itself the ``mg1_state`` record.
+any other perturbation stream the Python loop.  :func:`_hand_in` and
+:func:`_hand_back` pass every stream to its record and back.  A
+simulator's compiled kernel, :class:`NativeKernel`, is itself the
+``mg1_state`` record.
 """
 
 from __future__ import annotations
@@ -133,11 +135,11 @@ except OSError:
 class NativeKernel(_RECORDS["mg1_state"]):
     """The compiled event loop over one network, and its state: the C
     kernel's record ``mg1_state``, laid out as ``_mg1.c`` declares it.  It
-    owns the arrays its pointers address, but for the stream's, which its
-    :class:`StreamReader` keeps, and reads uniforms straight from the
-    stream's buffer.  A call reads its service factors from ``factors`` and
-    leaves its costs at the front of ``arrays["costs"]``.  Nothing it holds
-    refers back to it, so reference counting alone frees it."""
+    owns the arrays its pointers address and reads uniforms straight from
+    the buffer of ``rng_stream`` (``stream`` is the record's ``stream_t``).
+    A call reads its service factors from ``factors`` and leaves its costs
+    at the front of ``arrays["costs"]``.  Nothing it holds refers back to
+    it, so reference counting alone frees it."""
 
     def __init__(self, lib, config, stream, next_arrival):
         k = config.n_nodes
@@ -162,7 +164,8 @@ class NativeKernel(_RECORDS["mg1_state"]):
             self.bind(name, array)
         self.factors = self.arrays["fac"]
         self._observe = lib.mg1_observe
-        self.reader = StreamReader(self, stream, 3)  # one event draws at most 3
+        self.rng_stream = stream
+        _attach(self, stream, 3)  # one event draws at most 3
 
     def bind(self, name: str, array: np.ndarray) -> None:
         """Point field ``name`` at ``array``, and keep the array alive."""
@@ -192,17 +195,17 @@ class NativeKernel(_RECORDS["mg1_state"]):
         """The costs of the next ``L`` service completions."""
         self.hold(L)
         self.done, self.want = 0, L
-        self.reader.read(self)
+        _hand_in(self, self.rng_stream)
         while self._observe(self) < L:  # a ring is full
             self.grow_rings()
-        self.reader.sync(self)
+        _hand_back(self, self.rng_stream)
         return self.arrays["costs"][:L].tolist()
 
 
 # the RngStream methods that compiled code stands in for: the draws that
 # sf_run computes, and the refill that both loops make themselves
 _COMPILED_DRAWS = ("standard_normal", "chi_squared", "_gamma_unit_scale")
-_COMPILED_REFILL = ("_fresh", "reserve", "advance")
+_COMPILED_REFILL = ("_fresh", "reserve")
 
 
 def _refills_in_c(stream) -> bool:
@@ -215,60 +218,45 @@ def _refills_in_c(stream) -> bool:
     ) and type(getattr(stream, "_bitgen", None)) is np.random.Philox
 
 
-class StreamReader:
-    """A stream's buffer as a compiled loop reads it in place, through the
-    ``stream_t`` members of a record, which each call is handed (a reader
-    that kept its kernel would make the two a cycle).  The loop refills the
-    buffer itself, from the stream's generator, into ``own``, which holds
-    ``_BUFFER_SIZE`` fresh uniforms after an unread tail shorter than
-    ``longest``, the most uniforms one read reserves.  Raises ValueError for
-    a stream that :func:`_refills_in_c` refuses."""
+def _attach(record, stream, longest: int) -> None:
+    """Bind ``record``'s ``stream_t`` to ``stream``'s generator, from which
+    the loop refills ``own`` with ``_BUFFER_SIZE`` uniforms after an unread
+    tail shorter than ``longest``, the most one read reserves.  Raises
+    ValueError for a stream that :func:`_refills_in_c` refuses."""
+    if not _refills_in_c(stream):
+        raise ValueError("compiled code reads only a stream that _refills_in_c allows")
+    own = np.empty(_BUFFER_SIZE + longest - 1)
+    record.arrays.update(bitgen=stream._bitgen, own=own, u=None)  # no buffer bound yet
+    interface = stream._bitgen.ctypes
+    record.bitgen = interface.state_address
+    record.next_uint64 = ctypes.cast(interface.next_uint64, ctypes.c_void_p).value
+    record.refill_size = _BUFFER_SIZE
+    record.own = own.ctypes.data
 
-    def __init__(self, record, stream, longest: int):
-        if not _refills_in_c(stream):
-            raise ValueError("compiled code reads only a stream that _refills_in_c allows")
-        self._stream = stream
-        self._buf = None
-        self._synced = 0  # the loop's position when the stream last heard of it
-        self._refills = 0  # the loop's refills the stream has taken
-        self._generator = stream._bitgen  # kept alive while the loop draws from it
-        interface = self._generator.ctypes
-        record.bitgen = interface.state_address
-        record.next_uint64 = ctypes.cast(interface.next_uint64, ctypes.c_void_p).value
-        record.refill_size = _BUFFER_SIZE
-        self._own = np.empty(_BUFFER_SIZE + longest - 1)
-        record.own = self._own.ctypes.data
 
-    def _bind(self, record, buf: np.ndarray) -> None:
-        self._buf = buf
-        record.u = buf.ctypes.data
-        record.u_len = buf.size
+def _hand_in(record, stream) -> None:
+    """Point ``record``'s ``stream_t`` at where ``stream`` stands: its buffer
+    (bound anew only when it is another one), position and cached normal."""
+    buf = stream._buf
+    if buf is not record.arrays["u"]:
+        record.arrays["u"] = buf
+        record.u, record.u_len = buf.ctypes.data, buf.size
+    record.u_pos = stream._pos
+    spare = stream.spare_normal
+    record.has_spare, record.spare = spare is not None, 0.0 if spare is None else spare
 
-    def read(self, record) -> None:
-        """Point ``record`` at where the stream stands, after marking the
-        uniforms the loop read in place as drawn.  The loop reserves what it
-        reads, so nothing is refilled here."""
-        self.sync(record)
-        buf, pos = self._stream.reserve(0)
-        if buf is not self._buf:
-            self._bind(record, buf)
-        record.u_pos = self._synced = pos
 
-    def sync(self, record) -> None:
-        """Hand the stream where the loop stands in ``record``: the uniforms
-        read in place since the last call, or, when the loop has refilled
-        the buffer itself, a copy of that buffer and the position in it."""
-        if record.refills == self._refills:
-            self._stream.advance(record.u_pos - self._synced)
-        else:
-            self._refills = record.refills
-            # what stream.reserve would have left, with the generator already
-            # moved on by the loop's draws
-            buf = self._own[: record.u_len].copy()
-            stream = self._stream
-            stream._buf, stream._pos, stream._values = buf, record.u_pos, None
-            self._bind(record, buf)
-        self._synced = record.u_pos
+def _hand_back(record, stream) -> None:
+    """Hand ``stream`` where the loop left ``record``'s ``stream_t``: its
+    position, its cached normal and, after a refill, the filled front of
+    ``own`` as its buffer, whose list it drops (a refill may be in place)."""
+    if record.u == record.own:
+        arrays = record.arrays
+        if arrays["u"].base is not arrays["own"] or arrays["u"].size != record.u_len:
+            arrays["u"] = arrays["own"][: record.u_len]
+        stream._buf, stream._values = arrays["u"], None
+    stream._pos = record.u_pos
+    stream.spare_normal = record.spare if record.has_spare else None
 
 
 # the compiled outer loop's record, laid out as _mg1.c declares sf_run_t
@@ -318,21 +306,22 @@ class CompiledRun:
             **{f"{name}_loop": ctypes.addressof(loop) for name, loop in lib.loops.items()},
             **{name: array.ctypes.data for name, array in self._arrays.items()},
         )
+        record.arrays = self._arrays
+        _attach(record, stream, 2 * pairs)
+        self._streams = [(record, stream)]  # every stream the loop reads, and its record
         self._sims = sims  # the kernels, and the targets the loop reads, kept alive
-        self._kernels = [sim for sim in sims if isinstance(sim, NativeKernel)]
         self.costs = []
         for i, sim in enumerate(sims):
             if isinstance(sim, NativeKernel):
                 sim.hold(L)
                 self.costs.append(sim.arrays["costs"][:L])
                 record.sims[i] = ctypes.addressof(sim)
+                self._streams.append((sim, sim.rng_stream))
             else:
                 self.costs.append(np.empty(L))
                 if sim is not None:
                     record.targets[i] = sim.ctypes.data
             record.costs[i] = self.costs[i].ctypes.data
-        self._stream = stream
-        self._reader = StreamReader(record, stream, 2 * pairs)
         self._run = lib.sf_run
 
     @property
@@ -357,32 +346,15 @@ class CompiledRun:
         where the loop leaves it: the caller may draw from any of them
         between calls."""
         record = self._record
-        self._read()
+        for reader, stream in self._streams:
+            _hand_in(reader, stream)
         try:
             while (stop := self._run(record)) == self._SIMULATOR:  # a ring is full
                 self._sims[record.stopped].grow_rings()
             return stop
         finally:
-            self._sync()
-
-    def _read(self) -> None:
-        """Read where every stream stands, and the perturbation stream's
-        cached normal."""
-        record = self._record
-        self._reader.read(record)
-        spare = self._stream.spare_normal
-        record.has_spare, record.spare = spare is not None, 0.0 if spare is None else spare
-        for kernel in self._kernels:
-            kernel.reader.read(kernel)
-
-    def _sync(self) -> None:
-        """Hand every stream the positions, and the perturbation stream the
-        cached normal, that the loop has reached."""
-        record = self._record
-        self._reader.sync(record)
-        self._stream.spare_normal = record.spare if record.has_spare else None
-        for kernel in self._kernels:
-            kernel.reader.sync(kernel)
+            for reader, stream in self._streams:
+                _hand_back(reader, stream)
 
 
 _DDOT = ctypes.CFUNCTYPE(

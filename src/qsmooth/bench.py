@@ -267,8 +267,8 @@ def load_config(path: str) -> ExperimentConfig:
             data = json.load(fh)
     except OSError as err:
         raise ConfigError(f"cannot read config file: {err}") from None
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"config file is not valid JSON: {err}") from None
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as err:
+        raise ConfigError(f"config file is not valid UTF-8 JSON: {err}") from None
     return config_from_dict(data)
 
 

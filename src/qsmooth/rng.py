@@ -87,9 +87,8 @@ class RngStream:
         self._values: list[float] | None = None
         self._pos = 0
         # the unused half of the last Box-Muller pair, which the next normal
-        # draw returns first; None when there is none.  A compiled loop that
-        # draws normals from the buffer itself (sf_run) takes it from here
-        # and hands back the one it leaves.
+        # draw returns first (None when there is none); compiled loops take
+        # it with the buffer and hand back the one they leave
         self.spare_normal: float | None = None
 
     # -- uniforms ----------------------------------------------------------
@@ -100,9 +99,9 @@ class RngStream:
 
     def reserve(self, n: int):
         """The buffer and read position, with at least ``n`` unread uniforms
-        from there on, for a caller that reads them in place and then calls
-        :meth:`advance`.  A refill keeps the unread tail at the front of the
-        new buffer, so the values keep their order."""
+        from there on, for a caller that reads them in place and then moves
+        ``_pos`` past them.  A refill keeps the unread tail at the front of
+        the new buffer, so the values keep their order."""
         pos = self._pos
         tail = self._buf.size - pos
         if tail < n:
@@ -111,10 +110,6 @@ class RngStream:
             self._values = None
             self._pos = pos = 0
         return self._buf, pos
-
-    def advance(self, n: int) -> None:
-        """Mark ``n`` uniforms read in place after :meth:`reserve` as drawn."""
-        self._pos += n
 
     def uniform01(self, size: int | None = None):
         """Uniform draw(s) on the open interval (0, 1)."""

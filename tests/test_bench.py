@@ -36,9 +36,14 @@ from qsmooth.bench import (
 )
 from qsmooth.cli import main
 from qsmooth.optimizer import DivergenceError, SimulationError
-from qsmooth.qgaussian import MomentSpec, analytic_moment
+from qsmooth.qgaussian import (
+    MomentDoesNotExistError,
+    MomentSpec,
+    analytic_moment,
+    sample_standard_many,
+)
 from qsmooth.queueing import kernel_name
-from qsmooth.rng import derive_stream_id
+from qsmooth.rng import RngStream, derive_stream_id
 from qsmooth.smoothing import InvalidRhoError
 
 
@@ -846,6 +851,22 @@ def test_cli_run_bad_config(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "content",
+    [b'{"M": 30, "system": "mg1-4d\xff"}', b"[" * 200_000],
+    ids=["not-utf-8", "nested-too-deeply"],
+)
+def test_cli_run_reports_a_config_file_json_cannot_read(content, tmp_path, capsys):
+    # a UnicodeDecodeError and a RecursionError used to end the run in a
+    # traceback with exit 1
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_bytes(content)
+    with mock.patch.object(bench, "run_replication") as replication:
+        assert main(["run", str(cfg_path)]) == 2
+    assert replication.call_count == 0
+    assert capsys.readouterr().err.startswith("config error: config file is not valid UTF-8 JSON")
+
+
 def test_cli_single(capsys):
     code = main(["single", "--algo", "gqsf1", "--q", "0.8", "--beta", "0.01",
                  "--M", "40", "--L", "5", "--record-every", "20"])
@@ -969,6 +990,46 @@ def test_cli_moments_lists_the_20_dimensional_grid(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "b,powers,analytic,mc_mean,mc_stderr"
     assert len(lines) == 1 + 31876  # C(24, 4) powers at b = 0, one fewer at b = 1 and 2
+
+
+def _moments_by_the_spec_formula(q, dim, count, seed=0):
+    """``qsmooth moments``' output as each spec computed its Monte-Carlo
+    columns before the table of powers, from all ``dim`` columns with
+    ``np.prod``, and each spec's sample values as bytes."""
+    stream = RngStream(seed, derive_stream_id(seed, "moments"))
+    draws, rhos = sample_standard_many(q, dim, count, stream)
+    lines, samples = ["b,powers,analytic,mc_mean,mc_stderr"], []
+    for spec in cli._moment_grid(dim):
+        powers = "|".join(str(p) for p in spec.powers)
+        try:
+            value = analytic_moment(spec, q, dim)
+        except MomentDoesNotExistError:
+            lines.append(f"{spec.b},{powers},does-not-exist,,")
+            continue
+        sample_vals = np.prod(draws ** np.asarray(spec.powers), axis=1) / rhos**spec.b
+        samples.append(sample_vals.tobytes())
+        se = float(np.std(sample_vals, ddof=1) / np.sqrt(count))
+        lines.append(f"{spec.b},{powers},{value:.9g},{float(np.mean(sample_vals)):.9g},{se:.3g}")
+    return "\n".join(lines) + "\n", samples
+
+
+@pytest.mark.parametrize("q, dim, count", [(0.5, 4, 2000), (1.2, 3, 3000), (-1.0, 6, 50)])
+def test_cli_moments_prints_what_each_spec_computed_from_all_its_columns(q, dim, count, capsys):
+    # the table of powers multiplies only the nonzero powers' columns, in
+    # column order: the same bytes out, and the same sample values, bit for
+    # bit, into each spec's mean (gathering the nonzero columns and powers
+    # into one pow changes the last bits of about half the specs' values,
+    # which the printed digits do not show)
+    samples, mean = [], np.mean
+
+    def recorded(values, *args, **kwargs):
+        samples.append(values.tobytes())
+        return mean(values, *args, **kwargs)
+
+    with mock.patch.object(np, "mean", recorded):
+        assert main(["moments", "--q", str(q), "--dim", str(dim), "--count", str(count)]) == 0
+    want = _moments_by_the_spec_formula(q, dim, count)
+    assert (capsys.readouterr().out, samples) == want
 
 
 def test_cli_moments_nonexistent_entries(capsys):

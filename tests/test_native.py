@@ -238,6 +238,39 @@ def test_a_stream_that_overrides_fresh_keeps_its_refills_in_python():
     assert runs["queue"] == runs["fresh-overriding"]
 
 
+def _bits(spare):
+    """A cached normal to the bit, -0.0 apart from 0.0, or None."""
+    return None if spare is None else np.float64(spare).tobytes()
+
+
+@needs_gcc
+@pytest.mark.parametrize("spare", [None, 0.25, -0.0], ids=["none", "0.25", "-0.0"])
+def test_a_kernel_hands_its_streams_cached_normal_back_bit_for_bit(spare):
+    # no event draws a normal, but the loops hand a simulator's stream over
+    # whole, cached normal included: it comes back as it went, after an
+    # observe and after a compiled run, and the stream then draws as on the
+    # Python kernel
+    loaded = preset("mg1-4d")
+    draws = {}
+    for kernel in ("c", "python"):
+        streams = [RngStream(5, i) for i in (1, 2)]
+        for stream in streams:
+            stream.spare_normal = spare
+        sims = [kernel_simulator(kernel, loaded.network, stream) for stream in streams]
+        sims[0].observe(loaded.theta0, 3000)  # crosses refills on the C kernel
+        assert _bits(streams[0].spare_normal) == _bits(spare)
+        with mock.patch.object(_native, "CompiledRun", wraps=_native.CompiledRun) as compiled:
+            run_gqsf2(*sims, QKernel(0.8, 0.005, 4), BoxConstraint.cube(0.1, 0.6, 4),
+                      StepSchedule(0.75), 100, 50, loaded.theta0, RngStream(5, 0))
+        assert compiled.call_count == 1
+        assert [_bits(stream.spare_normal) for stream in streams] == [_bits(spare)] * 2
+        if kernel == "c":
+            assert min(sim.state.refills for sim in sims) > 0
+        draws[kernel] = [(stream.standard_normal(3).tobytes(), stream.uniform01(5000).tobytes())
+                         for stream in streams]
+    assert draws["c"] == draws["python"]
+
+
 @needs_gcc
 @pytest.mark.parametrize("name", [*_native._COMPILED_REFILL, "_bitgen"])
 def test_only_a_plain_philox_stream_is_refilled_by_the_loop(name):
@@ -1168,12 +1201,62 @@ def test_the_records_are_laid_out_as_the_c_compiler_lays_them_out(tmp_path):
         name, *numbers = line.split()
         got[name] = tuple(map(int, numbers)) if len(numbers) > 1 else int(numbers[0])
     assert got == want
-    assert [len(record._fields_) for record in records.values()] == [8, 3, 25, 44]
+    assert [len(record._fields_) for record in records.values()] == [10, 3, 25, 42]
     # a record held by value lays out its members as the outer record's own
     for name in ("mg1_state", "sf_run_t"):
         record = records[name]
         assert (record.u_pos.offset - record.stream.offset
                 == records["stream_t"].u_pos.offset)
+
+
+# what a sanitized build adds to _native._CC: both sanitizers, frames a
+# report can name, and a stop at the first undefined behaviour
+_SANITIZE = ("-g", "-fno-omit-frame-pointer", "-fsanitize=address,undefined",
+             "-fno-sanitize-recover=undefined")
+
+
+def _sanitizer_runtimes():
+    """gcc's ASan and UBSan runtimes, or None where either is missing."""
+    paths = []
+    for name in ("libasan.so", "libubsan.so"):
+        path = subprocess.run(["gcc", f"-print-file-name={name}"], capture_output=True,
+                              text=True, timeout=60).stdout.strip()
+        if not os.path.isabs(path) or not os.path.exists(path):
+            return None
+        paths.append(path)
+    return paths
+
+
+@needs_gcc
+def test_the_c_loops_are_clean_under_asan_and_ubsan(tmp_path):
+    # sanitizer_scenarios.py runs the stream refills, a cached normal
+    # carried across calls, ring growth, the handoffs and every stop on a
+    # sanitized build, in a child process that loads both runtimes first:
+    # no report, and the numbers of an unsanitized build.  With every
+    # record's own one slot short, the kernel's refills must overflow it,
+    # or the sanitizer sees nothing
+    runtimes = _sanitizer_runtimes()
+    if runtimes is None:
+        pytest.skip("gcc finds no ASan or UBSan runtime")
+    script = Path(__file__).with_name("sanitizer_scenarios.py")
+    src = str(Path(qsmooth.__file__).resolve().parent.parent)
+
+    def child(*args, sanitized=True):
+        env = {**os.environ, "PYTHONPATH": src, "XDG_CACHE_HOME": str(tmp_path)}
+        if sanitized:
+            env.update(LD_PRELOAD=" ".join(runtimes), ASAN_OPTIONS="detect_leaks=0")
+        return subprocess.run([sys.executable, str(script), *args], env=env,
+                              capture_output=True, text=True, timeout=300)
+
+    plain, checked = child(sanitized=False), child(*_SANITIZE)
+    assert plain.returncode == 0, plain.stderr
+    assert checked.returncode == 0, checked.stderr
+    assert "Sanitizer" not in checked.stderr and "runtime error" not in checked.stderr
+    assert checked.stdout == plain.stdout and len(plain.stdout) == 65
+    short = child("--short-own", *_SANITIZE)
+    assert short.returncode != 0
+    assert "ERROR: AddressSanitizer: heap-buffer-overflow" in short.stderr
+    assert " in reserve" in short.stderr  # the refill, in _mg1.c
 
 
 def test_the_record_reader_takes_each_allowed_form():
