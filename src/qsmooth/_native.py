@@ -7,10 +7,10 @@ nothing.  The build is cached in ``$XDG_CACHE_HOME/qsmooth`` (by default
 ``~/.cache/qsmooth``), a directory private to the user (mode 0700), under a
 name keyed by the hash of the source and the compiler command, so a changed
 source or flag never loads a stale build.  A build is written to a
-temporary name and renamed into place, so processes that compile at once,
-such as the workers of one pool, each load a complete library.  When the
-library cannot be built or loaded, :func:`load` returns None and simulators
-run the Python kernel, which gives the same numbers.
+temporary name and renamed into place, so processes that compile at once
+each load a complete library.  When the library cannot be built or
+loaded, :func:`load` returns None and simulators run the Python kernel,
+which gives the same numbers.
 
 The outer loop (``sf_run``) calls numpy's own BLAS ``ddot`` wherever the
 Python loop calls ``np.dot``, and numpy's own float64 ``log``, ``cos`` and
@@ -123,8 +123,8 @@ def _read_declarations(source: str) -> tuple[dict, dict]:
     return records, {name.strip(): i for body in enums for i, name in enumerate(body.split(","))}
 
 
-# read at import, so that the workers a pool forks share them; where _mg1.c
-# cannot be read, load() cannot build it either and returns None
+# read once, at import; where _mg1.c cannot be read, load() cannot build it
+# either and returns None
 try:
     _RECORDS, _ENUM = _read_declarations(_SOURCE.read_text())
 except OSError:

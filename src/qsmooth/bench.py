@@ -15,6 +15,7 @@ import itertools
 import json
 import numbers
 import os
+import threading
 from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
@@ -348,90 +349,60 @@ def _aggregate(config, q, beta, outcomes) -> CellResult:
     )
 
 
-def _forked_worker(tasks, first: int, step: int, out_fd: int):
-    """In a forked child: run tasks ``first``, ``first + step``, ... and
-    write ``(outcomes, bug)`` to ``out_fd``, pickled.  ``bug`` is None, or
-    ``(index, exception, traceback text)`` for the first task that raised
-    an error outside ``REPLICATION_ERRORS``, where the worker stops.  Never
-    returns: the child leaves through ``os._exit``, with code 0 only once
-    the whole blob is written."""
-    import pickle
-
-    status = 1
-    try:
-        outcomes, bug = [], None
-        for index in range(first, len(tasks), step):
-            try:
-                outcomes.append(_replication_task(tasks[index]))
-            except Exception as err:
-                import traceback
-
-                where = traceback.format_exc()
-                try:  # the parent re-raises it, so it must survive the trip
-                    pickle.loads(pickle.dumps(err))
-                except Exception:
-                    err = RuntimeError(f"{type(err).__qualname__}: {err}")
-                bug = index, err, where
-                break
-        with open(out_fd, "wb") as out:
-            pickle.dump((outcomes, bug), out)
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _run_forked(tasks: list, workers: int) -> list:
+def _run_threaded(tasks: list, workers: int) -> list:
     """The outcomes of ``_replication_task`` over ``tasks``, in order, from
-    ``workers`` forked children: worker k runs tasks k, k + workers, ...,
-    so every cell is spread over every worker, and sends them back over its
-    own pipe.  The first bug in task order is re-raised here; a worker that
-    leaves without its outcomes raises RuntimeError naming its exit code or
-    signal."""
-    import pickle
-    import signal
+    ``workers`` threads, each taking the next task not yet started; the
+    compiled loops release the GIL, so the threads' replications overlap.
+    Once a task raises an exception outside ``REPLICATION_ERRORS`` (a bug),
+    or this thread is interrupted, no task starts.  The threads finish
+    their tasks in flight and are joined, and then the interrupt, or the
+    bug of the earliest task, the one the serial run would raise, is
+    raised here."""
+    outcomes = [None] * len(tasks)
+    bugs = {}  # task index -> the exception it raised
+    pending = iter(range(len(tasks)))  # emptied to start no more tasks
+    running = 0  # threads started and not yet done
+    guard = threading.Condition()  # guards pending and running
 
-    running, reads = {}, []  # pid -> worker index; each worker's read end
+    def work():
+        nonlocal pending, running
+        try:
+            while True:
+                with guard:
+                    index = next(pending, None)
+                if index is None:
+                    return
+                try:
+                    outcomes[index] = _replication_task(tasks[index])
+                except BaseException as err:  # raised by the main thread
+                    with guard:
+                        bugs[index], pending = err, iter(())
+        finally:
+            with guard:
+                running -= 1
+                guard.notify()
+
+    threads = [threading.Thread(target=work) for _ in range(workers)]
     try:
-        for k in range(workers):
-            read, write = os.pipe()
-            reads.append(read)
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _forked_worker(tasks, k, workers, write)
-            finally:
-                # closed before the next fork, so that only worker k holds
-                # it and the parent sees EOF when worker k is gone
-                os.close(write)
-            running[pid] = k
-        outcomes = [None] * len(tasks)
-        bugs = []
-        # in worker order: a worker whose pipe is full waits for its turn,
-        # and no worker waits on another, so this cannot deadlock
-        for pid, k in list(running.items()):
-            with open(reads[k], "rb", closefd=False) as pipe:
-                blob = pipe.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del running[pid]
-            if code != 0:
-                how = f"code {code}" if code > 0 else f"signal {-code} ({signal.strsignal(-code)})"
-                raise RuntimeError(
-                    f"replication worker {k} exited with {how} before returning its outcomes"
-                )
-            done, bug = pickle.loads(blob)
-            outcomes[k : k + workers * len(done) : workers] = done
-            if bug is not None:
-                bugs.append(bug)
-        if bugs:
-            _, err, where = min(bugs, key=lambda bug: bug[0])
-            raise err from RuntimeError(f"in a replication worker:\n{where}")
-        return outcomes
+        with guard:  # no task starts before every thread has
+            for thread in threads:
+                thread.start()
+                running += 1
+            # waits here rather than in join, which an interrupt inside it
+            # can leave believing its thread has ended (CPython 3.11), and
+            # wakes every 50 ms, since the kernel may hand an interrupt to
+            # another thread and only this one acts on it
+            while running:
+                guard.wait(0.05)
     finally:
-        for pid in running:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        for read in reads:
-            os.close(read)
+        with guard:
+            pending = iter(())
+        for thread in threads:
+            if thread.is_alive():
+                thread.join()
+    if bugs:
+        raise bugs[min(bugs)]
+    return outcomes
 
 
 def run_experiment(
@@ -440,29 +411,32 @@ def run_experiment(
     """Run every (q, beta) cell; returns results in grid order.
 
     Replications are independent tasks.  With ``workers`` > 1 (by default
-    one per CPU), never more than there are tasks, and where the platform
-    can fork, they run in that many forked workers, each taking every
-    ``workers``-th task in grid order; otherwise they run here, one after
-    another.  Either way every number is the same.  A run that raises one
-    of ``REPLICATION_ERRORS`` is recorded in its cell's failures and errors
+    one per CPU), never more than there are tasks, they run on that many
+    threads of this process, each taking the next task in grid order (see
+    :func:`_run_threaded`); otherwise they run here, one after another.
+    Either way every number is the same.  A run that raises one of
+    ``REPLICATION_ERRORS`` is recorded in its cell's failures and errors
     and does not abort the grid; any other exception is re-raised here,
-    the one of the earliest task in grid order.
+    the one of the earliest task in grid order.  ``workers`` below 1
+    raises ValueError.
     """
+    if workers is None:
+        workers = os.cpu_count() or 1
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     cells = config.cells()
     tasks = [
         (config, i, q, beta, rep)
         for i, (q, beta) in enumerate(cells)
         for rep in range(config.replications)
     ]
-    if workers is None:
-        workers = os.cpu_count() or 1
     workers = min(workers, len(tasks))
-    if workers <= 1 or not hasattr(os, "fork"):
+    if workers == 1:
         outcomes = list(map(_replication_task, tasks))
     else:
-        # loaded once here, so that the forked workers share the library
+        # loaded once here, so that the threads do not each build it
         _native.load()
-        outcomes = _run_forked(tasks, workers)
+        outcomes = _run_threaded(tasks, workers)
     n = config.replications
     return [
         _aggregate(config, q, beta, outcomes[i * n : (i + 1) * n])

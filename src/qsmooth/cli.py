@@ -40,6 +40,8 @@ def _config_error(err) -> int:
 
 def _cmd_run(args) -> int:
     try:
+        if args.workers is not None and args.workers < 1:
+            raise bench.ConfigError(f"--workers must be >= 1, got {args.workers}")
         config = bench.load_config(args.config)
         # opened before the grid, so that a path it cannot write fails
         # before any replication, and not truncated until the CSV is ready

@@ -28,12 +28,14 @@ _LOG_2PI = math.log(2.0 * math.pi)
 
 
 def _gammaln(x: float) -> float:
-    """scipy's log-gamma, imported on first use: only the analytic values
-    need it, and scipy would otherwise load with every import of qsmooth.
-    ``math.lgamma`` differs from it in the last bits."""
-    from scipy.special import gammaln
+    """scipy's log-gamma, imported on first use, when it takes this
+    function's place: only the analytic values need it, and scipy would
+    otherwise load with every import of qsmooth.  ``math.lgamma`` differs
+    from it in the last bits."""
+    global _gammaln
+    from scipy.special import gammaln as _gammaln
 
-    return gammaln(x)
+    return _gammaln(x)
 
 
 class QGaussianDomainError(ValueError):
@@ -107,8 +109,10 @@ def rho(eta: np.ndarray, q: float, dim: int) -> float:
     return float(1.0 - constants[2] * np.dot(eta, eta))
 
 
+@functools.lru_cache(maxsize=64)
 def log_normalizing_constant(q: float, dim: int) -> float:
-    """log K_{q,N}, the normalizer of the standard (beta = 1) density."""
+    """log K_{q,N}, the normalizer of the standard (beta = 1) density,
+    computed once per (q, dim)."""
     _check_q_domain(q, dim)
     n = dim
     if q == 1.0:

@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import csv
 import dataclasses
@@ -11,6 +12,7 @@ import re
 import signal
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -443,12 +445,13 @@ def test_grid_runs_and_is_deterministic_across_worker_counts():
         assert cell.mean_distance == pytest.approx(float(np.mean(cell.distances)))
 
 
-def test_the_pool_forks_no_more_workers_than_tasks():
-    # 8 workers asked for on 2 tasks fork 2
+def test_the_pool_starts_no_more_workers_than_tasks():
+    # 8 workers asked for on 2 tasks start 2 threads
     cfg = config_from_dict(small_config_dict(q_grid=[0.5], replications=2))
-    with mock.patch("os.fork", wraps=os.fork) as fork:
+    start = threading.Thread.start
+    with mock.patch.object(threading.Thread, "start", autospec=True, side_effect=start) as started:
         pooled = run_experiment(cfg, workers=8)
-    assert fork.call_count == 2
+    assert started.call_count == 2
     serial = run_experiment(cfg, workers=1)
     assert [cell.distances for cell in pooled] == [cell.distances for cell in serial]
     assert emit_csv(pooled, include_timing=False) == emit_csv(serial, include_timing=False)
@@ -512,17 +515,23 @@ class _UnpicklableError(Exception):
 @pytest.mark.parametrize(
     "bug, raised, message",
     [(LookupError, LookupError, "^rep 1$"),
-     (_UnpicklableError, RuntimeError, "^_UnpicklableError: rep 1$")],
+     (_UnpicklableError, _UnpicklableError, "^rep 1$")],
 )
 def test_a_bug_in_a_worker_is_raised_from_the_earliest_task(
     bug, raised, message, monkeypatch, reaped_workers
 ):
-    # task 1 runs on worker 1 of 2 and task 4 on worker 0: task 1's error
-    # is raised, as serially, though worker 0 finishes first
+    # task 1 fails only once task 2 has: task 1's error is raised, as
+    # serially, itself and with its own traceback, and no task starts
+    # after task 2's
+    started, failed = [], threading.Event()
+
     def buggy(config, cell_index, q, beta, rep):
-        if rep == 4:
-            raise ArithmeticError("rep 4")
+        started.append(rep)
+        if rep == 2:
+            failed.set()
+            raise ArithmeticError("rep 2")
         if rep == 1:
+            failed.wait(timeout=30)
             raise bug(f"rep {rep}")
         return run_replication(config, cell_index, q, beta, rep)
 
@@ -530,56 +539,104 @@ def test_a_bug_in_a_worker_is_raised_from_the_earliest_task(
     cfg = config_from_dict(FIVE_TASKS)
     with pytest.raises(raised, match=message) as caught:
         run_experiment(cfg, workers=2)
-    assert "in a replication worker" in str(caught.value.__cause__)
+    assert caught.traceback[-1].name == "buggy"
+    assert failed.is_set() and sorted(started) == [0, 1, 2]
 
 
-_DYING_WORKER = """
+def test_every_worker_has_a_replication_in_flight_at_once(monkeypatch):
+    # each replication waits at the barrier until the other worker's
+    # arrives; one after another, the first would time out
+    barrier = threading.Barrier(2, timeout=30)
+
+    def meeting(*args):
+        barrier.wait()
+        return run_replication(*args)
+
+    monkeypatch.setattr(bench, "run_replication", meeting)
+    cfg = config_from_dict(small_config_dict(q_grid=[0.5], replications=4))
+    (cell,) = run_experiment(cfg, workers=2)
+    assert cell.failures == 0 and not barrier.broken
+
+
+def test_threads_switching_often_run_every_task_once_into_its_slot(monkeypatch, reaped_workers):
+    # eight threads switching every microsecond: a task taken twice, or an
+    # outcome written to another slot, shows in the counts
+    runs = []
+
+    def counted(config, cell_index, q, beta, rep):
+        runs.append((cell_index, rep))
+        return mock.Mock(distance=cell_index + rep / 100, wall_time=0.0)
+
+    monkeypatch.setattr(bench, "run_replication", counted)
+    cfg = config_from_dict(small_config_dict(q_grid=[0.5, 0.8, 1.0, 1.1], replications=10))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        results = run_experiment(cfg, workers=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert collections.Counter(runs) == {(i, r): 1 for i in range(4) for r in range(10)}
+    assert [cell.distances for cell in results] == [
+        tuple(i + r / 100 for r in range(10)) for i in range(4)
+    ]
+
+
+_INTERRUPTED_GRID = """
 import os
 import signal
-import sys
+import threading
+import time
 
 from qsmooth import bench
 
 config = bench.config_from_dict({spec!r})
 real = bench.run_replication
+started = []
 
 
-def dying(config, cell_index, q, beta, rep):
+def interrupting(config, cell_index, q, beta, rep):
+    started.append(rep)
     if rep == 0:
-        {death}
+        os.kill(os.getpid(), signal.SIGINT)
+    time.sleep(0.2)  # long enough for the main thread to act first
     return real(config, cell_index, q, beta, rep)
 
 
-bench.run_replication = dying
-fds = len(os.listdir("/proc/self/fd"))
+bench.run_replication = interrupting
 try:
     bench.run_experiment(config, workers=2)
-except RuntimeError as err:
-    print(err)
-try:
-    os.waitpid(-1, os.WNOHANG)
-except ChildProcessError:
-    print("reaped")
-print(len(os.listdir("/proc/self/fd")) - fds)
+except KeyboardInterrupt:
+    print("interrupted")
+print(threading.active_count(), len(started) < {tasks})
 """
 
 
-@pytest.mark.parametrize(
-    "death, how",
-    [("os._exit(9)", "code 9"), ("os.kill(os.getpid(), signal.SIGKILL)", "signal 9 (Killed)")],
-)
-def test_a_worker_that_dies_fails_the_grid_without_hanging(death, how):
-    # in a new interpreter bounded in time, so that a hang fails the test;
-    # worker 0 dies at its first task, and worker 1 is still running then
-    code = _DYING_WORKER.format(spec=FIVE_TASKS, death=death)
-    out = _fresh_python("-c", code)
-    assert out == (
-        f"replication worker 0 exited with {how} before returning its outcomes\nreaped\n0\n"
-    )
+def test_an_interrupt_stops_the_grid_and_joins_every_thread():
+    # in a new interpreter bounded in time, so that a hang fails the test
+    spec = small_config_dict(q_grid=[0.5], replications=8)
+    out = _fresh_python("-c", _INTERRUPTED_GRID.format(spec=spec, tasks=8))
+    assert out == "interrupted\n1 True\n"
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_fewer_than_one_worker_is_refused_before_any_replication(
+    workers, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.setattr(bench, "run_replication", mock.Mock(side_effect=AssertionError))
+    cfg = config_from_dict(small_config_dict())
+    with pytest.raises(ValueError, match=f"^workers must be >= 1, got {workers}$"):
+        run_experiment(cfg, workers=workers)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(small_config_dict()))
+    assert main(["run", str(cfg_path), f"--workers={workers}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: --workers must be >= 1, got {workers}\n"
+    assert captured.out == ""
+    bench.run_replication.assert_not_called()
 
 
 def test_the_library_is_loaded_before_the_pool_starts(monkeypatch):
-    # the forked workers then share it instead of each loading it
+    # so that the threads do not each build and load it
     monkeypatch.setattr(bench._native, "load", functools.cache(bench._native.load.__wrapped__))
     run_experiment(config_from_dict(small_config_dict(q_grid=[0.5], replications=2)), workers=2)
     assert bench._native.load.cache_info().misses == 1
