@@ -61,14 +61,17 @@ typedef struct {
 
 /* RngStream.reserve(n) on the stream's generator: when fewer than n
  * uniforms remain unread, the unread tail moves to the front of own, then
- * come max(refill_size, n - tail) fresh uniforms, each made from one raw
- * draw as RngStream._fresh makes it, and the stream reads own from 0. */
+ * come max(refill_size, n - tail) fresh uniforms, or just n in a stream's
+ * first fill (no buffer yet) for a read of more than one, each made from
+ * one raw draw as RngStream._fresh makes it, and the stream reads own
+ * from 0. */
 static void reserve(stream_t *s, int64_t n)
 {
     const int64_t tail = s->u_len - s->u_pos;
     if (tail >= n)
         return;
-    const int64_t fresh = n - tail > s->refill_size ? n - tail : s->refill_size;
+    const int64_t least = s->u_len == 0 && n > 1 ? 0 : s->refill_size;
+    const int64_t fresh = n - tail > least ? n - tail : least;
     memmove(s->own, s->u + s->u_pos, (size_t)tail * sizeof(double));
     for (int64_t i = 0; i < fresh; i++)
         s->own[tail + i] = ((double)(s->next_uint64(s->bitgen) >> 11) + 0.5) * 0x1p-53;

@@ -132,6 +132,32 @@ except OSError:
     _ENUM = collections.defaultdict(int)
 
 
+def _blocks(floats: dict, ints: dict) -> tuple[dict, dict]:
+    """A zeroed array of each size in ``floats``, by name, as views of one
+    float64 block, and of each in ``ints`` as views of one int64 block; and
+    the address of each, by name, from its block's one ``.ctypes`` access
+    (about 2 µs each).  ``own``, where a loop refills a stream, goes last,
+    at its block's end, so that a refill running past it leaves the
+    block."""
+    arrays, addresses = {}, {}
+    for sizes, dtype in ((floats, np.float64), (ints, np.int64)):
+        if not sizes:
+            continue
+        block = np.zeros(sum(sizes.values()), dtype)
+        address, start = block.ctypes.data, 0
+        for name, size in sizes.items():
+            arrays[name] = block[start : start + size]
+            addresses[name] = address + 8 * start
+            start += size
+    return arrays, addresses
+
+
+def _own_size(longest: int) -> int:
+    """The room a stream's refill needs after an unread tail shorter than
+    ``longest``, the most one read reserves."""
+    return _BUFFER_SIZE + longest - 1
+
+
 class NativeKernel(_RECORDS["mg1_state"]):
     """The compiled event loop over one network, and its state: the C
     kernel's record ``mg1_state``, laid out as ``_mg1.c`` declares it.  It
@@ -142,30 +168,29 @@ class NativeKernel(_RECORDS["mg1_state"]):
     it, so reference counting alone frees it."""
 
     def __init__(self, lib, config, stream, next_arrival):
-        k = config.n_nodes
-        super().__init__(k=k, cap=_RING_SLOTS, full=-1)
-        self.arrays = {
-            "rates": np.array(config.arrival_rates),
-            "p_leave": np.array(config.p_leave),
-            "fac": np.zeros(k),
-            "serving": np.zeros(k),
-            "comp": np.full(k, math.inf),
-            "nxt": np.array(next_arrival, dtype=float),
-            "ring": np.empty((k, _RING_SLOTS)),
-            "head": np.zeros(k, dtype=np.int64),
-            "len": np.zeros(k, dtype=np.int64),
-            "costs": np.empty(128),
-            "target": config.theta_target,
-            "bounds": np.cumsum((0,) + config.dims, dtype=np.int64),
-            "inv_r": np.array([inv_r for _, inv_r in config._node_blocks]),
-            "diff": np.empty(config.total_dim),
-        }
-        for name, array in self.arrays.items():
-            self.bind(name, array)
-        self.factors = self.arrays["fac"]
+        k, dim = config.n_nodes, config.total_dim
+        arrays, addresses = _blocks(
+            {
+                **dict.fromkeys(("rates", "p_leave", "fac", "serving", "comp", "nxt", "inv_r"), k),
+                "ring": k * _RING_SLOTS, "costs": 128, "target": dim, "diff": dim,
+                "own": _own_size(3),  # one event draws at most 3
+            },
+            {"head": k, "len": k, "bounds": k + 1},
+        )
+        super().__init__(k=k, cap=_RING_SLOTS, full=-1, **addresses)
+        self.arrays = arrays
+        arrays["rates"][:] = config.arrival_rates
+        arrays["p_leave"][:] = config.p_leave
+        arrays["comp"][:] = math.inf
+        arrays["nxt"][:] = next_arrival
+        arrays["inv_r"][:] = [inv_r for _, inv_r in config._node_blocks]
+        arrays["ring"] = arrays["ring"].reshape(k, _RING_SLOTS)
+        arrays["target"][:] = config.theta_target
+        arrays["bounds"][1:] = [block.stop for block, _ in config._node_blocks]
+        self.factors = arrays["fac"]
         self._observe = lib.mg1_observe
         self.rng_stream = stream
-        _attach(self, stream, 3)  # one event draws at most 3
+        _attach(self, stream)
 
     def bind(self, name: str, array: np.ndarray) -> None:
         """Point field ``name`` at ``array``, and keep the array alive."""
@@ -212,26 +237,30 @@ def _refills_in_c(stream) -> bool:
     """Whether compiled code may read ``stream``, the one rule for it: an
     ``RngStream`` whose class keeps ``RngStream``'s ``_COMPILED_DRAWS`` and
     ``_COMPILED_REFILL``, and whose generator is a ``np.random.Philox``."""
-    return isinstance(stream, RngStream) and all(
-        getattr(type(stream), name) is getattr(RngStream, name)
+    kind = type(stream)
+    return (kind is RngStream or issubclass(kind, RngStream) and all(
+        getattr(kind, name) is getattr(RngStream, name)
         for name in _COMPILED_DRAWS + _COMPILED_REFILL
-    ) and type(getattr(stream, "_bitgen", None)) is np.random.Philox
+    )) and type(getattr(stream, "_bitgen", None)) is np.random.Philox
 
 
-def _attach(record, stream, longest: int) -> None:
+# numpy's bitgen_t, as far as sf_run and mg1_observe call it, behind the
+# capsule of every numpy bit generator
+class _BitGen(ctypes.Structure):
+    _fields_ = [("state", ctypes.c_void_p), ("next_uint64", ctypes.c_void_p)]
+
+
+def _attach(record, stream) -> None:
     """Bind ``record``'s ``stream_t`` to ``stream``'s generator, from which
-    the loop refills ``own`` with ``_BUFFER_SIZE`` uniforms after an unread
-    tail shorter than ``longest``, the most one read reserves.  Raises
+    the loop refills ``own`` (laid out by :func:`_blocks`), with at least
+    ``_BUFFER_SIZE`` uniforms after a stream's first fill.  Raises
     ValueError for a stream that :func:`_refills_in_c` refuses."""
     if not _refills_in_c(stream):
         raise ValueError("compiled code reads only a stream that _refills_in_c allows")
-    own = np.empty(_BUFFER_SIZE + longest - 1)
-    record.arrays.update(bitgen=stream._bitgen, own=own, u=None)  # no buffer bound yet
-    interface = stream._bitgen.ctypes
-    record.bitgen = interface.state_address
-    record.next_uint64 = ctypes.cast(interface.next_uint64, ctypes.c_void_p).value
+    record.arrays.update(bitgen=stream._bitgen, u=None)  # no buffer bound yet
+    bitgen = _BitGen.from_address(_CAPSULE_POINTER(stream._bitgen.capsule, b"BitGenerator"))
+    record.bitgen, record.next_uint64 = bitgen.state, bitgen.next_uint64
     record.refill_size = _BUFFER_SIZE
-    record.own = own.ctypes.data
 
 
 def _hand_in(record, stream) -> None:
@@ -252,7 +281,8 @@ def _hand_back(record, stream) -> None:
     ``own`` as its buffer, whose list it drops (a refill may be in place)."""
     if record.u == record.own:
         arrays = record.arrays
-        if arrays["u"].base is not arrays["own"] or arrays["u"].size != record.u_len:
+        # own and the buffer cut from it are views of one block
+        if arrays["u"].base is not arrays["own"].base or arrays["u"].size != record.u_len:
             arrays["u"] = arrays["own"][: record.u_len]
         stream._buf, stream._values = arrays["u"], None
     stream._pos = record.u_pos
@@ -287,27 +317,30 @@ class CompiledRun:
 
     def __init__(self, lib, sims, stream, theta, lower, upper, **constants):
         """``constants`` are the record's by field name."""
-        dim, L = constants["dim"], constants["L"]
-        self.theta = np.array(theta, dtype=float)
-        self.z = np.zeros(dim)
-        self._controls = np.empty((len(sims), dim))
+        dim, L, n_sims = constants["dim"], constants["L"], len(sims)
         pairs = (dim + 1) // 2  # the most Box-Muller pairs one draw takes
-        self._arrays = {
-            "theta": self.theta,
-            "z": self.z,
-            "lower": np.ascontiguousarray(lower, dtype=float),
-            "upper": np.ascontiguousarray(upper, dtype=float),
-            **{name: np.empty(dim) for name in ("z_next", "eta", "coeff", "diff")},
-            "controls": self._controls,
-            **{name: np.empty(pairs) for name in ("radius", "angle", "cosine", "sine")},
-        }
+        # the costs of the simulators the loop does not run are laid out
+        # too, though they are no field of the record
+        observed = [i for i, sim in enumerate(sims) if not isinstance(sim, NativeKernel)]
+        arrays, addresses = _blocks({
+            **dict.fromkeys(("theta", "z", "lower", "upper", "z_next", "eta", "coeff", "diff"), dim),
+            "controls": n_sims * dim,
+            **dict.fromkeys(("radius", "angle", "cosine", "sine"), pairs),
+            **{f"costs{i}": L for i in observed},
+            "own": _own_size(2 * pairs),
+        }, {})
+        costs = {i: addresses.pop(f"costs{i}") for i in observed}
         self._record = record = RunRecord(
-            n_sims=len(sims), ddot=lib.ddot, **constants,
+            n_sims=n_sims, ddot=lib.ddot, **constants,
             **{f"{name}_loop": ctypes.addressof(loop) for name, loop in lib.loops.items()},
-            **{name: array.ctypes.data for name, array in self._arrays.items()},
+            **addresses,
         )
-        record.arrays = self._arrays
-        _attach(record, stream, 2 * pairs)
+        record.arrays = self._arrays = arrays
+        self.theta, self.z = arrays["theta"], arrays["z"]
+        self.theta[:] = theta
+        arrays["lower"][:], arrays["upper"][:] = lower, upper
+        self._controls = arrays["controls"] = arrays["controls"].reshape(n_sims, dim)
+        _attach(record, stream)
         self._streams = [(record, stream)]  # every stream the loop reads, and its record
         self._sims = sims  # the kernels, and the targets the loop reads, kept alive
         self.costs = []
@@ -316,12 +349,13 @@ class CompiledRun:
                 sim.hold(L)
                 self.costs.append(sim.arrays["costs"][:L])
                 record.sims[i] = ctypes.addressof(sim)
+                record.costs[i] = sim.costs
                 self._streams.append((sim, sim.rng_stream))
             else:
-                self.costs.append(np.empty(L))
+                self.costs.append(arrays[f"costs{i}"])
+                record.costs[i] = costs[i]
                 if sim is not None:
                     record.targets[i] = sim.ctypes.data
-            record.costs[i] = self.costs[i].ctypes.data
         self._run = lib.sf_run
 
     @property

@@ -405,15 +405,24 @@ def _run_threaded(tasks: list, workers: int) -> list:
     return outcomes
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (its affinity, under ``taskset`` or a
+    cpuset), where the platform tells; otherwise every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_experiment(
     config: ExperimentConfig, workers: int | None = None
 ) -> list[CellResult]:
     """Run every (q, beta) cell; returns results in grid order.
 
     Replications are independent tasks.  With ``workers`` > 1 (by default
-    one per CPU), never more than there are tasks, they run on that many
-    threads of this process, each taking the next task in grid order (see
-    :func:`_run_threaded`); otherwise they run here, one after another.
+    one per CPU this process may run on), never more than there are tasks,
+    they run on that many threads of this process, each taking the next
+    task in grid order (see :func:`_run_threaded`); otherwise they run
+    here, one after another.
     Either way every number is the same.  A run that raises one of
     ``REPLICATION_ERRORS`` is recorded in its cell's failures and errors
     and does not abort the grid; any other exception is re-raised here,
@@ -421,7 +430,7 @@ def run_experiment(
     raises ValueError.
     """
     if workers is None:
-        workers = os.cpu_count() or 1
+        workers = _usable_cpus()
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     cells = config.cells()

@@ -117,7 +117,7 @@ class BoxConstraint:
 
     def contains(self, x: np.ndarray) -> bool:
         x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= self.lower) and np.all(x <= self.upper))
+        return bool(((x >= self.lower) & (x <= self.upper)).all())
 
     @classmethod
     def cube(cls, lower: float, upper: float, dim: int) -> "BoxConstraint":
@@ -190,7 +190,7 @@ _QUADRATIC_STEP, _QUADRATIC_OBSERVE = QuadraticCostSimulator.step, QuadraticCost
 
 
 def _check_run_args(kernel, box, theta0, M, L):
-    theta0 = np.asarray(theta0, dtype=float).copy()
+    theta0 = np.array(theta0, dtype=float)
     if kernel.dim != box.dim or theta0.shape != (box.dim,):
         raise ValueError(
             f"dimension mismatch: kernel {kernel.dim}, box {box.dim}, theta0 {theta0.shape}"
@@ -339,7 +339,8 @@ def _run_loop(
                 raise DivergenceError(run.n, run.z.copy(), seed_info)
             else:
                 _term_weight(kernel, run.rho, numer)  # raises InvalidRhoError
-        theta, z = run.theta, run.z
+        # copies, which do not keep the run's arrays alive
+        theta, z = run.theta.copy(), run.z.copy()
     else:
         for n in range(M):
             # the listing starts at n = 0 but 1/n is undefined there; the

@@ -114,7 +114,7 @@ class QueueNetworkConfig:
 
     def __reduce__(self):
         # through the constructor, so that a copy or an unpickled network
-        # (a pool worker's) keeps its own read-only target
+        # (a spawned process's) keeps its own read-only target
         return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
     @property
@@ -182,7 +182,7 @@ class PythonKernel:
         # mutated in place); not the kernel itself, which would make it a
         # cycle that only the cyclic collector frees
         self._bound = (self.queues, self.serving_entry, self.completion_time, self.next_arrival,
-                       config.arrival_rates, config.p_leave, k, stream.uniform01, self.factors)
+                       config.arrival_rates, config.p_leave, k, stream, self.factors)
 
     def run(self, L: int) -> list[float]:
         """Run the event loop through the next ``L`` service completions
@@ -194,8 +194,13 @@ class PythonKernel:
         completion draws a routing uniform only at nodes with p_leave > 0,
         then service times for the destination (if it starts service) and
         for the completing node's next customer (if any), in that order.
+        Before each event, the stream refills when fewer than 3 uniforms
+        (the most one event draws) remain, as the compiled loop does, so
+        both leave the stream with the same buffer and generator.
         """
-        queues, serving, comp, nxt, rates, p_leave, k, u01, fac = self._bound
+        queues, serving, comp, nxt, rates, p_leave, k, stream, fac = self._bound
+        u01 = stream.uniform01
+        reserve = stream.reserve
         log = math.log
         inf = math.inf
         n_present = self.n_present
@@ -207,6 +212,8 @@ class PythonKernel:
 
         for _ in range(L):
             while True:  # arrivals, up to the next service completion
+                if stream._buf.size - stream._pos < 3:
+                    reserve(3)
                 t_min = inf
                 node = -1
                 is_completion = False

@@ -17,6 +17,7 @@ splitmix64 finalizer (see :func:`derive_stream_id`).
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -42,6 +43,13 @@ def _fnv1a64(data: bytes) -> int:
     return h
 
 
+@functools.lru_cache(maxsize=64)
+def _tag_hash(tag: str) -> int:
+    """A string part's 64-bit value: a stream's few tags recur in every
+    replication, so each is hashed once."""
+    return _fnv1a64(tag.encode("utf-8"))
+
+
 def derive_stream_id(*parts: int | str) -> int:
     """Fold ints and string tags into a 64-bit stream id.
 
@@ -54,18 +62,48 @@ def derive_stream_id(*parts: int | str) -> int:
     acc = 0x9E3779B97F4A7C15
     for part in parts:
         if isinstance(part, str):
-            x = _fnv1a64(part.encode("utf-8"))
+            x = _tag_hash(part)
         else:
             x = int(part) & _U64
         acc = _splitmix64(acc ^ x)
     return acc
 
 
+class _Key:
+    """A Philox key handed to ``np.random.Philox`` as its seed sequence,
+    which gives the generator of ``Philox(key=...)`` bit for bit without the
+    OS entropy that a keyed Philox draws for a seed sequence it never uses
+    (5 to 10 µs)."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, *words: int):
+        self.words = np.array(words, dtype=np.uint64)
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != self.words.size or np.dtype(dtype) != self.words.dtype:
+            raise ValueError(f"a key of {self.words.size} uint64 words, not {n_words} {dtype}")
+        return self.words
+
+
+@functools.cache
+def _philox():
+    """``np.random.Philox``, once ``_Key`` is registered as a seed sequence
+    for it: on first use, so that importing qsmooth imports no
+    ``numpy.random``."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    ISeedSequence.register(_Key)
+    return np.random.Philox
+
+
 class RngStream:
     """One independently seeded random stream.
 
     A stream owns its state and must not be drawn from concurrently; it is
-    cheap to construct, so give every replication/component its own.
+    cheap to construct (about 5 µs on a 2-core host, and its first draw of
+    a few uniforms about 5 µs more), so give every replication/component
+    its own.
     Identical ``(seed, stream_id)`` and an identical call pattern replay an
     identical variate sequence.  ``uniform01`` and ``standard_normal``
     additionally produce the *same* sequence whether drawn one at a time or
@@ -79,8 +117,7 @@ class RngStream:
     def __init__(self, seed: int, stream_id: int = 0):
         self.seed = seed & _U64
         self.stream_id = stream_id & _U64
-        key = np.array([self.seed, self.stream_id], dtype=np.uint64)
-        self._bitgen = np.random.Philox(key=key)
+        self._bitgen = _philox()(_Key(self.seed, self.stream_id))
         self._buf = np.empty(0)
         # the buffer as Python floats, built by the first scalar draw after
         # a refill: indexing a list is cheaper than float(self._buf[i])
@@ -101,12 +138,17 @@ class RngStream:
         """The buffer and read position, with at least ``n`` unread uniforms
         from there on, for a caller that reads them in place and then moves
         ``_pos`` past them.  A refill keeps the unread tail at the front of
-        the new buffer, so the values keep their order."""
-        pos = self._pos
-        tail = self._buf.size - pos
+        the new buffer, so the values keep their order, and appends
+        max(_BUFFER_SIZE, n - tail) fresh uniforms, except in a stream's
+        first fill for a read of more than one (a simulator's first
+        arrivals, say), which brings just those n.  The C ``reserve`` in
+        ``_mg1.c`` keeps the same rule."""
+        buf, pos = self._buf, self._pos
+        tail = buf.size - pos
         if tail < n:
-            fresh = self._fresh(max(_BUFFER_SIZE, n - tail))
-            self._buf = np.concatenate((self._buf[pos:], fresh))
+            least = 0 if buf.size == 0 and n > 1 else _BUFFER_SIZE
+            fresh = self._fresh(max(least, n - tail))
+            self._buf = fresh if tail == 0 else np.concatenate((buf[pos:], fresh))
             self._values = None
             self._pos = pos = 0
         return self._buf, pos
@@ -124,7 +166,7 @@ class RngStream:
         out = np.empty(size)
         filled = 0
         while filled < size:
-            buf, pos = self.reserve(1)
+            buf, pos = self.reserve(min(size - filled, _BUFFER_SIZE))
             take = min(size - filled, buf.size - pos)
             out[filled : filled + take] = buf[pos : pos + take]
             self._pos = pos + take

@@ -1,8 +1,10 @@
 """The C loops' scenarios that ``test_the_c_loops_are_clean_under_asan_and_ubsan``
 runs in a child process: the refills of a kernel's stream and of the
-perturbation stream (a 9001-d draw included), a cached normal carried across
-calls, ring growth, a compiled quadratic, the handoff of each kind of
-simulator that the loop does not run itself, and every stop of ``sf_run``.
+perturbation stream (a 9001-d draw included), fresh streams' first fills,
+a cached normal carried across calls, ring growth, rings and costs that
+outgrow the blocks they were laid out in, a compiled quadratic, the handoff
+of each kind of simulator that the loop does not run itself, and every stop
+of ``sf_run``.
 Prints one digest of every number they give, of every error they raise and
 of where every stream ends.
 
@@ -59,14 +61,13 @@ class FreshOverriding(RngStream):
 
 
 def _shorten_own():
-    attach = _native._attach
+    # own comes last in its record's block, so the block ends one slot short
+    blocks = _native._blocks
 
-    def short(record, stream, longest):
-        attach(record, stream, longest)
-        own = record.arrays["own"] = np.empty(record.arrays["own"].size - 1)
-        record.own = own.ctypes.data
+    def short(floats, ints):
+        return blocks({**floats, "own": floats["own"] - 1}, ints)
 
-    _native._attach = short
+    _native._blocks = short
 
 
 def _stream_end(stream):
@@ -110,6 +111,46 @@ def _perturbation_refills(digest):
             stream, record_every=record_every,
         )
         _run_result(digest, result, [stream])
+
+
+def _fresh_stream_refills(digest):
+    # a fresh perturbation stream's first fill, made in C, brings just the
+    # uniforms of its first draw, and every later one a whole buffer; a
+    # fresh kernel stream's first fill, made in Python, holds its first
+    # arrivals, and the loop refills from the end of it
+    for dim, q in ((3, 0.5), (20, 1.0), (4, 1.2)):
+        stream = RngStream(12, dim)
+        result = run_gqsf1(
+            QuadraticCostSimulator(np.full(dim, 0.3)), QKernel(q, 0.01, dim),
+            BoxConstraint.cube(0.1, 0.6, dim), StepSchedule(0.75), 700, 1, np.full(dim, 0.35),
+            stream,
+        )
+        _run_result(digest, result, [stream])
+    loaded = preset("mg1-20d")
+    stream = RngStream(12, 0)
+    sim = QueueSimulator(loaded.network, stream)
+    assert stream._buf.size == 4 and sim.kernel == "c"
+    for _ in range(200):
+        digest.update(np.array(sim.observe(loaded.theta0, 50)).tobytes())
+    assert sim.state.refills >= 3
+    digest.update(repr(_stream_end(stream)).encode())
+
+
+def _arrays_outgrowing_their_blocks(digest):
+    # a kernel's first ring and first costs are views of its record's
+    # blocks; a heavy load and L > 128 rebind both to arrays of their own,
+    # which the loop then fills, across refills
+    network = QueueNetworkConfig(
+        arrival_rates=(3.0, 1.0, 0.0), p_leave=(0.2, 0.5, 0.3), service_constants=(1.0,) * 3,
+        dims=(1, 2, 1), theta_target=np.full(4, 0.3),
+    )
+    stream = RngStream(13, 0)
+    sim = QueueSimulator(network, stream)
+    for L in (100, 500, 1000):
+        digest.update(np.array(sim.observe(np.full(4, 0.4), L)).tobytes())
+    state = sim.state
+    assert state.cap > 16 and state.arrays["costs"].size >= 1000 and state.refills >= 1
+    digest.update(repr(_stream_end(stream)).encode())
 
 
 def _ring_growth_and_handoffs(digest):
@@ -195,6 +236,8 @@ def main(argv):
     _kernel_refills(digest)
     if not short:
         _perturbation_refills(digest)
+        _fresh_stream_refills(digest)
+        _arrays_outgrowing_their_blocks(digest)
         _ring_growth_and_handoffs(digest)
         _each_stop_and_handoff(digest)
         run = _native.CompiledRun

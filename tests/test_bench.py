@@ -457,6 +457,25 @@ def test_the_pool_starts_no_more_workers_than_tasks():
     assert emit_csv(pooled, include_timing=False) == emit_csv(serial, include_timing=False)
 
 
+@pytest.mark.parametrize("affinity", [True, False], ids=["affinity", "no-affinity-call"])
+def test_the_default_worker_count_is_the_cpus_this_process_may_run_on(affinity, monkeypatch):
+    # a process pinned to one CPU (taskset, a cpuset) runs a 4-task grid
+    # serially, starting no thread, though the host has more CPUs; where
+    # the platform has no affinity call, every CPU counts
+    cfg = config_from_dict(small_config_dict(replications=2))
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    if affinity:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    else:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    start = threading.Thread.start
+    with mock.patch.object(threading.Thread, "start", autospec=True, side_effect=start) as started:
+        default = run_experiment(cfg)
+    assert started.call_count == (0 if affinity else 4)
+    serial = run_experiment(cfg, workers=1)
+    assert emit_csv(default, include_timing=False) == emit_csv(serial, include_timing=False)
+
+
 def _open_fds() -> int:
     return len(os.listdir("/proc/self/fd"))
 
@@ -656,7 +675,7 @@ def _fresh_python(*argv) -> str:
 def test_serial_runs_load_neither_scipy_nor_the_process_pool():
     # each costs start-up time and memory in every process that imports
     # qsmooth; only the analytic values need scipy, and not even a grid
-    # over forked workers needs concurrent.futures or multiprocessing
+    # over threads needs concurrent.futures or multiprocessing
     spec = small_config_dict(q_grid=[0.8], replications=2)
     pools = "{'concurrent.futures', 'multiprocessing'}"
     code = (
@@ -851,6 +870,41 @@ def test_emit_table_layout():
 
 
 # -- CLI -------------------------------------------------------------------------
+
+def test_cli_main_builds_one_parser_per_process(tmp_path):
+    # in a fresh interpreter: importing the CLI builds no parser, and four
+    # calls of main build one; a --gamma or --L given to one call does not
+    # leak into the next, whose config takes the defaults, and the same run
+    # twice prints the same CSV
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(small_config_dict(M=30, replications=1)))
+    outputs = [tmp_path / "first.csv", tmp_path / "second.csv"]
+    code = (
+        "import argparse, json\n"
+        "parsers = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counted(self, *args, **kwargs):\n"
+        "    parsers.append(kwargs.get('prog'))\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counted\n"
+        "from qsmooth import bench, cli\n"
+        "assert parsers == [], parsers\n"
+        "builds, configs = [], []\n"
+        "build, from_dict = cli.build_parser, bench.config_from_dict\n"
+        "cli.build_parser = lambda: builds.append(1) or build()\n"
+        "bench.config_from_dict = lambda data: configs.append(from_dict(data)) or configs[-1]\n"
+        "codes = [cli.main(['single', '--M', '20', '--L', '7', '--gamma', '0.6']),\n"
+        "         cli.main(['single', '--M', '20'])]\n"
+        f"for path in {[str(p) for p in outputs]!r}:\n"
+        f"    codes.append(cli.main(['run', {str(cfg_path)!r}, '-o', path, '--no-timing']))\n"
+        "print(json.dumps([codes, len(builds), [[c.gamma, c.L] for c in configs]]))\n"
+    )
+    codes, builds, settings = json.loads(_fresh_python("-c", code).splitlines()[-1])
+    assert codes == [0, 0, 0, 0] and builds == 1
+    defaults = {f.name: f.default for f in dataclasses.fields(bench.ExperimentConfig)}
+    assert settings[:2] == [[0.6, 7], [defaults["gamma"], defaults["L"]]]
+    assert outputs[0].read_bytes() == outputs[1].read_bytes()
+
 
 def test_cli_run_roundtrip(tmp_path):
     cfg_path = tmp_path / "exp.json"

@@ -182,6 +182,139 @@ def test_the_loop_refills_as_the_stream_would(network, data):
         assert _queue_counters(sims[0]) == _queue_counters(sims[1])
 
 
+class FillRecordingStream(RngStream):
+    """A stream that records the size of each fill, through an override of
+    ``_fresh``: compiled code may not read it, so its simulators run the
+    Python kernel, and a run on it the Python loop."""
+
+    __slots__ = ("fills",)
+
+    def __init__(self, seed, stream_id=0):
+        super().__init__(seed, stream_id)
+        self.fills = []
+
+    def _fresh(self, count):
+        self.fills.append(count)
+        return super()._fresh(count)
+
+
+def _generator(stream):
+    """The stream's generator state, to the bit."""
+    return repr(stream._bitgen.state)
+
+
+# a fresh stream's first read: none (a simulator's first arrivals are then
+# its first read), scalar draws, or one array draw, which crosses the first
+# fill and whole buffers after it
+FIRST_READS = (
+    st.tuples(st.just("none"), st.just(0))
+    | st.tuples(st.just("scalar"), st.integers(1, 4))
+    | st.tuples(st.just("array"), st.integers(1, 4200))
+)
+
+
+def _read(stream, kind, n):
+    """The uniforms of one step that draws from ``stream`` itself."""
+    if kind == "scalar":
+        return [stream.uniform01() for _ in range(n)]
+    if kind == "array":
+        return stream.uniform01(n).tobytes()
+    return None
+
+
+def _first_fill(kind: str, n: int) -> int:
+    """The size of a fresh stream's first fill, for a first read of ``n``
+    uniforms of that kind: just those when they are more than one and the
+    read takes them at once, else a buffer."""
+    return min(n, 4096) if kind != "scalar" and n > 1 else 4096
+
+
+@needs_gcc
+@DETERMINISTIC
+@given(network=networks(), data=st.data())
+def test_both_kernels_fill_a_fresh_stream_alike(network, data):
+    # From a fresh stream, across its first fill and the whole buffers after
+    # it: the C kernel and the Python kernel refill before the same events,
+    # so after every step their streams have the same uniforms to come and
+    # the same generator, and every fill follows the rule
+    seed = data.draw(st.integers(0, 2**32), label="seed")
+    streams = [RngStream(seed, 6), FillRecordingStream(seed, 6)]
+    kind, n = data.draw(FIRST_READS, label="first read")
+    assert _read(streams[0], kind, n) == _read(streams[1], kind, n)
+    sims = [QueueSimulator(network, stream) for stream in streams]
+    assert [sim.kernel for sim in sims] == ["c", "python"]
+    if kind == "none":  # the first arrivals, one array draw
+        kind, n = "array", sum(rate > 0.0 for rate in network.arrival_rates)
+    control = np.array(data.draw(
+        st.lists(st.floats(0.0, 1.0), min_size=network.total_dim, max_size=network.total_dim),
+        label="control",
+    ))
+    # besides REFILL_STEPS: draw all but the last 0 to 3 uniforms of the
+    # buffer, then observe a few costs, so that the C kernel refills with
+    # each unread tail and the call may end before the tail is read
+    steps = REFILL_STEPS | st.tuples(st.just("to the end but"), st.integers(0, 3))
+    for step, size in data.draw(st.lists(steps, min_size=1, max_size=10), label="steps"):
+        if step == "observe":
+            got = [np.array(sim.observe(control, size)).tobytes() for sim in sims]
+        elif step == "to the end but":
+            unread = streams[0]._buf.size - streams[0]._pos
+            got = [_read(stream, "array", max(0, unread - size)) for stream in streams]
+            got += [np.array(sim.observe(control, 2)).tobytes() for sim in sims]
+            assert got[2] == got[3]
+        else:
+            got = [_read(stream, step, size) for stream in streams]
+        assert got[0] == got[1]
+        assert _to_come(streams[0]) == _to_come(streams[1])
+        assert _generator(streams[0]) == _generator(streams[1])
+        assert _queue_counters(sims[0]) == _queue_counters(sims[1])
+    fills = streams[1].fills
+    assert fills == [_first_fill(kind, n)] + [4096] * (len(fills) - 1)
+
+
+@needs_gcc
+@DETERMINISTIC
+@given(data=st.data())
+def test_the_outer_loop_fills_a_fresh_perturbation_stream_as_the_python_loop(data):
+    # sf_run's perturbation stream against the Python loop's, at q < 1, q = 1
+    # and q > 1, from a fresh stream, across its first fill (the first
+    # draw's uniforms, when sf_run makes it) and the whole buffers after it,
+    # with draws of the caller's between the runs: the same iterates, the
+    # same uniforms to come and the same generator after every step
+    q = data.draw(st.sampled_from([0.7, 1.0, 1.3]), label="q")
+    dim = data.draw(st.integers(1, 6), label="dim")
+    seed = data.draw(st.integers(0, 2**32), label="seed")
+    streams = [RngStream(seed, 7), FillRecordingStream(seed, 7)]
+    assert _native._refills_in_c(streams[0]) and not _native._refills_in_c(streams[1])
+    first = data.draw(FIRST_READS, label="first read")
+    assert _read(streams[0], *first) == _read(streams[1], *first)
+    steps = st.tuples(st.just("run"), st.integers(1, 300)) | REFILL_STEPS.filter(
+        lambda step: step[0] != "observe"
+    )
+    for step, size in data.draw(st.lists(steps, min_size=1, max_size=5), label="steps"):
+        if first[0] == "none":  # this step reads first
+            # a run's first draw, of whole Box-Muller pairs
+            first = ("array", 2 * ((dim + 1) // 2)) if step == "run" else (step, size)
+        if step == "run":
+            got = [
+                (result.theta_final.tobytes(), result.z.tobytes())
+                for result in (
+                    run_gqsf1(
+                        QuadraticCostSimulator(np.full(dim, 0.3)), QKernel(q, 0.01, dim),
+                        BoxConstraint.cube(0.1, 0.6, dim), StepSchedule(0.75), size, 1,
+                        np.full(dim, 0.35), stream,
+                    )
+                    for stream in streams
+                )
+            ]
+        else:
+            got = [_read(stream, step, size) for stream in streams]
+        assert got[0] == got[1]
+        assert _to_come(streams[0]) == _to_come(streams[1])
+        assert _generator(streams[0]) == _generator(streams[1])
+    fills = streams[1].fills
+    assert fills[:1] == [_first_fill(*first)] and set(fills[1:]) <= {4096}
+
+
 @needs_gcc
 def test_the_loop_refills_at_every_tail_many_times():
     # A call of 50 observations refills at most once, and leaves the stream

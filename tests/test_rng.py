@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import stats
 
 import qsmooth
@@ -35,6 +37,24 @@ def test_uniform01_scalar_array_same_sequence():
     s2 = RngStream(5, 5)
     singles = np.array([s1.uniform01() for _ in range(4100)])  # spans a refill
     np.testing.assert_array_equal(singles, s2.uniform01(4100))
+
+
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    stream_id=st.integers(0, 2**64 - 1),
+    draws=st.lists(st.none() | st.integers(0, 5000), min_size=1, max_size=8),
+)
+def test_a_fresh_stream_reads_its_generator_in_order(seed, stream_id, draws):
+    # whatever the split of the first n uniforms into scalar (None) and
+    # array draws, across a small first fill and whole buffers: the
+    # generator's first n raw draws, each made a uniform on (0, 1)
+    stream = RngStream(seed, stream_id)
+    got = np.concatenate(
+        [[stream.uniform01()] if n is None else stream.uniform01(n) for n in draws]
+    )
+    key = np.array([seed, stream_id], dtype=np.uint64)
+    raw = np.random.Philox(key=key).random_raw(got.size)
+    assert got.tobytes() == (((raw >> np.uint64(11)) + 0.5) * 2.0**-53).tobytes()
 
 
 class _CopyingStream(RngStream):
