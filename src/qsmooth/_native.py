@@ -325,9 +325,10 @@ class CompiledRun:
         arrays, addresses = _blocks({
             **dict.fromkeys(("theta", "z", "lower", "upper", "z_next", "eta", "coeff", "diff"), dim),
             "controls": n_sims * dim,
+            "uniforms": 2 * pairs,
             **dict.fromkeys(("radius", "angle", "cosine", "sine"), pairs),
             **{f"costs{i}": L for i in observed},
-            "own": _own_size(2 * pairs),
+            "own": _own_size(min(2 * pairs, _BUFFER_SIZE)),  # a draw reserves no more
         }, {})
         costs = {i: addresses.pop(f"costs{i}") for i in observed}
         self._record = record = RunRecord(

@@ -12,12 +12,16 @@ Stream derivation rule (fixed, documented so results are reproducible):
 
 where integer parts enter modulo 2**64, string parts enter as their
 64-bit FNV-1a hash, and the parts are folded left-to-right with a
-splitmix64 finalizer (see :func:`derive_stream_id`).
+splitmix64 finalizer (see :func:`derive_stream_id`).  A stream's generator
+is then ``np.random.Philox(key=np.array([seed, stream_id], np.uint64))``,
+numpy's keyed form, with the key as two uint64 words (a list of Python
+ints would pass through float64 wherever one word is 2**63 or more and
+another is not).  ``numpy.random`` is imported when the first stream is
+made, not when qsmooth is.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -43,13 +47,6 @@ def _fnv1a64(data: bytes) -> int:
     return h
 
 
-@functools.lru_cache(maxsize=64)
-def _tag_hash(tag: str) -> int:
-    """A string part's 64-bit value: a stream's few tags recur in every
-    replication, so each is hashed once."""
-    return _fnv1a64(tag.encode("utf-8"))
-
-
 def derive_stream_id(*parts: int | str) -> int:
     """Fold ints and string tags into a 64-bit stream id.
 
@@ -62,48 +59,21 @@ def derive_stream_id(*parts: int | str) -> int:
     acc = 0x9E3779B97F4A7C15
     for part in parts:
         if isinstance(part, str):
-            x = _tag_hash(part)
+            x = _fnv1a64(part.encode("utf-8"))
         else:
             x = int(part) & _U64
         acc = _splitmix64(acc ^ x)
     return acc
 
 
-class _Key:
-    """A Philox key handed to ``np.random.Philox`` as its seed sequence,
-    which gives the generator of ``Philox(key=...)`` bit for bit without the
-    OS entropy that a keyed Philox draws for a seed sequence it never uses
-    (5 to 10 µs)."""
-
-    __slots__ = ("words",)
-
-    def __init__(self, *words: int):
-        self.words = np.array(words, dtype=np.uint64)
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != self.words.size or np.dtype(dtype) != self.words.dtype:
-            raise ValueError(f"a key of {self.words.size} uint64 words, not {n_words} {dtype}")
-        return self.words
-
-
-@functools.cache
-def _philox():
-    """``np.random.Philox``, once ``_Key`` is registered as a seed sequence
-    for it: on first use, so that importing qsmooth imports no
-    ``numpy.random``."""
-    from numpy.random.bit_generator import ISeedSequence
-
-    ISeedSequence.register(_Key)
-    return np.random.Philox
-
-
 class RngStream:
     """One independently seeded random stream.
 
     A stream owns its state and must not be drawn from concurrently; it is
-    cheap to construct (about 5 µs on a 2-core host, and its first draw of
-    a few uniforms about 5 µs more), so give every replication/component
-    its own.
+    cheap to construct (about 10 µs on a 2-core host, half of it the OS
+    entropy numpy draws for a keyed Philox's unused seed sequence, and its
+    first draw of a few uniforms about 5 µs more), so give every
+    replication/component its own.
     Identical ``(seed, stream_id)`` and an identical call pattern replay an
     identical variate sequence.  ``uniform01`` and ``standard_normal``
     additionally produce the *same* sequence whether drawn one at a time or
@@ -117,7 +87,7 @@ class RngStream:
     def __init__(self, seed: int, stream_id: int = 0):
         self.seed = seed & _U64
         self.stream_id = stream_id & _U64
-        self._bitgen = _philox()(_Key(self.seed, self.stream_id))
+        self._bitgen = np.random.Philox(key=np.array([self.seed, self.stream_id], np.uint64))
         self._buf = np.empty(0)
         # the buffer as Python floats, built by the first scalar draw after
         # a refill: indexing a list is cheaper than float(self._buf[i])

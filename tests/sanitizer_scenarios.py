@@ -1,10 +1,10 @@
 """The C loops' scenarios that ``test_the_c_loops_are_clean_under_asan_and_ubsan``
 runs in a child process: the refills of a kernel's stream and of the
-perturbation stream (a 9001-d draw included), fresh streams' first fills,
-a cached normal carried across calls, ring growth, rings and costs that
-outgrow the blocks they were laid out in, a compiled quadratic, the handoff
-of each kind of simulator that the loop does not run itself, and every stop
-of ``sf_run``.
+perturbation stream (9001-d and 4097-d draws included), fresh streams'
+first fills, a cached normal carried across calls, ring growth, rings and
+costs that outgrow the blocks they were laid out in, a compiled quadratic,
+the handoff of each kind of simulator that the loop does not run itself,
+and every stop of ``sf_run``.
 Prints one digest of every number they give, of every error they raise and
 of where every stream ends.
 
@@ -100,11 +100,17 @@ def _run_result(digest, result, streams):
 
 
 def _perturbation_refills(digest):
-    # a 9001-d draw needs more uniforms than a refill brings; the 20-d and
-    # 3-d runs cross many refills, the 3-d one, resumed at every iteration,
-    # with a cached normal carried from one call to the next
-    for dim, q, M, record_every in ((9001, 1.0, 3, 0), (20, 0.8, 600, 0), (3, 0.5, 3000, 1)):
+    # a 9001-d draw, from a fresh stream, and a 4097-d one, from a stream
+    # 4000 uniforms into its buffer, need more uniforms than a refill
+    # brings, and read them a refill at a time; the 20-d and 3-d runs cross
+    # many refills, the 3-d one, resumed at every iteration, with a cached
+    # normal carried from one call to the next
+    for dim, q, M, record_every, skip in (
+        (9001, 1.0, 3, 0, 0), (4097, 1.0002, 3, 1, 4000),
+        (20, 0.8, 600, 0, 0), (3, 0.5, 3000, 1, 0),
+    ):
         stream = RngStream(8, dim)
+        stream.uniform01(skip)
         result = run_gqsf1(
             QuadraticCostSimulator(np.full(dim, 0.3)), QKernel(q, 0.01, dim),
             BoxConstraint.cube(0.1, 0.6, dim), StepSchedule(0.75), M, 1, np.full(dim, 0.35),

@@ -693,6 +693,24 @@ def test_serial_runs_load_neither_scipy_nor_the_process_pool():
     assert out[-3:] == ["[]", "[]", repr(analytic_moment(MomentSpec(1, (2, 0)), 0.8, 2))]
 
 
+def test_numpy_random_is_imported_by_the_first_stream_only(tmp_path):
+    # importing it costs 10-20 ms, which every process pays at set-up;
+    # imports, a config loaded from a file and stream ids need none of it
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(small_config_dict(q_grid=[0.8], replications=2)))
+    code = (
+        "import sys\n"
+        "import qsmooth.cli\n"
+        "from qsmooth import bench, rng\n"
+        f"config = bench.load_config({str(path)!r})\n"
+        "rng.derive_stream_id(config.base_seed, 0, 1, 'perturbation')\n"
+        "print('numpy.random' in sys.modules)\n"
+        "rng.RngStream(config.base_seed, 1)\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    assert _fresh_python("-c", code).splitlines() == ["False", "True"]
+
+
 _SPAWNED_REPLICATION = """
 import json
 import multiprocessing

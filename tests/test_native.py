@@ -156,9 +156,8 @@ REFILL_STEPS = (
 def test_the_loop_refills_as_the_stream_would(network, data):
     # Against the Python kernel, which a stream whose class overrides
     # _fresh gets: the same costs, and each stream with the same uniforms
-    # to come, after every step.  The C loop refills when fewer than 3
-    # remain, the Python kernel at its next draw, so their buffers may end
-    # apart for a while
+    # to come, after every step.  Both kernels refill before an event when
+    # fewer than 3 remain, so they refill before the same events
     seed = data.draw(st.integers(0, 2**32), label="seed")
     skip = data.draw(st.integers(0, 4095), label="uniforms drawn before")
     streams = [RngStream(seed, 5), RefillCountingStream(seed, 5)]
@@ -279,9 +278,13 @@ def test_the_outer_loop_fills_a_fresh_perturbation_stream_as_the_python_loop(dat
     # and q > 1, from a fresh stream, across its first fill (the first
     # draw's uniforms, when sf_run makes it) and the whole buffers after it,
     # with draws of the caller's between the runs: the same iterates, the
-    # same uniforms to come and the same generator after every step
+    # same uniforms to come and the same generator after every step.  A
+    # 4097-d draw takes more uniforms than one refill brings, and reads them
+    # a refill at a time, as RngStream.uniform01(n) does
     q = data.draw(st.sampled_from([0.7, 1.0, 1.3]), label="q")
-    dim = data.draw(st.integers(1, 6), label="dim")
+    dim = data.draw(st.integers(1, 6) | st.just(4097), label="dim")
+    if q > 1.0 and dim > 6:
+        q = 1.0 + 1.0 / dim  # q > 1 must stay below 1 + 2/dim
     seed = data.draw(st.integers(0, 2**32), label="seed")
     streams = [RngStream(seed, 7), FillRecordingStream(seed, 7)]
     assert _native._refills_in_c(streams[0]) and not _native._refills_in_c(streams[1])
@@ -1188,7 +1191,8 @@ def test_box_muller_tables_give_standard_normal_draws(size):
 @needs_gcc
 def test_a_draw_longer_than_a_refill_takes_all_it_needs():
     # a 9001-d draw reads more uniforms than one refill of 4096 brings: the
-    # loop appends them all at once, as RngStream.reserve(n) does
+    # loop reads them a refill at a time, as RngStream.uniform01(n) does, so
+    # the stream ends with the same buffer and generator
     dim, runs = 9001, []
     for on_python in (False, True):
         hidden = mock.patch.object(_native, "load", return_value=None)
@@ -1203,7 +1207,7 @@ def test_a_draw_longer_than_a_refill_takes_all_it_needs():
             )
         assert compiled.call_count == (0 if on_python else 1)
         runs.append((result.z.tobytes(), [point.theta.tobytes() for point in result.trajectory],
-                     _end_state(stream)))
+                     _end_state(stream), _generator(stream)))
     assert runs[0] == runs[1]
 
 
@@ -1334,7 +1338,7 @@ def test_the_records_are_laid_out_as_the_c_compiler_lays_them_out(tmp_path):
         name, *numbers = line.split()
         got[name] = tuple(map(int, numbers)) if len(numbers) > 1 else int(numbers[0])
     assert got == want
-    assert [len(record._fields_) for record in records.values()] == [10, 3, 25, 42]
+    assert [len(record._fields_) for record in records.values()] == [10, 3, 25, 43]
     # a record held by value lays out its members as the outer record's own
     for name in ("mg1_state", "sf_run_t"):
         record = records[name]

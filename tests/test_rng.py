@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -39,20 +39,28 @@ def test_uniform01_scalar_array_same_sequence():
     np.testing.assert_array_equal(singles, s2.uniform01(4100))
 
 
+@example(seed=0, stream_id=2**64 - 1, draws=[None])
+@example(seed=2**64 - 1, stream_id=0, draws=[2])
+@example(seed=2**64 - 1, stream_id=2**64 - 1, draws=[None])
 @given(
     seed=st.integers(0, 2**64 - 1),
     stream_id=st.integers(0, 2**64 - 1),
     draws=st.lists(st.none() | st.integers(0, 5000), min_size=1, max_size=8),
 )
 def test_a_fresh_stream_reads_its_generator_in_order(seed, stream_id, draws):
-    # whatever the split of the first n uniforms into scalar (None) and
-    # array draws, across a small first fill and whole buffers: the
-    # generator's first n raw draws, each made a uniform on (0, 1)
+    # a stream's generator is Philox(key=[seed, stream_id]), the key given
+    # as two uint64 words (a list of Python ints, one word at or above 2**63
+    # and one below, would pass through float64); whatever the split of the
+    # first n uniforms into scalar (None) and array draws, across a small
+    # first fill and whole buffers: the generator's first n raw draws, each
+    # made a uniform on (0, 1)
     stream = RngStream(seed, stream_id)
+    key = np.array([seed, stream_id], dtype=np.uint64)
+    assert repr(stream._bitgen.state) == repr(np.random.Philox(key=key).state)
+    assert stream._bitgen.state["state"]["key"].tolist() == [seed, stream_id]
     got = np.concatenate(
         [[stream.uniform01()] if n is None else stream.uniform01(n) for n in draws]
     )
-    key = np.array([seed, stream_id], dtype=np.uint64)
     raw = np.random.Philox(key=key).random_raw(got.size)
     assert got.tobytes() == (((raw >> np.uint64(11)) + 0.5) * 2.0**-53).tobytes()
 
