@@ -278,13 +278,13 @@ def _hand_in(record, stream) -> None:
 def _hand_back(record, stream) -> None:
     """Hand ``stream`` where the loop left ``record``'s ``stream_t``: its
     position, its cached normal and, after a refill, the filled front of
-    ``own`` as its buffer, whose list it drops (a refill may be in place)."""
+    ``own`` as its buffer."""
     if record.u == record.own:
         arrays = record.arrays
         # own and the buffer cut from it are views of one block
         if arrays["u"].base is not arrays["own"].base or arrays["u"].size != record.u_len:
             arrays["u"] = arrays["own"][: record.u_len]
-        stream._buf, stream._values = arrays["u"], None
+        stream._buf = arrays["u"]
     stream._pos = record.u_pos
     stream.spare_normal = record.spare if record.has_spare else None
 

@@ -71,20 +71,16 @@ def _dimension(value, name: str) -> int:
 
 
 def resolve_q(value: float | str, dim: int) -> float:
-    """Resolve a grid entry to a shape value; 'gaussian' -> 1 and
-    'cauchy' -> 1 + 2/(N+1)."""
+    """Resolve a grid entry to a shape value: a number, or the alias
+    'gaussian' -> 1 or 'cauchy' -> 1 + 2/(N+1); a number in a string is
+    no number, as for every other field."""
     if isinstance(value, str):
         name = value.strip().lower()
         if name == "gaussian":
             return 1.0
         if name == "cauchy":
             return 1.0 + 2.0 / (dim + 1)
-        try:
-            return float(name)
-        except ValueError:
-            raise ConfigError(
-                f"unknown q alias {value!r} (use 'gaussian' or 'cauchy')"
-            ) from None
+        raise ConfigError(f"unknown q alias {value!r} (use a number, 'gaussian' or 'cauchy')")
     return _real(value, "q")
 
 

@@ -164,6 +164,14 @@ def _moment_grid(dim: int) -> list[MomentSpec]:
     return [MomentSpec(b=b, powers=p) for b in range(3) for p in powers if b == 0 or any(p)]
 
 
+def _q_value(text: str) -> float | str:
+    """``single --q``: a number, or an alias for ``bench.resolve_q``."""
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
 class _Parser(argparse.ArgumentParser):
     """An ``ArgumentParser`` that takes a negative number in exponent
     notation as a value (``--q -1e-3``), as it does ``-0.5``: its own
@@ -196,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_single = sub.add_parser("single", help="one run; prints distance + trajectory CSV")
     p_single.add_argument("--algo", choices=bench.ALGORITHMS, default="gqsf2")
-    p_single.add_argument("--q", default="0.8")
+    p_single.add_argument("--q", type=_q_value, default=0.8, help="a number, gaussian or cauchy")
     p_single.add_argument("--beta", type=float, default=0.005)
     # left unset, --gamma and --L take the config defaults
     p_single.add_argument("--gamma", type=float, default=argparse.SUPPRESS)

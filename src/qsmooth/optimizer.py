@@ -104,6 +104,8 @@ class BoxConstraint:
         upper = np.atleast_1d(np.asarray(self.upper, dtype=float))
         if lower.shape != upper.shape:
             raise ValueError("lower/upper must have the same shape")
+        if lower.ndim != 1:
+            raise ValueError(f"lower/upper must be 1-d, got shape {lower.shape}")
         if not np.all(lower < upper):
             raise ValueError("need lower < upper component-wise")
         object.__setattr__(self, "lower", lower)

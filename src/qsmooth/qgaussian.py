@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,8 +40,9 @@ def _gammaln(x: float) -> float:
 
 
 class QGaussianDomainError(ValueError):
-    """N < 1, or q is outside (-inf, 1 + 2/N), where the distribution is
-    undefined, or so far below 1 that the sampler's constants overflow."""
+    """N is not an integer >= 1, or q is outside (-inf, 1 + 2/N), where the
+    distribution is undefined, or so far below 1 that the sampler's
+    constants overflow."""
 
 
 class MomentDoesNotExistError(ValueError):
@@ -48,6 +50,9 @@ class MomentDoesNotExistError(ValueError):
 
 
 def _check_q_domain(q: float, dim: int) -> None:
+    # as in QueueNetworkConfig, a bool or a float is no dimension
+    if not isinstance(dim, numbers.Integral) or isinstance(dim, bool):
+        raise QGaussianDomainError(f"dim must be an integer, got {dim!r}")
     if dim < 1:
         raise QGaussianDomainError(f"dim must be >= 1, got {dim}")
     if not q < 1.0 + 2.0 / dim - _BOUNDARY_GUARD:
@@ -109,7 +114,7 @@ def rho(eta: np.ndarray, q: float, dim: int) -> float:
     return float(1.0 - constants[2] * np.dot(eta, eta))
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=64, typed=True)
 def log_normalizing_constant(q: float, dim: int) -> float:
     """log K_{q,N}, the normalizer of the standard (beta = 1) density,
     computed once per (q, dim)."""
@@ -180,7 +185,7 @@ def density(x: np.ndarray, kernel: QKernel) -> float:
 # sampling
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=64, typed=True)
 def _transform_constants(q: float, dim: int):
     """The per-(q, dim) constants of the exact sampler, checked and computed
     once: the mixing chi-squared's df, the scale of Z and the rho

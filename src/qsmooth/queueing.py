@@ -114,7 +114,7 @@ class QueueNetworkConfig:
 
     def __reduce__(self):
         # through the constructor, so that a copy or an unpickled network
-        # (a spawned process's) keeps its own read-only target
+        # keeps its own read-only target
         return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
     @property
@@ -288,7 +288,7 @@ class QueueSimulator:
         self.stream = stream
         # the first external arrival of each node is drawn at construction,
         # in node order, in one array draw: the same uniforms as one draw
-        # per node, without a scalar draw's copy of the buffer into a list
+        # per node, and a fresh stream's first fill brings just those
         rates = config.arrival_rates
         first = iter(stream.uniform01(sum(lam > 0.0 for lam in rates)).tolist())
         next_arrival = [(-math.log(next(first)) / lam) if lam > 0.0 else math.inf for lam in rates]

@@ -71,9 +71,9 @@ class RngStream:
 
     A stream owns its state and must not be drawn from concurrently; it is
     cheap to construct (about 10 µs on a 2-core host, half of it the OS
-    entropy numpy draws for a keyed Philox's unused seed sequence, and its
-    first draw of a few uniforms about 5 µs more), so give every
-    replication/component its own.
+    entropy numpy draws for a keyed Philox's unused seed sequence; a first
+    draw of a few uniforms takes about 5 µs more, a first scalar draw, which
+    fills 4096, about 25 µs), so give every replication/component its own.
     Identical ``(seed, stream_id)`` and an identical call pattern replay an
     identical variate sequence.  ``uniform01`` and ``standard_normal``
     additionally produce the *same* sequence whether drawn one at a time or
@@ -82,16 +82,13 @@ class RngStream:
     in vectorized waves.
     """
 
-    __slots__ = ("seed", "stream_id", "_bitgen", "_buf", "_values", "_pos", "spare_normal")
+    __slots__ = ("seed", "stream_id", "_bitgen", "_buf", "_pos", "spare_normal")
 
     def __init__(self, seed: int, stream_id: int = 0):
         self.seed = seed & _U64
         self.stream_id = stream_id & _U64
         self._bitgen = np.random.Philox(key=np.array([self.seed, self.stream_id], np.uint64))
         self._buf = np.empty(0)
-        # the buffer as Python floats, built by the first scalar draw after
-        # a refill: indexing a list is cheaper than float(self._buf[i])
-        self._values: list[float] | None = None
         self._pos = 0
         # the unused half of the last Box-Muller pair, which the next normal
         # draw returns first (None when there is none); compiled loops take
@@ -119,20 +116,17 @@ class RngStream:
             least = 0 if buf.size == 0 and n > 1 else _BUFFER_SIZE
             fresh = self._fresh(max(least, n - tail))
             self._buf = fresh if tail == 0 else np.concatenate((buf[pos:], fresh))
-            self._values = None
             self._pos = pos = 0
         return self._buf, pos
 
     def uniform01(self, size: int | None = None):
         """Uniform draw(s) on the open interval (0, 1)."""
         if size is None:
-            pos = self._pos
-            values = self._values
-            if values is None or pos >= len(values):
+            buf, pos = self._buf, self._pos
+            if pos >= buf.size:
                 buf, pos = self.reserve(1)
-                values = self._values = buf.tolist()
             self._pos = pos + 1
-            return values[pos]
+            return buf.item(pos)
         out = np.empty(size)
         filled = 0
         while filled < size:

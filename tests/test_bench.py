@@ -153,6 +153,9 @@ def test_config_inline_system():
         {"q_grid": [True]},
         {"gamma": "0.7"},
         {"beta_grid": ["0.01"]},
+        {"q_grid": ["0.8"]},  # a number in a string is no alias
+        {"q_grid": [" 1 "]},
+        {"replications": 0},
         {"theta0": "abc"},
         _inline_system(dims=[2.7, 2]),
         _inline_system(dims=[True, 3]),
@@ -405,6 +408,16 @@ def test_config_missing_fields():
         config_from_dict({"algorithm": "gqsf1"})
 
 
+@pytest.mark.parametrize("data", [[], ["gqsf2"], "gqsf2", 3, None])
+def test_config_must_be_a_json_object(data, tmp_path):
+    with pytest.raises(ConfigError, match="^experiment config must be a JSON object$"):
+        config_from_dict(data)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ConfigError, match="must be a JSON object"):
+        load_config(str(path))
+
+
 def test_load_config_bad_file(tmp_path):
     path = tmp_path / "c.json"
     path.write_text("{not json")
@@ -416,10 +429,11 @@ def test_load_config_bad_file(tmp_path):
 
 def test_resolve_q():
     assert resolve_q("gaussian", 4) == 1.0
-    assert resolve_q("cauchy", 4) == pytest.approx(1.4)
+    assert resolve_q(" Cauchy ", 4) == pytest.approx(1.4)
     assert resolve_q(0.3, 4) == 0.3
-    with pytest.raises(ConfigError):
-        resolve_q("uniform", 4)
+    for name in ("uniform", "0.8", "1", "-inf"):
+        with pytest.raises(ConfigError, match="unknown q alias"):
+            resolve_q(name, 4)
 
 
 # -- execution -------------------------------------------------------------------
@@ -887,6 +901,18 @@ def test_emit_table_layout():
     assert emit_table([]) == "(empty grid)\n"
 
 
+def test_emit_table_marks_a_missing_cell_and_a_partly_failed_one():
+    cells = [
+        _fake_cell(q=0.5, beta=0.005, failures=1, std_distance=float("nan")),
+        _fake_cell(q=0.5, beta=0.01),
+        _fake_cell(q=1.0, beta=0.01),
+    ]
+    assert emit_table(cells).splitlines()[3:] == [
+        "0.5       0.01235±nan [1 failed]  0.01235±0.00012",
+        "Gaussian  -                       0.01235±0.00012",
+    ]
+
+
 # -- CLI -------------------------------------------------------------------------
 
 def test_cli_main_builds_one_parser_per_process(tmp_path):
@@ -922,6 +948,15 @@ def test_cli_main_builds_one_parser_per_process(tmp_path):
     defaults = {f.name: f.default for f in dataclasses.fields(bench.ExperimentConfig)}
     assert settings[:2] == [[0.6, 7], [defaults["gamma"], defaults["L"]]]
     assert outputs[0].read_bytes() == outputs[1].read_bytes()
+
+
+def test_cli_run_table_follows_the_csv(tmp_path, capsys):
+    data = small_config_dict(M=30, replications=1)
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(data))
+    assert main(["run", str(cfg_path), "--workers", "1", "--no-timing", "--table"]) == 0
+    results = run_experiment(config_from_dict(data), workers=1)
+    assert capsys.readouterr().out == emit_csv(results, include_timing=False) + emit_table(results)
 
 
 def test_cli_run_roundtrip(tmp_path):
@@ -1008,7 +1043,8 @@ def test_cli_single(capsys):
 
 @pytest.mark.parametrize(
     "flags, code",
-    [(["--preset", "nope"], 2), (["--M", "0"], 2), (["--q", "gaussian", "--M", "5"], 0)],
+    [(["--preset", "nope"], 2), (["--M", "0"], 2), (["--q", "gaussian", "--M", "5"], 0),
+     (["--q", "uniform"], 2), (["--q", "1.2", "--M", "5"], 0)],
 )
 def test_cli_single_checks_its_config_like_run(flags, code, capsys):
     assert main(["single", *flags]) == code

@@ -103,9 +103,22 @@ def test_project_basics():
 def test_box_validation():
     with pytest.raises(ValueError):
         BoxConstraint(np.array([0.5, 0.1]), np.array([0.4, 0.6]))
+    for lower, upper in ((np.zeros(2), np.ones(3)), (np.zeros(3), np.ones((1, 3))),
+                         ([0.0, 0.0], 1.0)):
+        with pytest.raises(ValueError, match="same shape"):
+            BoxConstraint(lower, upper)
     box = BoxConstraint(np.array([0.0]), np.array([1.0]))
     assert box.contains(np.array([0.5]))
     assert not box.contains(np.array([1.5]))
+    assert BoxConstraint(0.0, 1.0) == box  # scalar bounds make a 1-d box
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (1, 3), (2, 1, 2)])
+def test_a_box_needs_1d_bounds(shape):
+    # a (2, 2) box used to build as a 4-d one, on which every run failed
+    # in numpy's broadcasting
+    with pytest.raises(ValueError, match="1-d"):
+        BoxConstraint(np.zeros(shape), np.ones(shape))
 
 
 def test_step_sizes():

@@ -234,6 +234,29 @@ def test_qkernel_validation():
     # the check is on the constants, not on a bound for q
     assert _transform_constants(-1e300, 4) == (2.0, 2.0, 0.25)
     QKernel(q=-1e300, beta=0.1, dim=4)
+    # an integer of numpy's is a dim
+    assert QKernel(q=0.5, beta=0.1, dim=np.int64(3)).tail_coefficient == 3.5
+    assert sample_standard(0.5, np.int32(3), RngStream(1)).eta.shape == (3,)
+
+
+@pytest.mark.parametrize("dim", [2.5, 3.0, True, "3"])
+def test_a_dim_that_is_not_an_integer_is_refused(dim):
+    # warm the caches with the integer that 3.0 and True equal, which an
+    # untyped cache would hand back without a check
+    for warm in (1, 3):
+        QKernel(q=0.5, beta=0.1, dim=warm)
+        sample_standard_many(0.5, warm, 2, RngStream(0))
+        normalizing_constant(0.5, warm)
+    stream = RngStream(0)
+    for call in (
+        lambda: QKernel(q=0.5, beta=0.1, dim=dim),
+        lambda: sample_standard(0.5, dim, stream),
+        lambda: sample_standard_many(0.5, dim, 2, stream),
+        lambda: normalizing_constant(0.5, dim),
+    ):
+        with pytest.raises(QGaussianDomainError, match="dim must be an integer"):
+            call()
+    assert stream.uniform01(4).tolist() == RngStream(0).uniform01(4).tolist()  # no draw made
 
 
 # -- sampler ---------------------------------------------------------------------

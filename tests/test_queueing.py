@@ -397,6 +397,13 @@ def test_config_validation():
         QueueNetworkConfig((0.0,), (0.4,), (10.0,), (2,), np.array([0.3, 0.3]))
 
 
+@pytest.mark.parametrize("dims", [(0, 2), (2, -1)])
+def test_config_refuses_a_dimension_below_one(dims):
+    # config files stop earlier, at bench._dimension
+    with pytest.raises(ValueError, match="^per-node parameter dimensions must be >= 1$"):
+        QueueNetworkConfig((0.2, 0.1), (0.0, 0.4), (10.0, 20.0), dims, np.full(sum(dims), 0.3))
+
+
 @pytest.mark.parametrize(
     "rates, constants, message",
     [

@@ -121,9 +121,9 @@ def _sample_standard_reference(q, dim, stream):
 
 
 def test_interleaved_uniform_draws_match_one_array_draw():
-    # Scalar draws read a list copy of the current buffer; a refill made by
-    # an array, normal or reserve call must replace that copy, not leave it
-    # stale, and a reserve must keep the unread tail in order.  Array
+    # Scalar draws read the current buffer; a refill made by an array,
+    # normal or reserve call must leave them reading the new one, and a
+    # reserve must keep the unread tail in order.  Array
     # normals must match the reference's, with a spare normal carried
     # between calls and across scalar chi-squared draws, and so must
     # q-Gaussian perturbations.
