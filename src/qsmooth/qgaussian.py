@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rng import RngStream
+from .rng import RngStream, _count
 
 # Constructions this close to the q = 1 + 2/dim boundary are rejected: the
 # normalizing constant diverges there and nothing finite can be computed.
@@ -100,8 +100,11 @@ class MomentSpec:
     powers: tuple[int, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        if self.b < 0 or any(p < 0 for p in self.powers):
-            raise ValueError("moment powers must be nonnegative integers")
+        # as for a dimension, a bool or a float is no power
+        for p in (self.b, *self.powers):
+            if isinstance(p, bool) or not isinstance(p, numbers.Integral) or p < 0:
+                raise ValueError("moment powers must be nonnegative integers")
+        object.__setattr__(self, "b", int(self.b))
         object.__setattr__(self, "powers", tuple(int(p) for p in self.powers))
 
 
@@ -229,8 +232,10 @@ def sample_standard(q: float, dim: int, stream: RngStream) -> Perturbation:
 def sample_standard_many(
     q: float, dim: int, count: int, stream: RngStream
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized standard draws: (count, dim) samples and their rho values."""
+    """Vectorized standard draws: (count, dim) samples and their rho values.
+    The normals are scaled into the samples in place."""
     constants = _transform_constants(q, dim)
+    count = _count(count, "count")
     z = stream.standard_normal(count * dim).reshape(count, dim)
     if constants is None:
         return z, np.ones(count)
@@ -238,8 +243,11 @@ def sample_standard_many(
     a = stream.chi_squared(df, size=count)
     if q < 1.0:
         a += np.einsum("ij,ij->i", z, z)
-    y = scale * z / np.sqrt(a)[:, None]
-    return y, 1.0 - rho_coeff * np.einsum("ij,ij->i", y, y)
+    np.multiply(scale, z, out=z)
+    np.divide(z, np.sqrt(a, out=a)[:, None], out=z)
+    rhos = np.einsum("ij,ij->i", z, z)
+    rhos *= rho_coeff
+    return z, np.subtract(1.0, rhos, out=rhos)
 
 
 def sample(kernel: QKernel, mean: np.ndarray, stream: RngStream) -> np.ndarray:

@@ -23,6 +23,7 @@ made, not when qsmooth is.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -31,6 +32,14 @@ _BUFFER_SIZE = 4096
 # 2**-53; raw >> 11 keeps 53 bits, +0.5 centers in the cell so the open
 # interval (0, 1) is hit by construction (never exactly 0 or 1).
 _TO_UNIT = 2.0 ** -53
+
+
+def _count(value, name: str, least: int = 0) -> int:
+    """``value`` as an int, or ValueError naming ``name`` when it is not an
+    integer >= ``least`` (a bool is refused: it is no count)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 def _splitmix64(x: int) -> int:
@@ -127,15 +136,23 @@ class RngStream:
                 buf, pos = self.reserve(1)
             self._pos = pos + 1
             return buf.item(pos)
-        out = np.empty(size)
-        filled = 0
+        out = np.empty(_count(size, "size"))
+        for _ in self._fill(out, 0):
+            pass
+        return out
+
+    def _fill(self, out: np.ndarray, start: int):
+        """Copy the next uniforms into ``out[start:]``, one ``reserve`` of
+        at most _BUFFER_SIZE at a time, yielding how far ``out`` is filled
+        after each copy."""
+        filled, size = start, out.size
         while filled < size:
             buf, pos = self.reserve(min(size - filled, _BUFFER_SIZE))
             take = min(size - filled, buf.size - pos)
             out[filled : filled + take] = buf[pos : pos + take]
             self._pos = pos + take
             filled += take
-        return out
+            yield filled
 
     # -- normals (Box-Muller) ----------------------------------------------
 
@@ -144,7 +161,12 @@ class RngStream:
 
         Pairs are generated from consecutive uniforms; the unused half of a
         pair is cached, so odd draw counts advance state deterministically
-        and scalar/array call patterns yield the same sequence.
+        and scalar/array call patterns yield the same sequence.  An array
+        draw copies the uniforms into its output one buffer read at a time
+        and turns each read's whole pairs into normals there, in place, so
+        it holds no whole-size temporary; numpy's float64 ``log``, ``cos``
+        and ``sin`` work element by element, so the normals do not depend
+        on how the reads split the pairs.
         """
         if size is None:
             if self.spare_normal is not None:
@@ -157,23 +179,27 @@ class RngStream:
             self.spare_normal = r * math.sin(2.0 * math.pi * u2)
             return r * math.cos(2.0 * math.pi * u2)
 
-        spare = self.spare_normal if size > 0 else None
-        need = size if spare is None else size - 1
-        u = self.uniform01(2 * ((need + 1) // 2))
-        r = np.sqrt(-2.0 * np.log(u[0::2]))
-        ang = 2.0 * np.pi * u[1::2]
-        z = np.empty(u.size)
-        np.multiply(r, np.cos(ang), out=z[0::2])
-        np.multiply(r, np.sin(ang), out=z[1::2])
-        if spare is None and need % 2 == 0:
-            return z
-        out = np.empty(size)
-        if spare is not None:
-            out[0] = spare
+        size = _count(size, "size")
+        # out[0] takes a cached normal, out[start:] the pairs' uniforms; an
+        # odd count draws one normal past out[size - 1], which is cached
+        start = 0 if self.spare_normal is None or size == 0 else 1
+        out = np.empty(start + 2 * ((size - start + 1) // 2))
+        if start:
+            out[0] = self.spare_normal
             self.spare_normal = None
-        out[size - need :] = z[:need]
-        if need % 2 == 1:
-            self.spare_normal = float(z[need])
+        done = start
+        for filled in self._fill(out, start):
+            pairs = out[done : filled - (filled - start) % 2]
+            r = np.log(pairs[0::2])
+            r *= -2.0
+            np.sqrt(r, out=r)
+            ang = pairs[1::2] * (2.0 * np.pi)
+            np.multiply(r, np.cos(ang), out=pairs[0::2])
+            np.multiply(r, np.sin(ang, out=ang), out=pairs[1::2])
+            done += pairs.size
+        if out.size > size:
+            self.spare_normal = out.item(size)
+            out = out[:size]
         return out
 
     # -- gamma / chi-squared -------------------------------------------------
@@ -202,28 +228,40 @@ class RngStream:
 
     # Not merged with _gamma_unit_scale: the scalar form skips the uniform
     # when t <= 0, so the two forms consume the stream differently.
+    # Each wave draws its n normals, then its n uniforms; the test and the
+    # copy of the accepted values then run _BUFFER_SIZE candidates at a time.
+    # With a boost, ``out`` holds the boosts, and each accepted value is
+    # multiplied into its slot.
     def _gamma_unit_scale_array(self, shape: float, size: int):
-        boost = None
-        if shape < 1.0:
-            boost = self.uniform01(size) ** (1.0 / shape)
+        boost = shape < 1.0
+        if boost:
+            out = self.uniform01(size)
+            out **= 1.0 / shape
             shape = shape + 1.0
+        else:
+            out = np.empty(size)
         d = shape - 1.0 / 3.0
         c = 1.0 / math.sqrt(9.0 * d)
-        out = np.empty(size)
         filled = 0
         while filled < size:
             n = size - filled
-            x = self.standard_normal(n)
-            t = 1.0 + c * x
-            v = t * t * t
-            u = self.uniform01(n)
-            with np.errstate(invalid="ignore"):  # log(v<=0) slots are rejected anyway
-                ok = (t > 0.0) & (np.log(u) < 0.5 * x * x + d - d * v + d * np.log(v))
-            acc = d * v[ok]
-            out[filled : filled + acc.size] = acc
-            filled += acc.size
-        if boost is not None:
-            out *= boost
+            xs = self.standard_normal(n)
+            us = self.uniform01(n)
+            for i in range(0, n, _BUFFER_SIZE):
+                x = xs[i : i + _BUFFER_SIZE]
+                t = 1.0 + c * x
+                v = t * t * t
+                with np.errstate(invalid="ignore"):  # log(v<=0) slots are rejected anyway
+                    ok = (t > 0.0) & (
+                        np.log(us[i : i + _BUFFER_SIZE]) < 0.5 * x * x + d - d * v + d * np.log(v)
+                    )
+                acc = d * v[ok]
+                slots = out[filled : filled + acc.size]
+                if boost:
+                    np.multiply(acc, slots, out=slots)
+                else:
+                    slots[:] = acc
+                filled += acc.size
         return out
 
     def chi_squared(self, df: float, size: int | None = None):
@@ -234,4 +272,6 @@ class RngStream:
             raise ValueError(f"chi_squared requires 0 < df < inf, got {df}")
         if size is None:
             return 2.0 * self._gamma_unit_scale(0.5 * df)
-        return 2.0 * self._gamma_unit_scale_array(0.5 * df, size)
+        out = self._gamma_unit_scale_array(0.5 * df, _count(size, "size"))
+        out *= 2.0
+        return out

@@ -5,19 +5,26 @@ The terms are pure functions of (perturbation, observed cost(s)); averaging
 them is the caller's business -- the two-timescale optimizer runs them
 through its fast recursion, while the Monte-Carlo helpers here average them
 directly, which is what the property tests exercise.
+
+The Monte-Carlo helpers draw _MC_CHUNK (2**19) perturbations at a time.
+They evaluate f and weight the draws _BUFFER_SIZE rows at a time, writing
+each gradient term over its draw in place, so beside the draws themselves
+they hold only one block's points and weights.  Their results depend on
+_MC_CHUNK, which splits the draws and the sums, but not on the block
+length: each chunk's terms are reduced in one ``sum(axis=0)`` and each
+chunk's values in one ``sum``.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .qgaussian import Perturbation, QKernel, sample_standard_many
-from .rng import RngStream
+from .rng import _BUFFER_SIZE, RngStream, _count
 
 _MC_CHUNK = 1 << 19
 
@@ -58,13 +65,17 @@ class GradientSampleTwo:
         object.__setattr__(self, "cost_minus", _check_cost(self.cost_minus))
 
 
+def _check_rhos(rhos: np.ndarray) -> None:
+    if np.any(rhos <= 0.0):
+        raise InvalidRhoError("batch contains rho <= 0")
+
+
 def _term_weight(kernel: QKernel, rho, signal):
     """signal / (beta * (N+2-Nq) * rho): the weight of eta in a Gq-SF term,
     with signal 2h (Gq-SF1) or h+ - h- (Gq-SF2).  ``rho`` and ``signal`` may
     be floats or equal-length arrays."""
     if isinstance(rho, np.ndarray):
-        if np.any(rho <= 0.0):
-            raise InvalidRhoError("batch contains rho <= 0")
+        _check_rhos(rho)
     elif rho <= 0.0:
         raise InvalidRhoError(f"rho={rho} <= 0; perturbation outside the support")
     return signal / (kernel.beta * kernel.tail_coefficient * rho)
@@ -108,12 +119,25 @@ def _mc_theta(theta, kernel: QKernel, n_samples: int) -> np.ndarray:
     """``theta`` as a float array of the kernel's dimension.  Raises
     ValueError, naming the argument, for any other shape or for an
     ``n_samples`` that is not an integer >= 1, before any draw."""
-    if not isinstance(n_samples, numbers.Integral) or n_samples < 1:
-        raise ValueError(f"n_samples must be an integer >= 1, got {n_samples!r}")
+    _count(n_samples, "n_samples", 1)
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (kernel.dim,):
         raise ValueError(f"theta must have shape ({kernel.dim},), got {theta.shape}")
     return theta
+
+
+def _chunks(kernel: QKernel, n_samples: int, stream: RngStream):
+    """The draws, _MC_CHUNK perturbations and their rho values at a time."""
+    for done in range(0, n_samples, _MC_CHUNK):
+        yield sample_standard_many(kernel.q, kernel.dim, min(_MC_CHUNK, n_samples - done), stream)
+
+
+def _blocks(theta: np.ndarray, step: float, etas: np.ndarray):
+    """``(rows, theta + step * etas[rows])`` for each slice ``rows`` of
+    _BUFFER_SIZE rows."""
+    for start in range(0, etas.shape[0], _BUFFER_SIZE):
+        rows = slice(start, start + _BUFFER_SIZE)
+        yield rows, theta[None, :] + step * etas[rows]
 
 
 def smoothed_value(
@@ -130,13 +154,10 @@ def smoothed_value(
     """
     theta = _mc_theta(theta, kernel, n_samples)
     total = 0.0
-    done = 0
-    while done < n_samples:
-        m = min(_MC_CHUNK, n_samples - done)
-        etas, _ = sample_standard_many(kernel.q, kernel.dim, m, stream)
-        pts = theta[None, :] - kernel.beta * etas
-        total += float(sum(f(p) for p in pts))
-        done += m
+    for etas, _ in _chunks(kernel, n_samples, stream):
+        # one sum over the chunk: sums per block, added up, would round
+        # differently (CPython's float sum is compensated from 3.12 on)
+        total += float(sum(f(p) for _, pts in _blocks(theta, -kernel.beta, etas) for p in pts))
     return total / n_samples
 
 
@@ -148,15 +169,15 @@ def smoothed_gradient_mc(
     stream: RngStream,
 ) -> np.ndarray:
     """Monte-Carlo estimate of the smoothed gradient: the average of
-    one-simulation terms with cost f(theta + beta*eta)."""
+    one-simulation terms with cost f(theta + beta*eta).  A chunk with a rho
+    <= 0 raises InvalidRhoError before f sees any of its points."""
     theta = _mc_theta(theta, kernel, n_samples)
     acc = np.zeros(kernel.dim)
-    done = 0
-    while done < n_samples:
-        m = min(_MC_CHUNK, n_samples - done)
-        etas, rhos = sample_standard_many(kernel.q, kernel.dim, m, stream)
-        pts = theta[None, :] + kernel.beta * etas
-        costs = np.fromiter((f(p) for p in pts), dtype=float, count=m)
-        acc += sf_term_one_batch(etas, rhos, costs, kernel).sum(axis=0)
-        done += m
+    for etas, rhos in _chunks(kernel, n_samples, stream):
+        _check_rhos(rhos)
+        for rows, pts in _blocks(theta, kernel.beta, etas):
+            costs = np.fromiter((f(p) for p in pts), dtype=float, count=len(pts))
+            terms = etas[rows]
+            terms *= _term_weight(kernel, rhos[rows], 2.0 * costs)[:, None]
+        acc += etas.sum(axis=0)
     return acc / n_samples

@@ -44,6 +44,7 @@ from qsmooth.smoothing import InvalidRhoError
 
 transform_constants = qgaussian._transform_constants
 
+from conftest import stream_state
 from test_queueing import kernel_simulator
 
 needs_gcc = pytest.mark.skipif(shutil.which("gcc") is None, reason="no C compiler")
@@ -197,11 +198,6 @@ class FillRecordingStream(RngStream):
         return super()._fresh(count)
 
 
-def _generator(stream):
-    """The stream's generator state, to the bit."""
-    return repr(stream._bitgen.state)
-
-
 # a fresh stream's first read: none (a simulator's first arrivals are then
 # its first read), scalar draws, or one array draw, which crosses the first
 # fill and whole buffers after it
@@ -264,7 +260,7 @@ def test_both_kernels_fill_a_fresh_stream_alike(network, data):
             got = [_read(stream, step, size) for stream in streams]
         assert got[0] == got[1]
         assert _to_come(streams[0]) == _to_come(streams[1])
-        assert _generator(streams[0]) == _generator(streams[1])
+        assert stream_state(streams[0]) == stream_state(streams[1])
         assert _queue_counters(sims[0]) == _queue_counters(sims[1])
     fills = streams[1].fills
     assert fills == [_first_fill(kind, n)] + [4096] * (len(fills) - 1)
@@ -313,7 +309,7 @@ def test_the_outer_loop_fills_a_fresh_perturbation_stream_as_the_python_loop(dat
             got = [_read(stream, step, size) for stream in streams]
         assert got[0] == got[1]
         assert _to_come(streams[0]) == _to_come(streams[1])
-        assert _generator(streams[0]) == _generator(streams[1])
+        assert stream_state(streams[0]) == stream_state(streams[1])
     fills = streams[1].fills
     assert fills[:1] == [_first_fill(*first)] and set(fills[1:]) <= {4096}
 
@@ -1207,7 +1203,7 @@ def test_a_draw_longer_than_a_refill_takes_all_it_needs():
             )
         assert compiled.call_count == (0 if on_python else 1)
         runs.append((result.z.tobytes(), [point.theta.tobytes() for point in result.trajectory],
-                     _end_state(stream), _generator(stream)))
+                     _end_state(stream), stream_state(stream)))
     assert runs[0] == runs[1]
 
 

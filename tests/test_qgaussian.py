@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,6 +24,8 @@ from qsmooth.qgaussian import (
     _transform_constants,
 )
 from qsmooth.rng import RngStream
+
+from conftest import stream_state
 
 
 # -- independent oracles, built from the defining integrals -------------------
@@ -261,6 +264,18 @@ def test_a_dim_that_is_not_an_integer_is_refused(dim):
 
 # -- sampler ---------------------------------------------------------------------
 
+@pytest.mark.parametrize("q", [0.5, 1.0, 1.2])
+@pytest.mark.parametrize("count", [-1, 2.5, 3.0, True, "3"])
+def test_many_draws_refuse_a_count_that_is_no_count_before_they_draw(q, count):
+    # 2.5 failed inside numpy with the size 5.0, and True drew one sample
+    stream = RngStream(6, 1)
+    stream.standard_normal()
+    before = stream_state(stream)
+    with pytest.raises(ValueError, match=re.escape(f"count must be an integer >= 0, got {count!r}")):
+        sample_standard_many(q, 2, count, stream)
+    assert stream_state(stream) == before
+
+
 def test_sample_standard_gaussian_branch_consumes_no_chi2():
     s1 = RngStream(3, 1)
     s2 = RngStream(3, 1)
@@ -342,6 +357,26 @@ def test_moment_second_over_rho_closed_form(q, n):
     assert analytic_moment(MomentSpec(b=1, powers=powers), q, n) == pytest.approx(
         expected, rel=1e-12
     )
+
+
+@pytest.mark.parametrize("b,powers", [
+    (0, (2.7, 0.0)),  # was truncated to (2, 0)
+    (0.5, (2, 0)),  # was accepted, and answered
+    (0, (2.0, 0)),
+    (True, (2, 0)),
+    (0, (True, 0)),
+    (-1, (2, 0)),
+    (0, (2, -2)),
+])
+def test_moment_spec_refuses_powers_that_are_not_nonnegative_integers(b, powers):
+    with pytest.raises(ValueError, match="moment powers must be nonnegative integers"):
+        MomentSpec(b=b, powers=powers)
+
+
+def test_moment_spec_takes_numpy_integers_as_ints():
+    spec = MomentSpec(b=np.int64(1), powers=(np.int64(2), np.int32(0)))
+    assert spec == MomentSpec(1, (2, 0))
+    assert all(type(p) is int for p in (spec.b, *spec.powers))
 
 
 def test_moment_total_probability():

@@ -21,6 +21,8 @@ from qsmooth.queueing import (
 )
 from qsmooth.rng import RngStream
 
+from conftest import stream_state
+
 # the event loops a simulator can run here: the compiled one needs gcc
 KERNELS = ("c", "python") if shutil.which("gcc") else ("python",)
 
@@ -453,8 +455,7 @@ def test_observe_refuses_a_negative_L_before_any_event(kernel):
     sim.observe(loaded.theta0, 50)
 
     def stands():
-        return (stream._buf.tobytes(), stream._pos, repr(stream._bitgen.state),
-                stream.spare_normal, list(sim.state.factors), sim.state.clock,
+        return (stream_state(stream), list(sim.state.factors), sim.state.clock,
                 sim.state.arrivals_seen, sim.state.departures_seen)
 
     before = stands()

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,8 @@ from scipy import stats
 import qsmooth
 from qsmooth.qgaussian import sample_standard
 from qsmooth.rng import RngStream, derive_stream_id
+
+from conftest import stream_state
 
 
 def test_uniform01_open_interval():
@@ -260,6 +263,35 @@ def test_chi_squared_rejects_an_infinite_df(size):
                           timeout=60, env={**os.environ, "PYTHONPATH": src})
     assert done.returncode == 0, done.stderr
     assert done.stdout == "chi_squared requires 0 < df < inf, got inf\n"
+
+
+ARRAY_DRAWS = {
+    "uniform01": lambda stream, size: stream.uniform01(size),
+    "standard_normal": lambda stream, size: stream.standard_normal(size),
+    "chi_squared": lambda stream, size: stream.chi_squared(3.0, size),
+}
+
+
+@pytest.mark.parametrize("size", [-1, 2.5, 3.0, np.float64(2.0), True, False, "4"])
+@pytest.mark.parametrize("draw", sorted(ARRAY_DRAWS))
+def test_array_draws_refuse_a_size_that_is_no_count_before_they_draw(draw, size):
+    # a float failed inside numpy and True drew one value; each now fails,
+    # naming the argument, with the stream where it was
+    stream = RngStream(4, 4)
+    stream.uniform01()
+    stream.standard_normal()
+    before = stream_state(stream)
+    with pytest.raises(ValueError, match=re.escape(f"size must be an integer >= 0, got {size!r}")):
+        ARRAY_DRAWS[draw](stream, size)
+    assert stream_state(stream) == before
+
+
+def test_array_draws_take_a_numpy_integer_size():
+    streams = RngStream(4, 5), RngStream(4, 5)
+    for draw in ARRAY_DRAWS.values():
+        got = [draw(stream, size) for stream, size in zip(streams, (np.int32(5), 5))]
+        assert got[0].tobytes() == got[1].tobytes()
+    assert stream_state(streams[0]) == stream_state(streams[1])
 
 
 def test_stream_independence():

@@ -165,11 +165,11 @@ def _untouched(stream):
 
 
 @pytest.mark.parametrize("estimate", [smoothed_value, smoothed_gradient_mc])
-@pytest.mark.parametrize("n_samples", [0, -5, 2.5, 3.0])
+@pytest.mark.parametrize("n_samples", [0, -5, 2.5, 3.0, True])
 def test_monte_carlo_estimates_need_a_sample(estimate, n_samples):
     # 0 samples divided by zero, or averaged to NaN under a warning, -5
-    # returned zeros and a float failed inside numpy; each fails now,
-    # naming the argument, before any draw
+    # returned zeros, a float failed inside numpy and True ran one sample;
+    # each fails now, naming the argument, before any draw
     stream = RngStream(3, 1)
     with pytest.raises(ValueError, match=f"n_samples must be an integer >= 1, got {n_samples}"):
         estimate(lambda x: 1.0, np.zeros(2), QKernel(0.5, 0.1, 2), n_samples, stream)
