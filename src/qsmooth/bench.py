@@ -128,7 +128,7 @@ class ExperimentConfig:
         try:
             StepSchedule(self.gamma)
             for q, beta in self.cells():
-                _check_run_args(QKernel(q, beta, dim), self.box, self.theta0, self.M, self.L)
+                _check_run_args(QKernel(q, beta, dim), self.box, self.theta0, self.M, self.L, 0)
         except ValueError as err:
             raise ConfigError(str(err)) from None
         # an unstable network's queues grow until the run fails mid-grid

@@ -69,6 +69,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_single(args) -> int:
+    if args.record_every < 0:
+        return _config_error(f"--record-every must be >= 0, got {args.record_every}")
     data = {
         "algorithm": args.algo,
         "q_grid": [args.q],

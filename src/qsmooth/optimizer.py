@@ -21,7 +21,7 @@ import numpy as np
 from . import _native
 from .qgaussian import QKernel, _transform_constants, sample_standard
 from .queueing import QueueSimulator, equal_by_value
-from .rng import RngStream
+from .rng import RngStream, _count
 from .smoothing import _term_weight
 
 Z_DIVERGENCE_LIMIT = 1e12
@@ -191,7 +191,13 @@ class QuadraticCostSimulator:
 _QUADRATIC_STEP, _QUADRATIC_OBSERVE = QuadraticCostSimulator.step, QuadraticCostSimulator.observe
 
 
-def _check_run_args(kernel, box, theta0, M, L):
+def _check_run_args(kernel, box, theta0, M, L, record_every):
+    """theta0 as a float array; ValueError, naming the argument, for a bad
+    one or for an M or L that is not an integer >= 1 or a record_every that
+    is not an integer >= 0 (a bool is refused)."""
+    _count(M, "M", 1)
+    _count(L, "L", 1)
+    _count(record_every, "record_every")
     theta0 = np.array(theta0, dtype=float)
     if kernel.dim != box.dim or theta0.shape != (box.dim,):
         raise ValueError(
@@ -199,8 +205,6 @@ def _check_run_args(kernel, box, theta0, M, L):
         )
     if not box.contains(theta0):
         raise ValueError("theta0 must lie in the constraint box")
-    if M < 1 or L < 1:
-        raise ValueError("M and L must be >= 1")
     return theta0
 
 
@@ -313,7 +317,7 @@ def _run_loop(
     target,
     record_every: int,
 ) -> RunResult:
-    theta = _check_run_args(kernel, box, theta0, M, L)
+    theta = _check_run_args(kernel, box, theta0, M, L, record_every)
     n_dim = kernel.dim
     q = kernel.q
     beta = kernel.beta
@@ -350,9 +354,8 @@ def _run_loop(
             a_n, b_n = schedule.step_sizes(n + 1)
             one_minus_b = 1.0 - b_n
 
-            pert = sample_standard(q, n_dim, stream)
-            eta = pert.eta
-            coeff = _term_weight(kernel, pert.rho, numer) * eta
+            eta, rho = sample_standard(q, n_dim, stream)
+            coeff = _term_weight(kernel, rho, numer) * eta
 
             # one call per simulator: the (+) one at theta + beta*eta, the (-)
             # one at theta - beta*eta, both projected onto the box

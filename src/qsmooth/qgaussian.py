@@ -68,7 +68,7 @@ def tail_coefficient(q: float, dim: int) -> float:
 
 @dataclass(frozen=True)
 class QKernel:
-    """Perturbation-distribution parameters: shape q, scale beta, dimension."""
+    """Parameters of the perturbation distribution: shape q, scale beta, dimension."""
 
     q: float
     beta: float
@@ -82,14 +82,6 @@ class QKernel:
     @property
     def tail_coefficient(self) -> float:
         return tail_coefficient(self.q, self.dim)
-
-
-@dataclass(frozen=True)
-class Perturbation:
-    """A standard draw together with its cached correction factor."""
-
-    eta: np.ndarray
-    rho: float
 
 
 @dataclass(frozen=True)
@@ -207,8 +199,9 @@ def _transform_constants(q: float, dim: int):
     return constants
 
 
-def sample_standard(q: float, dim: int, stream: RngStream) -> Perturbation:
-    """One draw of the standard q-Gaussian (unit q-variance per coordinate).
+def sample_standard(q: float, dim: int, stream: RngStream) -> tuple[np.ndarray, float]:
+    """One draw of the standard q-Gaussian (unit q-variance per coordinate)
+    and its rho value.
 
     Uses the exact chi-squared mixture representation: a Gaussian vector Z
     is shrunk onto the finite support for q < 1 and scaled by an inverse
@@ -218,13 +211,13 @@ def sample_standard(q: float, dim: int, stream: RngStream) -> Perturbation:
     constants = _transform_constants(q, dim)
     z = stream.standard_normal(dim)
     if constants is None:
-        return Perturbation(eta=z, rho=1.0)
+        return z, 1.0
     df, scale, rho_coeff = constants
     a = stream.chi_squared(df)
     if q < 1.0:
         a += float(np.dot(z, z))
     y = scale * z / math.sqrt(a)
-    return Perturbation(eta=y, rho=1.0 - rho_coeff * float(np.dot(y, y)))
+    return y, 1.0 - rho_coeff * float(np.dot(y, y))
 
 
 # Not merged with sample_standard: np.dot and the row-wise einsum norms differ
@@ -255,8 +248,8 @@ def sample(kernel: QKernel, mean: np.ndarray, stream: RngStream) -> np.ndarray:
     mean = np.asarray(mean, dtype=float)
     if mean.shape != (kernel.dim,):
         raise ValueError(f"mean must have shape ({kernel.dim},), got {mean.shape}")
-    pert = sample_standard(kernel.q, kernel.dim, stream)
-    return mean + kernel.beta * pert.eta
+    eta, _ = sample_standard(kernel.q, kernel.dim, stream)
+    return mean + kernel.beta * eta
 
 
 # ---------------------------------------------------------------------------

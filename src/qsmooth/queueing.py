@@ -60,11 +60,13 @@ class QueueNetworkConfig:
     theta_target: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "arrival_rates", tuple(float(x) for x in self.arrival_rates))
-        object.__setattr__(self, "p_leave", tuple(float(x) for x in self.p_leave))
-        object.__setattr__(
-            self, "service_constants", tuple(float(x) for x in self.service_constants)
-        )
+        # as in JSON configs, a bool or a string is no rate, probability or
+        # constant, though float() would take it
+        for name in ("arrival_rates", "p_leave", "service_constants"):
+            values = tuple(getattr(self, name))
+            if not all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in values):
+                raise ValueError(f"{name} must be numbers, got {values!r}")
+            object.__setattr__(self, name, tuple(float(x) for x in values))
         # as in JSON configs, a bool, a float or a string is no dimension
         dims = tuple(self.dims)
         if not all(isinstance(d, numbers.Integral) and not isinstance(d, bool) for d in dims):

@@ -63,14 +63,18 @@ def derive_stream_id(*parts: int | str) -> int:
     for each part XOR in its 64-bit value (ints mod 2**64, strings via
     FNV-1a of their UTF-8 bytes) and apply splitmix64.  Any change to the
     part sequence changes the id, so e.g. ``(cell, rep, "sim+")`` and
-    ``(cell, rep, "sim-")`` never collide in practice.
+    ``(cell, rep, "sim-")`` never collide in practice.  Any other part,
+    a bool or a float among them, raises ValueError: ``int`` would fold 0.3
+    into 0 and True into 1, and their streams into those ids' streams.
     """
     acc = 0x9E3779B97F4A7C15
     for part in parts:
         if isinstance(part, str):
             x = _fnv1a64(part.encode("utf-8"))
-        else:
+        elif isinstance(part, numbers.Integral) and not isinstance(part, bool):
             x = int(part) & _U64
+        else:
+            raise ValueError(f"stream id parts must be integers or strings, got {part!r}")
         acc = _splitmix64(acc ^ x)
     return acc
 

@@ -1,8 +1,10 @@
 """Smoothed-functional machinery: kernel-convolved objectives and the
-per-sample gradient-estimator terms.
+gradient-estimator terms.
 
-The terms are pure functions of (perturbation, observed cost(s)); averaging
-them is the caller's business -- the two-timescale optimizer runs them
+``sf_term_one_batch`` and ``sf_term_two_batch`` are the Gq-SF1 and Gq-SF2
+terms, one row per draw of a batch (one draw is a batch of one); they, the
+Monte-Carlo helpers and the optimizer share one coefficient, ``_term_weight``.
+Averaging the terms is the caller's business -- the optimizer runs them
 through its fast recursion, while the Monte-Carlo helpers here average them
 directly, which is what the property tests exercise.
 
@@ -18,12 +20,11 @@ chunk's values in one ``sum``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .qgaussian import Perturbation, QKernel, sample_standard_many
+from .qgaussian import QKernel, sample_standard_many
 from .rng import _BUFFER_SIZE, RngStream, _count
 
 _MC_CHUNK = 1 << 19
@@ -32,37 +33,6 @@ _MC_CHUNK = 1 << 19
 class InvalidRhoError(RuntimeError):
     """rho <= 0 reached an estimator term: impossible for in-support draws,
     so the perturbation was corrupted somewhere upstream."""
-
-
-def _check_cost(value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value) or value < 0.0:
-        raise ValueError(f"cost observations must be finite and >= 0, got {value}")
-    return value
-
-
-@dataclass(frozen=True)
-class GradientSampleOne:
-    """One perturbation and the cost observed at the (+) perturbed parameter."""
-
-    eta: Perturbation
-    cost: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "cost", _check_cost(self.cost))
-
-
-@dataclass(frozen=True)
-class GradientSampleTwo:
-    """One perturbation and the costs observed at the (+/-) perturbed parameters."""
-
-    eta: Perturbation
-    cost_plus: float
-    cost_minus: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "cost_plus", _check_cost(self.cost_plus))
-        object.__setattr__(self, "cost_minus", _check_cost(self.cost_minus))
 
 
 def _check_rhos(rhos: np.ndarray) -> None:
@@ -81,26 +51,22 @@ def _term_weight(kernel: QKernel, rho, signal):
     return signal / (kernel.beta * kernel.tail_coefficient * rho)
 
 
-def sf_term_one(sample: GradientSampleOne, kernel: QKernel) -> np.ndarray:
-    """Single-sample integrand of the one-simulation gradient estimate:
-    2 * eta * cost / (beta * (N+2-Nq) * rho(eta))."""
-    return sample.eta.eta * _term_weight(kernel, sample.eta.rho, 2.0 * sample.cost)
-
-
-def sf_term_two(sample: GradientSampleTwo, kernel: QKernel) -> np.ndarray:
-    """Single-sample integrand of the two-simulation (antithetic) estimate:
-    eta * (cost_plus - cost_minus) / (beta * (N+2-Nq) * rho(eta))."""
-    return sample.eta.eta * _term_weight(
-        kernel, sample.eta.rho, sample.cost_plus - sample.cost_minus
-    )
+def _checked_costs(costs) -> np.ndarray:
+    """``costs`` as a float64 array; ValueError unless each is finite and >= 0."""
+    costs = np.asarray(costs, dtype=float)
+    # written so that NaN fails the check too
+    bad = costs[~((costs >= 0.0) & (costs < math.inf))]
+    if bad.size:
+        raise ValueError(f"cost observations must be finite and >= 0, got {bad[0]}")
+    return costs
 
 
 def sf_term_one_batch(
     etas: np.ndarray, rhos: np.ndarray, costs: np.ndarray, kernel: QKernel
 ) -> np.ndarray:
-    """Vectorized one-simulation terms: (n, dim) array, one row per draw."""
-    w = _term_weight(kernel, rhos, 2.0 * np.asarray(costs, dtype=float))
-    return etas * w[:, None]
+    """One-simulation terms 2 * eta * cost / (beta * (N+2-Nq) * rho(eta)):
+    an (n, dim) array, one row per draw."""
+    return etas * _term_weight(kernel, rhos, 2.0 * _checked_costs(costs))[:, None]
 
 
 def sf_term_two_batch(
@@ -110,8 +76,10 @@ def sf_term_two_batch(
     costs_minus: np.ndarray,
     kernel: QKernel,
 ) -> np.ndarray:
-    """Vectorized two-simulation terms."""
-    signal = np.asarray(costs_plus, float) - np.asarray(costs_minus, float)
+    """Two-simulation (antithetic) terms
+    eta * (cost_plus - cost_minus) / (beta * (N+2-Nq) * rho(eta)), one row
+    per draw."""
+    signal = _checked_costs(costs_plus) - _checked_costs(costs_minus)
     return etas * _term_weight(kernel, rhos, signal)[:, None]
 
 

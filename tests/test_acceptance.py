@@ -23,7 +23,6 @@ from qsmooth.optimizer import (
 from qsmooth.qgaussian import (
     MomentDoesNotExistError,
     MomentSpec,
-    Perturbation,
     QKernel,
     analytic_moment,
     density,
@@ -32,14 +31,7 @@ from qsmooth.qgaussian import (
     support_radius_sq,
 )
 from qsmooth.rng import RngStream
-from qsmooth.smoothing import (
-    GradientSampleOne,
-    GradientSampleTwo,
-    sf_term_one,
-    sf_term_one_batch,
-    sf_term_two,
-    sf_term_two_batch,
-)
+from qsmooth.smoothing import sf_term_one_batch, sf_term_two_batch
 
 from test_qgaussian import moment_values, quadrature_cdf_1d
 
@@ -321,9 +313,9 @@ def test_criterion_8_gaussian_reduction():
         eta = stream.standard_normal(n)
         h = stream.uniform01() * 100
         hp, hm = stream.uniform01() * 100, stream.uniform01() * 100
-        pert = Perturbation(eta, 1.0)
-        one = sf_term_one(GradientSampleOne(pert, h), kernel)
-        two = sf_term_two(GradientSampleTwo(pert, hp, hm), kernel)
+        etas, rhos = eta[None, :], np.ones(1)
+        one = sf_term_one_batch(etas, rhos, np.array([h]), kernel)[0]
+        two = sf_term_two_batch(etas, rhos, np.array([hp]), np.array([hm]), kernel)[0]
         assert np.array_equal(one, eta * (h / beta))
         assert np.array_equal(two, eta * ((hp - hm) / (2.0 * beta)))
         np.testing.assert_allclose(one, eta * h / beta, rtol=5e-16)

@@ -1052,6 +1052,15 @@ def test_cli_single_checks_its_config_like_run(flags, code, capsys):
         assert "config error" in capsys.readouterr().err
 
 
+def test_cli_single_refuses_a_negative_record_every(monkeypatch, capsys):
+    # it printed the CSV header and no trajectory
+    monkeypatch.setattr(bench, "run_replication", mock.Mock(side_effect=AssertionError))
+    assert main(["single", "--M", "5", "--record-every", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "config error: --record-every must be >= 0, got -1\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize(
     "error",
     [

@@ -1,4 +1,5 @@
 import contextlib
+import re
 from unittest import mock
 
 import numpy as np
@@ -19,6 +20,7 @@ from qsmooth.qgaussian import QKernel, sample_standard
 from qsmooth.queueing import QueueSimulator, make_simulator, preset
 from qsmooth.rng import RngStream
 
+from conftest import stream_state
 from test_queueing import KERNELS
 
 
@@ -33,8 +35,7 @@ def reference_run(sims, kernel, box, schedule, M, L, theta0, stream):
     c = kernel.tail_coefficient
     for n in range(M):
         a_n, b_n = schedule.step_sizes(n + 1)
-        pert = sample_standard(kernel.q, kernel.dim, stream)
-        eta, r = pert.eta, pert.rho
+        eta, r = sample_standard(kernel.q, kernel.dim, stream)
         z_entering = z.copy()
         if len(sims) == 1:
             control = project(theta + kernel.beta * eta, box)
@@ -393,3 +394,27 @@ def test_argument_validation():
                   TARGET4, RngStream(0, 0))  # same instance twice
     with pytest.raises(ValueError):
         run_gqsf1(sim, kernel, BOX4, StepSchedule(0.75), 0, 5, TARGET4, RngStream(0, 0))
+
+
+@pytest.mark.parametrize("loop", ["compiled", "python"])
+@pytest.mark.parametrize(
+    "name, value, least",
+    [("M", 0, 1), ("M", True, 1), ("M", 2.5, 1),
+     ("L", 0, 1), ("L", True, 1), ("L", 1.5, 1),
+     ("record_every", -1, 0), ("record_every", True, 0), ("record_every", 2.5, 0)],
+)
+def test_both_loops_refuse_a_count_that_is_no_count_before_they_draw(loop, name, value, least):
+    # record_every=2.5 raised TypeError on the compiled loop and recorded at
+    # n = 0, 5, 10 on the Python one; M=True ran one iteration on both
+    args = {"M": 10, "L": 2, "record_every": 0, name: value}
+    sims = QuadraticCostSimulator(TARGET4), QuadraticCostSimulator(TARGET4)
+    stream = RngStream(5, 0)
+    stream.standard_normal()
+    before = stream_state(stream)
+    message = re.escape(f"{name} must be an integer >= {least}, got {value!r}")
+    on_python = mock.patch.object(_native, "load", return_value=None)
+    with on_python if loop == "python" else contextlib.nullcontext():
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_gqsf2(*sims, QKernel(q=0.5, beta=0.01, dim=4), BOX4, StepSchedule(0.75),
+                      args["M"], args["L"], TARGET4, stream, record_every=args["record_every"])
+    assert stream_state(stream) == before

@@ -431,6 +431,22 @@ def test_config_refuses_a_non_finite_target(bad):
         QueueNetworkConfig((0.2, 0.1), (0.0, 0.4), (10.0, 20.0), (2, 2), [0.3, 0.3, bad, 0.3])
 
 
+@pytest.mark.parametrize("field", ["arrival_rates", "p_leave", "service_constants"])
+@pytest.mark.parametrize("bad", ["0.2", True, False, None], ids=repr)
+def test_config_refuses_a_string_or_bool_where_a_number_belongs(field, bad):
+    # arrival_rates=("0.2", True) built as (0.2, 1.0), as JSON configs never do
+    values = {
+        "arrival_rates": (0.2, 0.1), "p_leave": (0.0, 0.4), "service_constants": (10.0, 20.0)
+    }
+    values[field] = (values[field][0], bad)
+    with pytest.raises(ValueError, match=f"^{field} must be numbers, got "):
+        QueueNetworkConfig(**values, dims=(2, 2), theta_target=np.full(4, 0.3))
+    # numpy's floats and Python's ints are numbers
+    values[field] = (np.float64(values[field][0]), 1)
+    built = QueueNetworkConfig(**values, dims=(2, 2), theta_target=np.full(4, 0.3))
+    assert all(type(x) is float for x in getattr(built, field))
+
+
 @pytest.mark.parametrize(
     "dims", [(2.9, 2.2), (2.0, 2), (True, 3), (np.float64(2.0), 2), "22"],
     ids=["floats", "a whole float", "a bool", "a numpy float", "a string"],

@@ -168,9 +168,9 @@ def test_interleaved_uniform_draws_match_one_array_draw():
         assert stream.chi_squared(df) == old.chi_squared(df)
 
     def sample(q, dim):
-        pert = sample_standard(q, dim, stream)
-        eta, rho = _sample_standard_reference(q, dim, old)
-        assert pert.eta.tobytes() == eta.tobytes() and pert.rho == rho
+        eta, rho = sample_standard(q, dim, stream)
+        ref_eta, ref_rho = _sample_standard_reference(q, dim, old)
+        assert eta.tobytes() == ref_eta.tobytes() and rho == ref_rho
 
     scalars(10)
     array(4086)  # ends the first buffer exactly
@@ -325,6 +325,15 @@ def test_derive_stream_id_rules():
     assert derive_stream_id(1, 2) != derive_stream_id(2, 1)
     assert derive_stream_id("a", "b") != derive_stream_id("ab")
     assert 0 <= derive_stream_id(0) < 2**64
+
+
+@pytest.mark.parametrize("part", [0.3, 1.9, 1.0, True, False, None, b"a", np.float64(2.0)])
+def test_derive_stream_id_refuses_a_part_that_is_no_integer_or_string(part):
+    # int() folded 0.3 into 0, 1.9 and True into 1: silent stream collisions
+    with pytest.raises(ValueError, match=re.escape(f"got {part!r}")):
+        derive_stream_id(7, part)
+    # numpy's integers are integers, and enter as the Python int of equal value
+    assert derive_stream_id(7, np.int64(-3), np.uint8(5)) == derive_stream_id(7, -3, 5)
 
 
 def test_derive_stream_id_pinned_values():

@@ -4,15 +4,11 @@ import re
 import numpy as np
 import pytest
 
-from qsmooth.qgaussian import Perturbation, QKernel, sample_standard_many
+from qsmooth.qgaussian import QKernel, sample_standard_many
 from qsmooth.rng import RngStream
 from qsmooth.smoothing import (
-    GradientSampleOne,
-    GradientSampleTwo,
     InvalidRhoError,
-    sf_term_one,
     sf_term_one_batch,
-    sf_term_two,
     sf_term_two_batch,
     smoothed_gradient_mc,
     smoothed_value,
@@ -20,34 +16,47 @@ from qsmooth.smoothing import (
 
 
 def _pert(eta, q, n):
+    """One draw as a batch of one: its (1, n) eta and (1,) rho."""
     eta = np.asarray(eta, dtype=float)
     r = 1.0 if q == 1.0 else 1.0 - (1.0 - q) / (n + 2 - n * q) * float(eta @ eta)
-    return Perturbation(eta=eta, rho=r)
+    return eta[None, :], np.array([r])
+
+
+def _one(pert, cost, kernel):
+    """The Gq-SF1 term of one draw."""
+    return sf_term_one_batch(*pert, np.array([cost]), kernel)[0]
+
+
+def _two(pert, cost_plus, cost_minus, kernel):
+    """The Gq-SF2 term of one draw."""
+    return sf_term_two_batch(*pert, np.array([cost_plus]), np.array([cost_minus]), kernel)[0]
 
 
 def test_sf_term_one_zero_cost():
     kernel = QKernel(q=0.5, beta=0.1, dim=2)
-    term = sf_term_one(GradientSampleOne(_pert([0.3, -0.4], 0.5, 2), 0.0), kernel)
+    term = _one(_pert([0.3, -0.4], 0.5, 2), 0.0, kernel)
     np.testing.assert_array_equal(term, np.zeros(2))
 
 
 def test_sf_term_one_direct_arithmetic():
     # N=2, q=0, beta=0.1, eta=(1,1), cost=3: rho=0.5, term = (30, 30)
     kernel = QKernel(q=0.0, beta=0.1, dim=2)
-    sample = GradientSampleOne(_pert([1.0, 1.0], 0.0, 2), 3.0)
-    np.testing.assert_allclose(sf_term_one(sample, kernel), [30.0, 30.0], rtol=1e-13)
+    np.testing.assert_allclose(
+        _one(_pert([1.0, 1.0], 0.0, 2), 3.0, kernel), [30.0, 30.0], rtol=1e-13
+    )
 
 
 def test_sf_term_two_direct_arithmetic():
     kernel = QKernel(q=0.0, beta=0.1, dim=2)
-    sample = GradientSampleTwo(_pert([1.0, 1.0], 0.0, 2), 3.0, 1.0)
-    np.testing.assert_allclose(sf_term_two(sample, kernel), [10.0, 10.0], rtol=1e-13)
+    np.testing.assert_allclose(
+        _two(_pert([1.0, 1.0], 0.0, 2), 3.0, 1.0, kernel), [10.0, 10.0], rtol=1e-13
+    )
 
 
 def test_sf_term_two_equal_costs():
     kernel = QKernel(q=0.8, beta=0.05, dim=3)
-    sample = GradientSampleTwo(_pert([0.2, 0.1, -0.5], 0.8, 3), 2.5, 2.5)
-    np.testing.assert_array_equal(sf_term_two(sample, kernel), np.zeros(3))
+    term = _two(_pert([0.2, 0.1, -0.5], 0.8, 3), 2.5, 2.5, kernel)
+    np.testing.assert_array_equal(term, np.zeros(3))
 
 
 def test_gaussian_reduction_exact():
@@ -60,8 +69,9 @@ def test_gaussian_reduction_exact():
         eta = stream.standard_normal(n)
         h = stream.uniform01() * 10
         hp, hm = stream.uniform01() * 10, stream.uniform01() * 10
-        one = sf_term_one(GradientSampleOne(Perturbation(eta, 1.0), h), kernel)
-        two = sf_term_two(GradientSampleTwo(Perturbation(eta, 1.0), hp, hm), kernel)
+        pert = eta[None, :], np.ones(1)
+        one = _one(pert, h, kernel)
+        two = _two(pert, hp, hm, kernel)
         assert np.array_equal(one, eta * (h / beta))
         assert np.array_equal(two, eta * ((hp - hm) / (2 * beta)))
         # the other association order differs by at most one rounding step
@@ -72,8 +82,8 @@ def test_gaussian_reduction_exact():
 def test_antisymmetry():
     kernel = QKernel(q=0.5, beta=0.02, dim=2)
     pert = _pert([0.7, -0.2], 0.5, 2)
-    fwd = sf_term_two(GradientSampleTwo(pert, 4.0, 1.0), kernel)
-    rev = sf_term_two(GradientSampleTwo(pert, 1.0, 4.0), kernel)
+    fwd = _two(pert, 4.0, 1.0, kernel)
+    rev = _two(pert, 1.0, 4.0, kernel)
     np.testing.assert_array_equal(fwd, -rev)
 
 
@@ -81,32 +91,40 @@ def test_linearity_and_beta_scaling():
     pert = _pert([0.4, 0.9], 0.3, 2)
     k1 = QKernel(q=0.3, beta=0.1, dim=2)
     k2 = QKernel(q=0.3, beta=0.2, dim=2)
-    t1 = sf_term_one(GradientSampleOne(pert, 1.5), k1)
-    t3 = sf_term_one(GradientSampleOne(pert, 4.5), k1)
+    t1 = _one(pert, 1.5, k1)
+    t3 = _one(pert, 4.5, k1)
     np.testing.assert_allclose(t3, 3.0 * t1, rtol=1e-13)
-    np.testing.assert_allclose(sf_term_one(GradientSampleOne(pert, 1.5), k2), t1 / 2.0, rtol=1e-13)
+    np.testing.assert_allclose(_one(pert, 1.5, k2), t1 / 2.0, rtol=1e-13)
 
 
 def test_invalid_rho_raises():
     kernel = QKernel(q=0.5, beta=0.1, dim=1)
-    bad = Perturbation(np.array([1.0]), -0.25)
+    bad = np.array([[1.0]]), np.array([-0.25])
     with pytest.raises(InvalidRhoError):
-        sf_term_one(GradientSampleOne(bad, 1.0), kernel)
+        _one(bad, 1.0, kernel)
     with pytest.raises(InvalidRhoError):
         sf_term_one_batch(np.ones((2, 1)), np.array([0.5, 0.0]), np.ones(2), kernel)
 
 
 def test_cost_validation():
+    # every cost is checked before any term, on either side of Gq-SF2
+    kernel = QKernel(q=0.5, beta=0.1, dim=1)
     pert = _pert([0.1], 0.5, 1)
+    with pytest.raises(ValueError, match="finite and >= 0, got -1.0$"):
+        _one(pert, -1.0, kernel)
+    with pytest.raises(ValueError, match="got inf$"):
+        _one(pert, float("inf"), kernel)
+    with pytest.raises(ValueError, match="got nan$"):
+        _two(pert, 1.0, float("nan"), kernel)
+    with pytest.raises(ValueError, match="got -2.0$"):
+        _two(pert, -2.0, 1.0, kernel)
+    # a bad cost is refused before a bad rho is seen
     with pytest.raises(ValueError):
-        GradientSampleOne(pert, -1.0)
-    with pytest.raises(ValueError):
-        GradientSampleOne(pert, float("inf"))
-    with pytest.raises(ValueError):
-        GradientSampleTwo(pert, 1.0, float("nan"))
+        sf_term_one_batch(np.ones((2, 1)), np.array([0.0, 0.5]), np.array([1.0, -1.0]), kernel)
 
 
 def test_batch_matches_scalar_terms():
+    # a draw's term does not depend on the batch around it, bit for bit
     kernel = QKernel(q=0.7, beta=0.03, dim=3)
     etas, rhos = sample_standard_many(0.7, 3, 50, RngStream(2, 2))
     costs_p = np.abs(np.sin(np.arange(50.0))) + 0.5
@@ -114,15 +132,9 @@ def test_batch_matches_scalar_terms():
     b1 = sf_term_one_batch(etas, rhos, costs_p, kernel)
     b2 = sf_term_two_batch(etas, rhos, costs_p, costs_m, kernel)
     for i in (0, 17, 49):
-        pert = Perturbation(etas[i], float(rhos[i]))
-        np.testing.assert_allclose(
-            b1[i], sf_term_one(GradientSampleOne(pert, costs_p[i]), kernel), rtol=1e-13
-        )
-        np.testing.assert_allclose(
-            b2[i],
-            sf_term_two(GradientSampleTwo(pert, costs_p[i], costs_m[i]), kernel),
-            rtol=1e-13,
-        )
+        pert = etas[i : i + 1], rhos[i : i + 1]
+        np.testing.assert_allclose(b1[i], _one(pert, costs_p[i], kernel), rtol=1e-13)
+        np.testing.assert_allclose(b2[i], _two(pert, costs_p[i], costs_m[i], kernel), rtol=1e-13)
 
 
 # -- smoothed functional -----------------------------------------------------
