@@ -11,9 +11,9 @@ simulators of the two-simulation algorithm share the ``"sim+"`` stream id.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
-import numbers
 import os
 import threading
 from dataclasses import MISSING, dataclass, fields
@@ -33,7 +33,7 @@ from .optimizer import (
 )
 from .qgaussian import QKernel
 from .queueing import QueueNetworkConfig, equal_by_value, make_simulator, preset, preset_names
-from .rng import RngStream, derive_stream_id
+from .rng import RngStream, _count, _real, _reals, derive_stream_id
 from .smoothing import InvalidRhoError
 
 ALGORITHMS = ("gqsf1", "gqsf2")
@@ -46,30 +46,19 @@ class ConfigError(ValueError):
     """The experiment description is malformed or inconsistent."""
 
 
-def _real(value, name: str) -> float:
-    """A JSON number as a float; booleans and strings are not numbers."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
+@contextlib.contextmanager
+def _config_errors():
+    """Each ValueError of the block, or of the function it decorates, as a
+    ConfigError with its text; a ConfigError passes through unchanged."""
     try:
-        return float(value)
-    except OverflowError:  # an integer beyond the float range
-        raise ConfigError(f"{name} is too large, got {value!r}") from None
+        yield
+    except ConfigError:
+        raise
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
 
 
-def _integer(value, name: str) -> int:
-    """A JSON integer; booleans, floats and strings are not integers."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
-def _dimension(value, name: str) -> int:
-    """A JSON integer >= 1."""
-    if _integer(value, name) < 1:
-        raise ConfigError(f"{name} must be >= 1, got {value}")
-    return value
-
-
+@_config_errors()
 def resolve_q(value: float | str, dim: int) -> float:
     """Resolve a grid entry to a shape value: a number, or the alias
     'gaussian' -> 1 or 'cauchy' -> 1 + 2/(N+1); a number in a string is
@@ -102,13 +91,10 @@ class ExperimentConfig:
     replications: int = 20
     common_random_numbers: bool = False
 
+    @_config_errors()
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"algorithm must be one of {ALGORITHMS}")
-        for name in ("M", "L", "replications", "base_seed"):
-            _integer(getattr(self, name), name)
-        if self.replications < 1:
-            raise ConfigError("replications must be >= 1")
         if not isinstance(self.common_random_numbers, bool):
             raise ConfigError("common_random_numbers must be true or false")
         grids = (self.q_grid, self.beta_grid)
@@ -116,26 +102,22 @@ class ExperimentConfig:
             raise ConfigError("q_grid and beta_grid must be non-empty lists")
         dim = self.system.total_dim
         resolved = {
+            "replications": _count(self.replications, "replications", 1),
+            "base_seed": _count(self.base_seed, "base_seed", None),
             "gamma": _real(self.gamma, "gamma"),
             "q_grid": tuple(resolve_q(q, dim) for q in self.q_grid),
             "beta_grid": tuple(_real(b, "beta") for b in self.beta_grid),
-            "theta0": np.asarray(self.theta0, dtype=float),
+            "theta0": _reals(self.theta0, "theta0"),
         }
         for name, value in resolved.items():
             object.__setattr__(self, name, value)
         # the schedule, the kernel and the optimizer own the gamma, beta and
         # q domains, the box and theta0 dimensions, and the M and L domain
-        try:
-            StepSchedule(self.gamma)
-            for q, beta in self.cells():
-                _check_run_args(QKernel(q, beta, dim), self.box, self.theta0, self.M, self.L, 0)
-        except ValueError as err:
-            raise ConfigError(str(err)) from None
+        StepSchedule(self.gamma)
+        for q, beta in self.cells():
+            _check_run_args(QKernel(q, beta, dim), self.box, self.theta0, self.M, self.L, 0)
         # an unstable network's queues grow until the run fails mid-grid
-        try:
-            load = self.system.worst_utilisation(self.box.lower, self.box.upper)
-        except ValueError as err:
-            raise ConfigError(f"unrunnable network: {err}") from None
+        load = self.system.worst_utilisation(self.box.lower, self.box.upper)
         if not np.all(load < 1.0):
             raise ConfigError(
                 f"unstable network: worst-case utilisation {load.max():.3g} >= 1 "
@@ -170,14 +152,13 @@ class CellResult:
 
 def _as_vector(value, dim: int, name: str) -> np.ndarray:
     """A number, or a list of ``dim`` numbers, as a length-``dim`` vector;
-    each entry is checked as every scalar field is (``_real``)."""
-    if isinstance(value, np.ndarray):  # a preset's
-        value = value.tolist()
-    if isinstance(value, (list, tuple)):
-        if len(value) != dim:
-            raise ConfigError(f"{name} must be a scalar or a length-{dim} list")
-        return np.array([_real(entry, f"{name} entry") for entry in value])
-    return np.full(dim, _real(value, name))
+    each entry is checked as every scalar field is (``_reals``)."""
+    vector = np.array(_reals(value, name))  # a copy of a preset's array
+    if vector.ndim == 0:
+        return np.full(dim, vector)
+    if vector.shape != (dim,):
+        raise ConfigError(f"{name} must be a scalar or a length-{dim} list")
+    return vector
 
 
 def _system_fields(data: dict) -> dict:
@@ -197,20 +178,20 @@ def _system_fields(data: dict) -> dict:
         if unknown:
             raise ConfigError(f"unknown system fields: {sorted(unknown, key=str)}")
 
-        def entries(key, check):
+        def entries(key):
             values = spec[key]
             if not isinstance(values, (list, tuple)):
                 raise ConfigError(f"system.{key} must be a list, got {values!r}")
-            return tuple(check(v, f"system.{key} entry") for v in values)
+            return tuple(values)
 
         try:
             # checked before theta_target is sized from them
-            dims = entries("dims", _dimension)
+            dims = tuple(_count(d, "system.dims entry", 1) for d in entries("dims"))
             target = _as_vector(spec["theta_target"], sum(dims), "theta_target")
             network = QueueNetworkConfig(
-                arrival_rates=entries("arrival_rates", _real),
-                p_leave=entries("p_leave", _real),
-                service_constants=entries("service_constants", _real),
+                arrival_rates=entries("arrival_rates"),
+                p_leave=entries("p_leave"),
+                service_constants=entries("service_constants"),
                 dims=dims,
                 theta_target=target,
             )
@@ -227,19 +208,17 @@ def _system_fields(data: dict) -> dict:
     if box_spec is not None:
         if not isinstance(box_spec, dict) or set(box_spec) != {"lower", "upper"}:
             raise ConfigError("box must be an object with 'lower' and 'upper'")
-        try:
-            objects["box"] = BoxConstraint(
-                _as_vector(box_spec["lower"], dim, "box.lower"),
-                _as_vector(box_spec["upper"], dim, "box.upper"),
-            )
-        except ValueError as err:
-            raise ConfigError(str(err)) from None
+        objects["box"] = BoxConstraint(
+            _as_vector(box_spec["lower"], dim, "box.lower"),
+            _as_vector(box_spec["upper"], dim, "box.upper"),
+        )
     theta0 = data.get("theta0")
     if theta0 is not None:
         objects["theta0"] = _as_vector(theta0, dim, "theta0")
     return objects
 
 
+@_config_errors()
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Map the JSON file schema onto :class:`ExperimentConfig`, which
     validates every value and holds every default."""

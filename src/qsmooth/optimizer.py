@@ -21,7 +21,7 @@ import numpy as np
 from . import _native
 from .qgaussian import QKernel, _transform_constants, sample_standard
 from .queueing import QueueSimulator, equal_by_value
-from .rng import RngStream, _count
+from .rng import RngStream, _count, _real, _reals
 from .smoothing import _term_weight
 
 Z_DIVERGENCE_LIMIT = 1e12
@@ -100,8 +100,8 @@ class BoxConstraint:
     upper: np.ndarray
 
     def __post_init__(self):
-        lower = np.atleast_1d(np.asarray(self.lower, dtype=float))
-        upper = np.atleast_1d(np.asarray(self.upper, dtype=float))
+        lower = np.atleast_1d(_reals(self.lower, "lower"))
+        upper = np.atleast_1d(_reals(self.upper, "upper"))
         if lower.shape != upper.shape:
             raise ValueError("lower/upper must have the same shape")
         if lower.ndim != 1:
@@ -143,6 +143,7 @@ class StepSchedule:
     gamma: float
 
     def __post_init__(self):
+        _real(self.gamma, "gamma")  # a check only, as in QKernel
         if not 0.5 < self.gamma < 1.0:
             raise ValueError(f"gamma must lie strictly in (0.5, 1), got {self.gamma}")
 
@@ -175,7 +176,7 @@ class QuadraticCostSimulator:
     fixture; trivially ergodic."""
 
     def __init__(self, target: np.ndarray):
-        self.target = np.asarray(target, dtype=float)
+        self.target = _reals(target, "target")
 
     def step(self, control: np.ndarray) -> float:
         d = control - self.target
@@ -192,13 +193,13 @@ _QUADRATIC_STEP, _QUADRATIC_OBSERVE = QuadraticCostSimulator.step, QuadraticCost
 
 
 def _check_run_args(kernel, box, theta0, M, L, record_every):
-    """theta0 as a float array; ValueError, naming the argument, for a bad
-    one or for an M or L that is not an integer >= 1 or a record_every that
-    is not an integer >= 0 (a bool is refused)."""
+    """A float copy of theta0; ValueError, naming the argument, for a bad
+    one (a string or a bool entry too) or for an M or L that is not an
+    integer >= 1 or a record_every that is not an integer >= 0."""
     _count(M, "M", 1)
     _count(L, "L", 1)
     _count(record_every, "record_every")
-    theta0 = np.array(theta0, dtype=float)
+    theta0 = _reals(theta0, "theta0").copy()
     if kernel.dim != box.dim or theta0.shape != (box.dim,):
         raise ValueError(
             f"dimension mismatch: kernel {kernel.dim}, box {box.dim}, theta0 {theta0.shape}"

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rng import RngStream, _count
+from .rng import RngStream, _count, _real
 
 # Constructions this close to the q = 1 + 2/dim boundary are rejected: the
 # normalizing constant diverges there and nothing finite can be computed.
@@ -50,7 +50,6 @@ class MomentDoesNotExistError(ValueError):
 
 
 def _check_q_domain(q: float, dim: int) -> None:
-    # as in QueueNetworkConfig, a bool or a float is no dimension
     if not isinstance(dim, numbers.Integral) or isinstance(dim, bool):
         raise QGaussianDomainError(f"dim must be an integer, got {dim!r}")
     if dim < 1:
@@ -75,6 +74,8 @@ class QKernel:
     dim: int
 
     def __post_init__(self):
+        _real(self.q, "q")
+        _real(self.beta, "beta")  # checks only: a float32 beta computes in float32
         if not 0.0 < self.beta < math.inf:
             raise ValueError(f"beta must be > 0 and finite, got {self.beta}")
         _transform_constants(self.q, self.dim)
@@ -92,12 +93,8 @@ class MomentSpec:
     powers: tuple[int, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        # as for a dimension, a bool or a float is no power
-        for p in (self.b, *self.powers):
-            if isinstance(p, bool) or not isinstance(p, numbers.Integral) or p < 0:
-                raise ValueError("moment powers must be nonnegative integers")
-        object.__setattr__(self, "b", int(self.b))
-        object.__setattr__(self, "powers", tuple(int(p) for p in self.powers))
+        object.__setattr__(self, "b", _count(self.b, "b"))
+        object.__setattr__(self, "powers", tuple(_count(p, "powers entry") for p in self.powers))
 
 
 def rho(eta: np.ndarray, q: float, dim: int) -> float:

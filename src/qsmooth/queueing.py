@@ -21,14 +21,13 @@ Conventions fixed here (the underlying model leaves them open):
 from __future__ import annotations
 
 import math
-import numbers
 from collections import deque
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import _native
-from .rng import RngStream
+from .rng import RngStream, _count, _real, _reals
 
 
 def equal_by_value(self, other):
@@ -60,21 +59,14 @@ class QueueNetworkConfig:
     theta_target: np.ndarray
 
     def __post_init__(self):
-        # as in JSON configs, a bool or a string is no rate, probability or
-        # constant, though float() would take it
+        # float() would take a bool or a string, and int() a float
         for name in ("arrival_rates", "p_leave", "service_constants"):
-            values = tuple(getattr(self, name))
-            if not all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in values):
-                raise ValueError(f"{name} must be numbers, got {values!r}")
-            object.__setattr__(self, name, tuple(float(x) for x in values))
-        # as in JSON configs, a bool, a float or a string is no dimension
-        dims = tuple(self.dims)
-        if not all(isinstance(d, numbers.Integral) and not isinstance(d, bool) for d in dims):
-            raise ValueError(f"dims must be integers, got {self.dims!r}")
-        object.__setattr__(self, "dims", tuple(int(d) for d in dims))
+            values = tuple(_real(x, f"{name} entry") for x in getattr(self, name))
+            object.__setattr__(self, name, values)
+        object.__setattr__(self, "dims", tuple(_count(d, "dims entry", 1) for d in self.dims))
         # a read-only copy: every event loop reads the target the network
         # was built with, and the caller's array stays theirs to change
-        target = np.array(self.theta_target, dtype=float)
+        target = np.array(_reals(self.theta_target, "theta_target"))
         target.flags.writeable = False
         object.__setattr__(self, "theta_target", target)
         k = len(self.arrival_rates)
@@ -91,8 +83,6 @@ class QueueNetworkConfig:
             raise ValueError("departure probabilities must lie in [0, 1]")
         if not all(r > 0.0 for r in self.service_constants):
             raise ValueError("service constants must be > 0")
-        if any(d < 1 for d in self.dims):
-            raise ValueError("per-node parameter dimensions must be >= 1")
         if self.theta_target.shape != (sum(self.dims),):
             raise ValueError(
                 f"theta_target must have length {sum(self.dims)}, "

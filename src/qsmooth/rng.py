@@ -34,12 +34,36 @@ _BUFFER_SIZE = 4096
 _TO_UNIT = 2.0 ** -53
 
 
-def _count(value, name: str, least: int = 0) -> int:
+def _count(value, name: str, least: int | None = 0) -> int:
     """``value`` as an int, or ValueError naming ``name`` when it is not an
-    integer >= ``least`` (a bool is refused: it is no count)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    integer >= ``least``, or no integer at all when ``least`` is None."""
+    floor = -math.inf if least is None else least
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < floor:
+        at_least = "" if least is None else f" >= {least}"
+        raise ValueError(f"{name} must be an integer{at_least}, got {value!r}")
     return int(value)
+
+
+def _real(value, name: str) -> float:
+    """``value`` as a float, or ValueError naming ``name`` when it is no real
+    number (a bool or a string is none) or beyond the float range."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is too large, got {value!r}") from None
+
+
+def _reals(values, name: str) -> np.ndarray:
+    """``np.asarray(values, dtype=float)`` of an integer or float array, a list
+    of numbers or a number, or ValueError naming ``name`` (``_real``)."""
+    if isinstance(values, (list, tuple)):
+        for entry in values:
+            _real(entry, f"{name} entry")
+    elif not (isinstance(values, np.ndarray) and values.dtype.kind in "iuf"):
+        _real(values, name)
+    return np.asarray(values, dtype=float)
 
 
 def _splitmix64(x: int) -> int:
@@ -98,8 +122,8 @@ class RngStream:
     __slots__ = ("seed", "stream_id", "_bitgen", "_buf", "_pos", "spare_normal")
 
     def __init__(self, seed: int, stream_id: int = 0):
-        self.seed = seed & _U64
-        self.stream_id = stream_id & _U64
+        self.seed = _count(seed, "seed", None) & _U64
+        self.stream_id = _count(stream_id, "stream_id", None) & _U64
         self._bitgen = np.random.Philox(key=np.array([self.seed, self.stream_id], np.uint64))
         self._buf = np.empty(0)
         self._pos = 0

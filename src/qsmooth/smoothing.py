@@ -61,11 +61,19 @@ def _checked_costs(costs) -> np.ndarray:
     return costs
 
 
+def _check_rows(*arrays) -> None:
+    """ValueError unless each array has one row per draw: numpy would broadcast one row."""
+    shapes = [np.shape(x) for x in arrays]
+    if len({shape[:1] for shape in shapes}) != 1 or not shapes[0]:
+        raise ValueError(f"etas, rhos and costs must have one row per draw, got shapes {shapes}")
+
+
 def sf_term_one_batch(
     etas: np.ndarray, rhos: np.ndarray, costs: np.ndarray, kernel: QKernel
 ) -> np.ndarray:
     """One-simulation terms 2 * eta * cost / (beta * (N+2-Nq) * rho(eta)):
     an (n, dim) array, one row per draw."""
+    _check_rows(etas, rhos, costs)
     return etas * _term_weight(kernel, rhos, 2.0 * _checked_costs(costs))[:, None]
 
 
@@ -79,6 +87,7 @@ def sf_term_two_batch(
     """Two-simulation (antithetic) terms
     eta * (cost_plus - cost_minus) / (beta * (N+2-Nq) * rho(eta)), one row
     per draw."""
+    _check_rows(etas, rhos, costs_plus, costs_minus)
     signal = _checked_costs(costs_plus) - _checked_costs(costs_minus)
     return etas * _term_weight(kernel, rhos, signal)[:, None]
 

@@ -182,6 +182,35 @@ def test_config_rejects_bad_values(mutation):
         config_from_dict(small_config_dict(**mutation))
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        # theta0 was converted before the checks, so "a" raised a bare ValueError
+        ("theta0", ["a"] * 4, "theta0 entry must be a number, got 'a'"),
+        ("theta0", ["0.3"] * 4, "theta0 entry must be a number, got '0.3'"),
+        ("M", 0, "M must be an integer >= 1, got 0"),
+        ("L", 2.5, "L must be an integer >= 1, got 2.5"),
+        ("replications", 0, "replications must be an integer >= 1, got 0"),
+        ("base_seed", True, "base_seed must be an integer, got True"),
+        ("gamma", "0.7", "gamma must be a number, got '0.7'"),
+        ("q_grid", (0.8, 10**400), "q is too large, got " + str(10**400)),
+    ],
+)
+def test_experiment_config_raises_each_refusal_as_a_config_error(field, value, message):
+    config = config_from_dict(small_config_dict())
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        dataclasses.replace(config, **{field: value})
+
+
+def test_experiment_config_takes_any_integer_seed_as_an_int():
+    config = config_from_dict(small_config_dict())
+    assert config_from_dict(small_config_dict(base_seed=-3)).base_seed == -3
+    for seed in (np.int64(-3), np.uint8(3)):
+        resolved = dataclasses.replace(config, base_seed=seed, replications=np.int32(2))
+        assert type(resolved.base_seed) is int and resolved.base_seed == seed
+        assert type(resolved.replications) is int and resolved.replications == 2
+
+
 NON_FINITE_TARGET = "theta_target entries must be finite"
 
 
@@ -399,7 +428,7 @@ def test_config_rejects_unknown_keys_of_mixed_types():
 def test_config_names_a_bad_inline_dimension(dims):
     # theta_target is sized from the dims, so a negative one used to be
     # reported as a theta_target of length -1
-    with pytest.raises(ConfigError, match="system.dims entry must be >= 1"):
+    with pytest.raises(ConfigError, match="system.dims entry must be an integer >= 1"):
         config_from_dict(small_config_dict(**_inline_system(dims=dims)))
 
 

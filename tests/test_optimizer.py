@@ -140,6 +140,18 @@ def test_schedule_rejects_bad_gamma(gamma):
         StepSchedule(gamma)
 
 
+@pytest.mark.parametrize("gamma", ["0.75", True, None])
+def test_schedule_refuses_a_gamma_that_is_no_number(gamma):
+    # "0.75" raised TypeError from the range test
+    with pytest.raises(ValueError, match=f"^gamma must be a number, got {re.escape(repr(gamma))}$"):
+        StepSchedule(gamma)
+
+
+def test_schedule_keeps_a_numpy_gamma_as_given():
+    assert type(StepSchedule(np.float32(0.75)).gamma) is np.float32
+    assert type(StepSchedule(np.float64(0.75)).gamma) is np.float64
+
+
 def test_schedule_rejects_n0():
     with pytest.raises(ValueError):
         StepSchedule(0.75).step_sizes(0)
@@ -394,6 +406,81 @@ def test_argument_validation():
                   TARGET4, RngStream(0, 0))  # same instance twice
     with pytest.raises(ValueError):
         run_gqsf1(sim, kernel, BOX4, StepSchedule(0.75), 0, 5, TARGET4, RngStream(0, 0))
+
+
+@pytest.mark.parametrize("loop", ["compiled", "python"])
+@pytest.mark.parametrize("n_sims", [1, 2])
+def test_both_loops_refuse_a_kernel_of_another_dimension_before_they_draw(loop, n_sims):
+    sims = QuadraticCostSimulator(TARGET4), QuadraticCostSimulator(TARGET4)
+    run = run_gqsf1 if n_sims == 1 else run_gqsf2
+    stream = RngStream(5, 0)
+    stream.standard_normal()
+    before = stream_state(stream)
+    message = re.escape("dimension mismatch: kernel 3, box 4, theta0 (4,)")
+    on_python = mock.patch.object(_native, "load", return_value=None)
+    with on_python if loop == "python" else contextlib.nullcontext():
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run(*sims[:n_sims], QKernel(q=0.5, beta=0.01, dim=3), BOX4, StepSchedule(0.75),
+                10, 2, TARGET4, stream)
+    assert stream_state(stream) == before
+
+
+VECTOR_INPUTS = {
+    "box lower": lambda v: BoxConstraint(v, [0.6, 0.6]),
+    "box upper": lambda v: BoxConstraint([0.1, 0.1], v),
+    "quadratic target": QuadraticCostSimulator,
+    "gqsf1 theta0": lambda v: run_gqsf1(
+        QuadraticCostSimulator([0.3, 0.3]), QKernel(q=0.5, beta=0.01, dim=2),
+        BoxConstraint.cube(0.1, 0.6, 2), StepSchedule(0.75), 4, 2, v, RngStream(5, 0)),
+    "gqsf2 theta0": lambda v: run_gqsf2(
+        QuadraticCostSimulator([0.3, 0.3]), QuadraticCostSimulator([0.3, 0.3]),
+        QKernel(q=0.5, beta=0.01, dim=2), BoxConstraint.cube(0.1, 0.6, 2), StepSchedule(0.75),
+        4, 2, v, RngStream(5, 0)),
+}
+
+
+@pytest.mark.parametrize(
+    "value, refused",
+    [(["0.3", 0.4], " entry must be a number, got '0.3'"),
+     ([0.3, True], " entry must be a number, got True"),
+     ([0.3, None], " entry must be a number, got None"),
+     ([0.3, [0.4]], r" entry must be a number, got \[0.4\]"),
+     (np.array([False, True]), r" must be a number, got array\(\[False,  True\]\)"),
+     (np.array(["0.3", "0.4"]), r" must be a number, got array\(\['0.3', '0.4'\]"),
+     ("0.3", " must be a number, got '0.3'")],
+    ids=["string", "bool", "None", "list", "bool array", "string array", "a string"],
+)
+@pytest.mark.parametrize("use", sorted(VECTOR_INPUTS))
+def test_vector_inputs_refuse_what_is_no_number(use, value, refused):
+    # each of these but the nested list used to load: "0.3" as 0.3, and
+    # True as 1.0
+    name = {"box lower": "lower", "box upper": "upper", "quadratic target": "target"}
+    with pytest.raises(ValueError, match=f"^{name.get(use, 'theta0')}{refused}"):
+        VECTOR_INPUTS[use](value)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [[0.3, 0.4], (0.3, 0.4), [np.float32(0.3), 1], np.array([0.3, 0.4], np.float32),
+     np.array([3, 4]), np.array([0.3, 0.4])],
+    ids=["list", "tuple", "numpy scalars", "float32 array", "int array", "float64 array"],
+)
+def test_vector_inputs_of_numbers_convert_as_before(value):
+    # the checks change no value: each input is converted as np.asarray did
+    expected = np.asarray(value, dtype=float)
+    box = BoxConstraint(np.zeros(2), np.full(2, 9.0))
+    assert np.array_equal(BoxConstraint(value, np.full(2, 9.0)).lower, expected)
+    assert np.array_equal(BoxConstraint(np.zeros(2), value).upper, expected)
+    target = QuadraticCostSimulator(value).target
+    assert target.dtype == np.float64 and np.array_equal(target, expected)
+    result = run_gqsf1(QuadraticCostSimulator(expected), QKernel(q=0.5, beta=0.01, dim=2), box,
+                       StepSchedule(0.75), 3, 2, value, RngStream(5, 0))
+    twin = run_gqsf1(QuadraticCostSimulator(expected), QKernel(q=0.5, beta=0.01, dim=2), box,
+                     StepSchedule(0.75), 3, 2, expected, RngStream(5, 0))
+    assert result.theta_final.tobytes() == twin.theta_final.tobytes()
+    # a float64 target is still read where it stands, not copied
+    array = np.array([0.3, 0.4])
+    assert QuadraticCostSimulator(array).target is array
 
 
 @pytest.mark.parametrize("loop", ["compiled", "python"])

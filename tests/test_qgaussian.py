@@ -155,7 +155,41 @@ def test_normalizing_constant_domain_error():
         normalizing_constant(3.1, 1)
 
 
+@pytest.mark.parametrize(
+    "q, beta, name",
+    [(True, True, "q"), (0.8, True, "beta"), ("0.8", 0.005, "q"), (0.8, "0.005", "beta"),
+     (None, 0.005, "q"), (0.8, 10**400, "beta")],
+)
+def test_kernel_refuses_a_q_or_beta_that_is_no_number(q, beta, name):
+    # QKernel(True, True, 4) was the Gaussian kernel with beta = 1, and "0.8"
+    # raised TypeError from the domain test
+    value = {"q": q, "beta": beta}[name]
+    refused = "is too large" if value == 10**400 else "must be a number"
+    with pytest.raises(ValueError, match=f"^{name} {refused}, got {re.escape(repr(value))}$"):
+        QKernel(q, beta, 4)
+
+
+def test_kernel_keeps_numpy_scalars_as_given():
+    # a float32 beta computes in float32, so a conversion would change numbers
+    kernel = QKernel(np.float64(0.8), np.float32(0.005), np.int64(4))
+    assert [type(v) for v in (kernel.q, kernel.beta, kernel.dim)] == [
+        np.float64, np.float32, np.int64
+    ]
+
+
 # -- density -------------------------------------------------------------------
+
+@pytest.mark.parametrize("shape", [(3,), (1,), (2, 2), ()])
+def test_density_and_sample_refuse_a_point_of_another_shape(shape):
+    kernel = QKernel(q=0.8, beta=0.1, dim=2)
+    stream = RngStream(3, 3)
+    before = stream_state(stream)
+    with pytest.raises(ValueError, match=re.escape(f"x must have shape (2,), got {shape}")):
+        density(np.zeros(shape), kernel)
+    with pytest.raises(ValueError, match=re.escape(f"mean must have shape (2,), got {shape}")):
+        sample(kernel, np.zeros(shape), stream)
+    assert stream_state(stream) == before
+
 
 def test_density_cutoff_outside_support():
     kernel = QKernel(q=0.5, beta=1.0, dim=2)
@@ -370,7 +404,7 @@ def test_moment_second_over_rho_closed_form(q, n):
     (0, (2, -2)),
 ])
 def test_moment_spec_refuses_powers_that_are_not_nonnegative_integers(b, powers):
-    with pytest.raises(ValueError, match="moment powers must be nonnegative integers"):
+    with pytest.raises(ValueError, match="^(b|powers entry) must be an integer >= 0, got "):
         MomentSpec(b=b, powers=powers)
 
 
@@ -378,6 +412,13 @@ def test_moment_spec_takes_numpy_integers_as_ints():
     spec = MomentSpec(b=np.int64(1), powers=(np.int64(2), np.int32(0)))
     assert spec == MomentSpec(1, (2, 0))
     assert all(type(p) is int for p in (spec.b, *spec.powers))
+
+
+@pytest.mark.parametrize("powers", [(2,), (2, 0, 0), ()])
+def test_analytic_moment_refuses_powers_of_another_length(powers):
+    # unchecked, each would be answered with a number for the wrong law
+    with pytest.raises(ValueError, match=re.escape(f"powers must have length dim=2, got {len(powers)}")):
+        analytic_moment(MomentSpec(b=0, powers=powers), 0.8, 2)
 
 
 def test_moment_total_probability():

@@ -399,10 +399,32 @@ def test_config_validation():
         QueueNetworkConfig((0.0,), (0.4,), (10.0,), (2,), np.array([0.3, 0.3]))
 
 
+def test_config_needs_a_node():
+    with pytest.raises(ValueError, match="^need at least one node$"):
+        QueueNetworkConfig((), (), (), (), np.zeros(0))
+
+
+@pytest.mark.parametrize("field", ["arrival_rates", "p_leave", "service_constants"])
+def test_config_refuses_a_rate_beyond_the_float_range(field):
+    # float(10**400) raised OverflowError
+    values = {
+        "arrival_rates": (0.2, 0.1), "p_leave": (0.0, 0.4), "service_constants": (10.0, 20.0)
+    }
+    values[field] = (values[field][0], 10**400)
+    with pytest.raises(ValueError, match=f"^{field} entry is too large, got 1000"):
+        QueueNetworkConfig(**values, dims=(2, 2), theta_target=np.full(4, 0.3))
+
+
+@pytest.mark.parametrize("target", [[0.3, "0.3"], [0.3, True], [0.3, 10**400]])
+def test_config_refuses_a_target_entry_that_is_no_number(target):
+    with pytest.raises(ValueError, match="^theta_target entry "):
+        QueueNetworkConfig((0.2,), (0.4,), (10.0,), (2,), target)
+
+
 @pytest.mark.parametrize("dims", [(0, 2), (2, -1)])
 def test_config_refuses_a_dimension_below_one(dims):
-    # config files stop earlier, at bench._dimension
-    with pytest.raises(ValueError, match="^per-node parameter dimensions must be >= 1$"):
+    # config files stop earlier, in bench, which sizes theta_target from the dims
+    with pytest.raises(ValueError, match=r"^dims entry must be an integer >= 1, got -?\d+$"):
         QueueNetworkConfig((0.2, 0.1), (0.0, 0.4), (10.0, 20.0), dims, np.full(sum(dims), 0.3))
 
 
@@ -439,7 +461,7 @@ def test_config_refuses_a_string_or_bool_where_a_number_belongs(field, bad):
         "arrival_rates": (0.2, 0.1), "p_leave": (0.0, 0.4), "service_constants": (10.0, 20.0)
     }
     values[field] = (values[field][0], bad)
-    with pytest.raises(ValueError, match=f"^{field} must be numbers, got "):
+    with pytest.raises(ValueError, match=f"^{field} entry must be a number, got "):
         QueueNetworkConfig(**values, dims=(2, 2), theta_target=np.full(4, 0.3))
     # numpy's floats and Python's ints are numbers
     values[field] = (np.float64(values[field][0]), 1)
@@ -453,7 +475,7 @@ def test_config_refuses_a_string_or_bool_where_a_number_belongs(field, bad):
 )
 def test_config_refuses_a_dimension_that_is_not_an_integer(dims):
     # (2.9, 2.2) used to be truncated to (2, 2), as JSON configs never are
-    with pytest.raises(ValueError, match="^dims must be integers"):
+    with pytest.raises(ValueError, match="^dims entry must be an integer >= 1, got "):
         QueueNetworkConfig((0.2, 0.1), (0.0, 0.4), (10.0, 20.0), dims, np.full(4, 0.3))
     # an integer of numpy's is one
     net = QueueNetworkConfig((0.2, 0.1), (0.0, 0.4), (10.0, 20.0), np.array([2, 2]),

@@ -1,3 +1,4 @@
+import ast
 import math
 import os
 import re
@@ -334,6 +335,66 @@ def test_derive_stream_id_refuses_a_part_that_is_no_integer_or_string(part):
         derive_stream_id(7, part)
     # numpy's integers are integers, and enter as the Python int of equal value
     assert derive_stream_id(7, np.int64(-3), np.uint8(5)) == derive_stream_id(7, -3, 5)
+
+
+@pytest.mark.parametrize("value", [True, False, 1.5, 1.0, "1", None, np.float64(2.0)])
+@pytest.mark.parametrize("name", ["seed", "stream_id"])
+def test_a_stream_refuses_a_seed_or_stream_id_that_is_no_integer(name, value):
+    # RngStream(True) drew what RngStream(1) draws, and 1.5 failed inside
+    # the masking with TypeError
+    args = {"seed": 1, "stream_id": 0, name: value}
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {re.escape(repr(value))}$"):
+        RngStream(**args)
+
+
+def test_a_stream_takes_any_integer_seed_modulo_2_to_the_64():
+    # negative seeds load, and numpy's integers enter as the Python int of
+    # equal value (np.int64 failed in the masking with OverflowError)
+    first = RngStream(2**64 - 1, 2**64 + 3).uniform01(3).tolist()
+    assert RngStream(-1, 3).uniform01(3).tolist() == first
+    for seed, stream_id in [(np.int64(-1), np.uint8(3)), (np.uint64(2**64 - 1), np.int32(3))]:
+        stream = RngStream(seed, stream_id)
+        assert (stream.seed, stream.stream_id) == (2**64 - 1, 3)
+        assert stream.uniform01(3).tolist() == first
+
+
+def _number_tests(source: str) -> list[str]:
+    """The functions of ``source`` that name ``numbers.Integral`` or
+    ``numbers.Real``, as "function" (or "<module>")."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, child.name)
+            elif (
+                isinstance(child, ast.Attribute)
+                and isinstance(child.value, ast.Name)
+                and child.value.id == "numbers"
+                and child.attr in ("Integral", "Real")
+            ):
+                found.append(where)
+            else:
+                visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_one_integer_check_and_one_number_check_for_the_whole_package():
+    # _count and _real in rng answer every "is this an integer / a number?";
+    # derive_stream_id takes strings too, and _check_q_domain raises the
+    # domain error the CLI reports
+    src = Path(qsmooth.__file__).parent
+    asked = {path.name: _number_tests(path.read_text()) for path in sorted(src.glob("*.py"))}
+    asked = {name: sorted(set(where)) for name, where in asked.items() if where}
+    assert asked == {
+        "qgaussian.py": ["_check_q_domain"],
+        "rng.py": ["_count", "_real", "derive_stream_id"],
+    }
+    bench = ast.parse((src / "bench.py").read_text())
+    defined = {node.name for node in ast.walk(bench) if isinstance(node, ast.FunctionDef)}
+    assert not defined & {"_real", "_integer", "_dimension"}
 
 
 def test_derive_stream_id_pinned_values():

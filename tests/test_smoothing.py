@@ -1,9 +1,11 @@
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from qsmooth import smoothing
 from qsmooth.qgaussian import QKernel, sample_standard_many
 from qsmooth.rng import RngStream
 from qsmooth.smoothing import (
@@ -121,6 +123,29 @@ def test_cost_validation():
     # a bad cost is refused before a bad rho is seen
     with pytest.raises(ValueError):
         sf_term_one_batch(np.ones((2, 1)), np.array([0.0, 0.5]), np.array([1.0, -1.0]), kernel)
+
+
+@pytest.mark.parametrize(
+    "term, arrays",
+    [
+        # 5 draws and one cost, which numpy spread over all 5
+        (sf_term_one_batch, (np.ones((5, 2)), np.full(5, 0.5), np.array([1.0]))),
+        (sf_term_one_batch, (np.ones((5, 2)), np.array([0.5]), np.ones(5))),
+        (sf_term_one_batch, (np.ones((1, 2)), np.full(3, 0.5), np.ones(3))),
+        # 3 draws and one rho, which numpy spread over all 3
+        (sf_term_two_batch, (np.ones((3, 2)), np.array([0.5]), np.array([1.0, 2, 3]),
+                             np.array([0.0]))),
+        (sf_term_two_batch, (np.ones((3, 2)), np.full(3, 0.5), np.ones(3), np.array([0.0]))),
+        (sf_term_two_batch, (np.ones((3, 2)), np.full(3, 0.5), np.ones(2), np.ones(3))),
+    ],
+)
+def test_batch_terms_need_one_row_per_draw_in_every_array(term, arrays, monkeypatch):
+    # refused before any term is weighed
+    weigh = mock.Mock(side_effect=AssertionError("a term was computed"))
+    monkeypatch.setattr(smoothing, "_term_weight", weigh)
+    with pytest.raises(ValueError, match="^etas, rhos and costs must have one row per draw, got "):
+        term(*arrays, QKernel(q=0.5, beta=0.1, dim=2))
+    assert weigh.call_count == 0
 
 
 def test_batch_matches_scalar_terms():
