@@ -401,13 +401,10 @@ def run_experiment(
     Either way every number is the same.  A run that raises one of
     ``REPLICATION_ERRORS`` is recorded in its cell's failures and errors
     and does not abort the grid; any other exception is re-raised here,
-    the one of the earliest task in grid order.  ``workers`` below 1
-    raises ValueError.
+    the one of the earliest task in grid order.  ``workers`` that is not
+    an integer >= 1 raises ValueError.
     """
-    if workers is None:
-        workers = _usable_cpus()
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    workers = _usable_cpus() if workers is None else _count(workers, "workers", 1)
     cells = config.cells()
     tasks = [
         (config, i, q, beta, rep)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rng import RngStream, _count, _real
+from .rng import _BUFFER_SIZE, RngStream, _count, _gamma_blocks, _real, _reals, _Sections
 
 # Constructions this close to the q = 1 + 2/dim boundary are rejected: the
 # normalizing constant diverges there and nothing finite can be computed.
@@ -102,7 +102,7 @@ def rho(eta: np.ndarray, q: float, dim: int) -> float:
     constants = _transform_constants(q, dim)
     if constants is None:
         return 1.0
-    eta = np.asarray(eta, dtype=float)
+    eta = _reals(eta, "eta")
     return float(1.0 - constants[2] * np.dot(eta, eta))
 
 
@@ -148,14 +148,14 @@ def support_contains(x: np.ndarray, kernel: QKernel) -> bool:
     """Strict membership in the support (the boundary itself is excluded)."""
     if kernel.q >= 1.0:
         return True
-    x = np.asarray(x, dtype=float)
+    x = _reals(x, "x")
     r2 = float(np.dot(x, x)) / (kernel.beta * kernel.beta)
     return r2 < support_radius_sq(kernel.q, kernel.dim)
 
 
 def density(x: np.ndarray, kernel: QKernel) -> float:
     """Density of the kernel's law (q-mean 0, q-covariance beta^2 I) at x."""
-    x = np.asarray(x, dtype=float)
+    x = _reals(x, "x")
     if x.shape != (kernel.dim,):
         raise ValueError(f"x must have shape ({kernel.dim},), got {x.shape}")
     q, beta, n = kernel.q, kernel.beta, kernel.dim
@@ -217,32 +217,62 @@ def sample_standard(q: float, dim: int, stream: RngStream) -> tuple[np.ndarray, 
     return y, 1.0 - rho_coeff * float(np.dot(y, y))
 
 
+def _rhos(etas: np.ndarray, q: float, dim: int) -> np.ndarray:
+    """rho of each row of a (count, dim) array of standard draws."""
+    constants = _transform_constants(q, dim)
+    if constants is None:
+        return np.ones(etas.shape[0])
+    rhos = np.einsum("ij,ij->i", etas, etas)
+    rhos *= constants[2]
+    return np.subtract(1.0, rhos, out=rhos)
+
+
 # Not merged with sample_standard: np.dot and the row-wise einsum norms differ
 # in the last bit on many rows, so one form would change the other's numbers.
+def _standard_blocks(q: float, dim: int, count: int, stream: RngStream):
+    """``count`` standard draws as ``(rows, etas, rhos)`` for each slice
+    ``rows`` of _BUFFER_SIZE draws: the draws of ``sample_standard_many``,
+    bit for bit, and the stream left where it leaves it, once the last
+    block is taken.  The stream is read in sections, as the whole-array
+    form reads it: ``count * dim`` normals, then the chi-squared draw's (see
+    ``_gamma_blocks``), each through its own reader, so no section is held
+    whole.  The normals are scaled into the draws in place."""
+    constants = _transform_constants(q, dim)
+    sections = _Sections(stream)
+    normals = sections.normals(count * dim)
+    if constants is not None:
+        df, scale, _ = constants
+        gammas = _gamma_blocks(0.5 * df, count, sections)
+    for start in range(0, count, _BUFFER_SIZE):
+        rows = slice(start, min(start + _BUFFER_SIZE, count))
+        z = normals.standard_normal((rows.stop - start) * dim).reshape(-1, dim)
+        if constants is not None:
+            _, a = next(gammas)
+            a *= 2.0  # the chi-squared draws
+            if q < 1.0:
+                a += np.einsum("ij,ij->i", z, z)
+            np.multiply(scale, z, out=z)
+            np.divide(z, np.sqrt(a, out=a)[:, None], out=z)
+        yield rows, z, _rhos(z, q, dim)
+    sections.close()
+
+
 def sample_standard_many(
     q: float, dim: int, count: int, stream: RngStream
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized standard draws: (count, dim) samples and their rho values.
-    The normals are scaled into the samples in place."""
-    constants = _transform_constants(q, dim)
+    """Vectorized standard draws: (count, dim) samples and their rho values,
+    drawn a block at a time (``_standard_blocks``)."""
+    _transform_constants(q, dim)  # checked before the draws are allocated
     count = _count(count, "count")
-    z = stream.standard_normal(count * dim).reshape(count, dim)
-    if constants is None:
-        return z, np.ones(count)
-    df, scale, rho_coeff = constants
-    a = stream.chi_squared(df, size=count)
-    if q < 1.0:
-        a += np.einsum("ij,ij->i", z, z)
-    np.multiply(scale, z, out=z)
-    np.divide(z, np.sqrt(a, out=a)[:, None], out=z)
-    rhos = np.einsum("ij,ij->i", z, z)
-    rhos *= rho_coeff
-    return z, np.subtract(1.0, rhos, out=rhos)
+    etas, rhos = np.empty((count, dim)), np.empty(count)
+    for rows, block, block_rhos in _standard_blocks(q, dim, count, stream):
+        etas[rows], rhos[rows] = block, block_rhos
+    return etas, rhos
 
 
 def sample(kernel: QKernel, mean: np.ndarray, stream: RngStream) -> np.ndarray:
     """Draw from the kernel's law shifted to the given mean."""
-    mean = np.asarray(mean, dtype=float)
+    mean = _reals(mean, "mean")
     if mean.shape != (kernel.dim,):
         raise ValueError(f"mean must have shape ({kernel.dim},), got {mean.shape}")
     eta, _ = sample_standard(kernel.q, kernel.dim, stream)

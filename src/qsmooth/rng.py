@@ -18,10 +18,27 @@ numpy's keyed form, with the key as two uint64 words (a list of Python
 ints would pass through float64 wherever one word is 2**63 or more and
 another is not).  ``numpy.random`` is imported when the first stream is
 made, not when qsmooth is.
+
+Reader rule: a stream's uniform sequence is fixed, the i-th uniform being
+``((raw_i >> 11) + 0.5) * 2**-53`` of the generator's i-th raw draw, however
+the buffer splits it.  Philox is counter-based, so any raw can be reached
+without drawing the ones before it.  An array draw that reads the stream in
+sections (a chi-squared draw's waves of normals and uniforms, say) reads
+each section through its own reader (:meth:`RngStream._reader`): a copy of
+the stream, positioned at the section's offset, which reads the rest of the
+stream's buffer and then a Philox set to the matching raw.  Readers never
+draw from the stream itself; the draw then moves the stream
+(:meth:`RngStream._move`) to where whole-array reads of each section would
+have left it, so the draw's results and the stream's state are those of
+the whole-array reads, bit for bit.  Beside its output such a draw holds
+one block of _BUFFER_SIZE values per section: ``chi_squared(12.0, 2**18)``
+peaks at 2.4 MiB traced, 2 MiB of it the output (6.3 MiB with each wave
+held whole).
 """
 
 from __future__ import annotations
 
+import copy
 import math
 import numbers
 
@@ -64,6 +81,29 @@ def _reals(values, name: str) -> np.ndarray:
     elif not (isinstance(values, np.ndarray) and values.dtype.kind in "iuf"):
         _real(values, name)
     return np.asarray(values, dtype=float)
+
+
+def _uniforms(raw: np.ndarray) -> np.ndarray:
+    return ((raw >> np.uint64(11)) + 0.5) * _TO_UNIT
+
+
+def _after_read(size: int, pos: int, n: int) -> tuple[int, int, int]:
+    """The buffer size and read position after ``_fill`` reads ``n``
+    uniforms from a buffer of ``size`` read up to ``pos``, and the fresh
+    uniforms its refills draw: ``reserve``'s rule, worked out without
+    reading."""
+    tail = size - pos
+    if n <= tail:
+        return size, pos + n, 0
+    drawn = 0
+    if tail < min(n, _BUFFER_SIZE):  # the first reserve refills
+        drawn = min(n, _BUFFER_SIZE) if size == 0 and n > 1 else _BUFFER_SIZE
+        tail += drawn
+        if n <= tail:
+            return tail, n, drawn
+    # the rest comes one fresh buffer of _BUFFER_SIZE at a time
+    blocks = -(-(n - tail) // _BUFFER_SIZE)
+    return _BUFFER_SIZE, n - tail - (blocks - 1) * _BUFFER_SIZE, drawn + blocks * _BUFFER_SIZE
 
 
 def _splitmix64(x: int) -> int:
@@ -116,7 +156,8 @@ class RngStream:
     additionally produce the *same* sequence whether drawn one at a time or
     as arrays; ``chi_squared`` array draws are a distinct (still
     deterministic) call pattern because rejection candidates are processed
-    in vectorized waves.
+    in vectorized waves (:func:`_gamma_blocks`), which are read through
+    readers a block at a time, so no wave is held whole.
     """
 
     __slots__ = ("seed", "stream_id", "_bitgen", "_buf", "_pos", "spare_normal")
@@ -135,8 +176,7 @@ class RngStream:
     # -- uniforms ----------------------------------------------------------
 
     def _fresh(self, count: int) -> np.ndarray:
-        raw = self._bitgen.random_raw(count)
-        return ((raw >> np.uint64(11)) + 0.5) * _TO_UNIT
+        return _uniforms(self._bitgen.random_raw(count))
 
     def reserve(self, n: int):
         """The buffer and read position, with at least ``n`` unread uniforms
@@ -146,7 +186,8 @@ class RngStream:
         max(_BUFFER_SIZE, n - tail) fresh uniforms, except in a stream's
         first fill for a read of more than one (a simulator's first
         arrivals, say), which brings just those n.  The C ``reserve`` in
-        ``_mg1.c`` keeps the same rule."""
+        ``_mg1.c`` keeps the same rule, and :func:`_after_read` works it out
+        for whole reads."""
         buf, pos = self._buf, self._pos
         tail = buf.size - pos
         if tail < n:
@@ -181,6 +222,51 @@ class RngStream:
             self._pos = pos + take
             filled += take
             yield filled
+
+    # -- reading ahead -------------------------------------------------------
+
+    def _drawn(self) -> int:
+        """How many raws the generator has drawn: a Philox draws four per
+        step of its counter and hands them out one by one."""
+        state = self._bitgen.state
+        counter = int.from_bytes(state["state"]["counter"].astype("<u8").tobytes(), "little")
+        return 4 * counter + state["buffer_pos"] - 4
+
+    def _philox_at(self, drawn: int):
+        """A Philox keyed like this stream's, in the state this stream's
+        would be in after drawing ``drawn`` raws."""
+        bitgen = np.random.Philox(key=np.array([self.seed, self.stream_id], np.uint64))
+        if drawn:
+            bitgen.advance((drawn - 1) // 4)
+            bitgen.random_raw((drawn - 1) % 4 + 1)
+        return bitgen
+
+    def _reader(self, k: int, spare: float | None = None) -> RngStream:
+        """A copy of this stream that reads its uniforms from ``k`` past its
+        read position on, with ``spare`` as its cached normal: it reads the
+        rest of this stream's buffer, then a Philox positioned at the
+        matching raw.  This stream is left as it is."""
+        reader = copy.copy(self)
+        start = self._pos + k
+        reader._buf, reader._pos, reader.spare_normal = self._buf[start:], 0, spare
+        reader._bitgen = self._philox_at(self._drawn() + max(0, start - self._buf.size))
+        return reader
+
+    def _move(self, reads, spare: float | None) -> None:
+        """Leave this stream where ``_fill`` reads of each size in ``reads``,
+        one after another, would, with ``spare`` as its cached normal.  The
+        buffer size, read position and raws drawn follow from the fill rule
+        (:func:`_after_read`); only the last buffer, at most twice
+        _BUFFER_SIZE, is drawn, from a Philox positioned at its start."""
+        size, pos, drawn = self._buf.size, self._pos, 0
+        for n in reads:
+            size, pos, fresh = _after_read(size, pos, n)
+            drawn += fresh
+        if drawn:
+            bitgen = self._philox_at(self._drawn() + drawn - size)
+            self._buf = _uniforms(bitgen.random_raw(size))
+            self._bitgen.state = bitgen.state
+        self._pos, self.spare_normal = pos, spare
 
     # -- normals (Box-Muller) ----------------------------------------------
 
@@ -254,44 +340,6 @@ class RngStream:
             if math.log(u) < 0.5 * x * x + d - d * v + d * math.log(v):
                 return boost * d * v
 
-    # Not merged with _gamma_unit_scale: the scalar form skips the uniform
-    # when t <= 0, so the two forms consume the stream differently.
-    # Each wave draws its n normals, then its n uniforms; the test and the
-    # copy of the accepted values then run _BUFFER_SIZE candidates at a time.
-    # With a boost, ``out`` holds the boosts, and each accepted value is
-    # multiplied into its slot.
-    def _gamma_unit_scale_array(self, shape: float, size: int):
-        boost = shape < 1.0
-        if boost:
-            out = self.uniform01(size)
-            out **= 1.0 / shape
-            shape = shape + 1.0
-        else:
-            out = np.empty(size)
-        d = shape - 1.0 / 3.0
-        c = 1.0 / math.sqrt(9.0 * d)
-        filled = 0
-        while filled < size:
-            n = size - filled
-            xs = self.standard_normal(n)
-            us = self.uniform01(n)
-            for i in range(0, n, _BUFFER_SIZE):
-                x = xs[i : i + _BUFFER_SIZE]
-                t = 1.0 + c * x
-                v = t * t * t
-                with np.errstate(invalid="ignore"):  # log(v<=0) slots are rejected anyway
-                    ok = (t > 0.0) & (
-                        np.log(us[i : i + _BUFFER_SIZE]) < 0.5 * x * x + d - d * v + d * np.log(v)
-                    )
-                acc = d * v[ok]
-                slots = out[filled : filled + acc.size]
-                if boost:
-                    np.multiply(acc, slots, out=slots)
-                else:
-                    slots[:] = acc
-                filled += acc.size
-        return out
-
     def chi_squared(self, df: float, size: int | None = None):
         """Chi-squared draw(s); df may be any finite real > 0 (at df = inf
         every rejection test reads inf - inf, and no candidate would ever be
@@ -300,6 +348,93 @@ class RngStream:
             raise ValueError(f"chi_squared requires 0 < df < inf, got {df}")
         if size is None:
             return 2.0 * self._gamma_unit_scale(0.5 * df)
-        out = self._gamma_unit_scale_array(0.5 * df, _count(size, "size"))
-        out *= 2.0
+        out = np.empty(_count(size, "size"))
+        sections = _Sections(self)
+        for rows, gammas in _gamma_blocks(0.5 * df, out.size, sections):
+            np.multiply(gammas, 2.0, out=out[rows])
+        sections.close()
         return out
+
+
+class _Sections:
+    """The sections of a whole-array draw from ``stream``, in the order the
+    whole-array form reads them: each is read by its own reader, from the
+    offset where the sections before it end, and :meth:`close` moves the
+    stream past them all."""
+
+    def __init__(self, stream: RngStream):
+        self.stream, self.offset, self.reads = stream, 0, []
+        self.spare = stream.spare_normal  # the normal cached where the next section starts
+
+    def uniforms(self, n: int) -> RngStream:
+        """A reader of the next ``n`` uniforms."""
+        reader = self.stream._reader(self.offset)
+        self.offset += n
+        self.reads.append(n)
+        return reader
+
+    def normals(self, n: int) -> RngStream:
+        """A reader of the next ``n`` normals, as ``standard_normal(n)``
+        draws them: the cached normal first, then whole pairs, the odd
+        one out of which is cached for the next section."""
+        reader = self.stream._reader(self.offset, self.spare)
+        if n:
+            paired = n - (self.spare is not None)
+            fill = paired + paired % 2
+            if paired % 2:  # the other half of the last pair
+                last = self.stream._reader(self.offset + fill - 2).standard_normal(2)
+                self.spare = last.item(1)
+            else:
+                self.spare = None
+            self.offset += fill
+            self.reads.append(fill)
+        return reader
+
+    def close(self) -> None:
+        self.stream._move(self.reads, self.spare)
+
+
+# Not merged with RngStream._gamma_unit_scale: the scalar form skips the
+# uniform when t <= 0, so the two forms consume the stream differently.
+def _gamma_blocks(shape: float, count: int, sections: _Sections):
+    """gamma(shape, scale=1) draws for ``count`` slots, as ``(rows, values)``
+    for each slice ``rows`` of _BUFFER_SIZE slots.  Marsaglia-Tsang in
+    waves: each wave draws one candidate per empty slot, its normals and
+    then its uniforms (two sections), and its accepted candidates fill the
+    next slots in order; shape < 1 first draws ``count`` boost uniforms (a
+    section) and multiplies each accepted value by its slot's boost.  A
+    wave's candidates are tested _BUFFER_SIZE at a time, as a block needs
+    them."""
+    boosts = None
+    if shape < 1.0:
+        boosts, power, shape = sections.uniforms(count), 1.0 / shape, shape + 1.0
+    d = shape - 1.0 / 3.0
+    c = 1.0 / math.sqrt(9.0 * d)
+    accepted = left = 0  # candidates accepted so far, and left in this wave
+    pending = np.empty(0)  # accepted values not yet in a block
+    for start in range(0, count, _BUFFER_SIZE):
+        out = np.empty(min(_BUFFER_SIZE, count - start))
+        got = 0
+        while got < out.size:
+            if not pending.size:
+                if not left:
+                    left = count - accepted
+                    xs, us = sections.normals(left), sections.uniforms(left)
+                n = min(left, _BUFFER_SIZE)
+                left -= n
+                x = xs.standard_normal(n)
+                t = 1.0 + c * x
+                v = t * t * t
+                with np.errstate(invalid="ignore"):  # log(v<=0) slots are rejected anyway
+                    ok = (t > 0.0) & (np.log(us.uniform01(n)) < 0.5 * x * x + d - d * v + d * np.log(v))
+                pending = d * v[ok]
+                accepted += pending.size
+            take = min(pending.size, out.size - got)
+            out[got : got + take] = pending[:take]
+            pending = pending[take:]
+            got += take
+        if boosts is not None:
+            boost = boosts.uniform01(out.size)
+            boost **= power
+            out *= boost
+        yield slice(start, start + out.size), out

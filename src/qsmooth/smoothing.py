@@ -8,13 +8,20 @@ Averaging the terms is the caller's business -- the optimizer runs them
 through its fast recursion, while the Monte-Carlo helpers here average them
 directly, which is what the property tests exercise.
 
-The Monte-Carlo helpers draw _MC_CHUNK (2**19) perturbations at a time.
-They evaluate f and weight the draws _BUFFER_SIZE rows at a time, writing
-each gradient term over its draw in place, so beside the draws themselves
-they hold only one block's points and weights.  Their results depend on
-_MC_CHUNK, which splits the draws and the sums, but not on the block
-length: each chunk's terms are reduced in one ``sum(axis=0)`` and each
-chunk's values in one ``sum``.
+The Monte-Carlo helpers draw _MC_CHUNK (2**19) perturbations at a time,
+_BUFFER_SIZE rows at a time from the sampler's block generator
+(``qgaussian._standard_blocks``), which reads the stream through readers
+positioned ahead of it and never holds a section of the stream whole (see
+``qsmooth.rng``).  ``smoothed_value`` evaluates f on each block as it
+comes and holds nothing of chunk size: 0.6 MiB traced for 2**18 draws in
+2-d.  ``smoothed_gradient_mc`` holds the chunk's draws, checking every
+block's rho values as it stores them, so that none reaches f unchecked;
+it then evaluates f and weights the draws a block at a time, recomputing
+each block's rho values from its draws and writing each term over its
+draw in place: 4.6 MiB traced for 2**18 draws in 2-d, 4 MiB of them the
+draws.  Their results depend on _MC_CHUNK, which splits the draws and the
+sums, but not on the block length: each chunk's terms are reduced in one
+``sum(axis=0)`` and each chunk's values in one ``sum``.
 """
 
 from __future__ import annotations
@@ -24,8 +31,10 @@ from typing import Callable
 
 import numpy as np
 
-from .qgaussian import QKernel, sample_standard_many
-from .rng import _BUFFER_SIZE, RngStream, _count
+# sample_standard_many is not called here, but perfbench's tracer wraps it
+# under this module's name
+from .qgaussian import QKernel, _rhos, _standard_blocks, sample_standard_many  # noqa: F401
+from .rng import _BUFFER_SIZE, RngStream, _count, _reals
 
 _MC_CHUNK = 1 << 19
 
@@ -97,16 +106,15 @@ def _mc_theta(theta, kernel: QKernel, n_samples: int) -> np.ndarray:
     ValueError, naming the argument, for any other shape or for an
     ``n_samples`` that is not an integer >= 1, before any draw."""
     _count(n_samples, "n_samples", 1)
-    theta = np.asarray(theta, dtype=float)
+    theta = _reals(theta, "theta")
     if theta.shape != (kernel.dim,):
         raise ValueError(f"theta must have shape ({kernel.dim},), got {theta.shape}")
     return theta
 
 
-def _chunks(kernel: QKernel, n_samples: int, stream: RngStream):
-    """The draws, _MC_CHUNK perturbations and their rho values at a time."""
-    for done in range(0, n_samples, _MC_CHUNK):
-        yield sample_standard_many(kernel.q, kernel.dim, min(_MC_CHUNK, n_samples - done), stream)
+def _chunks(n_samples: int):
+    """The sizes of the chunks of _MC_CHUNK draws that make ``n_samples``."""
+    return (min(_MC_CHUNK, n_samples - done) for done in range(0, n_samples, _MC_CHUNK))
 
 
 def _blocks(theta: np.ndarray, step: float, etas: np.ndarray):
@@ -131,10 +139,11 @@ def smoothed_value(
     """
     theta = _mc_theta(theta, kernel, n_samples)
     total = 0.0
-    for etas, _ in _chunks(kernel, n_samples, stream):
+    for count in _chunks(n_samples):
+        draws = _standard_blocks(kernel.q, kernel.dim, count, stream)
         # one sum over the chunk: sums per block, added up, would round
         # differently (CPython's float sum is compensated from 3.12 on)
-        total += float(sum(f(p) for _, pts in _blocks(theta, -kernel.beta, etas) for p in pts))
+        total += float(sum(f(p) for _, etas, _ in draws for p in theta - kernel.beta * etas))
     return total / n_samples
 
 
@@ -149,12 +158,17 @@ def smoothed_gradient_mc(
     one-simulation terms with cost f(theta + beta*eta).  A chunk with a rho
     <= 0 raises InvalidRhoError before f sees any of its points."""
     theta = _mc_theta(theta, kernel, n_samples)
-    acc = np.zeros(kernel.dim)
-    for etas, rhos in _chunks(kernel, n_samples, stream):
-        _check_rhos(rhos)
+    q, dim = kernel.q, kernel.dim
+    acc = np.zeros(dim)
+    for count in _chunks(n_samples):
+        etas = np.empty((count, dim))
+        for rows, block, rhos in _standard_blocks(q, dim, count, stream):
+            _check_rhos(rhos)
+            etas[rows] = block
         for rows, pts in _blocks(theta, kernel.beta, etas):
             costs = np.fromiter((f(p) for p in pts), dtype=float, count=len(pts))
             terms = etas[rows]
-            terms *= _term_weight(kernel, rhos[rows], 2.0 * costs)[:, None]
+            # the block's rhos again, bit for bit: the same einsum of the same rows
+            terms *= _term_weight(kernel, _rhos(terms, q, dim), 2.0 * costs)[:, None]
         acc += etas.sum(axis=0)
     return acc / n_samples

@@ -680,20 +680,22 @@ def test_an_interrupt_stops_the_grid_and_joins_every_thread():
     assert out == "interrupted\n1 True\n"
 
 
-@pytest.mark.parametrize("workers", [0, -3])
+@pytest.mark.parametrize("workers", [0, -3, 2.5, True])
 def test_fewer_than_one_worker_is_refused_before_any_replication(
     workers, tmp_path, monkeypatch, capsys
 ):
+    # 2.5 failed in range() and True ran serially
     monkeypatch.setattr(bench, "run_replication", mock.Mock(side_effect=AssertionError))
     cfg = config_from_dict(small_config_dict())
-    with pytest.raises(ValueError, match=f"^workers must be >= 1, got {workers}$"):
+    with pytest.raises(ValueError, match=f"^workers must be an integer >= 1, got {workers}$"):
         run_experiment(cfg, workers=workers)
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(small_config_dict()))
-    assert main(["run", str(cfg_path), f"--workers={workers}"]) == 2
-    captured = capsys.readouterr()
-    assert captured.err == f"config error: --workers must be >= 1, got {workers}\n"
-    assert captured.out == ""
+    if type(workers) is int:  # argparse's int type refuses "2.5" and "True" itself
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(small_config_dict()))
+        assert main(["run", str(cfg_path), f"--workers={workers}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: --workers must be >= 1, got {workers}\n"
+        assert captured.out == ""
     bench.run_replication.assert_not_called()
 
 

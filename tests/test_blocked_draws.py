@@ -1,14 +1,16 @@
 """The array draws and the Monte-Carlo estimators work through their
-arrays a block at a time and in place.  These tests pin them, bit for bit
-and with the stream left at the same place, against the whole-array
-formulas they replace, copied here; and they bound the memory the blocks
-save."""
+arrays a block at a time and in place, reading the stream through readers
+positioned ahead of it.  These tests pin them, bit for bit and with the
+stream left at the same place, against the whole-array formulas they
+replace, copied here; and they bound the memory the blocks save."""
 
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qsmooth import qgaussian, smoothing
 from qsmooth.qgaussian import QKernel, sample_standard_many
@@ -215,18 +217,113 @@ def test_the_estimators_match_the_whole_array_formulas(q, chunk, monkeypatch):
 
 
 def test_the_gradient_checks_rho_before_it_evaluates_f(monkeypatch):
-    # a corrupted batch is refused before f sees any of its points
+    # a corrupted block, the chunk's last, is refused before f sees any of
+    # the chunk's points
     def corrupted(q, dim, count, stream):
-        etas, rhos = sample_standard_many(q, dim, count, stream)
-        rhos[-1] = 0.0
-        return etas, rhos
+        blocks = list(qgaussian._standard_blocks(q, dim, count, stream))
+        blocks[-1][2][-1] = 0.0
+        return iter(blocks)
 
-    monkeypatch.setattr(smoothing, "sample_standard_many", corrupted)
+    monkeypatch.setattr(smoothing, "_standard_blocks", corrupted)
     calls = []
     with pytest.raises(smoothing.InvalidRhoError, match="rho <= 0"):
         smoothed_gradient_mc(lambda x: calls.append(x) or 1.0, np.zeros(2),
-                             QKernel(0.5, 0.1, 2), 100, RngStream(3, 1))
+                             QKernel(0.5, 0.1, 2), 2 * 4096 + 5, RngStream(3, 1))
     assert calls == []
+
+
+# -- readers and moves ---------------------------------------------------------
+
+# offsets inside the unread tail of every lead's buffer (4093 to 4095 long
+# but for a fresh stream's), at its end and past it, where the raw they
+# start at falls on each place of a Philox step of four
+OFFSETS = [0, 1, 2, 3, 4, 5, 4092, 4093, 4094, 4095, 4096, 4097, 4098, 4099, 3 * 4096 + 5]
+
+
+@pytest.mark.parametrize("lead", sorted(LEADS))
+@pytest.mark.parametrize("k", OFFSETS)
+def test_a_reader_reads_on_from_k_past_the_stream_and_leaves_it_alone(k, lead):
+    stream, twin = twins(lead, 4)
+    before = stream_state(stream)
+    reader = stream._reader(k)
+    got = [reader.uniform01() for _ in range(3)] + reader.uniform01(5000).tolist()
+    assert stream_state(stream) == before
+    for _ in range(k):
+        twin.uniform01()
+    assert got == [twin.uniform01() for _ in range(3)] + twin.uniform01(5000).tolist()
+
+
+def test_a_reader_starts_with_the_normal_it_is_given():
+    stream = RngStream(8, 1)
+    before = stream_state(stream)
+    assert stream._reader(3, 0.25).standard_normal(3).tolist() == (
+        [0.25] + stream._reader(3).standard_normal(2).tolist())
+    assert stream_state(stream) == before
+
+
+@given(
+    lead=st.sampled_from(sorted(LEADS)),
+    # a read of any size, or one that ends next to a buffer's end: past the
+    # unread tail, ``buffers`` whole buffers and ``extra`` uniforms more
+    steps=st.lists(
+        st.tuples(st.none(), st.integers(0, 3 * 4096 + 5) | st.integers(0, 5))
+        | st.tuples(st.integers(0, 3), st.integers(-2, 2)),
+        max_size=6,
+    ),
+)
+def test_a_move_leaves_the_stream_where_its_reads_would(lead, steps):
+    stream, twin = twins(lead, 5)
+    reads = []
+    for buffers, extra in steps:
+        tail = twin._buf.size - twin._pos
+        reads.append(extra if buffers is None else max(0, tail + buffers * 4096 + extra))
+        twin.uniform01(reads[-1])
+    stream._move(reads, stream.spare_normal)
+    assert stream._buf.tobytes() == twin._buf.tobytes()
+    assert stream_state(stream) == stream_state(twin)
+
+
+@st.composite
+def shapes(draw):
+    """(q, dim): q below 1, at 1, above 1, or so near 1 + 2/dim that the
+    mixing chi-squared has df < 2, whose gammas are boosted."""
+    dim = draw(st.integers(1, 25))
+    boosted = (dim + 4) / (dim + 2)  # df < 2 from here up to 1 + 2/dim
+    return draw(st.one_of(
+        st.floats(-3.0, 0.99),
+        st.just(1.0),
+        st.floats(1.01, boosted),
+        st.floats(boosted + 1e-9, 1.0 + 2.0 / dim - 1e-3),
+    )), dim
+
+
+@given(
+    shape=shapes(),
+    count=st.sampled_from([0, 1, 2, 3, 7, 4095, 4096, 4097, 2 * 4096 + 1, 3 * 4096 - 1]),
+    lead=st.sampled_from(sorted(LEADS)),
+    skip=st.sampled_from([0, 1, 4095, 4096, 4097]),
+)
+def test_the_block_generator_matches_the_whole_array_formula(shape, count, lead, skip):
+    (q, dim), streams = shape, twins(lead, 6)
+    for stream in streams:
+        stream.uniform01(skip)
+    blocks = list(qgaussian._standard_blocks(q, dim, count, streams[0]))
+    want = whole_sample_standard_many(q, dim, count, streams[1])
+    assert [rows.stop - rows.start for rows, _, _ in blocks] == [
+        min(4096, count - start) for start in range(0, count, 4096)]
+    assert_same(np.concatenate([etas for _, etas, _ in blocks] or [np.empty((0, dim))]),
+                want[0], streams)
+    assert_same(np.concatenate([rhos for _, _, rhos in blocks] or [np.empty(0)]), want[1], streams)
+
+
+@given(
+    df=st.floats(0.05, 60.0),
+    size=st.sampled_from([4096, 4097, 3 * 4096 + 1]) | st.integers(0, 3 * 4096),
+    lead=st.sampled_from(sorted(LEADS)),
+)
+def test_array_chi_squared_matches_the_whole_array_formula_at_any_df(df, size, lead):
+    streams = twins(lead, 7)
+    assert_same(streams[0].chi_squared(df, size), whole_chi_squared(streams[1], df, size), streams)
 
 
 # -- memory ------------------------------------------------------------------
@@ -264,3 +361,18 @@ def test_the_draws_and_the_estimators_hold_no_whole_size_temporaries():
     for estimate in (smoothed_gradient_mc, smoothed_value):
         _, peak = traced_peak(lambda m: estimate(one, theta, kernel, m, RngStream(5, 2)), n)
         assert peak <= sampler + (1 << 20), estimate.__name__
+
+
+def test_the_sampler_holds_one_block_beside_its_outputs_and_the_estimators_their_draws():
+    kernel, theta, n = QKernel(0.5, 0.05, 2), np.array([0.3, 0.3]), 1 << 18
+    (etas, rhos), sampler = traced_peak(
+        lambda m: sample_standard_many(kernel.q, kernel.dim, m, RngStream(5, 1)), n)
+    assert sampler <= etas.nbytes + rhos.nbytes + (1 << 20)
+
+    def one(x):
+        return 1.0
+
+    _, peak = traced_peak(lambda m: smoothed_value(one, theta, kernel, m, RngStream(5, 2)), n)
+    assert peak <= 1 << 20
+    _, peak = traced_peak(lambda m: smoothed_gradient_mc(one, theta, kernel, m, RngStream(5, 3)), n)
+    assert peak <= etas.nbytes + (1 << 20)

@@ -191,6 +191,19 @@ def test_density_and_sample_refuse_a_point_of_another_shape(shape):
     assert stream_state(stream) == before
 
 
+@pytest.mark.parametrize("point", [["0.1", "0.2"], [0.1, True], "0.1", np.array([True, False])])
+def test_a_point_is_a_number_array_or_list_of_numbers(point):
+    # density(["0.1", True]) read 0.0, and a string mean was drawn around
+    kernel = QKernel(q=0.5, beta=0.1, dim=2)
+    stream = RngStream(3, 3)
+    before = stream_state(stream)
+    for call in (lambda: density(point, kernel), lambda: support_contains(point, kernel),
+                 lambda: rho(point, 0.5, 2), lambda: sample(kernel, point, stream)):
+        with pytest.raises(ValueError, match="must be a number, got"):
+            call()
+    assert stream_state(stream) == before
+
+
 def test_density_cutoff_outside_support():
     kernel = QKernel(q=0.5, beta=1.0, dim=2)
     r = math.sqrt(support_radius_sq(0.5, 2))

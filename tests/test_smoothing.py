@@ -223,6 +223,16 @@ def test_monte_carlo_estimates_need_theta_of_the_kernel_dimension(estimate, thet
     assert _untouched(stream)
 
 
+@pytest.mark.parametrize("estimate", [smoothed_value, smoothed_gradient_mc])
+@pytest.mark.parametrize("theta", [["0.3", "0.3"], [0.3, True]])
+def test_monte_carlo_estimates_need_a_theta_of_numbers(estimate, theta):
+    # smoothed_value(f, ["0.3", "0.3"], ...) estimated at (0.3, 0.3)
+    stream = RngStream(3, 1)
+    with pytest.raises(ValueError, match="^theta entry must be a number, got"):
+        estimate(lambda x: 1.0, theta, QKernel(0.5, 0.1, 2), 10, stream)
+    assert _untouched(stream)
+
+
 @pytest.mark.parametrize("q", [0.0, 0.5, 1.0, 1.2])
 def test_smoothed_gradient_unbiased_on_quadratic(q):
     # quadratic objective: the Taylor expansion terminates and the second
