@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rng import _BUFFER_SIZE, RngStream, _count, _gamma_blocks, _real, _reals, _Sections
+from .rng import _BLOCK, RngStream, _count, _real, _reals
 
 # Constructions this close to the q = 1 + 2/dim boundary are rejected: the
 # normalizing constant diverges there and nothing finite can be computed.
@@ -97,12 +97,20 @@ class MomentSpec:
         object.__setattr__(self, "powers", tuple(_count(p, "powers entry") for p in self.powers))
 
 
+def _point(x, dim: int, name: str) -> np.ndarray:
+    """``x`` as a float array of shape (dim,), or ValueError naming ``name``."""
+    x = _reals(x, name)
+    if x.shape != (dim,):
+        raise ValueError(f"{name} must have shape ({dim},), got {x.shape}")
+    return x
+
+
 def rho(eta: np.ndarray, q: float, dim: int) -> float:
     """Correction factor 1 - ((1-q)/(N+2-Nq)) * ||eta||^2; exactly 1 at q = 1."""
     constants = _transform_constants(q, dim)
+    eta = _point(eta, dim, "eta")
     if constants is None:
         return 1.0
-    eta = _reals(eta, "eta")
     return float(1.0 - constants[2] * np.dot(eta, eta))
 
 
@@ -146,18 +154,16 @@ def support_radius_sq(q: float, dim: int) -> float:
 
 def support_contains(x: np.ndarray, kernel: QKernel) -> bool:
     """Strict membership in the support (the boundary itself is excluded)."""
+    x = _point(x, kernel.dim, "x")
     if kernel.q >= 1.0:
         return True
-    x = _reals(x, "x")
     r2 = float(np.dot(x, x)) / (kernel.beta * kernel.beta)
     return r2 < support_radius_sq(kernel.q, kernel.dim)
 
 
 def density(x: np.ndarray, kernel: QKernel) -> float:
     """Density of the kernel's law (q-mean 0, q-covariance beta^2 I) at x."""
-    x = _reals(x, "x")
-    if x.shape != (kernel.dim,):
-        raise ValueError(f"x must have shape ({kernel.dim},), got {x.shape}")
+    x = _point(x, kernel.dim, "x")
     q, beta, n = kernel.q, kernel.beta, kernel.dim
     r2 = float(np.dot(x, x)) / (beta * beta)
     if q == 1.0:
@@ -231,30 +237,23 @@ def _rhos(etas: np.ndarray, q: float, dim: int) -> np.ndarray:
 # in the last bit on many rows, so one form would change the other's numbers.
 def _standard_blocks(q: float, dim: int, count: int, stream: RngStream):
     """``count`` standard draws as ``(rows, etas, rhos)`` for each slice
-    ``rows`` of _BUFFER_SIZE draws: the draws of ``sample_standard_many``,
-    bit for bit, and the stream left where it leaves it, once the last
-    block is taken.  The stream is read in sections, as the whole-array
-    form reads it: ``count * dim`` normals, then the chi-squared draw's (see
-    ``_gamma_blocks``), each through its own reader, so no section is held
-    whole.  The normals are scaled into the draws in place."""
+    ``rows`` of _BLOCK draws, by the block rule of ``qsmooth.rng``: each
+    block reads its ``rows * dim`` normals, then its chi-squared values
+    (``RngStream._gamma_block``), and the normals are scaled into the draws
+    in place."""
     constants = _transform_constants(q, dim)
-    sections = _Sections(stream)
-    normals = sections.normals(count * dim)
-    if constants is not None:
-        df, scale, _ = constants
-        gammas = _gamma_blocks(0.5 * df, count, sections)
-    for start in range(0, count, _BUFFER_SIZE):
-        rows = slice(start, min(start + _BUFFER_SIZE, count))
-        z = normals.standard_normal((rows.stop - start) * dim).reshape(-1, dim)
+    for start in range(0, count, _BLOCK):
+        rows = slice(start, min(start + _BLOCK, count))
+        z = stream.standard_normal((rows.stop - start) * dim).reshape(-1, dim)
         if constants is not None:
-            _, a = next(gammas)
+            df, scale, _ = constants
+            a = stream._gamma_block(0.5 * df, z.shape[0])
             a *= 2.0  # the chi-squared draws
             if q < 1.0:
                 a += np.einsum("ij,ij->i", z, z)
             np.multiply(scale, z, out=z)
             np.divide(z, np.sqrt(a, out=a)[:, None], out=z)
         yield rows, z, _rhos(z, q, dim)
-    sections.close()
 
 
 def sample_standard_many(
@@ -272,9 +271,7 @@ def sample_standard_many(
 
 def sample(kernel: QKernel, mean: np.ndarray, stream: RngStream) -> np.ndarray:
     """Draw from the kernel's law shifted to the given mean."""
-    mean = _reals(mean, "mean")
-    if mean.shape != (kernel.dim,):
-        raise ValueError(f"mean must have shape ({kernel.dim},), got {mean.shape}")
+    mean = _point(mean, kernel.dim, "mean")
     eta, _ = sample_standard(kernel.q, kernel.dim, stream)
     return mean + kernel.beta * eta
 

@@ -9,19 +9,17 @@ through its fast recursion, while the Monte-Carlo helpers here average them
 directly, which is what the property tests exercise.
 
 The Monte-Carlo helpers draw _MC_CHUNK (2**19) perturbations at a time,
-_BUFFER_SIZE rows at a time from the sampler's block generator
-(``qgaussian._standard_blocks``), which reads the stream through readers
-positioned ahead of it and never holds a section of the stream whole (see
-``qsmooth.rng``).  ``smoothed_value`` evaluates f on each block as it
-comes and holds nothing of chunk size: 0.6 MiB traced for 2**18 draws in
-2-d.  ``smoothed_gradient_mc`` holds the chunk's draws, checking every
-block's rho values as it stores them, so that none reaches f unchecked;
-it then evaluates f and weights the draws a block at a time, recomputing
-each block's rho values from its draws and writing each term over its
-draw in place: 4.6 MiB traced for 2**18 draws in 2-d, 4 MiB of them the
-draws.  Their results depend on _MC_CHUNK, which splits the draws and the
-sums, but not on the block length: each chunk's terms are reduced in one
-``sum(axis=0)`` and each chunk's values in one ``sum``.
+a block at a time from the sampler's block generator
+(``qgaussian._standard_blocks``).  ``smoothed_value`` evaluates f on each
+block as it comes and holds nothing of chunk size.
+``smoothed_gradient_mc`` holds the chunk's draws, checking every block's
+rho values as it stores them, so that none reaches f unchecked; it then
+evaluates f and weights the draws _BUFFER_SIZE at a time, recomputing each
+block's rho values from its draws and writing each term over its draw in
+place.  Their results depend on _MC_CHUNK, which splits the draws (each
+chunk draws from the sampler's first block on) and the sums, but not on
+_BUFFER_SIZE: each chunk's terms are reduced in one ``sum(axis=0)`` and
+each chunk's values in one ``sum``.
 """
 
 from __future__ import annotations

@@ -1,8 +1,9 @@
 """The array draws and the Monte-Carlo estimators work through their
-arrays a block at a time and in place, reading the stream through readers
-positioned ahead of it.  These tests pin them, bit for bit and with the
-stream left at the same place, against the whole-array formulas they
-replace, copied here; and they bound the memory the blocks save."""
+arrays a block at a time and in place, reading the stream one block of
+4096 rows (or slots) after another.  These tests pin them, bit for bit and
+with the stream left at the same place, against whole-array formulas,
+copied here, applied to successive blocks on one stream; and they bound
+the memory the blocks save."""
 
 import math
 import tracemalloc
@@ -94,12 +95,26 @@ def whole_sample_standard_many(q, dim, count, stream):
     return y, 1.0 - rho_coeff * np.einsum("ij,ij->i", y, y)
 
 
+def blocked_chi_squared(stream, df, size):
+    """``whole_chi_squared`` of one block of 4096 slots after another."""
+    parts = [whole_chi_squared(stream, df, min(4096, size - start)) for start in range(0, size, 4096)]
+    return np.concatenate([np.empty(0)] + parts)
+
+
+def blocked_sample_standard_many(q, dim, count, stream):
+    """``whole_sample_standard_many`` of one block of 4096 rows after another."""
+    parts = [whole_sample_standard_many(q, dim, min(4096, count - start), stream)
+             for start in range(0, count, 4096)]
+    return (np.concatenate([np.empty((0, dim))] + [etas for etas, _ in parts]),
+            np.concatenate([np.empty(0)] + [rhos for _, rhos in parts]))
+
+
 def whole_gradient(f, theta, kernel, n_samples, stream):
     acc = np.zeros(kernel.dim)
     done = 0
     while done < n_samples:
         m = min(smoothing._MC_CHUNK, n_samples - done)
-        etas, rhos = whole_sample_standard_many(kernel.q, kernel.dim, m, stream)
+        etas, rhos = blocked_sample_standard_many(kernel.q, kernel.dim, m, stream)
         pts = theta[None, :] + kernel.beta * etas
         costs = np.fromiter((f(p) for p in pts), dtype=float, count=m)
         acc += sf_term_one_batch(etas, rhos, costs, kernel).sum(axis=0)
@@ -112,7 +127,7 @@ def whole_value(f, theta, kernel, n_samples, stream):
     done = 0
     while done < n_samples:
         m = min(smoothing._MC_CHUNK, n_samples - done)
-        etas, _ = whole_sample_standard_many(kernel.q, kernel.dim, m, stream)
+        etas, _ = blocked_sample_standard_many(kernel.q, kernel.dim, m, stream)
         pts = theta[None, :] - kernel.beta * etas
         total += float(sum(f(p) for p in pts))
         done += m
@@ -184,7 +199,7 @@ def test_array_chi_squared_matches_the_whole_array_formula(df, size, lead):
     streams = WaveCountingStream(8, 2), RngStream(8, 2)
     for stream in streams:
         LEADS[lead](stream)
-    assert_same(streams[0].chi_squared(df, size), whole_chi_squared(streams[1], df, size), streams)
+    assert_same(streams[0].chi_squared(df, size), blocked_chi_squared(streams[1], df, size), streams)
     if size > 4096:  # later waves redraw the rejected candidates
         assert len(streams[0].waves) >= 3
 
@@ -195,7 +210,7 @@ def test_many_standard_draws_match_the_whole_array_formula(q, dim, lead):
     count = 3 * 4096 + 1  # an odd number of normals in 3-d
     streams = twins(lead, dim)
     got = sample_standard_many(q, dim, count, streams[0])
-    want = whole_sample_standard_many(q, dim, count, streams[1])
+    want = blocked_sample_standard_many(q, dim, count, streams[1])
     assert_same(got[0], want[0], streams)
     assert_same(got[1], want[1], streams)
 
@@ -232,57 +247,6 @@ def test_the_gradient_checks_rho_before_it_evaluates_f(monkeypatch):
     assert calls == []
 
 
-# -- readers and moves ---------------------------------------------------------
-
-# offsets inside the unread tail of every lead's buffer (4093 to 4095 long
-# but for a fresh stream's), at its end and past it, where the raw they
-# start at falls on each place of a Philox step of four
-OFFSETS = [0, 1, 2, 3, 4, 5, 4092, 4093, 4094, 4095, 4096, 4097, 4098, 4099, 3 * 4096 + 5]
-
-
-@pytest.mark.parametrize("lead", sorted(LEADS))
-@pytest.mark.parametrize("k", OFFSETS)
-def test_a_reader_reads_on_from_k_past_the_stream_and_leaves_it_alone(k, lead):
-    stream, twin = twins(lead, 4)
-    before = stream_state(stream)
-    reader = stream._reader(k)
-    got = [reader.uniform01() for _ in range(3)] + reader.uniform01(5000).tolist()
-    assert stream_state(stream) == before
-    for _ in range(k):
-        twin.uniform01()
-    assert got == [twin.uniform01() for _ in range(3)] + twin.uniform01(5000).tolist()
-
-
-def test_a_reader_starts_with_the_normal_it_is_given():
-    stream = RngStream(8, 1)
-    before = stream_state(stream)
-    assert stream._reader(3, 0.25).standard_normal(3).tolist() == (
-        [0.25] + stream._reader(3).standard_normal(2).tolist())
-    assert stream_state(stream) == before
-
-
-@given(
-    lead=st.sampled_from(sorted(LEADS)),
-    # a read of any size, or one that ends next to a buffer's end: past the
-    # unread tail, ``buffers`` whole buffers and ``extra`` uniforms more
-    steps=st.lists(
-        st.tuples(st.none(), st.integers(0, 3 * 4096 + 5) | st.integers(0, 5))
-        | st.tuples(st.integers(0, 3), st.integers(-2, 2)),
-        max_size=6,
-    ),
-)
-def test_a_move_leaves_the_stream_where_its_reads_would(lead, steps):
-    stream, twin = twins(lead, 5)
-    reads = []
-    for buffers, extra in steps:
-        tail = twin._buf.size - twin._pos
-        reads.append(extra if buffers is None else max(0, tail + buffers * 4096 + extra))
-        twin.uniform01(reads[-1])
-    stream._move(reads, stream.spare_normal)
-    assert stream._buf.tobytes() == twin._buf.tobytes()
-    assert stream_state(stream) == stream_state(twin)
-
-
 @st.composite
 def shapes(draw):
     """(q, dim): q below 1, at 1, above 1, or so near 1 + 2/dim that the
@@ -308,7 +272,7 @@ def test_the_block_generator_matches_the_whole_array_formula(shape, count, lead,
     for stream in streams:
         stream.uniform01(skip)
     blocks = list(qgaussian._standard_blocks(q, dim, count, streams[0]))
-    want = whole_sample_standard_many(q, dim, count, streams[1])
+    want = blocked_sample_standard_many(q, dim, count, streams[1])
     assert [rows.stop - rows.start for rows, _, _ in blocks] == [
         min(4096, count - start) for start in range(0, count, 4096)]
     assert_same(np.concatenate([etas for _, etas, _ in blocks] or [np.empty((0, dim))]),
@@ -323,7 +287,24 @@ def test_the_block_generator_matches_the_whole_array_formula(shape, count, lead,
 )
 def test_array_chi_squared_matches_the_whole_array_formula_at_any_df(df, size, lead):
     streams = twins(lead, 7)
-    assert_same(streams[0].chi_squared(df, size), whole_chi_squared(streams[1], df, size), streams)
+    assert_same(streams[0].chi_squared(df, size), blocked_chi_squared(streams[1], df, size), streams)
+
+
+@given(shape=shapes(), k=st.integers(0, 2 * 4096 + 1), lead=st.sampled_from(sorted(LEADS)))
+def test_many_standard_draws_compose_block_by_block(shape, k, lead):
+    (q, dim), streams = shape, twins(lead, 8)
+    got = sample_standard_many(q, dim, 4096 + k, streams[0])
+    head, tail = (sample_standard_many(q, dim, n, streams[1]) for n in (4096, k))
+    assert_same(got[0], np.concatenate([head[0], tail[0]]), streams)
+    assert_same(got[1], np.concatenate([head[1], tail[1]]), streams)
+
+
+@given(df=st.floats(0.05, 60.0), k=st.integers(0, 2 * 4096 + 1), lead=st.sampled_from(sorted(LEADS)))
+def test_array_chi_squared_composes_block_by_block(df, k, lead):
+    streams = twins(lead, 9)
+    got = streams[0].chi_squared(df, 4096 + k)
+    head, tail = (streams[1].chi_squared(df, n) for n in (4096, k))
+    assert_same(got, np.concatenate([head, tail]), streams)
 
 
 # -- memory ------------------------------------------------------------------

@@ -188,6 +188,12 @@ def test_density_and_sample_refuse_a_point_of_another_shape(shape):
         density(np.zeros(shape), kernel)
     with pytest.raises(ValueError, match=re.escape(f"mean must have shape (2,), got {shape}")):
         sample(kernel, np.zeros(shape), stream)
+    # rho(np.ones(3), 0.5, 2) read 0.5, and support_contains read False
+    for q in (0.8, 1.0, 1.3):
+        with pytest.raises(ValueError, match=re.escape(f"eta must have shape (2,), got {shape}")):
+            rho(np.ones(shape), q, 2)
+        with pytest.raises(ValueError, match=re.escape(f"x must have shape (2,), got {shape}")):
+            support_contains(np.ones(shape), QKernel(q, 0.1, 2))
     assert stream_state(stream) == before
 
 
@@ -202,6 +208,12 @@ def test_a_point_is_a_number_array_or_list_of_numbers(point):
         with pytest.raises(ValueError, match="must be a number, got"):
             call()
     assert stream_state(stream) == before
+
+
+@pytest.mark.parametrize("q", [1.0, 1.3])
+def test_the_support_is_unbounded_from_q_1_on(q):
+    assert support_radius_sq(q, 2) == math.inf
+    assert support_contains(np.array([1e300, -1e300]), QKernel(q, 0.1, 2))
 
 
 def test_density_cutoff_outside_support():

@@ -513,6 +513,9 @@ def test_network_configs_compare_by_value():
         net.arrival_rates, net.p_leave, net.service_constants, net.dims, np.full(4, 0.4)
     )
     assert net != moved
+    # another type is not equal: __eq__ hands the comparison back to it
+    assert net.__eq__(3) is NotImplemented
+    assert not net == 3 and net != 3
     # and so do the records that hold a network or an array beside it
     assert preset("mg1-4d") == preset("mg1-4d")
     assert preset("mg1-4d") != preset("mg1-20d")

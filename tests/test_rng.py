@@ -248,6 +248,17 @@ def test_chi_squared_rejects_bad_df(df):
 
 
 @pytest.mark.parametrize("size", [None, 3])
+@pytest.mark.parametrize("df", [True, "3", None])
+def test_chi_squared_refuses_a_df_that_is_no_number(df, size):
+    # True drew as df = 1, and "3" raised TypeError from the range test
+    stream = RngStream(0, 0)
+    before = stream_state(stream)
+    with pytest.raises(ValueError, match=f"^df must be a number, got {re.escape(repr(df))}$"):
+        stream.chi_squared(df, size)
+    assert stream_state(stream) == before
+
+
+@pytest.mark.parametrize("size", [None, 3])
 def test_chi_squared_rejects_an_infinite_df(size):
     # at df = inf every candidate's test reads inf - inf = NaN, and the draw
     # never returned; a child process under a timeout fails a regression
