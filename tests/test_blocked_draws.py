@@ -307,6 +307,36 @@ def test_array_chi_squared_composes_block_by_block(df, k, lead):
     assert_same(got, np.concatenate([head, tail]), streams)
 
 
+# the second draw's length k: none, a few, about one block (where the Philox
+# step of four the block ends on falls on each of its places), and a tail
+# that spans blocks of its own
+OFFSETS = [0, 1, 2, 3, 4, 5, 4092, 4093, 4094, 4095, 4096, 4097, 4098, 4099, 3 * 4096 + 5]
+
+
+@pytest.mark.parametrize("lead", sorted(LEADS))
+@pytest.mark.parametrize("k", OFFSETS)
+def test_a_draw_reads_on_from_k_past_its_first_block_as_a_second_draw_would(k, lead):
+    for q, dim in [(0.5, 2), (1.0, 3), (1.4, 2)]:
+        streams = twins(lead, 10)
+        got = sample_standard_many(q, dim, 4096 + k, streams[0])
+        head, tail = (sample_standard_many(q, dim, n, streams[1]) for n in (4096, k))
+        assert_same(got[0], np.concatenate([head[0], tail[0]]), streams)
+        assert_same(got[1], np.concatenate([head[1], tail[1]]), streams)
+    streams = twins(lead, 11)
+    got = streams[0].chi_squared(0.6, 4096 + k)  # df < 2: boosted
+    head, tail = (streams[1].chi_squared(0.6, n) for n in (4096, k))
+    assert_same(got, np.concatenate([head, tail]), streams)
+
+
+def test_an_array_draw_starts_with_the_normal_the_stream_holds():
+    stream, twin = RngStream(8, 1), RngStream(8, 1)
+    stream.spare_normal = 0.25
+    etas, rhos = sample_standard_many(1.0, 3, 4097, stream)
+    assert etas.ravel().tolist() == [0.25] + twin.standard_normal(3 * 4097 - 1).tolist()
+    assert rhos.tolist() == [1.0] * 4097
+    assert stream_state(stream) == stream_state(twin)
+
+
 # -- memory ------------------------------------------------------------------
 
 
