@@ -21,6 +21,7 @@ import sys
 import numpy as np
 
 from . import bench
+from .optimizer import _RUN_SIZE_MAX
 from .qgaussian import (
     MomentDoesNotExistError,
     MomentSpec,
@@ -71,6 +72,8 @@ def _cmd_run(args) -> int:
 def _cmd_single(args) -> int:
     if args.record_every < 0:
         return _config_error(f"--record-every must be >= 0, got {args.record_every}")
+    if args.record_every > _RUN_SIZE_MAX:
+        return _config_error(f"--record-every must be at most 2**63 - 1, got {args.record_every}")
     data = {
         "algorithm": args.algo,
         "q_grid": [args.q],

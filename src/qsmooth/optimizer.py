@@ -25,6 +25,8 @@ from .rng import RngStream, _count, _real, _reals
 from .smoothing import _term_weight
 
 Z_DIVERGENCE_LIMIT = 1e12
+# M, L and record_every reach the compiled loop as int64 fields
+_RUN_SIZE_MAX = 2**63 - 1
 
 
 class DivergenceError(RuntimeError):
@@ -195,10 +197,11 @@ _QUADRATIC_STEP, _QUADRATIC_OBSERVE = QuadraticCostSimulator.step, QuadraticCost
 def _check_run_args(kernel, box, theta0, M, L, record_every):
     """A float copy of theta0; ValueError, naming the argument, for a bad
     one (a string or a bool entry too) or for an M or L that is not an
-    integer >= 1 or a record_every that is not an integer >= 0."""
-    _count(M, "M", 1)
-    _count(L, "L", 1)
-    _count(record_every, "record_every")
+    integer >= 1 or a record_every that is not an integer >= 0, or any of
+    the three above _RUN_SIZE_MAX."""
+    for name, value, least in (("M", M, 1), ("L", L, 1), ("record_every", record_every, 0)):
+        if _count(value, name, least) > _RUN_SIZE_MAX:
+            raise ValueError(f"{name} must be at most 2**63 - 1, got {value}")
     theta0 = _reals(theta0, "theta0").copy()
     if kernel.dim != box.dim or theta0.shape != (box.dim,):
         raise ValueError(

@@ -124,11 +124,15 @@ class RngStream:
     draw of a few uniforms takes about 5 µs more, a first scalar draw, which
     fills 4096, about 25 µs), so give every replication/component its own.
     Identical ``(seed, stream_id)`` and an identical call pattern replay an
-    identical variate sequence.  ``uniform01`` and ``standard_normal``
-    additionally produce the *same* sequence whether drawn one at a time or
-    as arrays; ``chi_squared`` array draws are a distinct (still
-    deterministic) call pattern because rejection candidates are processed
-    in vectorized waves (:meth:`_gamma_block`), one block after another.
+    identical variate sequence.  ``uniform01`` produces the same sequence
+    whether drawn one at a time or as arrays.  ``standard_normal`` reads the
+    same uniforms either way and leaves the stream at the same place, but
+    its scalar form takes libm's log, cos and sin and its array form
+    numpy's, so a value may differ in its last bits (289 of the first
+    200 000 normals of stream (1, 2), by at most 2 ulp).  ``chi_squared``
+    array draws are a distinct (still deterministic) call pattern because
+    rejection candidates are processed in vectorized waves
+    (:meth:`_gamma_block`), one block after another.
     """
 
     __slots__ = ("seed", "stream_id", "_bitgen", "_buf", "_pos", "spare_normal")
@@ -200,7 +204,8 @@ class RngStream:
 
         Pairs are generated from consecutive uniforms; the unused half of a
         pair is cached, so odd draw counts advance state deterministically
-        and scalar/array call patterns yield the same sequence.  An array
+        and scalar and array call patterns read the same uniforms (their
+        values may differ in the last bits: see the class docstring).  An array
         draw copies the uniforms into its output one buffer read at a time
         and turns each read's whole pairs into normals there, in place, so
         it holds no whole-size temporary; numpy's float64 ``log``, ``cos``

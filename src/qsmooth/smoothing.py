@@ -8,18 +8,8 @@ Averaging the terms is the caller's business -- the optimizer runs them
 through its fast recursion, while the Monte-Carlo helpers here average them
 directly, which is what the property tests exercise.
 
-The Monte-Carlo helpers draw _MC_CHUNK (2**19) perturbations at a time,
-a block at a time from the sampler's block generator
-(``qgaussian._standard_blocks``).  ``smoothed_value`` evaluates f on each
-block as it comes and holds nothing of chunk size.
-``smoothed_gradient_mc`` holds the chunk's draws, checking every block's
-rho values as it stores them, so that none reaches f unchecked; it then
-evaluates f and weights the draws _BUFFER_SIZE at a time, recomputing each
-block's rho values from its draws and writing each term over its draw in
-place.  Their results depend on _MC_CHUNK, which splits the draws (each
-chunk draws from the sampler's first block on) and the sums, but not on
-_BUFFER_SIZE: each chunk's terms are reduced in one ``sum(axis=0)`` and
-each chunk's values in one ``sum``.
+The Monte-Carlo helpers sum as the sampler's 4096-row blocks come: one running
+``sum`` of f values, or each block's ``sum(axis=0)`` of terms added in order.
 """
 
 from __future__ import annotations
@@ -31,10 +21,8 @@ import numpy as np
 
 # sample_standard_many is not called here, but perfbench's tracer wraps it
 # under this module's name
-from .qgaussian import QKernel, _rhos, _standard_blocks, sample_standard_many  # noqa: F401
-from .rng import _BUFFER_SIZE, RngStream, _count, _reals
-
-_MC_CHUNK = 1 << 19
+from .qgaussian import QKernel, _standard_blocks, sample_standard_many  # noqa: F401
+from .rng import RngStream, _count, _reals
 
 
 class InvalidRhoError(RuntimeError):
@@ -110,19 +98,6 @@ def _mc_theta(theta, kernel: QKernel, n_samples: int) -> np.ndarray:
     return theta
 
 
-def _chunks(n_samples: int):
-    """The sizes of the chunks of _MC_CHUNK draws that make ``n_samples``."""
-    return (min(_MC_CHUNK, n_samples - done) for done in range(0, n_samples, _MC_CHUNK))
-
-
-def _blocks(theta: np.ndarray, step: float, etas: np.ndarray):
-    """``(rows, theta + step * etas[rows])`` for each slice ``rows`` of
-    _BUFFER_SIZE rows."""
-    for start in range(0, etas.shape[0], _BUFFER_SIZE):
-        rows = slice(start, start + _BUFFER_SIZE)
-        yield rows, theta[None, :] + step * etas[rows]
-
-
 def smoothed_value(
     f: Callable[[np.ndarray], float],
     theta: np.ndarray,
@@ -136,13 +111,8 @@ def smoothed_value(
     q < 1 bounds the perturbation).
     """
     theta = _mc_theta(theta, kernel, n_samples)
-    total = 0.0
-    for count in _chunks(n_samples):
-        draws = _standard_blocks(kernel.q, kernel.dim, count, stream)
-        # one sum over the chunk: sums per block, added up, would round
-        # differently (CPython's float sum is compensated from 3.12 on)
-        total += float(sum(f(p) for _, etas, _ in draws for p in theta - kernel.beta * etas))
-    return total / n_samples
+    draws = _standard_blocks(kernel.q, kernel.dim, n_samples, stream)
+    return float(sum(f(p) for _, etas, _ in draws for p in theta - kernel.beta * etas)) / n_samples
 
 
 def smoothed_gradient_mc(
@@ -153,20 +123,15 @@ def smoothed_gradient_mc(
     stream: RngStream,
 ) -> np.ndarray:
     """Monte-Carlo estimate of the smoothed gradient: the average of
-    one-simulation terms with cost f(theta + beta*eta).  A chunk with a rho
-    <= 0 raises InvalidRhoError before f sees any of its points."""
+    one-simulation terms with cost f(theta + beta*eta).  A block of draws
+    with a rho <= 0 raises InvalidRhoError before f sees any of its points
+    (f has seen the points of the blocks before it)."""
     theta = _mc_theta(theta, kernel, n_samples)
-    q, dim = kernel.q, kernel.dim
-    acc = np.zeros(dim)
-    for count in _chunks(n_samples):
-        etas = np.empty((count, dim))
-        for rows, block, rhos in _standard_blocks(q, dim, count, stream):
-            _check_rhos(rhos)
-            etas[rows] = block
-        for rows, pts in _blocks(theta, kernel.beta, etas):
-            costs = np.fromiter((f(p) for p in pts), dtype=float, count=len(pts))
-            terms = etas[rows]
-            # the block's rhos again, bit for bit: the same einsum of the same rows
-            terms *= _term_weight(kernel, _rhos(terms, q, dim), 2.0 * costs)[:, None]
+    acc = np.zeros(kernel.dim)
+    for _, etas, rhos in _standard_blocks(kernel.q, kernel.dim, n_samples, stream):
+        _check_rhos(rhos)
+        pts = theta + kernel.beta * etas
+        costs = np.fromiter((f(p) for p in pts), dtype=float, count=len(pts))
+        etas *= _term_weight(kernel, rhos, 2.0 * costs)[:, None]  # the terms, over the draws
         acc += etas.sum(axis=0)
     return acc / n_samples

@@ -190,6 +190,9 @@ def test_config_rejects_bad_values(mutation):
         ("theta0", ["0.3"] * 4, "theta0 entry must be a number, got '0.3'"),
         ("M", 0, "M must be an integer >= 1, got 0"),
         ("L", 2.5, "L must be an integer >= 1, got 2.5"),
+        # the compiled loop takes M and L as int64
+        ("M", 2**64 + 3, f"M must be at most 2**63 - 1, got {2**64 + 3}"),
+        ("L", 2**64 + 1, f"L must be at most 2**63 - 1, got {2**64 + 1}"),
         ("replications", 0, "replications must be an integer >= 1, got 0"),
         ("base_seed", True, "base_seed must be an integer, got True"),
         ("gamma", "0.7", "gamma must be a number, got '0.7'"),
@@ -1081,6 +1084,19 @@ def test_cli_single_checks_its_config_like_run(flags, code, capsys):
     assert main(["single", *flags]) == code
     if code == 2:
         assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, name, value",
+    [("--M", "M", 2**64 + 3), ("--L", "L", 2**64 + 1), ("--record-every", "--record-every", 2**64 + 2)],
+)
+def test_cli_single_refuses_a_run_size_beyond_int64(flag, name, value, monkeypatch, capsys):
+    # --M 18446744073709551619 ran 3 iterations
+    monkeypatch.setattr(bench, "run_replication", mock.Mock(side_effect=AssertionError))
+    assert main(["single", flag, str(value)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: {name} must be at most 2**63 - 1, got {value}\n"
+    assert captured.out == ""
 
 
 def test_cli_single_refuses_a_negative_record_every(monkeypatch, capsys):

@@ -110,28 +110,21 @@ def blocked_sample_standard_many(q, dim, count, stream):
 
 
 def whole_gradient(f, theta, kernel, n_samples, stream):
+    """The terms' ``sum(axis=0)`` of one block of 4096 rows after another,
+    added up in order."""
     acc = np.zeros(kernel.dim)
-    done = 0
-    while done < n_samples:
-        m = min(smoothing._MC_CHUNK, n_samples - done)
-        etas, rhos = blocked_sample_standard_many(kernel.q, kernel.dim, m, stream)
+    for start in range(0, n_samples, 4096):
+        m = min(4096, n_samples - start)
+        etas, rhos = whole_sample_standard_many(kernel.q, kernel.dim, m, stream)
         pts = theta[None, :] + kernel.beta * etas
         costs = np.fromiter((f(p) for p in pts), dtype=float, count=m)
         acc += sf_term_one_batch(etas, rhos, costs, kernel).sum(axis=0)
-        done += m
     return acc / n_samples
 
 
 def whole_value(f, theta, kernel, n_samples, stream):
-    total = 0.0
-    done = 0
-    while done < n_samples:
-        m = min(smoothing._MC_CHUNK, n_samples - done)
-        etas, _ = blocked_sample_standard_many(kernel.q, kernel.dim, m, stream)
-        pts = theta[None, :] - kernel.beta * etas
-        total += float(sum(f(p) for p in pts))
-        done += m
-    return total / n_samples
+    etas, _ = blocked_sample_standard_many(kernel.q, kernel.dim, n_samples, stream)
+    return float(sum(f(p) for p in theta[None, :] - kernel.beta * etas)) / n_samples
 
 
 # -- the pins ----------------------------------------------------------------
@@ -216,15 +209,15 @@ def test_many_standard_draws_match_the_whole_array_formula(q, dim, lead):
 
 
 def sq_norm(x):
-    return float(x[0] * x[0] + x[1] * x[1])
+    return float(x @ x)
 
 
-@pytest.mark.parametrize("chunk", [smoothing._MC_CHUNK, 5000])
+@pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("q", [0.5, 1.0, 1.3])
-def test_the_estimators_match_the_whole_array_formulas(q, chunk, monkeypatch):
-    # 2 * 4096 + 5 draws, in one chunk or in chunks that end inside a block
-    monkeypatch.setattr(smoothing, "_MC_CHUNK", chunk)
-    kernel, theta, n = QKernel(q, 0.05, 2), np.array([0.3, -0.2]), 2 * 4096 + 5
+def test_the_estimators_match_the_whole_array_formulas(q, dim):
+    # 3 * 4096 + 5 draws: three whole blocks and a short one.  numpy sums a
+    # block's terms pairwise in 1-d and row by row from 2-d on
+    kernel, theta, n = QKernel(q, 0.05, dim), np.linspace(0.3, -0.2, dim), 3 * 4096 + 5
     for blocked, whole in ((smoothed_gradient_mc, whole_gradient), (smoothed_value, whole_value)):
         streams = twins("odd", 3)
         assert_same(blocked(sq_norm, theta, kernel, n, streams[0]),
@@ -232,19 +225,20 @@ def test_the_estimators_match_the_whole_array_formulas(q, chunk, monkeypatch):
 
 
 def test_the_gradient_checks_rho_before_it_evaluates_f(monkeypatch):
-    # a corrupted block, the chunk's last, is refused before f sees any of
-    # the chunk's points
+    # a corrupted block, the last, is refused before f sees any of its
+    # points, and after f has seen every point of the two clean blocks
     def corrupted(q, dim, count, stream):
         blocks = list(qgaussian._standard_blocks(q, dim, count, stream))
         blocks[-1][2][-1] = 0.0
         return iter(blocks)
 
     monkeypatch.setattr(smoothing, "_standard_blocks", corrupted)
-    calls = []
+    kernel, n, calls = QKernel(0.5, 0.1, 2), 2 * 4096 + 5, []
     with pytest.raises(smoothing.InvalidRhoError, match="rho <= 0"):
-        smoothed_gradient_mc(lambda x: calls.append(x) or 1.0, np.zeros(2),
-                             QKernel(0.5, 0.1, 2), 2 * 4096 + 5, RngStream(3, 1))
-    assert calls == []
+        smoothed_gradient_mc(lambda x: calls.append(x.copy()) or 1.0, np.zeros(2),
+                             kernel, n, RngStream(3, 1))
+    etas, _ = sample_standard_many(kernel.q, kernel.dim, n, RngStream(3, 1))
+    assert np.array_equal(calls, kernel.beta * etas[: 2 * 4096])
 
 
 @st.composite
@@ -374,7 +368,7 @@ def test_the_draws_and_the_estimators_hold_no_whole_size_temporaries():
         assert peak <= sampler + (1 << 20), estimate.__name__
 
 
-def test_the_sampler_holds_one_block_beside_its_outputs_and_the_estimators_their_draws():
+def test_the_sampler_holds_one_block_beside_its_outputs_and_the_estimators_one_block():
     kernel, theta, n = QKernel(0.5, 0.05, 2), np.array([0.3, 0.3]), 1 << 18
     (etas, rhos), sampler = traced_peak(
         lambda m: sample_standard_many(kernel.q, kernel.dim, m, RngStream(5, 1)), n)
@@ -383,7 +377,6 @@ def test_the_sampler_holds_one_block_beside_its_outputs_and_the_estimators_their
     def one(x):
         return 1.0
 
-    _, peak = traced_peak(lambda m: smoothed_value(one, theta, kernel, m, RngStream(5, 2)), n)
-    assert peak <= 1 << 20
-    _, peak = traced_peak(lambda m: smoothed_gradient_mc(one, theta, kernel, m, RngStream(5, 3)), n)
-    assert peak <= etas.nbytes + (1 << 20)
+    for estimate in (smoothed_gradient_mc, smoothed_value):
+        _, peak = traced_peak(lambda m: estimate(one, theta, kernel, m, RngStream(5, 2)), n)
+        assert peak <= 1 << 20, estimate.__name__

@@ -493,15 +493,44 @@ def test_vector_inputs_of_numbers_convert_as_before(value):
 def test_both_loops_refuse_a_count_that_is_no_count_before_they_draw(loop, name, value, least):
     # record_every=2.5 raised TypeError on the compiled loop and recorded at
     # n = 0, 5, 10 on the Python one; M=True ran one iteration on both
-    args = {"M": 10, "L": 2, "record_every": 0, name: value}
+    message = f"{name} must be an integer >= {least}, got {value!r}"
+    _refused_before_any_draw(loop, {name: value}, message)
+
+
+@pytest.mark.parametrize("loop", ["compiled", "python"])
+@pytest.mark.parametrize(
+    "name, value",
+    [("M", 2**64 + 3), ("M", 2**63 + 3), ("M", 2**63), ("L", 2**64 + 1),
+     ("record_every", 2**64 + 2), ("record_every", 2**63)],
+)
+def test_both_loops_refuse_a_run_size_beyond_int64_before_they_draw(loop, name, value):
+    # the compiled loop takes them as int64: M = 2**64 + 3 stopped after 3
+    # iterations, M = 2**63 + 3 hung and record_every = 2**64 + 2 recorded
+    # at n = 2 and 4
+    _refused_before_any_draw(loop, {name: value}, f"{name} must be at most 2**63 - 1, got {value}")
+
+
+def _on_loop(loop):
+    on_python = mock.patch.object(_native, "load", return_value=None)
+    return on_python if loop == "python" else contextlib.nullcontext()
+
+
+def _refused_before_any_draw(loop, bad, message):
+    args = {"M": 10, "L": 2, "record_every": 0, **bad}
     sims = QuadraticCostSimulator(TARGET4), QuadraticCostSimulator(TARGET4)
     stream = RngStream(5, 0)
     stream.standard_normal()
     before = stream_state(stream)
-    message = re.escape(f"{name} must be an integer >= {least}, got {value!r}")
-    on_python = mock.patch.object(_native, "load", return_value=None)
-    with on_python if loop == "python" else contextlib.nullcontext():
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            run_gqsf2(*sims, QKernel(q=0.5, beta=0.01, dim=4), BOX4, StepSchedule(0.75),
-                      args["M"], args["L"], TARGET4, stream, record_every=args["record_every"])
+    with _on_loop(loop), pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_gqsf2(*sims, QKernel(q=0.5, beta=0.01, dim=4), BOX4, StepSchedule(0.75),
+                  args["M"], args["L"], TARGET4, stream, record_every=args["record_every"])
     assert stream_state(stream) == before
+
+
+@pytest.mark.parametrize("loop", ["compiled", "python"])
+def test_a_record_every_of_2_to_the_63_minus_1_records_the_start_and_the_end(loop):
+    sims = QuadraticCostSimulator(TARGET4), QuadraticCostSimulator(TARGET4)
+    with _on_loop(loop):
+        result = run_gqsf2(*sims, QKernel(q=0.5, beta=0.01, dim=4), BOX4, StepSchedule(0.75),
+                           5, 2, TARGET4, RngStream(5, 0), record_every=2**63 - 1)
+    assert [point.n for point in result.trajectory] == [0, 5]
