@@ -220,9 +220,11 @@ int64_t mg1_observe(mg1_state *s)
  * It mirrors the Python loop, which stays the reference, operation for
  * operation, and takes the transcendentals and reductions from where
  * numpy does, so that every number comes out bit for bit:
- *   - the array Box-Muller calls numpy's own float64 log, cos and sin
- *     loops, through pointers, with the lengths and strides that
- *     RngStream.standard_normal(size) calls them with;
+ *   - the array Box-Muller calls numpy's own float64 log loop, through a
+ *     pointer, with the lengths and strides that
+ *     RngStream.standard_normal(size) calls it with, and libm's cos and
+ *     sin, which numpy's float64 cos and sin are (qsmooth._native checks
+ *     that they give libm's bits);
  *   - the scalar draws (chi-squared rejection, scalar normals) call libm's
  *     log, sin, cos and pow, as Python's math module and float ** do;
  *   - every np.dot is numpy's own BLAS ddot, reached through a pointer;
@@ -292,8 +294,6 @@ typedef struct {
     const double *upper;
     ddot_fn ddot;
     const ufunc_loop_t *log_loop;
-    const ufunc_loop_t *cos_loop;
-    const ufunc_loop_t *sin_loop;
     /* simulator i is the kernel sims[i], the quadratic cost
        ||control - targets[i]||^2, or, where both are NULL, one the caller
        observes */
@@ -310,11 +310,7 @@ typedef struct {
     double *controls;       /* n_sims rows of dim */
     double *diff;           /* control - target of a quadratic */
     double *uniforms;       /* a normal draw's uniforms, dim + 1 at most */
-    /* per Box-Muller pair, (dim + 1) / 2 of each */
-    double *radius;
-    double *angle;
-    double *cosine;
-    double *sine;
+    double *logs;           /* np.log of each pair's first uniform, (dim + 1) / 2 */
     /* where the loop stands */
     int64_t n;              /* outer iterations done */
     int64_t phase;          /* 0: draw; 1 + i: simulator i observing */
@@ -464,17 +460,13 @@ static void normals(sf_run_t *r)
         return;
     double *u = r->uniforms;
     read_uniforms(s, u, 2 * pairs);
-    /* np.sqrt(-2.0 * np.log(u[0::2])) and 2.0 * np.pi * u[1::2] */
-    apply(r->log_loop, u, 2, r->radius, pairs);
+    /* np.log(u[0::2]), then np.sqrt(-2.0 * log) and 2.0 * np.pi * u[1::2] */
+    apply(r->log_loop, u, 2, r->logs, pairs);
     for (int64_t j = 0; j < pairs; j++) {
-        r->radius[j] = sqrt(-2.0 * r->radius[j]);
-        r->angle[j] = 2.0 * M_PI * u[2 * j + 1];
-    }
-    apply(r->cos_loop, r->angle, 1, r->cosine, pairs);
-    apply(r->sin_loop, r->angle, 1, r->sine, pairs);
-    for (int64_t j = 0; j < pairs; j++) {
-        eta[first + 2 * j] = r->radius[j] * r->cosine[j];
-        const double odd = r->radius[j] * r->sine[j];
+        const double radius = sqrt(-2.0 * r->logs[j]);
+        const double angle = 2.0 * M_PI * u[2 * j + 1];
+        eta[first + 2 * j] = radius * cos(angle);
+        const double odd = radius * sin(angle);
         if (2 * j + 1 < need) {
             eta[first + 2 * j + 1] = odd;
         } else {

@@ -13,17 +13,21 @@ loaded, :func:`load` returns None and simulators run the Python kernel,
 which gives the same numbers.
 
 The outer loop (``sf_run``) calls numpy's own BLAS ``ddot`` wherever the
-Python loop calls ``np.dot``, and numpy's own float64 ``log``, ``cos`` and
-``sin`` loops wherever ``RngStream.standard_normal(size)`` calls those
-ufuncs.  :func:`load` finds ``ddot`` in numpy's extension module, and the
-three loops through the ufuncs' ``_resolve_dtypes_and_context`` and
-``_get_strided_loop`` (NEP 43), and checks each against numpy itself: a
-loop that asks for the Python API, or any one that gives other bits than
-its ufunc, is refused.  Where one is missing or refused, optimizer runs
-take the Python loop, with the same numbers.  Both loops refill a stream's
-buffer themselves, so they read only a stream that :func:`_refills_in_c`
-allows: a simulator on any other runs the Python kernel, and a run with
-any other perturbation stream the Python loop.  :func:`_hand_in` and
+Python loop calls ``np.dot`` and numpy's own float64 ``log`` loop wherever
+``RngStream.standard_normal(size)`` calls ``np.log``; where it calls
+``np.cos`` and ``np.sin``, ``sf_run`` calls libm's ``cos`` and ``sin``,
+which numpy's float64 ``cos`` and ``sin`` are: only the logarithm is
+numpy's own.  :func:`load` finds ``ddot`` in numpy's extension module and
+the ``log`` loop through the ufunc's ``_resolve_dtypes_and_context`` and
+``_get_strided_loop`` (NEP 43), checks each against numpy itself, and
+checks ``np.cos`` and ``np.sin`` against libm's (``math.cos`` and
+``math.sin``): a loop that asks for the Python API, or any code that gives
+other bits than numpy, is refused.  Where one is missing or refused,
+:func:`load` warns, naming the check, and optimizer runs take the Python
+loop, with the same numbers.  Both loops refill a stream's buffer
+themselves, so they read only a stream that :func:`_refills_in_c` allows:
+a simulator on any other runs the Python kernel, and a run with any other
+perturbation stream the Python loop.  :func:`_hand_in` and
 :func:`_hand_back` pass every stream to its record and back.  A
 simulator's compiled kernel, :class:`NativeKernel`, is itself the
 ``mg1_state`` record.
@@ -40,6 +44,7 @@ import os
 import re
 import subprocess
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -326,7 +331,7 @@ class CompiledRun:
             **dict.fromkeys(("theta", "z", "lower", "upper", "z_next", "eta", "coeff", "diff"), dim),
             "controls": n_sims * dim,
             "uniforms": 2 * pairs,
-            **dict.fromkeys(("radius", "angle", "cosine", "sine"), pairs),
+            "logs": pairs,
             **{f"costs{i}": L for i in observed},
             "own": _own_size(min(2 * pairs, _BUFFER_SIZE)),  # a draw reserves no more
         }, {})
@@ -410,20 +415,25 @@ def _numpy_ddot() -> int | None:
     return ctypes.cast(ddot, ctypes.c_void_p).value
 
 
-def _checked_ddot() -> int | None:
-    """:func:`_numpy_ddot`, if it gives ``np.dot``'s bits on vectors of
-    every length from 1 to 32 (``np.dot`` adds its result to 0.0); None
-    otherwise."""
+class _Refused(Exception):
+    """A check of the code ``sf_run`` calls in numpy's place failed; the
+    message names the check."""
+
+
+def _checked_ddot() -> int:
+    """:func:`_numpy_ddot`, checked to give ``np.dot``'s bits on vectors of
+    every length from 1 to 32 (``np.dot`` adds its result to 0.0).  Raises
+    :class:`_Refused` where there is none or it fails the check."""
     address = _numpy_ddot()
     if address is None:
-        return None
+        raise _Refused("numpy's BLAS ddot was not found")
     ddot = _DDOT(address)
     draws = np.random.default_rng(0)
     for n in range(1, 33):
         x, y = draws.standard_normal((2, n))
         got = np.float64(0.0 + ddot(n, x.ctypes.data, 1, y.ctypes.data, 1))
         if got.tobytes() != np.dot(x, y).tobytes():
-            return None
+            raise _Refused("numpy's BLAS ddot gives other bits than np.dot")
     return address
 
 
@@ -442,7 +452,9 @@ _REQUIRES_PYAPI = 1  # NPY_METH_REQUIRES_PYAPI
 _LOOP = ctypes.CFUNCTYPE(ctypes.c_int, *[ctypes.c_void_p] * 5)
 # the ufuncs sf_run calls, and the input step, in doubles, at which it
 # calls each: the Box-Muller logarithms read every other uniform
-_UFUNCS = {"log": (np.log, 2), "cos": (np.cos, 1), "sin": (np.sin, 1)}
+_UFUNCS = {"log": (np.log, 2)}
+# the ufuncs sf_run calls libm's function for, which Python's math wraps
+_LIBM = {np.cos: math.cos, np.sin: math.sin}
 UfuncLoop = _RECORDS["ufunc_loop_t"]
 
 
@@ -462,12 +474,11 @@ def _numpy_loop(ufunc, step: int):
     return loop, info.flags
 
 
-def _gives_the_ufunc(loop, ufunc, step: int) -> bool:
+def _gives_the_ufunc(loop, ufunc, step: int, values: np.ndarray) -> bool:
     """Whether ``loop``, called as sf_run calls it, gives ``ufunc``'s bits
     at every length from 1 to 64 and at 4096, read and written at byte
-    offsets 0 to 56 apart from one array's start, on values in (0, 2 pi),
-    as sf_run's are."""
-    values = np.random.default_rng(0).uniform(0.0, 2.0 * np.pi, step * 4096 + 16)
+    offsets 0 to 56 apart from one array's start, on ``values``, at least
+    ``step * 4096 + 16`` of them."""
     got = np.empty(4096 + 8)
     call = _LOOP(loop.loop)
     dimension = (ctypes.c_ssize_t * 1)()
@@ -486,18 +497,36 @@ def _gives_the_ufunc(loop, ufunc, step: int) -> bool:
     return True
 
 
-def _checked_loops() -> dict | None:
+def _numpy_is_libm(angles: np.ndarray) -> bool:
+    """Whether each ufunc of ``_LIBM`` gives its libm function's bits on
+    every one of ``angles``."""
+    listed = angles.tolist()
+    return all(
+        ufunc(angles).tobytes() == np.fromiter(map(libm, listed), float, len(listed)).tobytes()
+        for ufunc, libm in _LIBM.items()
+    )
+
+
+def _checked_loops() -> dict:
     """The loops of ``_UFUNCS`` by name, each from :func:`_numpy_loop` and
-    checked by :func:`_gives_the_ufunc`; None where one is missing, asks
-    for the Python API (sf_run holds no GIL) or fails the check."""
+    checked by :func:`_gives_the_ufunc` on a stream's uniforms, once the
+    ufuncs of ``_LIBM`` give libm's bits on the angles 2 pi u of 2048 of
+    them (about 0.4 ms).  Raises :class:`_Refused` where a ufunc is not
+    libm's, or a loop is missing, asks for the Python API (sf_run holds no
+    GIL) or fails its check."""
+    uniforms = RngStream(0).uniform01(2 * 4096 + 16)
+    if not _numpy_is_libm(uniforms[1:4096:2] * (2.0 * np.pi)):
+        raise _Refused("np.cos or np.sin gives other bits than libm's cos and sin")
     loops = {}
     for name, (ufunc, step) in _UFUNCS.items():
         found = _numpy_loop(ufunc, step)
         if found is None:
-            return None
+            raise _Refused(f"numpy's float64 {name} loop was not found")
         loop, flags = found
-        if flags & _REQUIRES_PYAPI or not _gives_the_ufunc(loop, ufunc, step):
-            return None
+        if flags & _REQUIRES_PYAPI:
+            raise _Refused(f"numpy's float64 {name} loop needs the Python API")
+        if not _gives_the_ufunc(loop, ufunc, step, uniforms):
+            raise _Refused(f"numpy's float64 {name} loop gives other bits than np.{name}")
         loops[name] = loop
     return loops
 
@@ -506,9 +535,10 @@ def _checked_loops() -> dict | None:
 def load():
     """The compiled library (``mg1_observe`` and ``sf_run``), built on first
     use, with ``ddot`` set to numpy's checked BLAS ``ddot`` and ``loops``
-    to numpy's checked ``log``, ``cos`` and ``sin`` loops (each None where
-    there is none); None when the library cannot be built or loaded
-    here."""
+    to numpy's checked ``log`` loop, once ``np.cos`` and ``np.sin`` check
+    out as libm's; None when the library cannot be built or loaded here.
+    Where a check fails, ``ddot`` and ``loops`` are None and it warns,
+    naming the check: optimizer runs then take the Python loop."""
     try:
         lib = ctypes.CDLL(str(_build(_cache_dir())))
     except (OSError, subprocess.SubprocessError):
@@ -518,6 +548,12 @@ def load():
     lib.mg1_observe.restype = ctypes.c_int64
     lib.sf_run.argtypes = (ctypes.POINTER(RunRecord),)
     lib.sf_run.restype = ctypes.c_int64
-    lib.ddot = _checked_ddot()
-    lib.loops = _checked_loops()
+    try:
+        lib.ddot, lib.loops = _checked_ddot(), _checked_loops()
+    except _Refused as refused:
+        lib.ddot = lib.loops = None
+        warnings.warn(
+            f"{refused}: qsmooth's optimizer runs take the Python loop, with the same numbers"
+            " but several times slower", RuntimeWarning, stacklevel=2,
+        )
     return lib

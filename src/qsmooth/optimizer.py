@@ -245,8 +245,9 @@ def _fold(signal: np.ndarray, one_minus_b: float, b: float) -> float:
 
 def _compiled_run(sims, kernel, box, schedule, M, L, theta, stream, record_every, numer):
     """The run as a ``_native.CompiledRun``, unless the compiled library
-    or numpy's checked ``ddot`` or ``log``/``cos``/``sin`` loops are
-    missing, the step schedule is not a ``StepSchedule``, or compiled code
+    or numpy's checked ``ddot`` or ``log`` loop is missing (``_native.load``
+    also refuses both where ``np.cos`` and ``np.sin`` are not libm's), the
+    step schedule is not a ``StepSchedule``, or compiled code
     may not read the perturbation stream (``_native._refills_in_c``); then
     None, and the Python loop, its reference, serves the run.
 

@@ -127,9 +127,10 @@ class RngStream:
     identical variate sequence.  ``uniform01`` produces the same sequence
     whether drawn one at a time or as arrays.  ``standard_normal`` reads the
     same uniforms either way and leaves the stream at the same place, but
-    its scalar form takes libm's log, cos and sin and its array form
-    numpy's, so a value may differ in its last bits (289 of the first
-    200 000 normals of stream (1, 2), by at most 2 ulp).  ``chi_squared``
+    its scalar form takes libm's log and its array form numpy's (numpy's
+    float64 cos and sin are libm's), so a value may differ in its last bits
+    (289 of the first 200 000 normals of stream (1, 2), by at most 2 ulp,
+    all from the logarithm).  ``chi_squared``
     array draws are a distinct (still deterministic) call pattern because
     rejection candidates are processed in vectorized waves
     (:meth:`_gamma_block`), one block after another.

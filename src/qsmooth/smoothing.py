@@ -9,7 +9,8 @@ through its fast recursion, while the Monte-Carlo helpers here average them
 directly, which is what the property tests exercise.
 
 The Monte-Carlo helpers sum as the sampler's 4096-row blocks come: one running
-``sum`` of f values, or each block's ``sum(axis=0)`` of terms added in order.
+sum of f values, added left to right, or each block's ``sum(axis=0)`` of terms
+added in order.
 """
 
 from __future__ import annotations
@@ -111,8 +112,13 @@ def smoothed_value(
     q < 1 bounds the perturbation).
     """
     theta = _mc_theta(theta, kernel, n_samples)
-    draws = _standard_blocks(kernel.q, kernel.dim, n_samples, stream)
-    return float(sum(f(p) for _, etas, _ in draws for p in theta - kernel.beta * etas)) / n_samples
+    # plain float adds, left to right: the built-in sum compensates from
+    # CPython 3.12 on, which would make the digits depend on the version
+    total = 0.0
+    for _, etas, _ in _standard_blocks(kernel.q, kernel.dim, n_samples, stream):
+        for p in theta - kernel.beta * etas:
+            total += f(p)
+    return float(total) / n_samples
 
 
 def smoothed_gradient_mc(

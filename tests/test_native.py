@@ -1152,9 +1152,9 @@ def test_a_control_with_no_finite_service_factor_fails_both_loops_alike(targets)
 @needs_gcc
 @pytest.mark.parametrize("size", [*range(1, 12), 20])
 def test_box_muller_tables_give_standard_normal_draws(size):
-    # sf_run's draw of a q = 1 perturbation, whose Box-Muller tables (the
-    # radius, cosine and sine of each pair) numpy's loops compute, at every
-    # offset in the buffer, with and without a cached normal, and across the
+    # sf_run's draw of a q = 1 perturbation, whose Box-Muller logarithms
+    # numpy's log loop computes and whose cosines and sines libm does, at
+    # every offset in the buffer, with and without a cached normal, and across the
     # refill that keeps a buffer's unread tail: the draws of
     # stream.standard_normal(size), and the stream left where it leaves one
     base = RngStream(8, 3)
@@ -1208,16 +1208,14 @@ def test_a_draw_longer_than_a_refill_takes_all_it_needs():
 
 
 @needs_gcc
-@pytest.mark.parametrize("name", ["log", "cos", "sin"])
+@pytest.mark.parametrize("name", ["log"])
 def test_each_numpy_loop_gives_its_ufunc_bits(name):
     # at the strides sf_run calls it with (every other uniform for the
     # logarithms), at every length from 1 to 64 and at 4096, and at every
     # byte offset from an array's start that a double can take
     loop = _native.load().loops[name]
-    ufunc, step = {"log": (np.log, 2), "cos": (np.cos, 1), "sin": (np.sin, 1)}[name]
+    ufunc, step = {"log": (np.log, 2)}[name]
     values = np.random.default_rng(9).uniform(size=2 * 4096 + 16)
-    if name != "log":
-        values = 2.0 * np.pi * values
     call = _native._LOOP(loop.loop)
     for n in (*range(1, 65), 4096):
         for shift in range(8):
@@ -1229,10 +1227,30 @@ def test_each_numpy_loop_gives_its_ufunc_bits(name):
             assert out.tobytes() == ufunc(x).tobytes(), (n, shift)
 
 
+def test_numpy_cos_and_sin_are_libm_on_the_box_muller_angles():
+    # the angles 2 pi u of a million of a stream's uniforms, as
+    # RngStream.standard_normal(size) computes them: where sf_run calls
+    # libm's cos and sin, the Python loop calls numpy's
+    angles = RngStream(31, 4).uniform01(10**6) * (2.0 * np.pi)
+    assert _native._numpy_is_libm(angles)
+
+
+@needs_gcc
+@pytest.mark.skipif(shutil.which("nm") is None, reason="no nm")
+def test_the_library_calls_cos_and_sin_and_not_sincos():
+    # without -fno-builtin-sin -fno-builtin-cos, gcc fuses a cos and a sin
+    # of one angle into a sincos, which need not give their bits
+    library = _native._build(_native._cache_dir())
+    listed = subprocess.run(["nm", "-D", "--undefined-only", str(library)], capture_output=True,
+                            text=True, check=True, timeout=60).stdout
+    imported = {line.split()[-1].split("@")[0] for line in listed.splitlines()}
+    assert {"cos", "sin"} <= imported and "sincos" not in imported
+
+
 @needs_gcc
 def test_the_blas_ddot_gives_np_dot():
     address = _native._checked_ddot()
-    assert address is not None and _native.load().ddot == address
+    assert _native.load().ddot == address
     ddot = _native._DDOT(address)
     draws = np.random.default_rng(5)
     for n in range(1, 33):
@@ -1258,9 +1276,13 @@ def test_a_wrong_ddot_fails_the_check_and_runs_take_the_python_loop(use_cache, m
     want = _run(spec)[:2]
     address = ctypes.cast(_naive_ddot, ctypes.c_void_p).value
     monkeypatch.setattr(_native, "_numpy_ddot", lambda: address)
-    assert _native._checked_ddot() is None
+    refusal = "numpy's BLAS ddot gives other bits than np.dot"
+    with pytest.raises(_native._Refused, match=refusal):
+        _native._checked_ddot()
     use_cache()
-    assert _native.load() is not None and _native.load().ddot is None
+    with pytest.warns(RuntimeWarning, match=f"{refusal}: .* take the Python loop") as warned:
+        assert _native.load() is not None and _native.load().ddot is None
+    assert len(warned) == 1
     with mock.patch.object(_native, "CompiledRun", wraps=_native.CompiledRun) as compiled:
         assert _run(spec)[:2] == want
     assert compiled.call_count == 0
@@ -1280,20 +1302,35 @@ def _loop_asking_for_python(ufunc, step):
     return loop, flags | _native._REQUIRES_PYAPI
 
 
+def _sin_one_ulp_up(x):
+    """A libm reference that disagrees with np.sin on every angle."""
+    return math.nextafter(math.sin(x), math.inf)
+
+
 @needs_gcc
 @pytest.mark.parametrize(
-    "lookup", [_wrong_loop, _loop_asking_for_python, lambda ufunc, step: None],
-    ids=["wrong", "python-api", "missing"],
+    "name, patch, refusal",
+    [
+        ("_numpy_loop", _wrong_loop, "numpy's float64 log loop gives other bits than np.log"),
+        ("_numpy_loop", _loop_asking_for_python, "numpy's float64 log loop needs the Python API"),
+        ("_numpy_loop", lambda ufunc, step: None, "numpy's float64 log loop was not found"),
+        ("_LIBM", {np.cos: math.cos, np.sin: _sin_one_ulp_up},
+         "np.cos or np.sin gives other bits than libm's cos and sin"),
+    ],
+    ids=["wrong", "python-api", "missing", "libm"],
 )
-def test_a_wrong_loop_fails_the_check_and_runs_take_the_python_loop(lookup, use_cache,
-                                                                    monkeypatch):
+def test_a_wrong_loop_fails_the_check_and_runs_take_the_python_loop(name, patch, refusal,
+                                                                    use_cache, monkeypatch):
     spec = _far_target_spec(network=preset("mg1-4d").network, M=60)
     want = _run(spec)[:2]
-    assert _native._checked_loops() is not None
-    monkeypatch.setattr(_native, "_numpy_loop", lookup)
-    assert _native._checked_loops() is None
+    assert set(_native._checked_loops()) == {"log"}
+    monkeypatch.setattr(_native, name, patch)
+    with pytest.raises(_native._Refused, match=re.escape(refusal)):
+        _native._checked_loops()
     use_cache()
-    assert _native.load() is not None and _native.load().loops is None
+    with pytest.warns(RuntimeWarning, match=re.escape(refusal)) as warned:
+        assert _native.load() is not None and _native.load().loops is None
+    assert len(warned) == 1 and "optimizer runs take the Python loop" in str(warned[0].message)
     with mock.patch.object(_native, "CompiledRun", wraps=_native.CompiledRun) as compiled:
         assert _run(spec)[:2] == want
     assert compiled.call_count == 0
@@ -1334,7 +1371,7 @@ def test_the_records_are_laid_out_as_the_c_compiler_lays_them_out(tmp_path):
         name, *numbers = line.split()
         got[name] = tuple(map(int, numbers)) if len(numbers) > 1 else int(numbers[0])
     assert got == want
-    assert [len(record._fields_) for record in records.values()] == [10, 3, 25, 43]
+    assert [len(record._fields_) for record in records.values()] == [10, 3, 25, 38]
     # a record held by value lays out its members as the outer record's own
     for name in ("mg1_state", "sf_run_t"):
         record = records[name]
@@ -1520,7 +1557,9 @@ def test_falls_back_to_python_when_the_build_fails(compiler, use_cache, monkeypa
     assert compiled == [shutil.which("gcc") is not None] * 2
     monkeypatch.setattr(_native, "_CC", compiler)
     cache = use_cache()
-    sim, got = _costs(network)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a build that fails is no refusal: no warning
+        sim, got = _costs(network)
     assert sim.kernel == "python"
     assert got == want  # the same numbers as the kernel built before
     # and the same runs, from the Python kernel and the Python loop

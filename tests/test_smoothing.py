@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 from unittest import mock
@@ -168,6 +169,16 @@ def test_smoothed_value_constant():
     kernel = QKernel(q=0.5, beta=0.1, dim=2)
     val = smoothed_value(lambda x: 4.25, np.zeros(2), kernel, 100, RngStream(1, 1))
     assert val == pytest.approx(4.25, abs=1e-12)
+
+
+def test_smoothed_value_adds_the_f_values_left_to_right():
+    # 1e16 + 1.0 rounds back to 1e16, so each cycle of plain float adds
+    # ends at 0.0; a compensated sum (the built-in sum from CPython 3.12
+    # on) keeps the 1.0s and gives 1/3
+    values = itertools.cycle([1e16, 1.0, -1e16])
+    kernel = QKernel(q=0.5, beta=0.1, dim=2)
+    val = smoothed_value(lambda x: next(values), np.zeros(2), kernel, 3 * 50, RngStream(1, 1))
+    assert val == 0.0
 
 
 def test_smoothed_value_linear():
