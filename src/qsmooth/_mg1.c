@@ -5,13 +5,12 @@
  * same floating-point operations in the same order.  Built without FMA
  * contraction (-ffp-contract=off), it returns the same costs bit for bit.
  *
- * When fewer than 3 uniforms (the most one event draws) remain in the
- * buffer, the kernel refills it from the stream's generator, as
- * RngStream.reserve(3) does, into a buffer of its own, which the stream
- * then takes as its buffer.  It stops only at an event boundary, before
- * touching any state, when the ring that the next event may push onto is
- * full; the caller grows the rings and calls again, and the record keeps
- * the count of costs done so far.
+ * It reads uniforms from the stream's own buffer and, when it finds it
+ * read to its end, refills it in place from the stream's generator, as
+ * RngStream._refill does (next_uniform).  It stops only at an event
+ * boundary, before touching any state, when the ring that the next event
+ * may push onto is full; the caller grows the rings and calls again, and
+ * the record keeps the count of costs done so far.
  *
  * sf_run, further down, runs whole outer iterations of the two-timescale
  * optimizer over one or two simulators, each such a kernel, a quadratic
@@ -24,7 +23,6 @@
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
-#include <string.h>
 
 /* The records shared with Python (stream_t, ufunc_loop_t, mg1_state and
  * sf_run_t) and the SF_ stop codes are described here only:
@@ -43,42 +41,33 @@ typedef uint64_t (*next_fn)(void *state);
 
 /* An RngStream, as qsmooth._native hands it to a compiled loop and back
  * around each call (only one that _refills_in_c allows, so no loop stops for
- * uniforms): its buffer of uniforms, read in place, its position, its cached
- * normal and its Philox generator (numpy's Philox.ctypes), from which the
- * loop refills own, the stream's buffer from then on, whenever it runs short. */
+ * uniforms): its buffer of u_len uniforms, bound once, its position, its
+ * cached normal and its Philox generator (numpy's Philox.ctypes), from
+ * which next_uniform refills the buffer in place. */
 typedef struct {
-    const double *u;        /* the stream's buffer of uniforms, or own */
+    double *u;              /* the stream's buffer of uniforms */
     int64_t u_pos;          /* next unread uniform */
     int64_t u_len;
     void *bitgen;
     next_fn next_uint64;
-    double *own;            /* room for refill_size + the longest unread tail */
-    int64_t refill_size;    /* fresh uniforms per refill, at least */
     int64_t refills;        /* refills made here */
     int64_t has_spare;      /* whether the stream holds a cached normal, */
     double spare;           /* which sf_run's next normal draw returns */
 } stream_t;
 
-/* RngStream.reserve(n) on the stream's generator: when fewer than n
- * uniforms remain unread, the unread tail moves to the front of own, then
- * come max(refill_size, n - tail) fresh uniforms, or just n in a stream's
- * first fill (no buffer yet) for a read of more than one, each made from
- * one raw draw as RngStream._fresh makes it, and the stream reads own
- * from 0. */
-static void reserve(stream_t *s, int64_t n)
+/* RngStream.uniform01(): the next uniform of the buffer, which is first
+ * refilled in place, as RngStream._refill refills it, when it is read to
+ * its end: u_len fresh uniforms, each made from one raw draw as
+ * RngStream._fresh makes it. */
+static inline double next_uniform(stream_t *s)
 {
-    const int64_t tail = s->u_len - s->u_pos;
-    if (tail >= n)
-        return;
-    const int64_t least = s->u_len == 0 && n > 1 ? 0 : s->refill_size;
-    const int64_t fresh = n - tail > least ? n - tail : least;
-    memmove(s->own, s->u + s->u_pos, (size_t)tail * sizeof(double));
-    for (int64_t i = 0; i < fresh; i++)
-        s->own[tail + i] = ((double)(s->next_uint64(s->bitgen) >> 11) + 0.5) * 0x1p-53;
-    s->u = s->own;
-    s->u_pos = 0;
-    s->u_len = tail + fresh;
-    s->refills += 1;
+    if (s->u_pos == s->u_len) {
+        for (int64_t i = 0; i < s->u_len; i++)
+            s->u[i] = ((double)(s->next_uint64(s->bitgen) >> 11) + 0.5) * 0x1p-53;
+        s->u_pos = 0;
+        s->refills += 1;
+    }
+    return s->u[s->u_pos++];
 }
 
 typedef struct {
@@ -133,21 +122,14 @@ int64_t mg1_observe(mg1_state *s)
     const int64_t L = s->want;
     int64_t done = s->done;
     const int64_t k = s->k;
-    stream_t *in = &s->stream;
-    const double *u = in->u, *fac = s->fac;
+    stream_t in = s->stream;  /* kept in registers, written back at the end */
+    const double *fac = s->fac;
     double *serving = s->serving, *comp = s->comp, *nxt = s->nxt;
-    int64_t pos = in->u_pos;
     int64_t n_present = s->n_present;
     double entry_sum = s->entry_sum;
 
     s->full = -1;
     while (done < L) {
-        if (in->u_len - pos < 3) {
-            in->u_pos = pos;
-            reserve(in, 3);
-            u = in->u;
-            pos = 0;
-        }
         double t_min = INFINITY;
         int64_t node = -1;
         int is_completion = 0;
@@ -172,13 +154,13 @@ int64_t mg1_observe(mg1_state *s)
         double clock = t_min;
 
         if (!is_completion) {
-            nxt[node] = clock - log(u[pos++]) / s->rates[node];
+            nxt[node] = clock - log(next_uniform(&in)) / s->rates[node];
             n_present += 1;
             entry_sum += clock;
             s->arrivals_seen += 1;
             if (comp[node] == INFINITY) {
                 serving[node] = clock;
-                comp[node] = clock + u[pos++] * fac[node];
+                comp[node] = clock + next_uniform(&in) * fac[node];
             } else {
                 push(s, node, clock);
             }
@@ -190,7 +172,7 @@ int64_t mg1_observe(mg1_state *s)
         s->costs[done++] = (double)n_present * clock - entry_sum;
         double entry = serving[node];
         double p = s->p_leave[node];
-        if (p > 0.0 && u[pos++] < p) {
+        if (p > 0.0 && next_uniform(&in) < p) {
             n_present -= 1;
             entry_sum -= entry;
             s->departures_seen += 1;
@@ -198,16 +180,16 @@ int64_t mg1_observe(mg1_state *s)
             push(s, dest, entry);
         } else {
             serving[dest] = entry;
-            comp[dest] = clock + u[pos++] * fac[dest];
+            comp[dest] = clock + next_uniform(&in) * fac[dest];
         }
         if (s->len[node] > 0) {
             serving[node] = pop(s, node);
-            comp[node] = clock + u[pos++] * fac[node];
+            comp[node] = clock + next_uniform(&in) * fac[node];
         } else {
             comp[node] = INFINITY;
         }
     }
-    in->u_pos = pos;
+    s->stream = in;
     s->n_present = n_present;
     s->entry_sum = entry_sum;
     s->done = done;
@@ -379,14 +361,6 @@ static int quadratic_costs(sf_run_t *r, int64_t i)
     return 1;
 }
 
-/* RngStream.uniform01() */
-static double uniform(sf_run_t *r)
-{
-    stream_t *s = &r->stream;
-    reserve(s, 1);
-    return s->u[s->u_pos++];
-}
-
 /* RngStream.standard_normal() */
 static double normal(sf_run_t *r)
 {
@@ -394,8 +368,8 @@ static double normal(sf_run_t *r)
         r->stream.has_spare = 0;
         return r->stream.spare;
     }
-    const double u1 = uniform(r);
-    const double u2 = uniform(r);
+    const double u1 = next_uniform(&r->stream);
+    const double u2 = next_uniform(&r->stream);
     const double radius = sqrt(-2.0 * log(u1));
     r->stream.spare = radius * sin(2.0 * M_PI * u2);
     r->stream.has_spare = 1;
@@ -407,7 +381,7 @@ static double gamma_unit_scale(sf_run_t *r, double shape)
 {
     double boost = 1.0;
     if (shape < 1.0) {
-        boost = pow(uniform(r), 1.0 / shape);
+        boost = pow(next_uniform(&r->stream), 1.0 / shape);
         shape = shape + 1.0;
     }
     const double d = shape - 1.0 / 3.0;
@@ -418,25 +392,8 @@ static double gamma_unit_scale(sf_run_t *r, double shape)
         if (t <= 0.0)
             continue;
         const double v = t * t * t;
-        if (log(uniform(r)) < 0.5 * x * x + d - d * v + d * log(v))
+        if (log(next_uniform(&r->stream)) < 0.5 * x * x + d - d * v + d * log(v))
             return boost * d * v;
-    }
-}
-
-/* RngStream.uniform01(n) into out: reserves of at most refill_size, each
- * read to its end or to the n-th uniform.  The copy is a memmove, which
- * reserve already imports: a memcpy import moved the event loop's code and
- * cost it about 2% on mg1-4d (gcc -O2, x86-64). */
-static void read_uniforms(stream_t *s, double *out, int64_t n)
-{
-    for (int64_t filled = 0; filled < n;) {
-        const int64_t rest = n - filled;
-        reserve(s, rest < s->refill_size ? rest : s->refill_size);
-        const int64_t tail = s->u_len - s->u_pos;
-        const int64_t take = rest < tail ? rest : tail;
-        memmove(out + filled, s->u + s->u_pos, (size_t)take * sizeof(double));
-        s->u_pos += take;
-        filled += take;
     }
 }
 
@@ -459,7 +416,8 @@ static void normals(sf_run_t *r)
     if (pairs == 0)
         return;
     double *u = r->uniforms;
-    read_uniforms(s, u, 2 * pairs);
+    for (int64_t i = 0; i < 2 * pairs; i++)
+        u[i] = next_uniform(s);
     /* np.log(u[0::2]), then np.sqrt(-2.0 * log) and 2.0 * np.pi * u[1::2] */
     apply(r->log_loop, u, 2, r->logs, pairs);
     for (int64_t j = 0; j < pairs; j++) {

@@ -24,13 +24,15 @@ checks ``np.cos`` and ``np.sin`` against libm's (``math.cos`` and
 ``math.sin``): a loop that asks for the Python API, or any code that gives
 other bits than numpy, is refused.  Where one is missing or refused,
 :func:`load` warns, naming the check, and optimizer runs take the Python
-loop, with the same numbers.  Both loops refill a stream's buffer
-themselves, so they read only a stream that :func:`_refills_in_c` allows:
-a simulator on any other runs the Python kernel, and a run with any other
-perturbation stream the Python loop.  :func:`_hand_in` and
-:func:`_hand_back` pass every stream to its record and back.  A
-simulator's compiled kernel, :class:`NativeKernel`, is itself the
-``mg1_state`` record.
+loop, with the same numbers.  Both loops read a stream's own buffer,
+which :func:`_attach` binds once, and refill it in place from the
+stream's generator when they find it read to its end, as
+``RngStream._refill`` does; so they read only a stream that
+:func:`_refills_in_c` allows: a simulator on any other runs the Python
+kernel, and a run with any other perturbation stream the Python loop.
+:func:`_hand_in` and :func:`_hand_back` pass each stream's position and
+cached normal to its record and back.  A simulator's compiled kernel,
+:class:`NativeKernel`, is itself the ``mg1_state`` record.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .rng import _BUFFER_SIZE, RngStream
+from .rng import RngStream
 
 _SOURCE = Path(__file__).with_name("_mg1.c")
 # no FMA contraction: every product and sum rounds as it does in Python;
@@ -141,9 +143,7 @@ def _blocks(floats: dict, ints: dict) -> tuple[dict, dict]:
     """A zeroed array of each size in ``floats``, by name, as views of one
     float64 block, and of each in ``ints`` as views of one int64 block; and
     the address of each, by name, from its block's one ``.ctypes`` access
-    (about 2 µs each).  ``own``, where a loop refills a stream, goes last,
-    at its block's end, so that a refill running past it leaves the
-    block."""
+    (about 2 µs each)."""
     arrays, addresses = {}, {}
     for sizes, dtype in ((floats, np.float64), (ints, np.int64)):
         if not sizes:
@@ -155,12 +155,6 @@ def _blocks(floats: dict, ints: dict) -> tuple[dict, dict]:
             addresses[name] = address + 8 * start
             start += size
     return arrays, addresses
-
-
-def _own_size(longest: int) -> int:
-    """The room a stream's refill needs after an unread tail shorter than
-    ``longest``, the most one read reserves."""
-    return _BUFFER_SIZE + longest - 1
 
 
 class NativeKernel(_RECORDS["mg1_state"]):
@@ -178,7 +172,6 @@ class NativeKernel(_RECORDS["mg1_state"]):
             {
                 **dict.fromkeys(("rates", "p_leave", "fac", "serving", "comp", "nxt", "inv_r"), k),
                 "ring": k * _RING_SLOTS, "costs": 128, "target": dim, "diff": dim,
-                "own": _own_size(3),  # one event draws at most 3
             },
             {"head": k, "len": k, "bounds": k + 1},
         )
@@ -235,7 +228,7 @@ class NativeKernel(_RECORDS["mg1_state"]):
 # the RngStream methods that compiled code stands in for: the draws that
 # sf_run computes, and the refill that both loops make themselves
 _COMPILED_DRAWS = ("standard_normal", "chi_squared", "_gamma_unit_scale")
-_COMPILED_REFILL = ("_fresh", "reserve")
+_COMPILED_REFILL = ("_fresh", "_refill")
 
 
 def _refills_in_c(stream) -> bool:
@@ -256,25 +249,21 @@ class _BitGen(ctypes.Structure):
 
 
 def _attach(record, stream) -> None:
-    """Bind ``record``'s ``stream_t`` to ``stream``'s generator, from which
-    the loop refills ``own`` (laid out by :func:`_blocks`), with at least
-    ``_BUFFER_SIZE`` uniforms after a stream's first fill.  Raises
-    ValueError for a stream that :func:`_refills_in_c` refuses."""
+    """Bind ``record``'s ``stream_t`` to ``stream``'s buffer, which the
+    stream keeps for life, and to its generator, from which the loop
+    refills that buffer in place.  Raises ValueError for a stream that
+    :func:`_refills_in_c` refuses."""
     if not _refills_in_c(stream):
         raise ValueError("compiled code reads only a stream that _refills_in_c allows")
-    record.arrays.update(bitgen=stream._bitgen, u=None)  # no buffer bound yet
+    record.arrays.update(bitgen=stream._bitgen, u=stream._buf)
+    record.u, record.u_len = stream._buf.ctypes.data, stream._buf.size
     bitgen = _BitGen.from_address(_CAPSULE_POINTER(stream._bitgen.capsule, b"BitGenerator"))
     record.bitgen, record.next_uint64 = bitgen.state, bitgen.next_uint64
-    record.refill_size = _BUFFER_SIZE
 
 
 def _hand_in(record, stream) -> None:
-    """Point ``record``'s ``stream_t`` at where ``stream`` stands: its buffer
-    (bound anew only when it is another one), position and cached normal."""
-    buf = stream._buf
-    if buf is not record.arrays["u"]:
-        record.arrays["u"] = buf
-        record.u, record.u_len = buf.ctypes.data, buf.size
+    """Hand ``record``'s ``stream_t`` where ``stream`` stands: its position
+    and its cached normal."""
     record.u_pos = stream._pos
     spare = stream.spare_normal
     record.has_spare, record.spare = spare is not None, 0.0 if spare is None else spare
@@ -282,14 +271,7 @@ def _hand_in(record, stream) -> None:
 
 def _hand_back(record, stream) -> None:
     """Hand ``stream`` where the loop left ``record``'s ``stream_t``: its
-    position, its cached normal and, after a refill, the filled front of
-    ``own`` as its buffer."""
-    if record.u == record.own:
-        arrays = record.arrays
-        # own and the buffer cut from it are views of one block
-        if arrays["u"].base is not arrays["own"].base or arrays["u"].size != record.u_len:
-            arrays["u"] = arrays["own"][: record.u_len]
-        stream._buf = arrays["u"]
+    position and its cached normal."""
     stream._pos = record.u_pos
     stream.spare_normal = record.spare if record.has_spare else None
 
@@ -333,7 +315,6 @@ class CompiledRun:
             "uniforms": 2 * pairs,
             "logs": pairs,
             **{f"costs{i}": L for i in observed},
-            "own": _own_size(min(2 * pairs, _BUFFER_SIZE)),  # a draw reserves no more
         }, {})
         costs = {i: addresses.pop(f"costs{i}") for i in observed}
         self._record = record = RunRecord(

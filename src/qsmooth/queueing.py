@@ -186,13 +186,9 @@ class PythonKernel:
         completion draws a routing uniform only at nodes with p_leave > 0,
         then service times for the destination (if it starts service) and
         for the completing node's next customer (if any), in that order.
-        Before each event, the stream refills when fewer than 3 uniforms
-        (the most one event draws) remain, as the compiled loop does, so
-        both leave the stream with the same buffer and generator.
         """
         queues, serving, comp, nxt, rates, p_leave, k, stream, fac = self._bound
         u01 = stream.uniform01
-        reserve = stream.reserve
         log = math.log
         inf = math.inf
         n_present = self.n_present
@@ -204,8 +200,6 @@ class PythonKernel:
 
         for _ in range(L):
             while True:  # arrivals, up to the next service completion
-                if stream._buf.size - stream._pos < 3:
-                    reserve(3)
                 t_min = inf
                 node = -1
                 is_completion = False
@@ -280,7 +274,7 @@ class QueueSimulator:
         self.stream = stream
         # the first external arrival of each node is drawn at construction,
         # in node order, in one array draw: the same uniforms as one draw
-        # per node, and a fresh stream's first fill brings just those
+        # per node
         rates = config.arrival_rates
         first = iter(stream.uniform01(sum(lam > 0.0 for lam in rates)).tolist())
         next_arrival = [(-math.log(next(first)) / lam) if lam > 0.0 else math.inf for lam in rates]
@@ -312,9 +306,9 @@ class QueueSimulator:
     def observe(self, control: np.ndarray, L: int) -> list[float]:
         """The costs of the next ``L`` observations under one control.  The
         service factors are computed from ``control`` on every call, so an
-        array changed in place takes effect; a negative ``L`` is refused."""
-        if L < 0:
-            raise ValueError(f"cannot observe L = {L} costs")
+        array changed in place takes effect; an ``L`` that is no integer
+        >= 0 is refused, before any event."""
+        L = _count(L, "L")
         self._set_service_factors(control)
         return self.state.run(L)
 

@@ -74,10 +74,6 @@ def _reals(values, name: str) -> np.ndarray:
     return np.asarray(values, dtype=float)
 
 
-def _uniforms(raw: np.ndarray) -> np.ndarray:
-    return ((raw >> np.uint64(11)) + 0.5) * _TO_UNIT
-
-
 def _splitmix64(x: int) -> int:
     x = (x + 0x9E3779B97F4A7C15) & _U64
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _U64
@@ -120,9 +116,9 @@ class RngStream:
 
     A stream owns its state and must not be drawn from concurrently; it is
     cheap to construct (about 10 µs on a 2-core host, half of it the OS
-    entropy numpy draws for a keyed Philox's unused seed sequence; a first
-    draw of a few uniforms takes about 5 µs more, a first scalar draw, which
-    fills 4096, about 25 µs), so give every replication/component its own.
+    entropy numpy draws for a keyed Philox's unused seed sequence; its
+    first read, of any size, fills the buffer's 4096 uniforms, about 25 µs
+    more), so give every replication/component its own.
     Identical ``(seed, stream_id)`` and an identical call pattern replay an
     identical variate sequence.  ``uniform01`` produces the same sequence
     whether drawn one at a time or as arrays.  ``standard_normal`` reads the
@@ -142,58 +138,53 @@ class RngStream:
         self.seed = _count(seed, "seed", None) & _U64
         self.stream_id = _count(stream_id, "stream_id", None) & _U64
         self._bitgen = np.random.Philox(key=np.array([self.seed, self.stream_id], np.uint64))
-        self._buf = np.empty(0)
-        self._pos = 0
+        # the buffer, kept for life and refilled in place when read to its
+        # end (compiled loops bind it once), and the next unread slot in it
+        self._buf = np.empty(_BUFFER_SIZE)
+        self._pos = _BUFFER_SIZE
         # the unused half of the last Box-Muller pair, which the next normal
         # draw returns first (None when there is none); compiled loops take
-        # it with the buffer and hand back the one they leave
+        # it with the position and hand back the one they leave
         self.spare_normal: float | None = None
 
     # -- uniforms ----------------------------------------------------------
 
     def _fresh(self, count: int) -> np.ndarray:
-        return _uniforms(self._bitgen.random_raw(count))
+        return ((self._bitgen.random_raw(count) >> np.uint64(11)) + 0.5) * _TO_UNIT
 
-    def reserve(self, n: int):
-        """The buffer and read position, with at least ``n`` unread uniforms
-        from there on, for a caller that reads them in place and then moves
-        ``_pos`` past them.  A refill keeps the unread tail at the front of
-        the new buffer, so the values keep their order, and appends
-        max(_BUFFER_SIZE, n - tail) fresh uniforms, except in a stream's
-        first fill for a read of more than one (a simulator's first
-        arrivals, say), which brings just those n.  The C ``reserve`` in
-        ``_mg1.c`` keeps the same rule."""
-        buf, pos = self._buf, self._pos
-        tail = buf.size - pos
-        if tail < n:
-            least = 0 if buf.size == 0 and n > 1 else _BUFFER_SIZE
-            fresh = self._fresh(max(least, n - tail))
-            self._buf = fresh if tail == 0 else np.concatenate((buf[pos:], fresh))
-            self._pos = pos = 0
-        return self._buf, pos
+    def _refill(self) -> None:
+        """Refill the buffer in place with the generator's next
+        _BUFFER_SIZE uniforms and read it from its start, as a reader that
+        finds it read to its end does; ``next_uniform`` in ``_mg1.c``
+        does the same."""
+        self._buf[:] = self._fresh(_BUFFER_SIZE)
+        self._pos = 0
 
     def uniform01(self, size: int | None = None):
         """Uniform draw(s) on the open interval (0, 1)."""
         if size is None:
-            buf, pos = self._buf, self._pos
-            if pos >= buf.size:
-                buf, pos = self.reserve(1)
+            pos = self._pos
+            if pos == _BUFFER_SIZE:
+                self._refill()
+                pos = 0
             self._pos = pos + 1
-            return buf.item(pos)
+            return self._buf.item(pos)
         out = np.empty(_count(size, "size"))
         for _ in self._fill(out, 0):
             pass
         return out
 
     def _fill(self, out: np.ndarray, start: int):
-        """Copy the next uniforms into ``out[start:]``, one ``reserve`` of
-        at most _BUFFER_SIZE at a time, yielding how far ``out`` is filled
-        after each copy."""
+        """Copy the next uniforms into ``out[start:]``, up to the end of
+        the buffer at a time, yielding how far ``out`` is filled after each
+        copy."""
         filled, size = start, out.size
         while filled < size:
-            buf, pos = self.reserve(min(size - filled, _BUFFER_SIZE))
-            take = min(size - filled, buf.size - pos)
-            out[filled : filled + take] = buf[pos : pos + take]
+            if self._pos == _BUFFER_SIZE:
+                self._refill()
+            pos = self._pos
+            take = min(size - filled, _BUFFER_SIZE - pos)
+            out[filled : filled + take] = self._buf[pos : pos + take]
             self._pos = pos + take
             filled += take
             yield filled

@@ -8,12 +8,12 @@ and every stop of ``sf_run``.
 Prints one digest of every number they give, of every error they raise and
 of where every stream ends.
 
-    python sanitizer_scenarios.py [--short-own] [FLAG ...]
+    python sanitizer_scenarios.py [--overrun] [FLAG ...]
 
 Each FLAG extends the compiler command the library is built with.  With
-``--short-own``, every record's ``own`` is one slot short of what a refill
-may write, and only the kernel scenario runs: a sanitized build must report
-the overflow."""
+``--overrun``, every record's ``u_len`` is bound one slot past its stream's
+buffer, and only the kernel scenario runs: the loop reads one slot past
+the buffer, and a sanitized build must report the overflow."""
 
 import hashlib
 import sys
@@ -60,14 +60,14 @@ class FreshOverriding(RngStream):
         return super()._fresh(count)
 
 
-def _shorten_own():
-    # own comes last in its record's block, so the block ends one slot short
-    blocks = _native._blocks
+def _overrun():
+    attach = _native._attach
 
-    def short(floats, ints):
-        return blocks({**floats, "own": floats["own"] - 1}, ints)
+    def overrunning(record, stream):
+        attach(record, stream)
+        record.u_len += 1
 
-    _native._blocks = short
+    _native._attach = overrunning
 
 
 def _stream_end(stream):
@@ -77,8 +77,8 @@ def _stream_end(stream):
 
 
 def _kernel_refills(digest):
-    # a refill keeps an unread tail of up to 2 uniforms, which a short own
-    # cannot hold beside 4096 fresh ones; the cached normal is left be
+    # the buffer's end falls inside and between events, and the loop
+    # refills it there; the cached normal is left be
     loaded = preset("mg1-20d")
     stream = RngStream(3, 1)
     stream.spare_normal = -0.0
@@ -120,10 +120,9 @@ def _perturbation_refills(digest):
 
 
 def _fresh_stream_refills(digest):
-    # a fresh perturbation stream's first fill, made in C, brings just the
-    # uniforms of its first draw, and every later one a whole buffer; a
-    # fresh kernel stream's first fill, made in Python, holds its first
-    # arrivals, and the loop refills from the end of it
+    # a fresh perturbation stream's first fill is made in C; a fresh kernel
+    # stream's first fill is made in Python, for its first arrivals, and
+    # the loop reads on from there and refills at its end
     for dim, q in ((3, 0.5), (20, 1.0), (4, 1.2)):
         stream = RngStream(12, dim)
         result = run_gqsf1(
@@ -135,7 +134,7 @@ def _fresh_stream_refills(digest):
     loaded = preset("mg1-20d")
     stream = RngStream(12, 0)
     sim = QueueSimulator(loaded.network, stream)
-    assert stream._buf.size == 4 and sim.kernel == "c"
+    assert stream._pos == 4 and sim.kernel == "c"
     for _ in range(200):
         digest.update(np.array(sim.observe(loaded.theta0, 50)).tobytes())
     assert sim.state.refills >= 3
@@ -225,12 +224,12 @@ def _each_stop_and_handoff(digest):
 
 
 def main(argv):
-    short = "--short-own" in argv
-    _native._CC += tuple(flag for flag in argv if flag != "--short-own")
+    overrun = "--overrun" in argv
+    _native._CC += tuple(flag for flag in argv if flag != "--overrun")
     lib = _native.load()
     assert lib is not None and lib.ddot is not None and lib.loops is not None
-    if short:
-        _shorten_own()
+    if overrun:
+        _overrun()
     stops, resume = [], _native.CompiledRun.resume
 
     def resumed(run):
@@ -240,7 +239,7 @@ def main(argv):
     _native.CompiledRun.resume = resumed
     digest = hashlib.sha256()
     _kernel_refills(digest)
-    if not short:
+    if not overrun:
         _perturbation_refills(digest)
         _fresh_stream_refills(digest)
         _arrays_outgrowing_their_blocks(digest)

@@ -24,13 +24,15 @@ from conftest import stream_state
 
 
 def whole_uniforms(stream, size):
+    # the buffer read to its end, then refilled
     out = np.empty(size)
     filled = 0
     while filled < size:
-        buf, pos = stream.reserve(min(size - filled, 4096))
-        take = min(size - filled, buf.size - pos)
-        out[filled : filled + take] = buf[pos : pos + take]
-        stream._pos = pos + take
+        if stream._pos == stream._buf.size:
+            stream._refill()
+        take = min(size - filled, stream._buf.size - stream._pos)
+        out[filled : filled + take] = stream._buf[stream._pos : stream._pos + take]
+        stream._pos += take
         filled += take
     return out
 

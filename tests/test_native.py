@@ -129,12 +129,6 @@ class RefillCountingStream(RngStream):
         return super()._fresh(count)
 
 
-def _stands(stream):
-    """Where a stream stands, to the bit: its unread uniforms and its
-    generator's next raw draw, without drawing it."""
-    return stream._buf[stream._pos :].tobytes(), copy.deepcopy(stream._bitgen).random_raw()
-
-
 def _to_come(stream):
     """The stream's next 8192 uniforms, without drawing them: more than one
     refill brings, so streams that agree on them stand at the same place in
@@ -157,8 +151,8 @@ REFILL_STEPS = (
 def test_the_loop_refills_as_the_stream_would(network, data):
     # Against the Python kernel, which a stream whose class overrides
     # _fresh gets: the same costs, and each stream with the same uniforms
-    # to come, after every step.  Both kernels refill before an event when
-    # fewer than 3 remain, so they refill before the same events
+    # to come, after every step.  Both kernels refill the buffer when they
+    # find it read to its end, so they refill at the same uniform
     seed = data.draw(st.integers(0, 2**32), label="seed")
     skip = data.draw(st.integers(0, 4095), label="uniforms drawn before")
     streams = [RngStream(seed, 5), RefillCountingStream(seed, 5)]
@@ -199,8 +193,8 @@ class FillRecordingStream(RngStream):
 
 
 # a fresh stream's first read: none (a simulator's first arrivals are then
-# its first read), scalar draws, or one array draw, which crosses the first
-# fill and whole buffers after it
+# its first read), scalar draws, or one array draw, which may cross whole
+# buffers
 FIRST_READS = (
     st.tuples(st.just("none"), st.just(0))
     | st.tuples(st.just("scalar"), st.integers(1, 4))
@@ -217,36 +211,27 @@ def _read(stream, kind, n):
     return None
 
 
-def _first_fill(kind: str, n: int) -> int:
-    """The size of a fresh stream's first fill, for a first read of ``n``
-    uniforms of that kind: just those when they are more than one and the
-    read takes them at once, else a buffer."""
-    return min(n, 4096) if kind != "scalar" and n > 1 else 4096
-
-
 @needs_gcc
 @DETERMINISTIC
 @given(network=networks(), data=st.data())
 def test_both_kernels_fill_a_fresh_stream_alike(network, data):
-    # From a fresh stream, across its first fill and the whole buffers after
-    # it: the C kernel and the Python kernel refill before the same events,
-    # so after every step their streams have the same uniforms to come and
-    # the same generator, and every fill follows the rule
+    # From a fresh stream, across its first fill and the buffers after it:
+    # the C kernel and the Python kernel refill at the same uniforms, so
+    # after every step their streams have the same buffer, position and
+    # generator, and every fill is a whole buffer
     seed = data.draw(st.integers(0, 2**32), label="seed")
     streams = [RngStream(seed, 6), FillRecordingStream(seed, 6)]
     kind, n = data.draw(FIRST_READS, label="first read")
     assert _read(streams[0], kind, n) == _read(streams[1], kind, n)
     sims = [QueueSimulator(network, stream) for stream in streams]
     assert [sim.kernel for sim in sims] == ["c", "python"]
-    if kind == "none":  # the first arrivals, one array draw
-        kind, n = "array", sum(rate > 0.0 for rate in network.arrival_rates)
     control = np.array(data.draw(
         st.lists(st.floats(0.0, 1.0), min_size=network.total_dim, max_size=network.total_dim),
         label="control",
     ))
     # besides REFILL_STEPS: draw all but the last 0 to 3 uniforms of the
-    # buffer, then observe a few costs, so that the C kernel refills with
-    # each unread tail and the call may end before the tail is read
+    # buffer, then observe a few costs, so that the C kernel refills inside
+    # or between its events and the call may end before the buffer does
     steps = REFILL_STEPS | st.tuples(st.just("to the end but"), st.integers(0, 3))
     for step, size in data.draw(st.lists(steps, min_size=1, max_size=10), label="steps"):
         if step == "observe":
@@ -262,8 +247,7 @@ def test_both_kernels_fill_a_fresh_stream_alike(network, data):
         assert _to_come(streams[0]) == _to_come(streams[1])
         assert stream_state(streams[0]) == stream_state(streams[1])
         assert _queue_counters(sims[0]) == _queue_counters(sims[1])
-    fills = streams[1].fills
-    assert fills == [_first_fill(kind, n)] + [4096] * (len(fills) - 1)
+    assert streams[1].fills and set(streams[1].fills) == {4096}
 
 
 @needs_gcc
@@ -271,12 +255,12 @@ def test_both_kernels_fill_a_fresh_stream_alike(network, data):
 @given(data=st.data())
 def test_the_outer_loop_fills_a_fresh_perturbation_stream_as_the_python_loop(data):
     # sf_run's perturbation stream against the Python loop's, at q < 1, q = 1
-    # and q > 1, from a fresh stream, across its first fill (the first
-    # draw's uniforms, when sf_run makes it) and the whole buffers after it,
-    # with draws of the caller's between the runs: the same iterates, the
-    # same uniforms to come and the same generator after every step.  A
-    # 4097-d draw takes more uniforms than one refill brings, and reads them
-    # a refill at a time, as RngStream.uniform01(n) does
+    # and q > 1, from a fresh stream, across its first fill (when sf_run
+    # makes it) and the buffers after it, with draws of the caller's between
+    # the runs: the same iterates, the same buffer, position and generator
+    # after every step, and every fill a whole buffer.  A 4097-d draw takes
+    # more uniforms than one refill brings, and reads them a refill at a
+    # time, as RngStream.uniform01(n) does
     q = data.draw(st.sampled_from([0.7, 1.0, 1.3]), label="q")
     dim = data.draw(st.integers(1, 6) | st.just(4097), label="dim")
     if q > 1.0 and dim > 6:
@@ -290,9 +274,6 @@ def test_the_outer_loop_fills_a_fresh_perturbation_stream_as_the_python_loop(dat
         lambda step: step[0] != "observe"
     )
     for step, size in data.draw(st.lists(steps, min_size=1, max_size=5), label="steps"):
-        if first[0] == "none":  # this step reads first
-            # a run's first draw, of whole Box-Muller pairs
-            first = ("array", 2 * ((dim + 1) // 2)) if step == "run" else (step, size)
         if step == "run":
             got = [
                 (result.theta_final.tobytes(), result.z.tobytes())
@@ -310,31 +291,106 @@ def test_the_outer_loop_fills_a_fresh_perturbation_stream_as_the_python_loop(dat
         assert got[0] == got[1]
         assert _to_come(streams[0]) == _to_come(streams[1])
         assert stream_state(streams[0]) == stream_state(streams[1])
-    fills = streams[1].fills
-    assert fills[:1] == [_first_fill(*first)] and set(fills[1:]) <= {4096}
+    assert streams[1].fills and set(streams[1].fills) == {4096}
+
+
+class DrawCountingStream(FillRecordingStream):
+    """A stream that counts every uniform it hands out, one at a time or
+    through ``_fill``, besides recording its fills: its simulators run the
+    Python kernel, and a run on it the Python loop."""
+
+    __slots__ = ("drawn",)
+
+    def __init__(self, seed, stream_id=0):
+        super().__init__(seed, stream_id)
+        self.drawn = 0
+
+    def uniform01(self, size=None):
+        self.drawn += size is None
+        return super().uniform01(size)
+
+    def _fill(self, out, start):
+        self.drawn += out.size - start
+        return super()._fill(out, start)
+
+
+# the reads of the test below: n scalar or array uniforms, n scalar normals
+# or an array of n, an observe of n costs or a run of n iterations
+MIXED_READS = (
+    st.tuples(st.just("scalar"), st.integers(1, 4))
+    | st.tuples(st.just("array"), st.integers(1, 9000))
+    | st.tuples(st.just("normal"), st.integers(1, 3))
+    | st.tuples(st.just("normals"), st.integers(1, 4200))
+    | st.tuples(st.just("observe"), st.integers(1, 3000))
+    | st.tuples(st.just("run"), st.integers(1, 200))
+)
+
+
+@needs_gcc
+@DETERMINISTIC
+@given(data=st.data())
+def test_a_stream_stands_where_its_count_of_uniforms_puts_it(data):
+    # Whatever mix of reads a stream serves, in Python, in the C kernel and
+    # in sf_run: after every read it stands where the same reads leave a
+    # stream that serves them all in Python, and, but for the cached
+    # normal, where a twin that drew as many uniforms in one uniform01(count)
+    # stands; every fill is a whole buffer
+    seed = data.draw(st.integers(0, 2**32), label="seed")
+    dim, q = data.draw(st.sampled_from([(1, 0.7), (4, 1.0), (20, 1.05), (20, 0.8)]), label="run")
+    loaded = preset("mg1-4d")
+    streams = [RngStream(seed, 8), DrawCountingStream(seed, 8)]
+    sims = [QueueSimulator(loaded.network, stream) for stream in streams]
+    assert [sim.kernel for sim in sims] == ["c", "python"]
+
+    def run(stream, M):
+        result = run_gqsf1(
+            QuadraticCostSimulator(np.full(dim, 0.3)), QKernel(q, 0.01, dim),
+            BoxConstraint.cube(0.1, 0.6, dim), StepSchedule(0.75), M, 1, np.full(dim, 0.35),
+            stream,
+        )
+        return result.theta_final.tobytes(), result.z.tobytes()
+
+    for step, n in data.draw(st.lists(MIXED_READS, min_size=1, max_size=8), label="reads"):
+        if step == "observe":
+            got = [np.array(sim.observe(loaded.theta0, n)).tobytes() for sim in sims]
+        elif step == "run":
+            got = [run(stream, n) for stream in streams]
+        elif step == "scalar":
+            got = [[stream.uniform01() for _ in range(n)] for stream in streams]
+        elif step == "array":
+            got = [stream.uniform01(n).tobytes() for stream in streams]
+        elif step == "normal":
+            got = [[stream.standard_normal() for _ in range(n)] for stream in streams]
+        else:
+            got = [stream.standard_normal(n).tobytes() for stream in streams]
+        assert got[0] == got[1]
+        twin = RngStream(seed, 8)
+        twin.uniform01(streams[1].drawn)
+        twin.spare_normal = streams[1].spare_normal
+        assert stream_state(streams[0]) == stream_state(streams[1]) == stream_state(twin)
+    assert set(streams[1].fills) == {4096}
 
 
 @needs_gcc
 def test_the_loop_refills_at_every_tail_many_times():
-    # A call of 50 observations refills at most once, and leaves the stream
-    # with the unread tail the refill kept (0, 1 or 2 uniforms) ahead of the
-    # 4096 fresh ones; on mg1-20d, whose completions often draw 3 uniforms,
-    # every tail comes up
+    # Calls of 1 and of 50 observations in turn on mg1-20d, whose
+    # completions often draw 3 uniforms, against the Python kernel: after
+    # every call both streams stand at the same place in the same buffer,
+    # both kernels refill as often (the C stream's first fill, of the first
+    # arrivals, is made in Python), and the buffer's end also falls at the
+    # end of a call, where the next call's first uniform refills it
     loaded = preset("mg1-20d")
     streams = [RngStream(3, 1), RefillCountingStream(3, 1)]
     sims = [QueueSimulator(loaded.network, stream) for stream in streams]
     state = sims[0].state
-    tails = set()
-    for _ in range(3000):
-        refills = state.refills
-        got = [np.array(sim.observe(loaded.theta0, 50)).tobytes() for sim in sims]
+    ends = 0
+    for i in range(4000):
+        got = [np.array(sim.observe(loaded.theta0, (1, 50)[i % 2])).tobytes() for sim in sims]
         assert got[0] == got[1]
-        if state.refills > refills:
-            assert _stands(streams[0]) == _stands(streams[1])
-            tails.add(streams[0]._buf.size - 4096)
-    assert tails == {0, 1, 2}
-    assert state.refills >= 50
-    assert _stands(streams[0]) == _stands(streams[1])
+        assert stream_state(streams[0]) == stream_state(streams[1])
+        assert state.refills == streams[1].refills - 1
+        ends += streams[0]._pos == 4096
+    assert state.refills >= 50 and ends > 0
 
 
 @needs_gcc
@@ -1155,7 +1211,7 @@ def test_box_muller_tables_give_standard_normal_draws(size):
     # sf_run's draw of a q = 1 perturbation, whose Box-Muller logarithms
     # numpy's log loop computes and whose cosines and sines libm does, at
     # every offset in the buffer, with and without a cached normal, and across the
-    # refill that keeps a buffer's unread tail: the draws of
+    # refill of a buffer read to its end: the draws of
     # stream.standard_normal(size), and the stream left where it leaves one
     base = RngStream(8, 3)
     base.uniform01()
@@ -1169,19 +1225,17 @@ def test_box_muller_tables_give_standard_normal_draws(size):
     for offset in range(4097):
         refill = offset + size + 1 > 4096  # the draw may refill
         for spare in (None, 0.25):
-            # a draw that refills moves the generator, so it needs a copy of it
+            # a draw that refills moves the generator and refills the
+            # buffer in place, so it needs a copy of both
             here = (copy.deepcopy if refill else copy.copy)(base)
             here._pos, here.spare_normal = offset, spare
             want = here.standard_normal(size)
-            stream._buf, stream._pos, stream.spare_normal = buf, offset, spare
+            stream._buf[:] = buf  # in place: the loop has the buffer bound
+            stream._pos, stream.spare_normal = offset, spare
             stream._bitgen.state = bitgen
             assert run.resume() == run.RECORD
             assert run._arrays["eta"].tobytes() == want.tobytes()
-            assert stream.spare_normal == here.spare_normal
-            if refill:
-                assert _stands(stream) == _stands(here)
-            else:
-                assert stream._buf is buf and stream._pos == here._pos
+            assert stream_state(stream) == stream_state(here)
 
 
 @needs_gcc
@@ -1371,7 +1425,7 @@ def test_the_records_are_laid_out_as_the_c_compiler_lays_them_out(tmp_path):
         name, *numbers = line.split()
         got[name] = tuple(map(int, numbers)) if len(numbers) > 1 else int(numbers[0])
     assert got == want
-    assert [len(record._fields_) for record in records.values()] == [10, 3, 25, 38]
+    assert [len(record._fields_) for record in records.values()] == [8, 3, 25, 38]
     # a record held by value lays out its members as the outer record's own
     for name in ("mg1_state", "sf_run_t"):
         record = records[name]
@@ -1403,8 +1457,8 @@ def test_the_c_loops_are_clean_under_asan_and_ubsan(tmp_path):
     # carried across calls, ring growth, the handoffs and every stop on a
     # sanitized build, in a child process that loads both runtimes first:
     # no report, and the numbers of an unsanitized build.  With every
-    # record's own one slot short, the kernel's refills must overflow it,
-    # or the sanitizer sees nothing
+    # record's u_len one slot past its stream's buffer, the kernel must read
+    # past the buffer, or the sanitizer sees nothing
     runtimes = _sanitizer_runtimes()
     if runtimes is None:
         pytest.skip("gcc finds no ASan or UBSan runtime")
@@ -1423,10 +1477,10 @@ def test_the_c_loops_are_clean_under_asan_and_ubsan(tmp_path):
     assert checked.returncode == 0, checked.stderr
     assert "Sanitizer" not in checked.stderr and "runtime error" not in checked.stderr
     assert checked.stdout == plain.stdout and len(plain.stdout) == 65
-    short = child("--short-own", *_SANITIZE)
-    assert short.returncode != 0
-    assert "ERROR: AddressSanitizer: heap-buffer-overflow" in short.stderr
-    assert " in reserve" in short.stderr  # the refill, in _mg1.c
+    overrun = child("--overrun", *_SANITIZE)
+    assert overrun.returncode != 0
+    assert "ERROR: AddressSanitizer: heap-buffer-overflow" in overrun.stderr
+    assert " in next_uniform" in overrun.stderr  # the read, in _mg1.c
 
 
 def test_the_record_reader_takes_each_allowed_form():

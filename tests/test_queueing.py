@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import math
 import pickle
+import re
 import shutil
 from unittest import mock
 
@@ -486,7 +487,8 @@ def test_config_refuses_a_dimension_that_is_not_an_integer(dims):
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_observe_refuses_a_negative_L_before_any_event(kernel):
     # where the C kernel once returned the stale costs left in its buffer;
-    # L = 0 gives no costs, and neither moves the stream or the network
+    # True ran one observation, and 2.5, 2.0 and "3" failed inside the
+    # kernel; L = 0 gives no costs, and none moves the stream or the network
     loaded = preset("mg1-4d")
     stream = RngStream(4, 1)
     sim = kernel_simulator(kernel, loaded.network, stream)
@@ -497,8 +499,8 @@ def test_observe_refuses_a_negative_L_before_any_event(kernel):
                 sim.state.arrivals_seen, sim.state.departures_seen)
 
     before = stands()
-    for L in (-1, -50):
-        with pytest.raises(ValueError, match=f"L = {L}"):
+    for L in (-1, -50, True, 2.5, np.float64(2.0), "3"):
+        with pytest.raises(ValueError, match=re.escape(f"L must be an integer >= 0, got {L!r}")):
             sim.observe(np.full(4, 0.5), L)  # another control: its factors are not set
         assert stands() == before
     assert sim.observe(loaded.theta0, 0) == []

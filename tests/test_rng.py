@@ -134,12 +134,13 @@ def _sample_standard_reference(q, dim, stream):
 
 def test_interleaved_uniform_draws_match_one_array_draw():
     # Scalar draws read the current buffer; a refill made by an array,
-    # normal or reserve call must leave them reading the new one, and a
-    # reserve must keep the unread tail in order.  Array
+    # normal or in-place read must leave them reading the refilled one,
+    # which is always the stream's one buffer.  Array
     # normals must match the reference's, with a spare normal carried
     # between calls and across scalar chi-squared draws, and so must
     # q-Gaussian perturbations.
     stream = RngStream(31, 4)
+    buffer = stream._buf
     old = _CopyingStream(31, 4)  # drawn in lockstep; old.drawn counts the uniforms used
     positions, values = [], []
 
@@ -158,19 +159,17 @@ def test_interleaved_uniform_draws_match_one_array_draw():
         got = stream.standard_normal(n)
         assert got.shape == (n,) and got.tobytes() == old.standard_normal(n).tobytes()
 
-    def in_place(n, at_least=3):
-        # read as the compiled simulator does: reserve, read, move _pos
+    def in_place(n):
+        # read as the compiled loops read: from the buffer itself, refilled
+        # in place when it is read to its end, then move _pos
         while n:
-            buf, pos = stream.reserve(at_least)
-            assert buf.size - pos >= at_least
-            take = min(n, buf.size - pos)
+            if stream._pos == buffer.size:
+                stream._refill()
+            take = min(n, buffer.size - stream._pos)
             positions.extend(range(old.drawn, old.drawn + take))
-            values.extend(buf[pos : pos + take].tolist())
-            old_buf, old_pos = old.reserve(take)
-            assert old_buf[old_pos : old_pos + take].tolist() == values[-take:]
+            values.extend(buffer[stream._pos : stream._pos + take].tolist())
+            assert old.uniform01(take).tolist() == values[-take:]
             stream._pos += take
-            old._pos += take
-            old.drawn += take
             n -= take
 
     def chi(df):
@@ -187,8 +186,8 @@ def test_interleaved_uniform_draws_match_one_array_draw():
     normals(4090)  # ends the second buffer exactly
     scalars(3)
     in_place(4091)  # leaves two in the third buffer
-    in_place(5)  # the reserve carries those two to the front of a refill
-    in_place(1, at_least=5000)  # a reserve larger than a buffer
+    in_place(5)  # reads those two, then refills
+    in_place(9000)  # more than a buffer holds
     normals(3)  # leaves a spare normal
     chi(3.7)  # scalar normals: the spare is used, another may be left
     normals(1)
@@ -210,6 +209,7 @@ def test_interleaved_uniform_draws_match_one_array_draw():
     twin = RngStream(31, 4).uniform01(old.drawn)
     assert values == twin[positions].tolist()
     assert stream.uniform01(8).tolist() == old.uniform01(8).tolist()
+    assert stream._buf is buffer
 
 
 def test_standard_normal_moments():

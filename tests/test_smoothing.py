@@ -17,6 +17,8 @@ from qsmooth.smoothing import (
     smoothed_value,
 )
 
+from conftest import stream_state
+
 
 def _pert(eta, q, n):
     """One draw as a batch of one: its (1, n) eta and (1,) rho."""
@@ -208,8 +210,9 @@ def test_smoothed_gradient_constant_f():
 
 
 def _untouched(stream):
-    """Whether ``stream`` has drawn nothing yet."""
-    return stream._buf.size == 0 and stream.spare_normal is None
+    """Whether ``stream`` has drawn nothing yet: it stands where a fresh
+    twin does."""
+    return stream_state(stream) == stream_state(RngStream(stream.seed, stream.stream_id))
 
 
 @pytest.mark.parametrize("estimate", [smoothed_value, smoothed_gradient_mc])
